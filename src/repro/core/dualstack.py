@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.ecdf import ECDF
 from repro.datasets.longterm import LongTermDataset
+from repro.datasets.timeline import TraceTimeline
 from repro.net.ip import IPVersion
 
 __all__ = ["DualStackComparison", "paired_rtt_differences"]
@@ -63,10 +64,23 @@ class DualStackComparison:
         return float(np.mean(values <= -threshold_ms))
 
 
+def _same_path_matrix(v4: TraceTimeline, v6: TraceTimeline) -> np.ndarray:
+    """``[i, j]`` is whether IPv4 path ``i`` equals IPv6 path ``j``."""
+    matrix = np.zeros((len(v4.paths), len(v6.paths)), dtype=bool)
+    for i, path_v4 in enumerate(v4.paths):
+        for j, path_v6 in enumerate(v6.paths):
+            matrix[i, j] = path_v4 == path_v6
+    return matrix
+
+
 def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
-    """Compute the paired IPv4/IPv6 comparison over a long-term dataset."""
-    all_diffs: List[float] = []
-    same_path_diffs: List[float] = []
+    """Compute the paired IPv4/IPv6 comparison over a long-term dataset.
+
+    Raises:
+        ValueError: A usable sample carries a negative path id.
+    """
+    all_diffs: List[np.ndarray] = []
+    same_path_diffs: List[np.ndarray] = []
     per_pair: Dict[Tuple[int, int], float] = {}
 
     for src, dst in dataset.pairs():
@@ -85,24 +99,24 @@ def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
         if not both.any():
             continue
         diffs = (v4.rtt_ms[both] - v6.rtt_ms[both]).astype(float)
-        all_diffs.extend(diffs.tolist())
+        all_diffs.append(diffs)
         per_pair[(src, dst)] = float(np.median(diffs))
 
         # Same-AS-path subset: compare observed paths per round.
         v4_ids = v4.path_id[both]
         v6_ids = v6.path_id[both]
-        v4_paths = [v4.paths[int(i)] for i in v4_ids]
-        v6_paths = [v6.paths[int(i)] for i in v6_ids]
-        same = np.array(
-            [p4 == p6 for p4, p6 in zip(v4_paths, v6_paths)], dtype=bool
-        )
+        if v4_ids.min() < 0 or v6_ids.min() < 0:
+            raise ValueError(f"usable sample without a path id for pair {(src, dst)}")
+        same = _same_path_matrix(v4, v6)[v4_ids, v6_ids]
         if same.any():
-            same_path_diffs.extend(diffs[same].tolist())
+            same_path_diffs.append(diffs[same])
 
+    all_values = np.concatenate(all_diffs) if all_diffs else np.empty(0)
+    same_values = np.concatenate(same_path_diffs) if same_path_diffs else np.empty(0)
     return DualStackComparison(
-        all_diffs=ECDF(all_diffs),
-        same_path_diffs=ECDF(same_path_diffs),
+        all_diffs=ECDF(all_values),
+        same_path_diffs=ECDF(same_values),
         per_pair_median=per_pair,
-        paired_samples=len(all_diffs),
-        same_path_samples=len(same_path_diffs),
+        paired_samples=int(all_values.size),
+        same_path_samples=int(same_values.size),
     )

@@ -22,7 +22,9 @@ class ECDF:
     """
 
     def __init__(self, values: Iterable[float]) -> None:
-        data = np.asarray(list(values), dtype=float)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        data = np.asarray(values, dtype=float)
         data = data[~np.isnan(data)]
         self._sorted = np.sort(data)
 

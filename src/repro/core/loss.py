@@ -14,11 +14,11 @@ loss rate and hourly median RTT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.datasets.timeline import PingTimeline
+from repro.datasets.timeline import HOURS_PER_DAY, PingTimeline
 
 __all__ = [
     "hourly_loss_profile",
@@ -28,41 +28,62 @@ __all__ = [
     "loss_population_summary",
 ]
 
-HOURS_PER_DAY = 24
+
+def _hourly_counts(timeline: PingTimeline, flags: np.ndarray) -> np.ndarray:
+    """Per hour-of-day bin: how many samples have ``flags`` set."""
+    order, bounds = timeline.hour_groups()
+    running = np.concatenate(([0], np.cumsum(flags[order])))
+    return running[bounds[1:]] - running[bounds[:-1]]
 
 
 def hourly_loss_profile(timeline: PingTimeline) -> np.ndarray:
     """Loss rate per hour-of-day bin (NaN for unsampled bins)."""
-    hour_of_day = np.mod(timeline.times_hours, float(HOURS_PER_DAY)).astype(int)
-    lost = np.isnan(timeline.rtt_ms)
+    _, bounds = timeline.hour_groups()
+    sizes = np.diff(bounds)
+    lost = _hourly_counts(timeline, np.isnan(timeline.rtt_ms))
     profile = np.full(HOURS_PER_DAY, np.nan)
-    for hour in range(HOURS_PER_DAY):
-        mask = hour_of_day == hour
-        if mask.any():
-            profile[hour] = float(lost[mask].mean())
+    sampled = sizes > 0
+    profile[sampled] = lost[sampled] / sizes[sampled]
     return profile
 
 
 def _hourly_rtt_profile(timeline: PingTimeline) -> np.ndarray:
-    hour_of_day = np.mod(timeline.times_hours, float(HOURS_PER_DAY)).astype(int)
+    """Median finite RTT per hour-of-day bin (NaN for bins without one).
+
+    Equal to ``np.median`` per bin: one sort ranks every bin's values at
+    once (NaN last), and an even-sized bin averages its two middle values
+    in the RTT dtype, as ``np.median`` does.
+    """
+    order, bounds = timeline.hour_groups()
+    # Rank only the samples inside bins 0..23; ``starts`` are the bins'
+    # offsets into that slice.
+    values = timeline.rtt_ms[order[bounds[0]:bounds[-1]]]
+    starts = bounds[:-1] - bounds[0]
+    bins = np.repeat(np.arange(HOURS_PER_DAY), np.diff(bounds))
+    ranked = values[np.lexsort((values, bins))]
+    finite = _hourly_counts(timeline, np.isfinite(timeline.rtt_ms))
+    present = finite > 0
+    low = (starts + (finite - 1) // 2)[present]
+    high = (starts + finite // 2)[present]
+    below, above = ranked[low], ranked[high]
     profile = np.full(HOURS_PER_DAY, np.nan)
-    for hour in range(HOURS_PER_DAY):
-        values = timeline.rtt_ms[(hour_of_day == hour)]
-        finite = values[np.isfinite(values)]
-        if finite.size:
-            profile[hour] = float(np.median(finite))
+    profile[present] = np.where(low == high, below, (below + above) / below.dtype.type(2))
     return profile
 
 
-def loss_rtt_correlation(timeline: PingTimeline) -> float:
+def loss_rtt_correlation(
+    timeline: PingTimeline, rtt_profile: Optional[np.ndarray] = None
+) -> float:
     """Pearson correlation between hourly loss rate and hourly median RTT.
 
     A strongly positive value means losses concentrate in the same busy
     hours that lift the RTT -- the congestion signature; near zero means
     loss is background noise.  NaN when either profile is degenerate.
+    ``rtt_profile`` passes in an already computed hourly median RTT
+    profile.
     """
     loss = hourly_loss_profile(timeline)
-    rtt = _hourly_rtt_profile(timeline)
+    rtt = _hourly_rtt_profile(timeline) if rtt_profile is None else rtt_profile
     mask = np.isfinite(loss) & np.isfinite(rtt)
     if mask.sum() < 12:
         return float("nan")
@@ -106,17 +127,17 @@ def assess_loss(timeline: PingTimeline) -> LossVerdict:
     """Assess one ping timeline's loss behaviour."""
     lost = np.isnan(timeline.rtt_ms)
     rtt_profile = _hourly_rtt_profile(timeline)
-    hour_of_day = np.mod(timeline.times_hours, float(HOURS_PER_DAY)).astype(int)
-    order = np.argsort(np.nan_to_num(rtt_profile, nan=-np.inf))
-    busy_hours = set(int(h) for h in order[-BUSY_HOURS:])
-    busy_mask = np.isin(hour_of_day, sorted(busy_hours))
-    busy = float(lost[busy_mask].mean()) if busy_mask.any() else float("nan")
-    quiet = float(lost[~busy_mask].mean()) if (~busy_mask).any() else float("nan")
+    busy_hours = np.argsort(np.nan_to_num(rtt_profile, nan=-np.inf))[-BUSY_HOURS:]
+    _, bounds = timeline.hour_groups()
+    busy_count = int(np.diff(bounds)[busy_hours].sum())
+    busy_lost = int(_hourly_counts(timeline, lost)[busy_hours].sum())
+    quiet_count = lost.size - busy_count
+    quiet_lost = int(lost.sum()) - busy_lost
     return LossVerdict(
         loss_rate=float(lost.mean()) if lost.size else float("nan"),
-        busy_hour_loss=busy,
-        quiet_hour_loss=quiet,
-        loss_rtt_correlation=loss_rtt_correlation(timeline),
+        busy_hour_loss=busy_lost / busy_count if busy_count else float("nan"),
+        quiet_hour_loss=quiet_lost / quiet_count if quiet_count else float("nan"),
+        loss_rtt_correlation=loss_rtt_correlation(timeline, rtt_profile),
     )
 
 

@@ -61,14 +61,9 @@ class PathStats:
     popular_prevalence: float
 
 
-def _usable_ids_and_times(timeline: TraceTimeline) -> Tuple[np.ndarray, np.ndarray]:
-    mask = timeline.usable_mask()
-    return timeline.path_id[mask], timeline.times_hours[mask]
-
-
 def change_count(timeline: TraceTimeline) -> int:
     """Number of AS-path changes between consecutive usable traceroutes."""
-    ids, _ = _usable_ids_and_times(timeline)
+    ids = timeline.usable_path_ids()
     if ids.size < 2:
         return 0
     return int(np.count_nonzero(ids[1:] != ids[:-1]))
@@ -76,7 +71,8 @@ def change_count(timeline: TraceTimeline) -> int:
 
 def change_events(timeline: TraceTimeline) -> List[ChangeEvent]:
     """All change events, with edit distances, in time order."""
-    ids, times = _usable_ids_and_times(timeline)
+    ids = timeline.usable_path_ids()
+    times = timeline.times_hours[timeline.usable_index()]
     events: List[ChangeEvent] = []
     for position in np.nonzero(ids[1:] != ids[:-1])[0]:
         old = timeline.paths[int(ids[position])]
@@ -102,38 +98,45 @@ def path_lifetimes(timeline: TraceTimeline, period_hours: Optional[float] = None
     if period_hours is None:
         times = timeline.times_hours
         period_hours = float(times[1] - times[0]) if times.size > 1 else 3.0
-    ids, _ = _usable_ids_and_times(timeline)
-    lifetimes: Dict[int, float] = {}
-    for path_id, count in zip(*np.unique(ids, return_counts=True)):
-        if path_id < 0:
-            continue
-        lifetimes[int(path_id)] = float(count) * period_hours
-    return lifetimes
+    return {
+        path_id: float(count) * period_hours
+        for path_id, count in timeline.path_sample_counts().items()
+    }
 
 
-def path_prevalence(timeline: TraceTimeline) -> Dict[int, float]:
-    """Prevalence (fraction of observed lifetime) per path id."""
-    lifetimes = path_lifetimes(timeline)
+def _prevalence(lifetimes: Dict[int, float]) -> Dict[int, float]:
     total = sum(lifetimes.values())
     if total <= 0:
         return {}
     return {path_id: lifetime / total for path_id, lifetime in lifetimes.items()}
 
 
-def popular_path(timeline: TraceTimeline) -> Tuple[Optional[int], float]:
-    """The path with the longest lifetime, and its prevalence."""
-    prevalence = path_prevalence(timeline)
+def _popular(prevalence: Dict[int, float]) -> Tuple[Optional[int], float]:
     if not prevalence:
         return None, 0.0
     path_id = max(prevalence, key=lambda pid: (prevalence[pid], -pid))
     return path_id, prevalence[path_id]
 
 
+def path_prevalence(timeline: TraceTimeline) -> Dict[int, float]:
+    """Prevalence (fraction of observed lifetime) per path id."""
+    return _prevalence(path_lifetimes(timeline))
+
+
+def popular_path(timeline: TraceTimeline) -> Tuple[Optional[int], float]:
+    """The path with the longest lifetime, and its prevalence."""
+    return _popular(path_prevalence(timeline))
+
+
 def analyze_timeline(timeline: TraceTimeline) -> PathStats:
-    """All per-timeline routing statistics in one pass."""
+    """All per-timeline routing statistics in one pass.
+
+    Lifetimes come from the timeline's per-path sample counts; prevalence
+    and the popular path are derived from them, not recounted.
+    """
     lifetimes = path_lifetimes(timeline)
-    prevalence = path_prevalence(timeline)
-    popular_id, popular_prev = popular_path(timeline)
+    prevalence = _prevalence(lifetimes)
+    popular_id, popular_prev = _popular(prevalence)
     return PathStats(
         pair=timeline.pair,
         unique_paths=len(lifetimes),

@@ -92,7 +92,7 @@ def rtt_increase_from_best(
     if len(selection) < 2:
         return {}
     best = min(selection, key=lambda path_id: (selection[path_id], path_id))
-    measured = path_percentiles(timeline, q)
+    measured = selection if select_q == q else path_percentiles(timeline, q)
     return {
         path_id: measured[path_id] - measured[best]
         for path_id in measured

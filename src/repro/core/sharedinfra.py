@@ -51,13 +51,11 @@ class PairSharingSignal:
 
 def _change_rounds(timeline: TraceTimeline) -> np.ndarray:
     """Indexes of usable rounds whose path differs from the previous one."""
-    mask = timeline.usable_mask()
-    indexes = np.nonzero(mask)[0]
-    ids = timeline.path_id[mask]
+    ids = timeline.usable_path_ids()
     if ids.size < 2:
         return np.empty(0, dtype=int)
     changed = np.nonzero(ids[1:] != ids[:-1])[0] + 1
-    return indexes[changed]
+    return timeline.usable_index()[changed]
 
 
 def _synchronized_fraction(
@@ -68,11 +66,13 @@ def _synchronized_fraction(
     changes_v6 = _change_rounds(v6)
     if changes_v4.size == 0 or changes_v6.size == 0:
         return float("nan")
-    matched = 0
-    for round_index in changes_v4:
-        nearest = np.min(np.abs(changes_v6 - round_index))
-        if nearest <= slack_rounds:
-            matched += 1
+    # Both are ascending: the nearest IPv6 change to each IPv4 change is
+    # one of the two neighbours of its insertion point.
+    position = np.searchsorted(changes_v6, changes_v4)
+    before = changes_v6[np.maximum(position - 1, 0)]
+    after = changes_v6[np.minimum(position, changes_v6.size - 1)]
+    nearest = np.minimum(np.abs(changes_v4 - before), np.abs(after - changes_v4))
+    matched = int(np.count_nonzero(nearest <= slack_rounds))
     return matched / changes_v4.size
 
 

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.datasets.columnar import CampaignKernels
-from repro.datasets.mutation import VersionedDict, dict_version
+from repro.datasets.mutation import KeyOrderCached, VersionedDict, dict_version
 from repro.datasets.parallel import fork_map
 from repro.datasets.timeline import TraceTimeline
 from repro.obs import metrics as obs_metrics
@@ -44,8 +44,10 @@ class LongTermConfig:
 
 
 @dataclass
-class LongTermDataset:
+class LongTermDataset(KeyOrderCached):
     """All long-term trace timelines, keyed by (src, dst, version)."""
+
+    _KEY_CACHE = "_ordered_key_cache"
 
     grid: CampaignGrid
     timelines: Dict[Tuple[int, int, IPVersion], TraceTimeline] = field(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple, TypeVar
 
-__all__ = ["VersionedDict", "dict_version"]
+__all__ = ["KeyOrderCached", "VersionedDict", "dict_version"]
 
 _K = TypeVar("_K")
 _V = TypeVar("_V")
@@ -85,3 +85,18 @@ def dict_version(mapping: Dict[object, object]) -> int:
     if version is None:
         return -1 - len(mapping)
     return int(version)
+
+
+class KeyOrderCached:
+    """Dataset mixin: pickle without the cached key order.
+
+    The key order is derived from the dataset's dict, so leaving it out
+    makes a dataset pickle to the same bytes whether or not an analysis
+    has filled the cache.  Subclasses name the cache attribute in
+    ``_KEY_CACHE``.
+    """
+
+    _KEY_CACHE = "_key_cache"
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, self._KEY_CACHE: None}

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.datasets.columnar import CampaignKernels
-from repro.datasets.mutation import VersionedDict, dict_version
+from repro.datasets.mutation import KeyOrderCached, VersionedDict, dict_version
 from repro.datasets.parallel import fork_map
 from repro.datasets.timeline import PingTimeline
 from repro.obs import metrics as obs_metrics
@@ -85,7 +85,7 @@ def _ordered_keys(
 
 
 @dataclass
-class ShortTermPingDataset:
+class ShortTermPingDataset(KeyOrderCached):
     """Ping timelines keyed by (src, dst, version)."""
 
     grid: CampaignGrid
@@ -151,7 +151,7 @@ class SegmentSeries:
 
 
 @dataclass
-class ShortTermTraceDataset:
+class ShortTermTraceDataset(KeyOrderCached):
     """Segment series keyed by (src, dst, version)."""
 
     grid: CampaignGrid

@@ -28,6 +28,7 @@ from repro.core.sharedinfra import shared_infrastructure_study
 from repro.core.overhead import congestion_overhead
 from repro.core.ownership import HopView, infer_ownership
 from repro.core.routechange import analyze_timeline, as_path_pair_count
+from repro.core.rttstats import path_percentiles
 from repro.core.suboptimal import suboptimal_prevalence
 from repro.core.summary import dataset_summary
 from repro.datasets.longterm import LongTermConfig, LongTermDataset, build_longterm_dataset
@@ -163,14 +164,7 @@ def experiment_fig1(
     for (src, dst, version), timeline in dataset.timelines.items():
         if version is not IPVersion.V4:
             continue
-        buckets = timeline.usable_rtts_by_path()
-        if len(buckets) < 2:
-            continue
-        baselines = [
-            float(np.percentile(rtts[np.isfinite(rtts)], 10))
-            for rtts in buckets.values()
-            if np.isfinite(rtts).sum() >= 3
-        ]
+        baselines = path_percentiles(timeline, 10.0).values()
         if len(baselines) < 2:
             continue
         shift = max(baselines) - min(baselines)
@@ -190,19 +184,14 @@ def experiment_fig1(
             if key not in dataset.timelines:
                 continue
             timeline = dataset.timelines[key]
-            rows = []
-            lifetimes = {
-                pid: np.isfinite(rtts).sum()
-                for pid, rtts in timeline.usable_rtts_by_path().items()
-            }
-            for pid, rtts in timeline.usable_rtts_by_path().items():
-                finite = rtts[np.isfinite(rtts)]
-                if finite.size < 3:
-                    continue
-                rows.append(
-                    (f"path#{pid}", f"{np.percentile(finite, 10):.1f}ms",
-                     f"{np.percentile(finite, 90):.1f}ms", int(lifetimes[pid]))
-                )
+            p10 = path_percentiles(timeline, 10.0)
+            p90 = path_percentiles(timeline, 90.0)
+            buckets = timeline.usable_rtts_by_path()
+            rows = [
+                (f"path#{pid}", f"{p10[pid]:.1f}ms", f"{p90[pid]:.1f}ms",
+                 int(np.isfinite(buckets[pid]).sum()))
+                for pid in p10
+            ]
             lines.append(f"IPv{int(version)} paths (baseline p10, spikes p90, samples):")
             lines.append(render_table(("path", "p10", "p90", "samples"), rows))
     return ExperimentResult(

@@ -49,8 +49,9 @@ class TestCompare:
                 10.0 + rng.gamma(2, 1, half),
                 40.0 + rng.gamma(2, 1, count - half),
             ])
-            timeline = timeline_with_rtts([0] * half + [1] * (count - half), rtts)
-            timeline.times_hours = 0.5 * np.arange(count)
+            timeline = timeline_with_rtts(
+                [0] * half + [1] * (count - half), rtts, period=0.5
+            )
             timelines.append(timeline)
         comparison = compare_granularity(timelines, q=10.0)
         assert comparison.max_quantile_gap() < 3.0

@@ -1,5 +1,7 @@
 """Tests for per-AS-path RTT statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from repro.core.rttstats import (
 from tests.core.test_routechange import make_timeline
 
 
-def timeline_with_rtts(path_ids, rtts):
-    timeline = make_timeline(path_ids)
-    timeline.rtt_ms = np.asarray(rtts, dtype=np.float32)
-    return timeline
+def timeline_with_rtts(path_ids, rtts, period=3.0):
+    return dataclasses.replace(
+        make_timeline(path_ids, period=period), rtt_ms=np.asarray(rtts, dtype=np.float32)
+    )
 
 
 class TestPercentiles:

@@ -1,7 +1,12 @@
 """Tests for trace/ping timeline containers."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.timeline import PingTimeline, TraceTimeline
 from repro.measurement.traceroute import TraceOutcome
@@ -109,3 +114,276 @@ class TestPingTimeline:
                 src_server_id=0, dst_server_id=1, version=IPVersion.V4,
                 times_hours=np.arange(3.0), rtt_ms=np.zeros(2, dtype=np.float32),
             )
+
+
+# ----------------------------------------------------------------------
+# Immutability and the product memo
+# ----------------------------------------------------------------------
+
+class TestImmutability:
+    def test_fields_cannot_be_reassigned(self):
+        timeline = _timeline([COMPLETE, COMPLETE])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            timeline.rtt_ms = np.zeros(2, dtype=np.float32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            timeline.paths = []
+
+    def test_arrays_are_read_only(self):
+        timeline = _timeline([COMPLETE, COMPLETE])
+        with pytest.raises(ValueError):
+            timeline.rtt_ms[0] = 99.0
+        with pytest.raises(ValueError):
+            timeline.outcome[0] = INCOMPLETE
+        with pytest.raises(ValueError):
+            timeline.path_id[0] = 1
+
+    def test_products_are_read_only(self):
+        timeline = _timeline([COMPLETE, MISSING_IP, COMPLETE], path_ids=[0, 0, 1],
+                             paths=[(1, 2), (1, 3)])
+        with pytest.raises(ValueError):
+            timeline.usable_mask()[0] = False
+        with pytest.raises(ValueError):
+            timeline.usable_path_ids()[0] = 1
+        with pytest.raises(ValueError):
+            timeline.usable_rtts_by_path()[0][0] = 1.0
+
+    def test_returned_mappings_do_not_alias_the_memo(self):
+        timeline = _timeline([COMPLETE, COMPLETE], path_ids=[0, 1], paths=[(1, 2), (1, 3)])
+        timeline.usable_rtts_by_path().clear()
+        timeline.path_sample_counts()[0] = 99
+        assert sorted(timeline.usable_rtts_by_path()) == [0, 1]
+        assert timeline.path_sample_counts() == {0: 1, 1: 1}
+
+    def test_true_candidate_length_checked(self):
+        with pytest.raises(ValueError, match="true_candidate"):
+            TraceTimeline(
+                src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+                times_hours=np.arange(3.0),
+                rtt_ms=np.zeros(3, dtype=np.float32),
+                outcome=np.zeros(3, dtype=np.uint8),
+                path_id=np.zeros(3, dtype=np.int32),
+                true_candidate=np.zeros(2, dtype=np.int16),
+            )
+
+    def test_empty_true_candidate_allowed(self):
+        timeline = TraceTimeline(
+            src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+            times_hours=np.arange(3.0),
+            rtt_ms=np.zeros(3, dtype=np.float32),
+            outcome=np.zeros(3, dtype=np.uint8),
+            path_id=np.zeros(3, dtype=np.int32),
+        )
+        assert timeline.true_candidate.size == 0
+
+    def test_ping_timeline_frozen(self):
+        ping = PingTimeline(0, 1, IPVersion.V4, np.arange(3.0),
+                            np.ones(3, dtype=np.float32))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ping.rtt_ms = np.zeros(3, dtype=np.float32)
+        with pytest.raises(ValueError):
+            ping.rtt_ms[0] = 2.0
+
+
+class TestPickle:
+    def test_products_are_not_pickled(self):
+        timeline = _timeline([COMPLETE, LOOP, COMPLETE], path_ids=[0, 0, 1],
+                             paths=[(1, 2), (1, 3)])
+        cold = pickle.dumps(timeline, protocol=pickle.HIGHEST_PROTOCOL)
+        timeline.usable_rtts_by_path()
+        timeline.observed_paths()
+        warm = pickle.dumps(timeline, protocol=pickle.HIGHEST_PROTOCOL)
+        assert warm == cold
+        clone = pickle.loads(warm)
+        assert "_products" not in vars(clone)
+        assert not clone.rtt_ms.flags.writeable
+        assert_same_mapping(clone.usable_rtts_by_path(), timeline.usable_rtts_by_path())
+
+    def test_ping_products_are_not_pickled(self):
+        ping = PingTimeline(0, 1, IPVersion.V4, np.arange(30.0),
+                            np.ones(30, dtype=np.float32))
+        cold = pickle.dumps(ping, protocol=pickle.HIGHEST_PROTOCOL)
+        ping.hour_groups()
+        assert pickle.dumps(ping, protocol=pickle.HIGHEST_PROTOCOL) == cold
+
+    def test_restoring_writeable_arrays_freezes_them(self):
+        # Entries pickled before timelines were frozen carry writeable arrays.
+        timeline = _timeline([COMPLETE, COMPLETE])
+        state = {**timeline.__getstate__(), "rtt_ms": timeline.rtt_ms.copy()}
+        assert state["rtt_ms"].flags.writeable
+        restored = TraceTimeline.__new__(TraceTimeline)
+        restored.__setstate__(state)
+        assert not restored.rtt_ms.flags.writeable
+
+
+# ----------------------------------------------------------------------
+# The products against naive per-call references
+# ----------------------------------------------------------------------
+
+USABLE = (COMPLETE, MISSING_AS, MISSING_IP)
+ALL_OUTCOMES = tuple(int(outcome) for outcome in TraceOutcome)
+PATH_POOL = [(1, 2), (1, 3), (1, 4, 2), (1, 5, 2)]
+NAN = float("nan")
+
+
+@st.composite
+def trace_timelines(draw, min_samples=0, max_samples=60, version=IPVersion.V4, count=None):
+    """Random small trace timelines, degenerate shapes included.
+
+    Outcome pools cover mixed, all-``INCOMPLETE`` and all-usable series;
+    RTTs may be all NaN; few paths over few samples make buckets below
+    ``MIN_BUCKET_SAMPLES`` common; outcomes come in several integer dtypes.
+    Usable samples carry a path id ``-1`` only when ``stray_ids`` is drawn.
+    Arrays come from a drawn seed, so examples are dense, not mostly tiny.
+    """
+    if count is None:
+        count = draw(st.integers(min_samples, max_samples))
+    pool = draw(st.sampled_from([ALL_OUTCOMES, (INCOMPLETE,), USABLE]))
+    path_count = draw(st.integers(1, 4))
+    nan_fraction = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    stray_ids = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    outcomes = rng.choice(pool, size=count)
+    path_ids = rng.integers(-1 if stray_ids else 0, path_count, size=count)
+    path_ids[~np.isin(outcomes, USABLE)] = -1
+    rtts = rng.integers(10, 30, size=count).astype(np.float32)
+    if draw(st.booleans()):
+        rtts += rng.random(count).astype(np.float32)
+    rtts[rng.random(count) < nan_fraction] = np.nan
+    paths = draw(st.lists(st.sampled_from(PATH_POOL), min_size=path_count,
+                          max_size=path_count))
+    period = draw(st.sampled_from([0.5, 3.0]))
+    dtype = draw(st.sampled_from([np.uint8, np.int16, np.int64]))
+    return TraceTimeline(
+        src_server_id=0,
+        dst_server_id=1,
+        version=version,
+        times_hours=period * np.arange(count),
+        rtt_ms=rtts,
+        outcome=outcomes.astype(dtype),
+        path_id=path_ids.astype(np.int32),
+        paths=paths,
+    )
+
+
+@st.composite
+def ping_timelines(draw):
+    """Random ping timelines; some hours of day may have no finite sample.
+
+    RTTs come from a drawn seed (lists of hundreds of drawn floats are
+    slow); integer-valued series make ties common.
+    """
+    count = draw(st.integers(0, 200))
+    period = draw(st.sampled_from([0.25, 1.0, 5.0]))
+    start = draw(st.sampled_from([0.0, 7.5]))
+    loss = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rtts = rng.integers(10, 20, count).astype(np.float32)
+    else:
+        rtts = (10.0 + 300.0 * rng.random(count)).astype(np.float32)
+    rtts[rng.random(count) < loss] = np.nan
+    times = start + period * np.arange(count)
+    dead_hours = draw(st.lists(st.integers(0, 23), max_size=12))
+    rtts[np.isin(np.mod(times, 24.0).astype(int), dead_hours)] = np.nan
+    return PingTimeline(0, 1, IPVersion.V4, times, rtts)
+
+
+def ping_outside_bins():
+    """A ping timeline with samples whose time maps to no hour-of-day bin."""
+    times = np.array([-1e-20, np.nan, 1.0, 25.0, 2.0, 1.5, np.nan])
+    rtts = np.array([5.0, 6.0, 10.0, 12.0, np.nan, 11.0, np.nan], dtype=np.float32)
+    return PingTimeline(0, 1, IPVersion.V4, times, rtts)
+
+
+def reference_usable_mask(timeline):
+    return np.isin(timeline.outcome, USABLE)
+
+
+def reference_buckets(timeline):
+    mask = reference_usable_mask(timeline)
+    ids = timeline.path_id[mask]
+    rtts = timeline.rtt_ms[mask]
+    return {int(path_id): rtts[ids == path_id] for path_id in np.unique(ids) if path_id >= 0}
+
+
+def reference_counts(timeline):
+    ids = timeline.path_id[reference_usable_mask(timeline)]
+    return {
+        int(path_id): int(count)
+        for path_id, count in zip(*np.unique(ids, return_counts=True))
+        if path_id >= 0
+    }
+
+
+def reference_hour_groups(ping):
+    hour_of_day = np.mod(ping.times_hours, 24.0).astype(int)
+    return [np.flatnonzero(hour_of_day == hour) for hour in range(24)]
+
+
+def assert_same_mapping(got, want):
+    """Same keys in the same order, and equal values (NaN equal to NaN)."""
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype
+            assert np.array_equal(got[key], value, equal_nan=True)
+        else:
+            assert got[key] == value or (np.isnan(got[key]) and np.isnan(value))
+
+
+class TestProductsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(trace_timelines())
+    def test_trace_products(self, timeline):
+        mask = reference_usable_mask(timeline)
+        assert np.array_equal(timeline.usable_mask(), mask)
+        assert np.array_equal(timeline.usable_index(), np.flatnonzero(mask))
+        assert timeline.usable_index().dtype == np.int32
+        assert np.array_equal(timeline.usable_path_ids(), timeline.path_id[mask])
+        assert_same_mapping(timeline.usable_rtts_by_path(), reference_buckets(timeline))
+        assert_same_mapping(timeline.path_sample_counts(), reference_counts(timeline))
+        assert timeline.observed_paths() == [
+            timeline.paths[path_id] for path_id in reference_counts(timeline)
+        ]
+
+    def test_all_incomplete_has_no_products(self):
+        timeline = _timeline([INCOMPLETE] * 4, path_ids=[-1] * 4)
+        assert not timeline.usable_mask().any()
+        assert timeline.usable_index().size == 0
+        assert timeline.usable_rtts_by_path() == {}
+        assert timeline.path_sample_counts() == {}
+
+    def test_empty_timeline(self):
+        timeline = _timeline([])
+        assert timeline.usable_mask().size == 0
+        assert timeline.usable_rtts_by_path() == {}
+        assert timeline.observed_paths() == []
+
+    def test_non_uint8_outcomes(self):
+        timeline = TraceTimeline(
+            src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+            times_hours=np.arange(4.0),
+            rtt_ms=np.ones(4, dtype=np.float32),
+            outcome=np.asarray([COMPLETE, 300, -1, MISSING_AS], dtype=np.int64),
+            path_id=np.zeros(4, dtype=np.int32),
+            paths=[(1, 2)],
+        )
+        assert timeline.usable_mask().tolist() == [True, False, False, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ping_timelines())
+    def test_ping_hour_groups(self, ping):
+        order, bounds = ping.hour_groups()
+        assert order.dtype == np.int32
+        for hour, expected in enumerate(reference_hour_groups(ping)):
+            assert np.array_equal(order[bounds[hour]:bounds[hour + 1]], expected)
+
+    def test_times_outside_every_bin_join_no_group(self):
+        # np.mod maps -1e-20 to 24.0 (bin 24) and NaN to no bin at all.
+        ping = ping_outside_bins()
+        with np.errstate(invalid="ignore"):
+            order, bounds = ping.hour_groups()
+            expected = reference_hour_groups(ping)
+        assert bounds[0] > 0
+        for hour in range(24):
+            assert np.array_equal(order[bounds[hour]:bounds[hour + 1]], expected[hour])

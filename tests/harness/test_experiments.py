@@ -1,8 +1,11 @@
 """Tests for the per-figure experiment drivers on the session platform."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.harness.experiments import (
     experiment_congestion_norm,
     experiment_fig1,
@@ -17,7 +20,9 @@ from repro.harness.experiments import (
     experiment_link_classification,
     experiment_localization,
     experiment_table1,
+    run_all_experiments,
 )
+from repro.net.ip import IPVersion
 
 
 class TestExperimentShape:
@@ -93,3 +98,36 @@ class TestSubstance:
         result = experiment_congestion_norm(ping_dataset)
         congested = result.metric("pairs with strong diurnal + spread v4").measured
         assert congested < 30.0  # a small minority, as the paper concludes
+
+
+class TestPickleLayout:
+    """Analyses cache derived products on timelines, never in their pickles."""
+
+    def test_experiments_leave_dataset_pickles_unchanged(
+        self, platform, ping_dataset, trace_dataset
+    ):
+        longterm = build_longterm_dataset(platform, LongTermConfig(days=60))
+        datasets = (longterm, ping_dataset, trace_dataset)
+        before = [pickle.dumps(d, protocol=pickle.HIGHEST_PROTOCOL) for d in datasets]
+        results = run_all_experiments(
+            platform, longterm, ping_dataset, trace_dataset, include_fig7=False
+        )
+        assert len(results) == 15
+        after = [pickle.dumps(d, protocol=pickle.HIGHEST_PROTOCOL) for d in datasets]
+        assert after == before
+
+    @pytest.mark.parametrize("name", ["longterm", "ping_dataset", "trace_dataset"])
+    def test_key_order_cache_is_not_pickled(self, request, name):
+        dataset = request.getfixturevalue(name)
+        for version in IPVersion:
+            dataset.by_version(version)
+        assert getattr(dataset, dataset._KEY_CACHE) is not None
+        restored = pickle.loads(pickle.dumps(dataset, protocol=pickle.HIGHEST_PROTOCOL))
+        assert getattr(restored, dataset._KEY_CACHE) is None
+        pairs = [entry.pair for entry in dataset.by_version(IPVersion.V4)]
+        assert [entry.pair for entry in restored.by_version(IPVersion.V4)] == pairs
+
+    def test_restored_dataset_reproduces_reports(self, platform, longterm):
+        warm = experiment_fig3(longterm).render()
+        restored = pickle.loads(pickle.dumps(longterm, protocol=pickle.HIGHEST_PROTOCOL))
+        assert experiment_fig3(restored).render() == warm
