@@ -7,16 +7,25 @@ experiencing *consistent congestion* when that power is at least 0.3 of
 the total (non-DC) power.  The paper pairs the spectral test with a
 magnitude test: the 95th-minus-5th percentile RTT spread must exceed
 10 ms, since a diurnal wiggle of under 10 ms is noise, not congestion.
+
+Ping timelines are assessed as a population: timelines sharing a time
+grid are stacked into one matrix, and one row-wise sort, one gap fill and
+one ``rfft(..., axis=1)`` give every row's spread and power ratio, bit
+for bit the per-series results of :meth:`CongestionDetector.assess_series`.
+Each timeline keeps its verdict in its product memo, keyed by the
+detector's parameters, so the analyses that flag congested pairs share
+one verdict per timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.timeline import PingTimeline
+from repro.core.rttstats import sorted_percentiles
+from repro.datasets.timeline import PingTimeline, population_products, stack_by_grid
 
 __all__ = [
     "fill_missing_rtts",
@@ -95,6 +104,75 @@ def diurnal_power_ratio(
     return float(spectrum[low : high + 1].sum() / total)
 
 
+def _power_ratios(
+    times_hours: np.ndarray,
+    rtt: np.ndarray,
+    finite: np.ndarray,
+    counts: np.ndarray,
+    band: int,
+) -> np.ndarray:
+    """:func:`diurnal_power_ratio` of every row of ``rtt`` (one shared grid).
+
+    ``finite`` marks each row's finite samples and ``counts`` sums it.
+    Rows go through the same gap fill, centring and spectrum as the
+    per-series function; numpy computes a row of a 2-D mean, ``rfft`` or
+    sum exactly as it computes the row alone, so the ratios match bit for
+    bit.
+    """
+    ratios = np.full(rtt.shape[0], np.nan)
+    times_hours = np.asarray(times_hours, dtype=float)
+    if times_hours.size < 8:
+        return ratios
+    period = times_hours[1] - times_hours[0]
+    duration = period * times_hours.size
+    days = duration / HOURS_PER_DAY
+    if days < 1.0:
+        return ratios
+    usable = counts >= 4
+    if not usable.any():
+        return ratios
+    filled = _fill_rows(rtt[usable], finite[usable])
+    centered = filled - filled.mean(axis=1, keepdims=True)
+    spectrum = np.abs(np.fft.rfft(centered, axis=1)) ** 2
+    total = spectrum[:, 1:].sum(axis=1)
+    daily_bin = int(round(days))
+    low = max(1, daily_bin - band)
+    high = min(spectrum.shape[1] - 1, daily_bin + band)
+    if low > high:
+        ratio = np.full(total.size, np.nan)
+    else:
+        ratio = spectrum[:, low : high + 1].sum(axis=1)
+        positive = total > 0
+        ratio[positive] /= total[positive]
+    ratios[usable] = np.where(total <= 0, 0.0, ratio)
+    return ratios
+
+
+def _fill_rows(rtt: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """:func:`fill_missing_rtts` of every row (each with 4+ finite samples).
+
+    One ``np.interp`` over the flattened matrix fills every gap that lies
+    between two finite samples of its row: sample ``j`` of row ``r`` sits
+    at ``r * width + j``, so the distances the interpolation divides are
+    the per-row ones, exactly.  Gaps before a row's first or after its
+    last finite sample take that sample's value, as the per-row clamp
+    does.
+    """
+    missing = ~finite
+    if not missing.any():
+        return rtt
+    width = rtt.shape[1]
+    position = np.arange(rtt.size).reshape(rtt.shape)
+    filled = rtt.copy()
+    filled[missing] = np.interp(position[missing], position[finite], rtt[finite])
+    rows = np.arange(rtt.shape[0])
+    first = finite.argmax(axis=1)
+    last = width - 1 - finite[:, ::-1].argmax(axis=1)
+    column = np.arange(width)
+    filled = np.where(column < first[:, None], rtt[rows, first][:, None], filled)
+    return np.where(column > last[:, None], rtt[rows, last][:, None], filled)
+
+
 @dataclass(frozen=True)
 class CongestionVerdict:
     """Detector output for one pair."""
@@ -129,6 +207,9 @@ class CongestionDetector:
             low, high = self.spread_percentiles
             spread = float(np.percentile(finite, high) - np.percentile(finite, low))
         ratio = diurnal_power_ratio(times_hours, rtt, band=self.band)
+        return self._verdict(spread, ratio)
+
+    def _verdict(self, spread: float, ratio: float) -> CongestionVerdict:
         return CongestionVerdict(
             spread_ms=spread,
             power_ratio=ratio,
@@ -137,8 +218,44 @@ class CongestionDetector:
         )
 
     def assess(self, timeline: PingTimeline) -> CongestionVerdict:
-        """Assess one ping timeline."""
-        return self.assess_series(timeline.times_hours, timeline.rtt_ms)
+        """Assess one ping timeline (a population of one)."""
+        return self.assess_all([timeline])[0]
+
+    def assess_all(self, timelines: Sequence[PingTimeline]) -> List[CongestionVerdict]:
+        """Assess a ping population; each verdict equals :meth:`assess_series`'s.
+
+        Verdicts are memoized on the timelines under the detector's
+        parameters as they are at call time, so changing a field never
+        returns a stale verdict.
+        """
+        return population_products(timelines, self._memo_key(), self._assess_stacks)
+
+    def _memo_key(self) -> Hashable:
+        return (
+            "congestion-verdict",
+            self.power_ratio_threshold,
+            self.spread_threshold_ms,
+            tuple(self.spread_percentiles),
+            self.band,
+        )
+
+    def _assess_stacks(self, timelines: Sequence[PingTimeline]) -> List[CongestionVerdict]:
+        verdicts: List[CongestionVerdict] = [None] * len(timelines)  # type: ignore[list-item]
+        low, high = self.spread_percentiles
+        for stack in stack_by_grid(timelines):
+            rtt = stack.rtt_ms.astype(float)
+            finite = np.isfinite(rtt)
+            counts = finite.sum(axis=1)
+            # NaN sorts last, so each row's finite RTTs lead its sorted row.
+            ranked = np.sort(np.where(finite, rtt, np.nan), axis=1)
+            starts = np.arange(rtt.shape[0]) * rtt.shape[1]
+            spreads = sorted_percentiles(ranked.ravel(), starts, counts, high) - (
+                sorted_percentiles(ranked.ravel(), starts, counts, low)
+            )
+            ratios = _power_ratios(stack.grid.times_hours, rtt, finite, counts, self.band)
+            for row, index in enumerate(stack.indexes):
+                verdicts[index] = self._verdict(float(spreads[row]), float(ratios[row]))
+        return verdicts
 
 
 @dataclass
@@ -170,17 +287,18 @@ def congestion_population_stats(
     Pairs with fewer than ``min_valid_samples`` answered probes are
     excluded, matching the paper's "at least 600 (of the 672 possible)"
     filter -- the threshold scales down proportionally for shorter grids.
+    Pairs without any answered probe are always excluded.
     """
     detector = detector or CongestionDetector()
-    pairs = spread_count = congested_count = 0
+    assessed = []
     for timeline in timelines:
+        valid = timeline.valid_count()
         required = min(min_valid_samples, int(0.9 * timeline.times_hours.size))
-        if timeline.valid_count() < required:
-            continue
-        verdict = detector.assess(timeline)
-        pairs += 1
-        if verdict.spread_exceeds:
-            spread_count += 1
-        if verdict.congested:
-            congested_count += 1
-    return PopulationStats(pairs=pairs, spread_exceeds=spread_count, congested=congested_count)
+        if valid > 0 and valid >= required:
+            assessed.append(timeline)
+    verdicts = detector.assess_all(assessed)
+    return PopulationStats(
+        pairs=len(verdicts),
+        spread_exceeds=sum(verdict.spread_exceeds for verdict in verdicts),
+        congested=sum(verdict.congested for verdict in verdicts),
+    )

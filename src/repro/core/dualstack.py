@@ -113,6 +113,8 @@ def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
 
     all_values = np.concatenate(all_diffs) if all_diffs else np.empty(0)
     same_values = np.concatenate(same_path_diffs) if same_path_diffs else np.empty(0)
+    # Drop the per-pair pieces before the ECDFs sort their own copies.
+    del all_diffs, same_path_diffs
     return DualStackComparison(
         all_diffs=ECDF(all_values),
         same_path_diffs=ECDF(same_values),

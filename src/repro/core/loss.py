@@ -13,12 +13,12 @@ loss rate and hourly median RTT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.datasets.timeline import HOURS_PER_DAY, PingTimeline
+from repro.datasets.timeline import HOURS_PER_DAY, PingStack, PingTimeline, stack_by_grid
 
 __all__ = [
     "hourly_loss_profile",
@@ -29,46 +29,73 @@ __all__ = [
 ]
 
 
-def _hourly_counts(timeline: PingTimeline, flags: np.ndarray) -> np.ndarray:
-    """Per hour-of-day bin: how many samples have ``flags`` set."""
-    order, bounds = timeline.hour_groups()
-    running = np.concatenate(([0], np.cumsum(flags[order])))
-    return running[bounds[1:]] - running[bounds[:-1]]
+class _HourlyProfiles(NamedTuple):
+    """Per-hour-of-day statistics of every row of a :class:`PingStack`."""
+
+    sizes: np.ndarray
+    """Samples per hour bin (24,)."""
+    lost: np.ndarray
+    """Lost probes per row and hour bin (rows x 24)."""
+    loss: np.ndarray
+    """Loss rate per row and hour bin; NaN for unsampled bins."""
+    rtt: np.ndarray
+    """Median finite RTT per row and hour bin; NaN for bins without one."""
+
+
+def _hourly_profiles(stack: PingStack) -> _HourlyProfiles:
+    """Hourly loss counts and median-RTT profiles of every row at once.
+
+    The grid's :meth:`~PingTimeline.hour_groups` serve every row.  Each
+    bin's samples are sorted for all rows in one call (NaN last); an
+    even-sized bin averages its two middle finite values in the RTT
+    dtype, as ``np.median`` does.
+    """
+    order, bounds = stack.grid.hour_groups()
+    sizes = np.diff(bounds)
+    rows = stack.rtt_ms.shape[0]
+    lost = np.zeros((rows, HOURS_PER_DAY), dtype=np.int64)
+    rtt = np.full((rows, HOURS_PER_DAY), np.nan)
+    for hour in np.flatnonzero(sizes):
+        values = stack.rtt_ms[:, order[bounds[hour]:bounds[hour + 1]]]
+        lost[:, hour] = np.isnan(values).sum(axis=1)
+        finite = np.isfinite(values)
+        count = finite.sum(axis=1)
+        ranked = np.sort(np.where(finite, values, np.nan), axis=1)
+        below = np.take_along_axis(ranked, ((count - 1) // 2)[:, None], axis=1)[:, 0]
+        above = np.take_along_axis(ranked, (count // 2)[:, None], axis=1)[:, 0]
+        median = np.where(count % 2 == 1, below, (below + above) / below.dtype.type(2))
+        present = count > 0
+        rtt[present, hour] = median[present]
+    loss = np.full((rows, HOURS_PER_DAY), np.nan)
+    sampled = sizes > 0
+    loss[:, sampled] = lost[:, sampled] / sizes[sampled]
+    return _HourlyProfiles(sizes, lost, loss, rtt)
+
+
+def _single(timeline: PingTimeline) -> _HourlyProfiles:
+    """The profiles of one timeline (a population of one)."""
+    return _hourly_profiles(stack_by_grid([timeline])[0])
 
 
 def hourly_loss_profile(timeline: PingTimeline) -> np.ndarray:
     """Loss rate per hour-of-day bin (NaN for unsampled bins)."""
-    _, bounds = timeline.hour_groups()
-    sizes = np.diff(bounds)
-    lost = _hourly_counts(timeline, np.isnan(timeline.rtt_ms))
-    profile = np.full(HOURS_PER_DAY, np.nan)
-    sampled = sizes > 0
-    profile[sampled] = lost[sampled] / sizes[sampled]
-    return profile
+    return _single(timeline).loss[0]
 
 
 def _hourly_rtt_profile(timeline: PingTimeline) -> np.ndarray:
-    """Median finite RTT per hour-of-day bin (NaN for bins without one).
+    """Median finite RTT per hour-of-day bin (NaN for bins without one)."""
+    return _single(timeline).rtt[0]
 
-    Equal to ``np.median`` per bin: one sort ranks every bin's values at
-    once (NaN last), and an even-sized bin averages its two middle values
-    in the RTT dtype, as ``np.median`` does.
-    """
-    order, bounds = timeline.hour_groups()
-    # Rank only the samples inside bins 0..23; ``starts`` are the bins'
-    # offsets into that slice.
-    values = timeline.rtt_ms[order[bounds[0]:bounds[-1]]]
-    starts = bounds[:-1] - bounds[0]
-    bins = np.repeat(np.arange(HOURS_PER_DAY), np.diff(bounds))
-    ranked = values[np.lexsort((values, bins))]
-    finite = _hourly_counts(timeline, np.isfinite(timeline.rtt_ms))
-    present = finite > 0
-    low = (starts + (finite - 1) // 2)[present]
-    high = (starts + finite // 2)[present]
-    below, above = ranked[low], ranked[high]
-    profile = np.full(HOURS_PER_DAY, np.nan)
-    profile[present] = np.where(low == high, below, (below + above) / below.dtype.type(2))
-    return profile
+
+def _correlation(loss: np.ndarray, rtt: np.ndarray) -> float:
+    mask = np.isfinite(loss) & np.isfinite(rtt)
+    if mask.sum() < 12:
+        return float("nan")
+    loss = loss[mask]
+    rtt = rtt[mask]
+    if loss.std() <= 0 or rtt.std() <= 0:
+        return float("nan")
+    return float(np.corrcoef(loss, rtt)[0, 1])
 
 
 def loss_rtt_correlation(
@@ -82,16 +109,8 @@ def loss_rtt_correlation(
     ``rtt_profile`` passes in an already computed hourly median RTT
     profile.
     """
-    loss = hourly_loss_profile(timeline)
-    rtt = _hourly_rtt_profile(timeline) if rtt_profile is None else rtt_profile
-    mask = np.isfinite(loss) & np.isfinite(rtt)
-    if mask.sum() < 12:
-        return float("nan")
-    loss = loss[mask]
-    rtt = rtt[mask]
-    if loss.std() <= 0 or rtt.std() <= 0:
-        return float("nan")
-    return float(np.corrcoef(loss, rtt)[0, 1])
+    profiles = _single(timeline)
+    return _correlation(profiles.loss[0], profiles.rtt[0] if rtt_profile is None else rtt_profile)
 
 
 @dataclass(frozen=True)
@@ -124,21 +143,46 @@ BUSY_HOURS = 6
 
 
 def assess_loss(timeline: PingTimeline) -> LossVerdict:
-    """Assess one ping timeline's loss behaviour."""
-    lost = np.isnan(timeline.rtt_ms)
-    rtt_profile = _hourly_rtt_profile(timeline)
-    busy_hours = np.argsort(np.nan_to_num(rtt_profile, nan=-np.inf))[-BUSY_HOURS:]
-    _, bounds = timeline.hour_groups()
-    busy_count = int(np.diff(bounds)[busy_hours].sum())
-    busy_lost = int(_hourly_counts(timeline, lost)[busy_hours].sum())
-    quiet_count = lost.size - busy_count
-    quiet_lost = int(lost.sum()) - busy_lost
-    return LossVerdict(
-        loss_rate=float(lost.mean()) if lost.size else float("nan"),
-        busy_hour_loss=busy_lost / busy_count if busy_count else float("nan"),
-        quiet_hour_loss=quiet_lost / quiet_count if quiet_count else float("nan"),
-        loss_rtt_correlation=loss_rtt_correlation(timeline, rtt_profile),
-    )
+    """Assess one ping timeline's loss behaviour (a population of one)."""
+    return _assess_losses([timeline], correlate_all=True)[0]
+
+
+def _assess_losses(
+    timelines: Sequence[PingTimeline], correlate_all: bool
+) -> List[LossVerdict]:
+    """Loss verdicts of a ping population, one pass per shared time grid.
+
+    The loss/RTT correlation is computed for every row when
+    ``correlate_all``, otherwise only for rows with diurnal loss (the
+    others carry NaN).
+    """
+    verdicts: List[LossVerdict] = [None] * len(timelines)  # type: ignore[list-item]
+    for stack in stack_by_grid(timelines):
+        profiles = _hourly_profiles(stack)
+        samples = stack.rtt_ms.shape[1]
+        busy = np.zeros(profiles.rtt.shape, dtype=bool)
+        busy_hours = np.argsort(np.nan_to_num(profiles.rtt, nan=-np.inf), axis=1)
+        np.put_along_axis(busy, busy_hours[:, -BUSY_HOURS:], True, axis=1)
+        busy_count = (busy * profiles.sizes).sum(axis=1).tolist()
+        busy_lost = (busy * profiles.lost).sum(axis=1).tolist()
+        total_lost = np.isnan(stack.rtt_ms).sum(axis=1).tolist()
+        nan = float("nan")
+        for row, index in enumerate(stack.indexes):
+            quiet_count = samples - busy_count[row]
+            quiet_lost = total_lost[row] - busy_lost[row]
+            verdict = LossVerdict(
+                loss_rate=total_lost[row] / samples if samples else nan,
+                busy_hour_loss=busy_lost[row] / busy_count[row] if busy_count[row] else nan,
+                quiet_hour_loss=quiet_lost / quiet_count if quiet_count else nan,
+                loss_rtt_correlation=nan,
+            )
+            if correlate_all or verdict.diurnal_loss:
+                verdict = replace(
+                    verdict,
+                    loss_rtt_correlation=_correlation(profiles.loss[row], profiles.rtt[row]),
+                )
+            verdicts[index] = verdict
+    return verdicts
 
 
 @dataclass
@@ -161,16 +205,15 @@ def loss_population_summary(
     min_samples: int = 300,
 ) -> LossPopulationSummary:
     """Summarize loss behaviour over many pairs."""
-    rates: List[float] = []
+    verdicts = _assess_losses(
+        [timeline for timeline in timelines if timeline.times_hours.size >= min_samples],
+        correlate_all=False,
+    )
+    rates = [verdict.loss_rate for verdict in verdicts]
     correlations: List[float] = []
     diurnal = 0
-    pairs = 0
-    for timeline in timelines:
-        if timeline.times_hours.size < min_samples:
-            continue
-        verdict = assess_loss(timeline)
-        pairs += 1
-        rates.append(verdict.loss_rate)
+    pairs = len(verdicts)
+    for verdict in verdicts:
         if verdict.diurnal_loss:
             diurnal += 1
             if np.isfinite(verdict.loss_rtt_correlation):

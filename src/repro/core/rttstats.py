@@ -6,6 +6,11 @@ computes the 10th percentile (the *baseline* RTT, below the spikes) and the
 10th percentile is the timeline's *best* path; the increase of every other
 path's percentile over the best path's quantifies the cost of sub-optimal
 routing.
+
+Every bucket's finite RTTs are sorted once per timeline
+(:meth:`~repro.datasets.timeline.TraceTimeline.sorted_buckets`); each
+percentile is then read off the sorted values, bit for bit what
+``np.percentile`` returns, and memoized per ``q``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from repro.datasets.timeline import TraceTimeline
 
 __all__ = [
+    "sorted_percentiles",
     "path_percentiles",
     "best_path_id",
     "rtt_increase_from_best",
@@ -27,21 +33,55 @@ MIN_BUCKET_SAMPLES = 3
 """Buckets smaller than this give meaningless percentiles and are skipped."""
 
 
+def sorted_percentiles(
+    values: np.ndarray, starts: np.ndarray, counts: np.ndarray, q: float
+) -> np.ndarray:
+    """The ``q``-th percentile of many sorted float segments at once.
+
+    Segment ``k`` is ``values[starts[k]:starts[k] + counts[k]]``, sorted
+    ascending.  Each result is bit for bit ``np.percentile(segment, q)``
+    with numpy's ``linear`` rule and a Python-float ``q``: the weight is
+    a Python float there, so numpy interpolates in the values' dtype
+    (float32 segments in float32).  Empty segments give NaN.
+    """
+    counts = np.asarray(counts)
+    result = np.full(counts.shape, np.nan, dtype=values.dtype)
+    filled = counts > 0
+    if not filled.any():
+        return result
+    starts, counts = np.asarray(starts)[filled], counts[filled]
+    virtual = (counts - 1) * (q / 100)
+    previous = np.floor(virtual)
+    low = starts + np.minimum(previous, counts - 1).astype(np.intp)
+    high = starts + np.minimum(previous + 1, counts - 1).astype(np.intp)
+    weight = virtual - previous
+    below, above = values[low], values[high]
+    step = above - below
+    lerp = below + step * weight.astype(values.dtype)
+    upper = weight >= 0.5
+    lerp[upper] = (above - step * (1 - weight).astype(values.dtype))[upper]
+    result[filled] = lerp
+    return result
+
+
 def path_percentiles(timeline: TraceTimeline, q: float) -> Dict[int, float]:
     """The ``q``-th RTT percentile of each AS-path bucket.
 
     Only usable samples with finite RTTs enter the buckets; buckets with
-    fewer than :data:`MIN_BUCKET_SAMPLES` samples are dropped.
+    fewer than :data:`MIN_BUCKET_SAMPLES` samples are dropped.  Memoized
+    per ``q`` on the timeline; every call returns a fresh dict.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    result: Dict[int, float] = {}
-    for path_id, rtts in timeline.usable_rtts_by_path().items():
-        finite = rtts[np.isfinite(rtts)]
-        if finite.size < MIN_BUCKET_SAMPLES:
-            continue
-        result[path_id] = float(np.percentile(finite, q))
-    return result
+    return dict(timeline.product(("percentiles", q), lambda: _percentiles(timeline, q)))
+
+
+def _percentiles(timeline: TraceTimeline, q: float) -> Dict[int, float]:
+    path_ids, values, bounds = timeline.sorted_buckets(MIN_BUCKET_SAMPLES)
+    if not path_ids:
+        return {}
+    result = sorted_percentiles(values, bounds[:-1], np.diff(bounds), q)
+    return dict(zip(path_ids, result.tolist()))
 
 
 def path_rtt_std(timeline: TraceTimeline) -> Dict[int, float]:

@@ -93,10 +93,18 @@ class KeyOrderCached:
     The key order is derived from the dataset's dict, so leaving it out
     makes a dataset pickle to the same bytes whether or not an analysis
     has filled the cache.  Subclasses name the cache attribute in
-    ``_KEY_CACHE``.
+    ``_KEY_CACHE``, and any further caches derived from the dict (also
+    pickled as ``None``) in ``_DERIVED_CACHES``.
     """
 
     _KEY_CACHE = "_key_cache"
+    _DERIVED_CACHES: Tuple[str, ...] = ()
 
     def __getstate__(self) -> Dict[str, object]:
-        return {**self.__dict__, self._KEY_CACHE: None}
+        # The caches go last, in a fixed order: a cache attribute enters
+        # ``__dict__`` only when first filled, so its position there
+        # depends on which analysis ran first.
+        caches = (self._KEY_CACHE,) + self._DERIVED_CACHES
+        state = {name: value for name, value in self.__dict__.items() if name not in caches}
+        state.update(dict.fromkeys(caches))
+        return state

@@ -15,7 +15,7 @@ Two builders:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -150,15 +150,23 @@ class SegmentSeries:
         return int(self.hop_rtt_ms.shape[0])
 
 
+_R = TypeVar("_R")
+
+
 @dataclass
 class ShortTermTraceDataset(KeyOrderCached):
     """Segment series keyed by (src, dst, version)."""
+
+    _DERIVED_CACHES = ("_corpus_cache",)
 
     grid: CampaignGrid
     entries: Dict[Tuple[int, int, IPVersion], SegmentSeries] = field(
         default_factory=VersionedDict
     )
     _key_cache: Optional[Tuple[int, List[Tuple[int, int, IPVersion]]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _corpus_cache: Optional[Tuple[object, int, Any]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -170,6 +178,20 @@ class ShortTermTraceDataset(KeyOrderCached):
         """All entries of one protocol, in pair order."""
         self._key_cache = _ordered_keys(self.entries, self._key_cache)
         return [self.entries[key] for key in self._key_cache[1] if key[2] is version]
+
+    def corpus_product(self, platform: object, compute: Callable[[], _R]) -> _R:
+        """``compute()`` over the whole corpus, once per ``platform`` and corpus state.
+
+        The dataset holds one such result (the experiments' ownership
+        inference).  It is rebuilt when ``entries`` mutates (its mutation
+        counter moves, as for the key-order cache) or another platform
+        object asks, and it is never pickled.
+        """
+        version = dict_version(self.entries)
+        cache = self._corpus_cache
+        if cache is None or cache[0] is not platform or cache[1] != version:
+            cache = self._corpus_cache = (platform, version, compute())
+        return cache[2]
 
 
 def _check_window(platform: MeasurementPlatform, grid: CampaignGrid) -> None:

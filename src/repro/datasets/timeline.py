@@ -13,12 +13,17 @@ derived products -- usable samples, AS-path buckets, hour-of-day groups --
 once, on first use, and hand the same read-only arrays to every analysis
 that asks.  The products live in a private memo that is never pickled, so
 a timeline pickles to the same bytes before and after any analysis.
+
+Population analyses fill the memos of many timelines in one pass:
+:func:`population_products` hands a kernel only the timelines whose memo
+lacks a product, and :func:`stack_by_grid` lays ping timelines that
+share a time grid out as one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -26,7 +31,13 @@ from repro.measurement.traceroute import TraceOutcome
 from repro.net.asn import ASN
 from repro.net.ip import IPVersion
 
-__all__ = ["TraceTimeline", "PingTimeline"]
+__all__ = [
+    "TraceTimeline",
+    "PingTimeline",
+    "PingStack",
+    "population_products",
+    "stack_by_grid",
+]
 
 _USABLE_OUTCOMES = (
     int(TraceOutcome.COMPLETE),
@@ -59,11 +70,21 @@ class _Memoized:
         for name in self._ARRAYS:
             _read_only(getattr(self, name))
 
-    def _product(self, key: str, compute: Callable[[], Any]) -> Any:
+    def _memo(self) -> Dict[Hashable, Any]:
         memo = self.__dict__.get(_PRODUCTS)
         if memo is None:
             memo = {}
             object.__setattr__(self, _PRODUCTS, memo)
+        return memo
+
+    def product(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """``compute()``, run once per ``key`` for this timeline.
+
+        Analyses memoize their own per-timeline results here too, under
+        tuple keys that name them; the value is shared, so it must not
+        be mutated.
+        """
+        memo = self._memo()
         if key not in memo:
             memo[key] = compute()
         return memo[key]
@@ -130,7 +151,7 @@ class TraceTimeline(_Memoized):
 
     def usable_mask(self) -> np.ndarray:
         """Samples usable for AS-path analysis: reached, no AS loop."""
-        return self._product(
+        return self.product(
             "usable_mask",
             lambda: _read_only(np.isin(self.outcome, _USABLE_OUTCOMES)),
         )
@@ -141,14 +162,14 @@ class TraceTimeline(_Memoized):
 
     def usable_index(self) -> np.ndarray:
         """Sample indexes of usable samples, in time order (int32)."""
-        return self._product(
+        return self.product(
             "usable_index",
             lambda: _read_only(np.flatnonzero(self.usable_mask()).astype(np.int32)),
         )
 
     def usable_path_ids(self) -> np.ndarray:
         """Path ids of usable samples, in time order."""
-        return self._product(
+        return self.product(
             "usable_path_ids",
             lambda: _read_only(self.path_id[self.usable_index()]),
         )
@@ -169,7 +190,7 @@ class TraceTimeline(_Memoized):
         return dict(self._buckets())
 
     def _buckets(self) -> Dict[int, np.ndarray]:
-        return self._product("buckets", self._compute_buckets)
+        return self.product("buckets", self._compute_buckets)
 
     def _compute_buckets(self) -> Dict[int, np.ndarray]:
         # One stable sort groups the usable samples by path id, keeping each
@@ -188,6 +209,31 @@ class TraceTimeline(_Memoized):
             for low, high in zip(bounds[:-1], bounds[1:])
             if sorted_ids[low] >= 0
         }
+
+    def sorted_buckets(self, min_samples: int) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
+        """Each bucket's finite RTTs, sorted once: ``(path_ids, values, bounds)``.
+
+        Only buckets with at least ``min_samples`` finite RTTs are kept,
+        ascending by path id.  Bucket ``k`` (path ``path_ids[k]``) is
+        ``values[bounds[k]:bounds[k + 1]]``, ascending, in the RTT dtype.
+        """
+        return self.product(
+            ("sorted_buckets", min_samples), lambda: self._compute_sorted(min_samples)
+        )
+
+    def _compute_sorted(
+        self, min_samples: int
+    ) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
+        path_ids: List[int] = []
+        pieces: List[np.ndarray] = []
+        for path_id, rtts in self._buckets().items():
+            finite = rtts[np.isfinite(rtts)]
+            if finite.size >= min_samples:
+                path_ids.append(path_id)
+                pieces.append(np.sort(finite))
+        values = np.concatenate(pieces) if pieces else self.rtt_ms[:0].copy()
+        bounds = np.cumsum([0] + [piece.size for piece in pieces])
+        return tuple(path_ids), _read_only(values), _read_only(bounds)
 
 
 @dataclass(frozen=True)
@@ -237,7 +283,7 @@ class PingTimeline(_Memoized):
         sample's bin is ``int(times_hours mod 24)``; samples outside 0..23
         (a NaN time) belong to no bin.
         """
-        return self._product("hour_groups", self._compute_hour_groups)
+        return self.product("hour_groups", self._compute_hour_groups)
 
     def _compute_hour_groups(self) -> Tuple[np.ndarray, np.ndarray]:
         hour_of_day = np.mod(self.times_hours, float(HOURS_PER_DAY)).astype(int)
@@ -246,3 +292,76 @@ class PingTimeline(_Memoized):
             hour_of_day[order], np.arange(HOURS_PER_DAY + 1), side="left"
         )
         return _read_only(order.astype(np.int32)), _read_only(bounds)
+
+
+_T = TypeVar("_T", bound=_Memoized)
+
+
+def population_products(
+    timelines: Sequence[_T],
+    key: Hashable,
+    compute: Callable[[List[_T]], List[Any]],
+) -> List[Any]:
+    """Product ``key`` of every timeline, computed for a whole population.
+
+    ``compute`` runs at most once, on the timelines whose memo lacks
+    ``key``, and returns their products in order; the products join
+    those memos (never pickled, like every product).
+    """
+    missing = [timeline for timeline in timelines if key not in timeline._memo()]
+    if missing:
+        for timeline, value in zip(missing, compute(missing)):
+            timeline._memo()[key] = value
+    return [timeline._memo()[key] for timeline in timelines]
+
+
+STACK_ROWS = 256
+"""Rows per :class:`PingStack`: on the 672-sample week grid one float64
+copy of a stack is 1.4 MB, so the population kernels stay small."""
+
+
+@dataclass(frozen=True)
+class PingStack:
+    """Ping timelines that share one time grid and RTT dtype, as one matrix.
+
+    Attributes:
+        indexes: Position of each row's timeline in the stacked sequence.
+        grid: The first row's timeline; its ``times_hours`` and
+            :meth:`PingTimeline.hour_groups` hold for every row.
+        rtt_ms: One row per timeline, one column per grid sample.
+    """
+
+    indexes: List[int]
+    grid: PingTimeline
+    rtt_ms: np.ndarray
+
+
+def stack_by_grid(timelines: Sequence[PingTimeline]) -> List[PingStack]:
+    """Group ping timelines by time grid and RTT dtype; stack each group.
+
+    Grids are compared by content, so timelines holding equal but
+    distinct time arrays share a group.  A group larger than
+    :data:`STACK_ROWS` is split into several stacks.
+    Stacks come in order of their first timeline; rows keep the sequence
+    order.
+    """
+    grid_keys: Dict[int, Tuple[str, bytes]] = {}
+    groups: Dict[Tuple[str, bytes, str], List[int]] = {}
+    for index, timeline in enumerate(timelines):
+        times = timeline.times_hours
+        grid_key = grid_keys.get(id(times))
+        if grid_key is None:
+            grid_key = grid_keys[id(times)] = (times.dtype.str, times.tobytes())
+        groups.setdefault(grid_key + (timeline.rtt_ms.dtype.str,), []).append(index)
+    return [
+        PingStack(
+            indexes=rows,
+            grid=timelines[rows[0]],
+            rtt_ms=np.stack([timelines[index].rtt_ms for index in rows]),
+        )
+        for indexes in groups.values()
+        for rows in (
+            indexes[start:start + STACK_ROWS]
+            for start in range(0, len(indexes), STACK_ROWS)
+        )
+    ]

@@ -26,7 +26,7 @@ from repro.core.localization import localize_congestion
 from repro.core.loss import loss_population_summary
 from repro.core.sharedinfra import shared_infrastructure_study
 from repro.core.overhead import congestion_overhead
-from repro.core.ownership import HopView, infer_ownership
+from repro.core.ownership import HopView, OwnershipInference, infer_ownership
 from repro.core.routechange import analyze_timeline, as_path_pair_count
 from repro.core.rttstats import path_percentiles
 from repro.core.suboptimal import suboptimal_prevalence
@@ -316,10 +316,11 @@ def _heatmap_experiment(
         # short-lived half of lifetimes dominates.
         lifetime_values = np.array([lifetime for lifetime, _ in points])
         median_lifetime = float(np.median(lifetime_values))
+        worst_decile = increases.quantile(0.9)
         large = [
             (lifetime, increase)
             for lifetime, increase in points
-            if increase >= increases.quantile(0.9)
+            if increase >= worst_decile
         ]
         short_share = (
             100.0 * np.mean([lifetime <= median_lifetime for lifetime, _ in large])
@@ -494,7 +495,16 @@ def experiment_localization(
                             metrics, report)
 
 
-def _build_ownership(traces: ShortTermTraceDataset, platform: MeasurementPlatform):
+def _corpus_ownership(
+    traces: ShortTermTraceDataset, platform: MeasurementPlatform
+) -> OwnershipInference:
+    """Ownership inference over the corpus, once per (corpus, platform) pair."""
+    return traces.corpus_product(platform, lambda: _build_ownership(traces, platform))
+
+
+def _build_ownership(
+    traces: ShortTermTraceDataset, platform: MeasurementPlatform
+) -> OwnershipInference:
     """Ownership inference over the whole traceroute corpus.
 
     The paper "processed all traceroute paths as a set" -- the label graph
@@ -526,7 +536,7 @@ def experiment_link_classification(
     traces: ShortTermTraceDataset, platform: MeasurementPlatform
 ) -> ExperimentResult:
     """Section 5.3: classify congested links by ownership inference."""
-    ownership = _build_ownership(traces, platform)
+    ownership = _corpus_ownership(traces, platform)
     ixp_prefixes = list(platform.plan.ixp_lan_v4.values()) + list(
         platform.plan.ixp_lan_v6.values()
     )
@@ -591,7 +601,7 @@ def experiment_fig9(
     traces: ShortTermTraceDataset, platform: MeasurementPlatform
 ) -> ExperimentResult:
     """Figure 9: density of the congestion overhead."""
-    ownership = _build_ownership(traces, platform)
+    ownership = _corpus_ownership(traces, platform)
     classifier = LinkClassifier(
         relationships=platform.graph.relationships,
         ownership=ownership,

@@ -228,10 +228,13 @@ def congested_pairs(
 ) -> List[Tuple[Server, Server]]:
     """Server pairs the ping analysis flags as congested (Section 5.2)."""
     detector = detector or CongestionDetector()
-    flagged = set()
-    for (src_id, dst_id, _version), timeline in pings.timelines.items():
-        if detector.assess(timeline).congested:
-            flagged.add((src_id, dst_id))
+    keys = list(pings.timelines)
+    verdicts = detector.assess_all([pings.timelines[key] for key in keys])
+    flagged = {
+        (src_id, dst_id)
+        for (src_id, dst_id, _version), verdict in zip(keys, verdicts)
+        if verdict.congested
+    }
     servers = {server.server_id: server for server in platform.measurement_servers()}
     return [
         (servers[src_id], servers[dst_id])

@@ -140,3 +140,73 @@ class TestPopulationStats:
         timeline = PingTimeline(0, 1, IPVersion.V4, times, sparse)
         stats = congestion_population_stats([timeline])
         assert stats.pairs == 0
+
+    def test_timelines_without_answered_probes_excluded(self):
+        # An empty grid (or a one-sample grid that lost its probe) would
+        # need int(0.9 * size) = 0 answered probes; it still has none.
+        times = _times()
+        rng = np.random.default_rng(5)
+        congested = PingTimeline(
+            0, 1, IPVersion.V4, times,
+            np.asarray(_diurnal(times, 25.0) + rng.normal(0, 1, times.size), np.float32),
+        )
+        empty = PingTimeline(2, 3, IPVersion.V4, np.empty(0), np.empty(0, np.float32))
+        lost = PingTimeline(4, 5, IPVersion.V4, np.zeros(1), np.full(1, np.nan, np.float32))
+        stats = congestion_population_stats([congested, empty, lost])
+        assert stats.pairs == 1
+        assert stats.congested == 1
+        assert stats.spread_fraction == 1.0
+        assert stats.congested_fraction == 1.0
+
+
+class TestVerdictMemo:
+    """Verdicts are memoized per timeline under the detector's parameters."""
+
+    def _weak(self):
+        times = _times()
+        weak = _diurnal(times, amplitude=12.0) + np.random.default_rng(4).normal(
+            0, 6, times.size
+        )
+        return PingTimeline(0, 1, IPVersion.V4, times, np.asarray(weak, np.float32))
+
+    def test_detectors_with_different_thresholds_get_their_own_verdict(self):
+        timeline = self._weak()
+        strict = CongestionDetector(power_ratio_threshold=0.9)
+        lax = CongestionDetector(power_ratio_threshold=0.05)
+        assert lax.assess(timeline).diurnal
+        assert not strict.assess(timeline).diurnal
+        assert lax.assess(timeline).diurnal
+
+    def test_changing_a_field_never_returns_a_stale_verdict(self):
+        timeline = self._weak()
+        detector = CongestionDetector()
+        for field, value in (("power_ratio_threshold", 0.9),
+                             ("power_ratio_threshold", 0.05),
+                             ("spread_threshold_ms", 500.0),
+                             ("spread_percentiles", (25.0, 75.0)),
+                             ("band", 0)):
+            setattr(detector, field, value)
+            got = detector.assess(timeline)
+            want = detector.assess_series(timeline.times_hours, timeline.rtt_ms)
+            assert (got.spread_ms, got.spread_exceeds, got.diurnal) == (
+                want.spread_ms, want.spread_exceeds, want.diurnal)
+            assert got.power_ratio == want.power_ratio
+
+    def test_population_calls_share_one_verdict(self, monkeypatch):
+        timelines = [self._weak(), self._weak()]
+        detector = CongestionDetector()
+        verdicts = detector.assess_all(timelines)
+        calls = []
+        kernel = CongestionDetector._assess_stacks
+
+        def counted(self, population):
+            calls.append(len(population))
+            return kernel(self, population)
+
+        monkeypatch.setattr(CongestionDetector, "_assess_stacks", counted)
+        congestion_population_stats(timelines)
+        assert [CongestionDetector().assess(t) for t in timelines] == verdicts
+        assert calls == []
+        detector.band = 2
+        detector.assess_all(timelines)
+        assert calls == [2]

@@ -9,6 +9,10 @@ on random timelines that include the degenerate shapes: empty timelines,
 all-``INCOMPLETE`` outcomes, all-NaN RTTs, buckets below
 ``MIN_BUCKET_SAMPLES``, hours of day without a finite ping sample and
 outcome arrays that are not ``uint8``.
+
+The ping population kernels (congestion verdicts, loss summaries) are
+checked against the per-series detector and the per-timeline loss
+references on populations that mix grids, dtypes and degenerate rows.
 """
 
 import math
@@ -18,12 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.congestion import CongestionDetector, congestion_population_stats
 from repro.core.dualstack import paired_rtt_differences
 from repro.core.loss import (
     BUSY_HOURS,
+    LossVerdict,
+    _assess_losses,
     _hourly_rtt_profile,
     assess_loss,
     hourly_loss_profile,
+    loss_population_summary,
     loss_rtt_correlation,
 )
 from repro.core.routechange import (
@@ -39,6 +47,7 @@ from repro.core.rttstats import (
     path_percentiles,
     path_rtt_std,
     rtt_increase_from_best,
+    sorted_percentiles,
 )
 from repro.core.sharedinfra import _change_rounds, _synchronized_fraction
 from repro.datasets.longterm import LongTermDataset
@@ -172,6 +181,38 @@ def reference_assess(ping):
     quiet = float(lost[~busy_mask].mean()) if (~busy_mask).any() else float("nan")
     rate = float(lost.mean()) if lost.size else float("nan")
     return rate, busy, quiet, reference_correlation(ping)
+
+
+def reference_population_stats(timelines, detector, min_valid_samples):
+    pairs = spread = congested = 0
+    for ping in timelines:
+        valid = int(np.sum(~np.isnan(ping.rtt_ms)))
+        if valid == 0 or valid < min(min_valid_samples, int(0.9 * ping.times_hours.size)):
+            continue
+        verdict = detector.assess_series(ping.times_hours, ping.rtt_ms)
+        pairs += 1
+        spread += verdict.spread_exceeds
+        congested += verdict.congested
+    return pairs, spread, congested
+
+
+def reference_loss_summary(timelines, min_samples):
+    rates, correlations, diurnal = [], [], 0
+    for ping in timelines:
+        if ping.times_hours.size < min_samples:
+            continue
+        verdict = LossVerdict(*reference_assess(ping))
+        rates.append(verdict.loss_rate)
+        if verdict.diurnal_loss:
+            diurnal += 1
+            if np.isfinite(verdict.loss_rtt_correlation):
+                correlations.append(verdict.loss_rtt_correlation)
+    return (
+        len(rates),
+        float(np.median(rates)) if rates else float("nan"),
+        diurnal,
+        float(np.median(correlations)) if correlations else float("nan"),
+    )
 
 
 def reference_paired(v4, v6):
@@ -335,6 +376,180 @@ class TestLoss:
         assert _hourly_rtt_profile(ping)[5] == float(
             np.median(np.asarray(values, dtype=np.float32))
         )
+
+
+GRID_SHAPES = [
+    (0, 1.0),     # empty grid
+    (3, 5.0),     # fewer than 8 samples
+    (7, 1.0),
+    (40, 0.25),   # a 10-hour window: shorter than one day, bins 10..23 empty
+    (8, 1.0),     # 8 samples over 8 hours
+    (96, 1.0),
+    (200, 0.25),
+    (60, 5.0),
+]
+ROW_KINDS = ["noise", "ties", "diurnal", "all-nan", "sparse", "edge-gaps", "float64"]
+
+
+@st.composite
+def ping_populations(draw):
+    """Ping timelines over one or two grids, with degenerate rows.
+
+    Rows are all-NaN, hold fewer than four finite samples, lose whole
+    hours of day or the window's edges, carry a diurnal signal, or come
+    as float64; some share a grid object, others hold an equal copy.
+    """
+    grids = [
+        start + period * np.arange(count)
+        for count, period in draw(st.lists(st.sampled_from(GRID_SHAPES),
+                                           min_size=1, max_size=2))
+        for start in [draw(st.sampled_from([0.0, 7.5]))]
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    timelines = []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=10)):
+        times = grids[draw(st.integers(0, len(grids) - 1))]
+        if draw(st.booleans()):
+            times = times.copy()
+        count = times.size
+        if kind == "ties":
+            rtts = rng.integers(10, 20, count).astype(np.float32)
+        elif kind == "diurnal":
+            rtts = (50.0 + 25.0 * np.maximum(0.0, np.sin(2 * np.pi * times / 24.0))
+                    + rng.normal(0.0, 1.0, count)).astype(np.float32)
+        else:
+            rtts = (10.0 + 300.0 * rng.random(count)).astype(np.float32)
+        if kind == "all-nan":
+            rtts[:] = np.nan
+        elif kind == "sparse":
+            rtts[rng.permutation(count)[rng.integers(0, 4):]] = np.nan
+        elif kind == "edge-gaps":
+            rtts[: count // 5] = np.nan
+            rtts[count - count // 7:] = np.nan
+        else:
+            rtts[rng.random(count) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = np.nan
+            dead_hours = draw(st.lists(st.integers(0, 23), max_size=6))
+            rtts[np.isin(np.mod(times, 24.0).astype(int), dead_hours)] = np.nan
+        if kind == "float64":
+            rtts = rtts.astype(np.float64)
+        timelines.append(PingTimeline(0, 1, IPVersion.V4, times, rtts))
+    return timelines
+
+
+DETECTORS = [
+    CongestionDetector(),
+    CongestionDetector(power_ratio_threshold=0.05, spread_threshold_ms=2.0, band=0),
+    CongestionDetector(spread_percentiles=(10.0, 90.0), band=2),
+]
+
+
+class TestPingPopulation:
+    @settings(max_examples=150, deadline=None)
+    @given(ping_populations(), st.sampled_from(DETECTORS))
+    def test_verdicts_match_the_per_series_detector(self, timelines, detector):
+        verdicts = detector.assess_all(timelines)
+        assert len(verdicts) == len(timelines)
+        for ping, verdict in zip(timelines, verdicts):
+            want = detector.assess_series(ping.times_hours, ping.rtt_ms)
+            assert same_float(verdict.spread_ms, want.spread_ms)
+            assert same_float(verdict.power_ratio, want.power_ratio)
+            assert (verdict.spread_exceeds, verdict.diurnal) == (
+                want.spread_exceeds, want.diurnal)
+            assert detector.assess(ping) is verdict
+
+    @settings(max_examples=100, deadline=None)
+    @given(ping_populations(), st.sampled_from(DETECTORS), st.sampled_from([0, 5, 600]))
+    def test_population_stats(self, timelines, detector, min_valid):
+        stats = congestion_population_stats(timelines, detector, min_valid_samples=min_valid)
+        assert (stats.pairs, stats.spread_exceeds, stats.congested) == (
+            reference_population_stats(timelines, detector, min_valid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(ping_populations())
+    def test_loss_verdicts_match_the_reference(self, timelines):
+        for ping, verdict in zip(timelines, _assess_losses(timelines, correlate_all=True)):
+            got = (verdict.loss_rate, verdict.busy_hour_loss, verdict.quiet_hour_loss,
+                   verdict.loss_rtt_correlation)
+            for value, want in zip(got, reference_assess(ping)):
+                assert same_float(value, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ping_populations(), st.sampled_from([0, 8, 50, 300]))
+    def test_loss_summary(self, timelines, min_samples):
+        summary = loss_population_summary(timelines, min_samples=min_samples)
+        got = (summary.pairs, summary.median_loss_rate, summary.diurnal_loss_pairs,
+               summary.median_correlation_diurnal)
+        want = reference_loss_summary(timelines, min_samples)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert same_float(got[1], want[1]) and same_float(got[3], want[3])
+
+
+class TestSortedPercentiles:
+    """``path_percentiles`` reads numpy's ``linear`` percentile bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(3, 40),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_np_percentile(self, dtype, count, ties, seed):
+        rng = np.random.default_rng(seed)
+        if ties:
+            rtts = rng.integers(10, 14, count).astype(dtype)
+        else:
+            rtts = (5.0 + 300.0 * rng.random(count)).astype(dtype)
+        timeline = TraceTimeline(
+            src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+            times_hours=np.arange(float(count)), rtt_ms=rtts,
+            outcome=np.full(count, COMPLETE, dtype=np.uint8),
+            path_id=np.zeros(count, dtype=np.int32), paths=[(1, 2)],
+        )
+        for q in (0.0, 10.0, 50.0, 90.0, 100.0):
+            want = float(np.percentile(rtts, q))
+            assert path_percentiles(timeline, q)[0] == want
+            segment = np.sort(rtts)
+            got = sorted_percentiles(segment, np.array([0]), np.array([count]), q)
+            assert got.dtype == dtype and got[0] == want
+
+    def test_three_samples_with_ties(self):
+        for dtype in (np.float32, np.float64):
+            values = np.asarray([10.1, 10.1, 23.7], dtype=dtype)
+            for q in (0.0, 10.0, 50.0, 90.0, 100.0):
+                got = sorted_percentiles(values, np.array([0]), np.array([3]), q)[0]
+                assert got == np.percentile(values, q)
+
+    def test_a_float64_weight_would_change_float32_bits(self):
+        # Why the weight is cast to the bucket dtype: numpy interpolates a
+        # float32 bucket in float32 for a Python-float q.
+        values = np.asarray([10.1, 13.3, 23.7], dtype=np.float32)
+        q = 10.0
+        weight = (3 - 1) * (q / 100)
+        in_float64 = float(values[0] + (values[1] - values[0]) * np.float64(weight))
+        assert float(np.percentile(values, q)) != in_float64
+        got = sorted_percentiles(values, np.array([0]), np.array([3]), q)[0]
+        assert got == np.percentile(values, q)
+
+    def test_empty_segments_are_nan(self):
+        got = sorted_percentiles(np.asarray([1.0, 2.0, 3.0]), np.array([0, 3]),
+                                 np.array([3, 0]), 50.0)
+        assert got[0] == 2.0 and np.isnan(got[1])
+
+    def test_memo_returns_fresh_dicts(self):
+        timeline = TraceTimeline(
+            src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+            times_hours=np.arange(6.0),
+            rtt_ms=np.asarray([3, 1, 2, 9, 8, 7], dtype=np.float32),
+            outcome=np.full(6, COMPLETE, dtype=np.uint8),
+            path_id=np.asarray([0, 0, 0, 1, 1, 1], dtype=np.int32),
+            paths=[(1, 2), (1, 3)],
+        )
+        first = path_percentiles(timeline, 50.0)
+        first[0] = -1.0
+        del first[1]
+        assert path_percentiles(timeline, 50.0) == {0: 2.0, 1: 8.0}
+        assert path_percentiles(timeline, 50.0) is not path_percentiles(timeline, 50.0)
 
 
 def _pair_dataset(v4, v6):

@@ -345,6 +345,19 @@ class TestProductsMatchReference:
         assert timeline.observed_paths() == [
             timeline.paths[path_id] for path_id in reference_counts(timeline)
         ]
+        for min_samples in (0, 3):
+            path_ids, values, bounds = timeline.sorted_buckets(min_samples)
+            want = {}
+            for path_id, rtts in reference_buckets(timeline).items():
+                finite = np.sort(rtts[np.isfinite(rtts)])
+                if finite.size >= min_samples:
+                    want[path_id] = finite
+            got = {path_id: values[bounds[k]:bounds[k + 1]]
+                   for k, path_id in enumerate(path_ids)}
+            assert_same_mapping(got, want)
+            assert bounds[-1] == values.size
+            assert values.dtype == timeline.rtt_ms.dtype
+            assert not values.flags.writeable
 
     def test_all_incomplete_has_no_products(self):
         timeline = _timeline([INCOMPLETE] * 4, path_ids=[-1] * 4)

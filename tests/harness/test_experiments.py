@@ -5,7 +5,10 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.congestion import CongestionDetector
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
+from repro.datasets.shortterm import ShortTermTraceDataset
+from repro.harness import experiments
 from repro.harness.experiments import (
     experiment_congestion_norm,
     experiment_fig1,
@@ -116,6 +119,22 @@ class TestPickleLayout:
         after = [pickle.dumps(d, protocol=pickle.HIGHEST_PROTOCOL) for d in datasets]
         assert after == before
 
+    def test_ping_verdict_memo_stays_out_of_the_ping_pickle(
+        self, platform, longterm, ping_dataset, trace_dataset
+    ):
+        before = pickle.dumps(ping_dataset, protocol=pickle.HIGHEST_PROTOCOL)
+        run_all_experiments(
+            platform, longterm, ping_dataset, trace_dataset, include_fig7=False
+        )
+        timelines = list(ping_dataset.timelines.values())
+        key = CongestionDetector()._memo_key()
+        assert all(key in vars(timeline)["_products"] for timeline in timelines)
+        assert pickle.dumps(ping_dataset, protocol=pickle.HIGHEST_PROTOCOL) == before
+        restored = pickle.loads(before)
+        assert all("_products" not in vars(t) for t in restored.timelines.values())
+        assert experiment_congestion_norm(restored).render() == (
+            experiment_congestion_norm(ping_dataset).render())
+
     @pytest.mark.parametrize("name", ["longterm", "ping_dataset", "trace_dataset"])
     def test_key_order_cache_is_not_pickled(self, request, name):
         dataset = request.getfixturevalue(name)
@@ -131,3 +150,54 @@ class TestPickleLayout:
         warm = experiment_fig3(longterm).render()
         restored = pickle.loads(pickle.dumps(longterm, protocol=pickle.HIGHEST_PROTOCOL))
         assert experiment_fig3(restored).render() == warm
+
+
+class TestOwnershipCache:
+    """Ownership is inferred once per (trace corpus, platform) pair."""
+
+    @pytest.fixture
+    def traces(self, trace_dataset):
+        # A private corpus: the test mutates its entries dict.
+        return ShortTermTraceDataset(
+            grid=trace_dataset.grid, entries=dict(trace_dataset.entries)
+        )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        infer = experiments.infer_ownership
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return infer(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "infer_ownership", counted)
+        return calls
+
+    def test_inferred_once_and_rebuilt_after_mutation(self, platform, traces, calls):
+        link = experiment_link_classification(traces, platform).render()
+        fig9 = experiment_fig9(traces, platform).render()
+        assert len(calls) == 1
+        key = next(iter(traces.entries))
+        traces.entries[key] = traces.entries[key]
+        assert experiment_fig9(traces, platform).render() == fig9
+        assert len(calls) == 2
+        assert experiment_link_classification(traces, platform).render() == link
+        assert len(calls) == 2
+
+    def test_another_platform_object_gets_its_own_inference(self, traces):
+        first, second = object(), object()
+        assert traces.corpus_product(first, lambda: "a") == "a"
+        assert traces.corpus_product(first, lambda: "b") == "a"
+        assert traces.corpus_product(second, lambda: "c") == "c"
+        assert traces.corpus_product(first, lambda: "d") == "d"
+
+    def test_cache_is_not_pickled(self, platform, traces, calls):
+        cold = pickle.dumps(traces, protocol=pickle.HIGHEST_PROTOCOL)
+        report = experiment_link_classification(traces, platform).render()
+        assert traces._corpus_cache is not None
+        assert pickle.dumps(traces, protocol=pickle.HIGHEST_PROTOCOL) == cold
+        restored = pickle.loads(cold)
+        assert restored._corpus_cache is None
+        assert experiment_link_classification(restored, platform).render() == report
+        assert len(calls) == 2
