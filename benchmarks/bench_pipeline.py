@@ -1,6 +1,6 @@
-"""End-to-end pipeline benchmark: serial vs parallel vs warm cache vs stream.
+"""End-to-end pipeline benchmark: serial vs parallel vs warm cache vs service.
 
-Runs the dataset-generation pipeline four times, each phase in its own
+Runs the pipeline and the campaign service in five phases, each in its own
 subprocess so ``resource.getrusage`` peak-RSS readings are per-phase
 (``ru_maxrss`` is a process-lifetime high-water mark and never resets):
 
@@ -8,16 +8,12 @@ subprocess so ``resource.getrusage`` peak-RSS readings are per-phase
 2. ``parallel``  -- jobs=N, its own cold cache directory.
 3. ``warm``      -- jobs=1, reusing the serial phase's cache, so platform
    and long-term construction are skipped entirely.
-4. ``stream``    -- the bounded-memory streaming engine serving its four
-   experiments (fig3, fig6, congestion-norm, localization) without ever
-   materializing a dataset; its peak RSS against serial's is the
-   headline memory number.
-5. ``service``   -- the campaign service's scale proof: a sharded
+4. ``service``   -- the campaign service's scale proof: a sharded
    synthetic mesh campaign (``--mesh-pairs`` pairs, default one
    million) streamed end-to-end through the incremental mesh operator,
    reporting steady-state ingest rate, merge-lag p99 (units buffered in
    shard queues but not yet consumed) and peak RSS.
-6. ``faults``    -- the fault plane's cost: the same mesh campaign run
+5. ``faults``    -- the fault plane's cost: the same mesh campaign run
    unsupervised (baseline), supervised with zero faults (the recovery
    machinery's overhead, which perf_guard bounds), and in degraded mode
    with one of four shards quarantined by an injected crash loop
@@ -121,36 +117,6 @@ def run_phase(
         "longterm_timelines": len(longterm.timelines),
         "ping_timelines": len(pings.timelines),
         "trace_entries": len(traces.entries),
-    }
-
-
-def run_stream_phase(scenario_name: str, seed: int) -> dict:
-    """One streaming-engine pass (serial shards, no dataset, no cache)."""
-    from repro.measurement.platform import MeasurementPlatform
-    from repro.stream.engine import StreamEngine
-
-    scenario = get_scenario(scenario_name)
-    timings = Timings()
-    started = time.perf_counter()
-
-    with timings.stage("platform-build"):
-        platform = MeasurementPlatform(scenario.platform_config(seed))
-    engine = StreamEngine(
-        platform,
-        longterm_config=scenario.longterm_config(),
-        shortterm_config=scenario.shortterm_config(),
-    )
-    with timings.stage("stream-run"):
-        results = engine.run()
-    wall = time.perf_counter() - started
-
-    return {
-        "jobs": 1,
-        "cache_hit": {},
-        "wall_seconds": wall,
-        "stage_seconds": timings.as_dict(),
-        "stages": timings.as_records(),
-        "experiments": len(results),
     }
 
 
@@ -312,9 +278,7 @@ def run_faults_phase(seed: int, mesh_pairs: int) -> dict:
 
 def _child_main(args: argparse.Namespace) -> int:
     """``--run-phase`` entry: run one phase, print its record as JSON."""
-    if args.run_phase == "stream":
-        record = run_stream_phase(args.scenario, args.seed)
-    elif args.run_phase == "service":
+    if args.run_phase == "service":
         record = run_service_phase(args.seed, args.jobs, args.mesh_pairs)
     elif args.run_phase == "faults":
         record = run_faults_phase(args.seed, args.mesh_pairs)
@@ -485,7 +449,6 @@ def main(argv=None) -> int:
             ("parallel", parallel_jobs, parallel_cache,
              f"jobs={parallel_jobs}, cold cache"),
             ("warm", 1, serial_cache, "jobs=1, reusing serial cache"),
-            ("stream", 1, serial_cache, "streaming engine, no dataset"),
             ("service", 2, serial_cache,
              f"campaign service, {args.mesh_pairs:,}-pair mesh"),
             ("faults", 4, serial_cache,
@@ -507,10 +470,6 @@ def main(argv=None) -> int:
         "warm": serial / max(report["phases"]["warm"]["wall_seconds"], 1e-9),
     }
     report["memory"] = {
-        "stream_vs_serial_rss": (
-            report["phases"]["stream"]["peak_rss_bytes"]
-            / max(report["phases"]["serial"]["peak_rss_bytes"], 1)
-        ),
         "service_vs_serial_rss": (
             report["phases"]["service"]["peak_rss_bytes"]
             / max(report["phases"]["serial"]["peak_rss_bytes"], 1)
@@ -525,8 +484,6 @@ def main(argv=None) -> int:
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"\nspeedup: parallel x{report['speedup']['parallel']:.2f}, "
           f"warm x{report['speedup']['warm']:.2f}")
-    print(f"stream peak RSS: "
-          f"{report['memory']['stream_vs_serial_rss']:.1%} of serial")
     service = report["phases"]["service"]
     print(f"service ingest: {service['ingest_rate_per_s']:,.0f} samples/s "
           f"over {service['mesh_pairs']:,} pairs, "

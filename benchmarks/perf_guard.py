@@ -9,13 +9,6 @@ absorbs runner-to-runner noise while still catching an accidental
 return to per-round Python loops, which is an order-of-magnitude cliff,
 not a percentage.
 
-Two further guards hold the streaming engine to what the columnar
-record plane achieved: the stream-vs-serial wall ratio must stay under
-``--stream-wall-factor`` (default 1.3x -- stream mode must not fall
-back to paying multiples of serial time), and stream peak RSS must stay
-under ``--stream-rss-bound`` (default 0.25) times serial peak RSS --
-the bounded-memory property that justifies the engine's existence.
-
 Two service guards (schema 4 summaries; skipped when either side lacks
 the ``service`` section) hold the campaign service's scale proof: the
 mesh ingest rate must stay above ``1 / --service-rate-factor`` (default
@@ -79,13 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("--factor", type=float, default=2.0,
                         help="failure threshold: candidate may take at most "
                              "FACTOR x baseline (default: 2.0)")
-    parser.add_argument("--stream-wall-factor", type=float, default=1.3,
-                        help="failure threshold: stream wall may take at most "
-                             "this multiple of serial wall (default: 1.3)")
-    parser.add_argument("--stream-rss-bound", type=float, default=0.25,
-                        help="failure threshold: stream peak RSS may be at "
-                             "most this fraction of serial peak RSS "
-                             "(default: 0.25)")
     parser.add_argument("--service-rate-factor", type=float, default=2.0,
                         help="failure threshold: service ingest rate may be "
                              "at worst baseline / FACTOR (default: 2.0)")
@@ -121,30 +107,6 @@ def main(argv=None) -> int:
             f"serial longterm-build {cand_build:.3f}s exceeds "
             f"{args.factor}x baseline ({limit:.3f}s)"
         )
-
-    phases = candidate.get("phases", {})
-    serial_wall = phases.get("serial", {}).get("wall_seconds")
-    stream_wall = phases.get("stream", {}).get("wall_seconds")
-    if serial_wall and stream_wall:
-        wall_ratio = stream_wall / serial_wall
-        print(f"stream wall vs serial wall: {stream_wall:.2f}s / "
-              f"{serial_wall:.2f}s = {wall_ratio:.2f}x "
-              f"(limit {args.stream_wall_factor}x)")
-        if wall_ratio > args.stream_wall_factor:
-            failures.append(
-                f"stream wall {wall_ratio:.2f}x serial exceeds "
-                f"{args.stream_wall_factor}x"
-            )
-
-    rss_ratio = candidate.get("memory", {}).get("stream_vs_serial_rss")
-    if isinstance(rss_ratio, (int, float)) and rss_ratio > 0:
-        print(f"stream peak RSS vs serial peak RSS: {rss_ratio:.3f} "
-              f"(bound {args.stream_rss_bound})")
-        if rss_ratio > args.stream_rss_bound:
-            failures.append(
-                f"stream RSS ratio {rss_ratio:.3f} exceeds bound "
-                f"{args.stream_rss_bound}"
-            )
 
     base_service = baseline.get("service")
     cand_service = candidate.get("service")

@@ -14,8 +14,6 @@ Examples::
     python -m repro reproduce --scenario default --experiments table1,fig3
     python -m repro reproduce --scenario small --log-json \\
         --trace-out trace.json --run-report run.json
-    python -m repro reproduce --scenario default --stream \\
-        --checkpoint-dir /tmp/ckpt --resume
     python -m repro service run --config service.json \\
         --time-scale 0.01 --live-out live.jsonl
 
@@ -69,8 +67,8 @@ def _install_fault_plane(args: argparse.Namespace) -> Optional[bool]:
     config (the caller exits 2).  Chaos runs auto-enable shard
     supervision so every injected fault is also survivable.
     """
-    path = getattr(args, "faults_config", None)
-    seed = getattr(args, "faults_seed", None)
+    path = args.faults_config
+    seed = args.faults_seed
     if not path:
         if seed is not None:
             print("error: --faults-seed requires --faults-config",
@@ -119,9 +117,9 @@ def _live_plane(args: argparse.Namespace, **run_fields: object) -> Iterator[None
     owner_pid = os.getpid()
 
     def _on_sigterm(signum: int, frame: object) -> None:
-        # Forked workers (dataset pools, stream shards) inherit this
-        # handler but not the telemetry threads it tears down -- in any
-        # process but the installer, just die the default way.
+        # Forked dataset-pool workers inherit this handler but not the
+        # telemetry threads it tears down -- in any process but the
+        # installer, just die the default way.
         if os.getpid() == owner_pid:
             recorder.stop(reason="sigterm")
             if server is not None:
@@ -216,16 +214,6 @@ def _command_reproduce(args: argparse.Namespace) -> int:
     from repro.harness import experiments as exp
     from repro.harness.engine import ArtifactCache, Timings
     from repro.harness.scenarios import get_scenario
-
-    if args.stream:
-        return _command_reproduce_stream(args)
-    if args.checkpoint_dir or args.resume:
-        print("error: --checkpoint-dir/--resume require --stream", file=sys.stderr)
-        return 2
-    if args.faults_config or args.faults_seed is not None:
-        print("error: --faults-config/--faults-seed require --stream",
-              file=sys.stderr)
-        return 2
 
     wanted = (
         [name.strip() for name in args.experiments.split(",")]
@@ -353,128 +341,6 @@ def _command_reproduce(args: argparse.Namespace) -> int:
             configs=configs,
             registry=registry,
             tracer=tracer,
-        )
-        obs_runinfo.write_run_report(args.run_report, manifest)
-        _LOG.info("run_report.written", path=args.run_report)
-    _LOG.info("reproduce.done", experiments=len(results))
-    return 0
-
-
-def _command_reproduce_stream(args: argparse.Namespace) -> int:
-    """``reproduce --stream``: serve the reports from the streaming engine.
-
-    Instead of materializing whole datasets and handing them to the batch
-    drivers, the platform's records flow through the incremental
-    operators in bounded memory.  Only the experiments those operators
-    serve are available; ``--checkpoint-dir`` enables mid-campaign
-    snapshots and ``--resume`` picks the last one up bit-identically.
-    """
-    from repro.harness.engine import ArtifactCache, Timings
-    from repro.harness.scenarios import get_scenario
-    from repro.stream.checkpoint import CHECKPOINT_SCHEMA_VERSION, required_phases
-    from repro.stream.engine import STREAM_EXPERIMENTS, StreamConfig, StreamEngine
-
-    wanted = (
-        [name.strip() for name in args.experiments.split(",")]
-        if args.experiments
-        else list(STREAM_EXPERIMENTS)
-    )
-    unknown = [name for name in wanted if name not in STREAM_EXPERIMENTS]
-    if unknown:
-        print(f"error: experiments not served by --stream: {unknown}; valid: "
-              f"{', '.join(STREAM_EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-
-    observing = bool(args.timings or args.trace_out or args.run_report
-                     or args.live_out or args.serve_metrics is not None)
-    registry = get_registry()
-    if observing:
-        registry.reset()
-
-    timings = Timings() if observing else None
-    tracer = Tracer()
-    cache = None
-    if args.cache or args.cache_dir:
-        cache = ArtifactCache(args.cache_dir)
-        if args.refresh_cache:
-            cache.clear()
-    jobs = args.jobs if args.jobs >= 1 else (os.cpu_count() or 1)
-
-    plane_active = _install_fault_plane(args)
-    if plane_active is None:
-        return 2
-    supervision = None
-    if plane_active:
-        from repro.faults.plane import SupervisionPolicy
-
-        supervision = SupervisionPolicy()
-
-    scenario = get_scenario(args.scenario)
-    stream_config = StreamConfig(shards=jobs, supervision=supervision)
-    _LOG.info("reproduce.stream.start", scenario=args.scenario, seed=args.seed,
-              shards=jobs, experiments=",".join(wanted), resume=args.resume)
-
-    with use_tracer(tracer), _live_plane(
-        args, mode="stream", scenario=args.scenario, seed=args.seed,
-        jobs=jobs, experiments=wanted, resume=bool(args.resume),
-    ), tracer.span(
-        "reproduce", scenario=args.scenario, seed=args.seed, jobs=jobs, stream=True
-    ):
-        platform = scenario_platform(
-            args.scenario, args.seed, jobs=jobs, cache=cache, timings=timings
-        )
-        engine = StreamEngine(
-            platform,
-            longterm_config=scenario.longterm_config(),
-            shortterm_config=scenario.shortterm_config(),
-            experiments=wanted,
-            config=stream_config,
-            checkpoint_dir=args.checkpoint_dir,
-        )
-        results = engine.run(resume=args.resume)
-
-    for result in results:
-        print(result.render())
-        print()
-    if args.timings:
-        print("== stage timings ==")
-        print(timings.render())
-
-    if args.trace_out:
-        with open(args.trace_out, "w") as handle:
-            json.dump(tracer.to_chrome_trace(), handle, indent=2)
-            handle.write("\n")
-        _LOG.info("trace.written", path=args.trace_out,
-                  spans=len(tracer.spans))
-    if args.run_report:
-        platform_config = scenario.platform_config(args.seed)
-        phases = required_phases(wanted)
-        configs = {"platform": platform_config}
-        if phases["longterm"]:
-            configs["longterm"] = (platform_config, scenario.longterm_config())
-        manifest = obs_runinfo.build_manifest(
-            scenario=args.scenario,
-            seed=args.seed,
-            jobs=jobs,
-            experiments=wanted,
-            configs=configs,
-            registry=registry,
-            tracer=tracer,
-            extra={
-                "stream": {
-                    "enabled": True,
-                    "experiments": wanted,
-                    "phases": phases,
-                    "checkpoint_fingerprint": engine.fingerprint,
-                    "checkpoint_schema": CHECKPOINT_SCHEMA_VERSION,
-                    "shards": jobs,
-                    "window_rounds": stream_config.window_rounds,
-                    "resumed": bool(args.resume),
-                }
-            },
         )
         obs_runinfo.write_run_report(args.run_report, manifest)
         _LOG.info("run_report.written", path=args.run_report)
@@ -636,21 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --cache: drop existing entries and rebuild",
     )
     reproduce.add_argument(
-        "--stream", action="store_true",
-        help="serve the reports from the bounded-memory streaming engine "
-             "(experiments limited to fig3, fig6, congestion-norm, "
-             "localization; --jobs controls source shards)",
-    )
-    reproduce.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="with --stream: snapshot operator state here for resumable runs",
-    )
-    reproduce.add_argument(
-        "--resume", action="store_true",
-        help="with --stream --checkpoint-dir: resume from the last snapshot "
-             "(bit-identical to an uninterrupted run)",
-    )
-    reproduce.add_argument(
         "--serve-metrics", nargs="?", type=int, const=_DEFAULT_METRICS_PORT,
         default=None,
         metavar="PORT",
@@ -676,15 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-report", default=None, metavar="FILE",
         help="write a run manifest: config fingerprints, metric snapshot, "
              "span summary",
-    )
-    reproduce.add_argument(
-        "--faults-config", default=None, metavar="FILE",
-        help="with --stream: inject a deterministic fault schedule from "
-             "this JSON config (auto-enables shard supervision)",
-    )
-    reproduce.add_argument(
-        "--faults-seed", type=int, default=None, metavar="N",
-        help="override the faults config's schedule seed",
     )
     reproduce.set_defaults(handler=_command_reproduce)
 

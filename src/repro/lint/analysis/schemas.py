@@ -1,10 +1,8 @@
 """Schema-compat checking: the engine behind SCH010.
 
-Three on-disk formats must never change shape silently, because old
+Four serialized formats must never change shape silently, because old
 artifacts outlive the code that wrote them:
 
-- the stream **checkpoint** payload, versioned by
-  ``repro.stream.checkpoint.CHECKPOINT_SCHEMA_VERSION``;
 - the **live telemetry sample**, versioned by ``repro.obs.live.LIVE_SCHEMA``;
 - the **campaign checkpoint** payload, versioned by
   ``repro.service.checkpoint.CAMPAIGN_CHECKPOINT_SCHEMA``;
@@ -51,7 +49,6 @@ SNAPSHOT_SCHEMA = 1
 
 # key -> (module holding the version constant, constant name)
 TRACKED_SCHEMAS: Dict[str, Tuple[str, str]] = {
-    "stream-checkpoint": ("repro.stream.checkpoint", "CHECKPOINT_SCHEMA_VERSION"),
     "live-sample": ("repro.obs.live", "LIVE_SCHEMA"),
     "campaign-checkpoint": (
         "repro.service.checkpoint", "CAMPAIGN_CHECKPOINT_SCHEMA",

@@ -7,7 +7,7 @@ Serves three endpoints from a daemon thread, enabled by
   in Prometheus text format (version 0.0.4), with derived age gauges
   refreshed at scrape time.
 - ``/status`` -- the :class:`~repro.obs.live.RunStatus` board as JSON
-  (run identity, active phase, shard table, checkpoint provenance) plus
+  (run identity, active phase, shard table, campaign rows) plus
   the flight recorder's newest sample when one is attached.
 - ``/health`` -- ``200 ok`` while the process serves.
 
@@ -52,11 +52,13 @@ DEFAULT_METRICS_PORT = 9309
 
 CONTENT_TYPE_METRICS = "text/plain; version=0.0.4; charset=utf-8"
 
-LIVE_STATUS_SCHEMA = 2
+LIVE_STATUS_SCHEMA = 3
 """Bump when the ``/status`` JSON document changes shape.
 
 Version history: 1 run/phase/stream/checkpoint + sample; 2 adds the
-``campaigns`` table (the service's per-campaign board rows).
+``campaigns`` table (the service's per-campaign board rows); 3 drops
+the run-level ``checkpoint`` section (per-campaign checkpoint fields
+stay in the ``campaigns`` rows).
 """
 
 _LOG = get_logger("repro.obs.expo")

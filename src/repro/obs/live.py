@@ -5,7 +5,7 @@ up, but nothing reads it until the process exits and writes a manifest.
 This module is the in-flight half of ``repro.obs``:
 
 - :class:`RunStatus` -- a thread-safe board of *current* run state
-  (phase, per-shard progress heartbeats, checkpoint provenance) that the
+  (phase, per-shard progress heartbeats, campaign rows) that the
   engines update as they go and the HTTP ``/status`` endpoint and the
   flight recorder read.  All timing is monotonic-clock based so ages
   survive wall-clock jumps.
@@ -17,8 +17,8 @@ This module is the in-flight half of ``repro.obs``:
   file ``python -m repro.obs.top --follow`` tails.  :meth:`~FlightRecorder.stop`
   and :meth:`~FlightRecorder.dump` append a final sample, so a
   SIGTERM'd or crashed run still leaves a fresh post-mortem trail.
-- :func:`refresh_derived_gauges` -- re-derives age gauges (checkpoint
-  age, per-shard heartbeat age, phase age) from the status board into
+- :func:`refresh_derived_gauges` -- re-derives age gauges (phase age,
+  per-shard heartbeat age, campaign update age) from the status board into
   the registry, so scrapes and samples expose them as plain numbers.
 
 Everything here is stdlib-only and imports nothing outside ``repro.obs``.
@@ -147,7 +147,6 @@ class RunStatus:
         self._phase: Optional[str] = None
         self._phase_mono: Optional[float] = None
         self._shards: Dict[int, Dict[str, float]] = {}
-        self._checkpoint: Dict[str, object] = {}
         self._campaigns: Dict[str, Dict[str, object]] = {}
         self._started_mono: Optional[float] = None
 
@@ -158,7 +157,6 @@ class RunStatus:
             self._phase = None
             self._phase_mono = None
             self._shards = {}
-            self._checkpoint = {}
             self._campaigns = {}
             self._started_mono = None
 
@@ -212,12 +210,6 @@ class RunStatus:
             if restarts is not None:
                 entry["restarts"] = float(restarts)
 
-    def set_checkpoint(self, **fields: object) -> None:
-        """Record the latest checkpoint save (fingerprint, units_done, ...)."""
-        with self._lock:
-            self._checkpoint.update(fields)
-            self._checkpoint["saved_mono"] = time.monotonic()
-
     def set_campaign(self, name: str, **fields: object) -> None:
         """Merge ``fields`` into campaign ``name``'s board row.
 
@@ -256,14 +248,6 @@ class RunStatus:
                 }
                 for shard, entry in sorted(self._shards.items())
             ]
-            checkpoint = {
-                key: value
-                for key, value in self._checkpoint.items()
-                if key != "saved_mono"
-            }
-            saved_mono = self._checkpoint.get("saved_mono")
-            if saved_mono is not None:
-                checkpoint["age_s"] = round(now - float(saved_mono), 3)
             campaigns: List[Dict[str, object]] = []
             for name in sorted(self._campaigns):
                 row = {
@@ -290,7 +274,6 @@ class RunStatus:
                     else None
                 ),
                 "stream": {"shards": shards},
-                "checkpoint": checkpoint,
                 "campaigns": campaigns,
             }
 
@@ -310,18 +293,15 @@ def refresh_derived_gauges(
     """Project the status board's ages into registry gauges.
 
     Run before every scrape/sample so ``/metrics`` and flight-recorder
-    samples carry live ``live.checkpoint_age_seconds``,
-    ``live.phase_age_seconds`` and per-shard
-    ``live.shard_heartbeat_age_seconds{shard=N}`` values.
+    samples carry live ``live.phase_age_seconds``, per-shard
+    ``live.shard_heartbeat_age_seconds{shard=N}`` and per-campaign
+    ``live.campaign_update_age_seconds{campaign=NAME}`` values.
     """
     registry = registry if registry is not None else obs_metrics.get_registry()
     status = status if status is not None else get_status()
     board = status.as_dict()
     if board["phase_age_s"] is not None:
         registry.gauge("live.phase_age_seconds").set(board["phase_age_s"])
-    age = board["checkpoint"].get("age_s")
-    if age is not None:
-        registry.gauge("live.checkpoint_age_seconds").set(age)
     for entry in board["stream"]["shards"]:
         registry.gauge(
             f'live.shard_heartbeat_age_seconds{{shard={entry["shard"]}}}'

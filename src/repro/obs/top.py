@@ -185,17 +185,9 @@ def render_frame(samples: Sequence[Dict[str, object]], width: int = 78) -> str:
     ]
     lines.append(
         f"stream   units {int(_counter(latest, 'stream.units'))}  "
-        f"records {int(_counter(latest, 'stream.records'))}  "
         f"units/s {_fmt(unit_rates[-1] if unit_rates else None)}  "
         f"{sparkline(unit_rates)}"
     )
-    checkpoint = status.get("checkpoint", {})
-    if checkpoint:
-        lines.append(
-            f"ckpt     age {_fmt(checkpoint.get('age_s'), 's')}  "
-            f"units_done {checkpoint.get('units_done', '-')}  "
-            f"fingerprint {str(checkpoint.get('fingerprint', '-'))[:16]}"
-        )
 
     campaigns = campaign_rows(samples)
     if campaigns:

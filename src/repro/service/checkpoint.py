@@ -3,9 +3,10 @@
 The service's durability contract in one sentence: **a killed service,
 restarted against the same config, resumes every campaign from its last
 checkpoint and finishes with byte-identical results.**  This module is
-the mechanism -- the same atomic temp-file-and-rename pickle store as
-:mod:`repro.stream.checkpoint`, but keyed per campaign and carrying the
-campaign's cycle position plus its incremental operator wholesale.
+the mechanism -- an atomic temp-file-and-rename pickle store over the
+checksummed framing of :mod:`repro.stream.snapshot`, keyed per campaign
+and carrying the campaign's cycle position plus its incremental
+operator wholesale.
 
 The fingerprint covers the :class:`~repro.service.config.CampaignConfig`
 (and, for platform campaigns, the platform config) together with

@@ -1,21 +1,22 @@
-"""repro.stream: bounded-memory streaming analysis of the campaigns.
+"""repro.stream: bounded-memory streaming over the measurement campaigns.
 
 The batch pipeline materializes every timeline before :mod:`repro.core`
-runs; this package runs the same analyses *online* over record streams:
+runs; this package feeds the campaign service (:mod:`repro.service`)
+record streams instead, one pair at a time:
 
 - :mod:`repro.stream.records` -- flat per-observation record types.
 - :mod:`repro.stream.columns` -- the same observations as per-unit
   column blocks, the payload the vectorized operators consume.
-- :mod:`repro.stream.source` -- pull-based unit sources (live platform,
-  persisted archives) plus a sharded fan-out with bounded queues.
+- :mod:`repro.stream.source` -- pull-based unit sources over the live
+  platform, a per-cycle window, and a sharded fan-out with bounded
+  queues.
 - :mod:`repro.stream.operators` -- incremental operators: route-change /
   prevalence accumulators, P-squared percentile estimators, and the
-  sliding-window Goertzel congestion detector with windowed
-  localization.
-- :mod:`repro.stream.checkpoint` -- versioned, fingerprint-keyed
-  operator snapshots for bit-identical kill/resume.
-- :mod:`repro.stream.engine` -- the phase driver behind
-  ``python -m repro reproduce --stream``.
+  sliding-window Goertzel congestion detector.
+- :mod:`repro.stream.mesh` -- the counter-hash full-mesh source and its
+  operator.
+- :mod:`repro.stream.snapshot` -- checksummed, generation-rotated
+  snapshot files behind the campaign checkpoint store.
 
 Exports resolve lazily (PEP 562) following the package convention: the
 stream stack needs numpy, and dependency-light tools must be able to
@@ -27,55 +28,31 @@ from __future__ import annotations
 __all__ = [
     "TracerouteRecord",
     "PingRecord",
-    "SegmentRecord",
     "TraceColumns",
     "PingColumns",
-    "SegmentColumns",
     "StreamUnit",
     "LongTermTraceSource",
     "PingSource",
-    "SegmentTraceSource",
-    "LongTermFileSource",
     "ShardedSource",
     "P2Quantile",
     "PathStatsOperator",
     "CongestionWindowOperator",
-    "SegmentWindowOperator",
     "windowed_diurnal_power_ratio",
-    "CheckpointStore",
-    "checkpoint_fingerprint",
-    "CHECKPOINT_SCHEMA_VERSION",
-    "StreamConfig",
-    "StreamEngine",
-    "StreamInterrupted",
-    "STREAM_EXPERIMENTS",
 ]
 
 _LAZY_EXPORTS = {
     "TracerouteRecord": "repro.stream.records",
     "PingRecord": "repro.stream.records",
-    "SegmentRecord": "repro.stream.records",
     "TraceColumns": "repro.stream.columns",
     "PingColumns": "repro.stream.columns",
-    "SegmentColumns": "repro.stream.columns",
     "StreamUnit": "repro.stream.source",
     "LongTermTraceSource": "repro.stream.source",
     "PingSource": "repro.stream.source",
-    "SegmentTraceSource": "repro.stream.source",
-    "LongTermFileSource": "repro.stream.source",
     "ShardedSource": "repro.stream.source",
     "P2Quantile": "repro.stream.operators",
     "PathStatsOperator": "repro.stream.operators",
     "CongestionWindowOperator": "repro.stream.operators",
-    "SegmentWindowOperator": "repro.stream.operators",
     "windowed_diurnal_power_ratio": "repro.stream.operators",
-    "CheckpointStore": "repro.stream.checkpoint",
-    "checkpoint_fingerprint": "repro.stream.checkpoint",
-    "CHECKPOINT_SCHEMA_VERSION": "repro.stream.checkpoint",
-    "StreamConfig": "repro.stream.engine",
-    "StreamEngine": "repro.stream.engine",
-    "StreamInterrupted": "repro.stream.engine",
-    "STREAM_EXPERIMENTS": "repro.stream.engine",
 }
 
 

@@ -7,7 +7,7 @@ queues) and per-record dispatch for every round of every pair.  The
 columnar payloads here carry the same information as the arrays the
 builders already produced: a :class:`TraceColumns` is one long-term
 timeline's columns plus its interned path table, :class:`PingColumns`
-and :class:`SegmentColumns` the ping / per-hop analogues.
+the ping analogue.
 
 Operators consume them wholesale through ``observe_columns`` (see
 :mod:`repro.stream.operators`); anything that still wants records --
@@ -19,13 +19,13 @@ the object path would have built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.stream.records import PingRecord, SegmentRecord, TracerouteRecord, UnitKey
+from repro.stream.records import PingRecord, TracerouteRecord, UnitKey
 
-__all__ = ["TraceColumns", "PingColumns", "SegmentColumns"]
+__all__ = ["TraceColumns", "PingColumns"]
 
 
 @dataclass(frozen=True)
@@ -137,50 +137,4 @@ class PingColumns:
                 round_index=self.round_offset + index,
                 time_hours=times[index],
                 rtt_ms=rtts[index],
-            )
-
-
-@dataclass(frozen=True)
-class SegmentColumns:
-    """One per-hop traceroute series as a (hops, rounds) matrix."""
-
-    key: UnitKey
-    times_hours: np.ndarray
-    hop_rtt_ms: np.ndarray
-    round_offset: int = 0
-
-    def slice(self, low: int, high: int) -> "SegmentColumns":
-        """Rounds ``[low, high)`` as a new block (all hops kept)."""
-        return SegmentColumns(
-            key=self.key,
-            times_hours=self.times_hours[low:high],
-            hop_rtt_ms=self.hop_rtt_ms[:, low:high],
-            round_offset=self.round_offset + low,
-        )
-
-    @classmethod
-    def from_entry(cls, key: UnitKey, entry) -> Optional["SegmentColumns"]:
-        """Wrap a :class:`~repro.datasets.shortterm.SegmentSeries`."""
-        if entry is None:
-            return None
-        return cls(
-            key=key, times_hours=entry.times_hours, hop_rtt_ms=entry.hop_rtt_ms
-        )
-
-    def __len__(self) -> int:
-        return int(self.times_hours.size)
-
-    def records(self) -> Iterator[SegmentRecord]:
-        """Materialize the records the object path would have built."""
-        src, dst, version = self.key
-        times = self.times_hours.tolist()
-        columns = self.hop_rtt_ms.T.tolist()
-        for index in range(len(times)):
-            yield SegmentRecord(
-                src=src,
-                dst=dst,
-                version=version,
-                round_index=self.round_offset + index,
-                time_hours=times[index],
-                hop_rtt_ms=tuple(columns[index]),
             )

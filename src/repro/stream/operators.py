@@ -18,12 +18,9 @@ state, yet reproduces a batch analysis from :mod:`repro.core`:
   test evaluated by Goertzel recursions at the daily bins and the total
   (non-DC) power obtained from Parseval's theorem, so the power *ratio*
   matches the batch FFT's to ~1e-9 relative without storing a spectrum.
-  With the window covering the whole campaign (the default) the verdict
-  set is identical to the batch detector's.
-- :class:`SegmentWindowOperator` -- Section 5.2 localization fed from
-  the same sliding window: per-hop RTT rows are kept in a ring buffer
-  and correlated against the end-to-end series with the *same*
-  masked-Pearson code the batch pipeline uses.
+  With the window covering the whole campaign (as the service's ping
+  campaign runs it) the verdict set is identical to the batch
+  detector's.
 
 All operator state is plain data (lists, dicts, numpy ring buffers) so a
 checkpoint can pickle it mid-campaign and resume bit-identically.
@@ -44,12 +41,11 @@ from repro.core.congestion import (
     PopulationStats,
     fill_missing_rtts,
 )
-from repro.core.localization import segment_correlations
 from repro.core.rttstats import MIN_BUCKET_SAMPLES
 from repro.core.suboptimal import DEFAULT_THRESHOLDS_MS
 from repro.measurement.traceroute import TraceOutcome
 from repro.obs import metrics as obs_metrics
-from repro.stream.records import PingRecord, SegmentRecord, TracerouteRecord, UnitKey
+from repro.stream.records import PingRecord, TracerouteRecord, UnitKey
 
 __all__ = [
     "P2Quantile",
@@ -60,9 +56,6 @@ __all__ = [
     "PathSummary",
     "PathStatsOperator",
     "CongestionWindowOperator",
-    "SegmentMeta",
-    "SegmentOutcome",
-    "SegmentWindowOperator",
 ]
 
 USABLE_OUTCOMES = frozenset(
@@ -662,10 +655,10 @@ class _CongestionState:
 class CongestionWindowOperator:
     """Section 5.1 congestion verdicts from a sliding RTT window.
 
-    With ``window_rounds`` covering the whole campaign (the engine's
-    default) every verdict matches the batch detector's; a smaller window
-    turns the detector into a rolling one whose verdict reflects the most
-    recent ``window_rounds`` samples only (documented approximation).
+    With ``window_rounds`` covering the whole campaign every verdict
+    matches the batch detector's; a smaller window turns the detector
+    into a rolling one whose verdict reflects the most recent
+    ``window_rounds`` samples only (documented approximation).
     """
 
     def __init__(
@@ -704,28 +697,6 @@ class CongestionWindowOperator:
         state.window.extend(rtt)
         state.seen += int(rtt.size)
         state.valid += int(np.count_nonzero(np.isfinite(rtt)))
-
-    def _assess(self, state: _CongestionState) -> CongestionVerdict:
-        values = state.window.values().astype(float)
-        finite = values[np.isfinite(values)]
-        if finite.size == 0:
-            spread = float("nan")
-        else:
-            low, high = self.detector.spread_percentiles
-            spread = float(np.percentile(finite, high) - np.percentile(finite, low))
-        ratio = windowed_diurnal_power_ratio(
-            values, self.period_hours, band=self.detector.band
-        )
-        return CongestionVerdict(
-            spread_ms=spread,
-            power_ratio=ratio,
-            spread_exceeds=bool(
-                np.isfinite(spread) and spread > self.detector.spread_threshold_ms
-            ),
-            diurnal=bool(
-                np.isfinite(ratio) and ratio >= self.detector.power_ratio_threshold
-            ),
-        )
 
     def verdicts(self) -> Dict[UnitKey, CongestionVerdict]:
         """Current verdict per pair (window occupancy goes to metrics).
@@ -771,23 +742,25 @@ class CongestionWindowOperator:
                 )
         return results
 
-    def valid_counts(self) -> Dict[UnitKey, int]:
-        """Answered-probe count per pair (whole stream, not the window)."""
-        return {key: state.valid for key, state in self._states.items()}
-
     def population_stats(
         self,
         verdicts: Dict[UnitKey, CongestionVerdict],
         version: int,
         min_valid_samples: int = 600,
     ) -> PopulationStats:
-        """The Section 5.1 population counts for one protocol."""
+        """The Section 5.1 population counts for one protocol.
+
+        Same filter as the batch
+        :func:`~repro.core.congestion.congestion_population_stats`: a
+        pair needs ``min(min_valid_samples, int(0.9 * seen))`` answered
+        probes, and a pair without any answered probe never counts.
+        """
         pairs = spread_count = congested_count = 0
         for key, state in self._states.items():
             if key[2] != version:
                 continue
             required = min(min_valid_samples, int(0.9 * state.seen))
-            if state.valid < required:
+            if not (state.valid > 0 and state.valid >= required):
                 continue
             verdict = verdicts[key]
             pairs += 1
@@ -798,175 +771,3 @@ class CongestionWindowOperator:
         return PopulationStats(
             pairs=pairs, spread_exceeds=spread_count, congested=congested_count
         )
-
-
-# ---------------------------------------------------------------------------
-# Short-term trace stream: windowed localization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SegmentMeta:
-    """Static per-unit context for the localization window."""
-
-    hop_addresses: Tuple[object, ...]
-    segment_keys: Tuple[object, ...]
-    static_path: bool
-
-
-@dataclass
-class SegmentOutcome:
-    """Windowed localization outcome for one pair."""
-
-    key: UnitKey
-    static_path: bool
-    end_to_end_diurnal: bool
-    congested_hop: Optional[int]
-    link: Optional[Tuple[object, object]]
-    segment_keys: Tuple[object, ...]
-
-
-class _SegmentState:
-    __slots__ = ("meta", "window")
-
-    def __init__(self, meta: SegmentMeta, capacity: int) -> None:
-        self.meta = meta
-        self.window = RingWindow(capacity, rows=len(meta.hop_addresses))
-
-    def __getstate__(self):
-        return (self.meta, self.window)
-
-    def __setstate__(self, state) -> None:
-        self.meta, self.window = state
-
-
-class _WindowEntry:
-    """Duck-typed :class:`repro.datasets.shortterm.SegmentSeries` view.
-
-    Carries exactly the attributes
-    :func:`repro.core.localization.segment_correlations` reads, so the
-    windowed correlations reuse the batch code path verbatim.
-    """
-
-    __slots__ = ("rtt_ms", "hop_rtt_ms", "n_hops")
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.hop_rtt_ms = matrix
-        self.rtt_ms = matrix[-1]
-        self.n_hops = int(matrix.shape[0])
-
-
-class SegmentWindowOperator:
-    """Section 5.2 localization fed from the sliding window.
-
-    The end-to-end verdict uses the same Goertzel-windowed spectral test
-    as :class:`CongestionWindowOperator`; segment correlation walks hops
-    with the batch masked-Pearson code over the windowed matrix.
-    """
-
-    def __init__(
-        self,
-        period_hours: float,
-        window_rounds: int,
-        detector: Optional[CongestionDetector] = None,
-        rho_threshold: float = 0.5,
-    ) -> None:
-        self.period_hours = float(period_hours)
-        self.window_rounds = int(window_rounds)
-        self.detector = detector or CongestionDetector()
-        self.rho_threshold = float(rho_threshold)
-        self._states: Dict[UnitKey, _SegmentState] = {}
-
-    def start_unit(self, key: UnitKey, meta: object = None) -> None:
-        """Register one pair's window; ``meta`` must be a SegmentMeta."""
-        if key not in self._states:
-            if not isinstance(meta, SegmentMeta):
-                raise TypeError("SegmentWindowOperator units need SegmentMeta")
-            self._states[key] = _SegmentState(meta, self.window_rounds)
-
-    def observe(self, record: SegmentRecord) -> None:
-        """Feed one per-hop traceroute round."""
-        key = (record.src, record.dst, record.version)
-        state = self._states[key]
-        state.window.push(np.asarray(record.hop_rtt_ms, dtype=np.float32))
-
-    def observe_columns(self, columns) -> None:
-        """Feed one unit's per-hop matrix (same state as per-record feed)."""
-        state = self._states[columns.key]
-        state.window.extend(columns.hop_rtt_ms)
-
-    def _assess_e2e(self, e2e: np.ndarray) -> CongestionVerdict:
-        values = e2e.astype(float)
-        finite = values[np.isfinite(values)]
-        if finite.size == 0:
-            spread = float("nan")
-        else:
-            low, high = self.detector.spread_percentiles
-            spread = float(np.percentile(finite, high) - np.percentile(finite, low))
-        ratio = windowed_diurnal_power_ratio(
-            values, self.period_hours, band=self.detector.band
-        )
-        return CongestionVerdict(
-            spread_ms=spread,
-            power_ratio=ratio,
-            spread_exceeds=bool(
-                np.isfinite(spread) and spread > self.detector.spread_threshold_ms
-            ),
-            diurnal=bool(
-                np.isfinite(ratio) and ratio >= self.detector.power_ratio_threshold
-            ),
-        )
-
-    def outcomes(self) -> Dict[UnitKey, SegmentOutcome]:
-        """Windowed localization per pair, in unit arrival order."""
-        occupancy = obs_metrics.histogram("stream.window_occupancy")
-        keys = list(self._states)
-        matrices: List[np.ndarray] = []
-        e2e_values: List[np.ndarray] = []
-        for key in keys:
-            state = self._states[key]
-            occupancy.observe(len(state.window))
-            matrix = state.window.values()
-            matrices.append(matrix)
-            e2e_values.append(matrix[-1].astype(float))
-        ratios = batched_diurnal_power_ratios(
-            e2e_values, self.period_hours, band=self.detector.band
-        )
-        results: Dict[UnitKey, SegmentOutcome] = {}
-        for key, matrix, values, ratio in zip(keys, matrices, e2e_values, ratios):
-            state = self._states[key]
-            finite = values[np.isfinite(values)]
-            if finite.size == 0:
-                spread = float("nan")
-            else:
-                low, high = self.detector.spread_percentiles
-                spread = float(np.percentile(finite, high) - np.percentile(finite, low))
-            verdict = CongestionVerdict(
-                spread_ms=spread,
-                power_ratio=ratio,
-                spread_exceeds=bool(
-                    np.isfinite(spread) and spread > self.detector.spread_threshold_ms
-                ),
-                diurnal=bool(
-                    np.isfinite(ratio) and ratio >= self.detector.power_ratio_threshold
-                ),
-            )
-            congested_hop: Optional[int] = None
-            link = None
-            if verdict.congested:
-                correlations = segment_correlations(_WindowEntry(matrix))
-                for hop, correlation in enumerate(correlations):
-                    if np.isfinite(correlation) and correlation >= self.rho_threshold:
-                        near = state.meta.hop_addresses[hop - 1] if hop > 0 else None
-                        congested_hop = hop
-                        link = (near, state.meta.hop_addresses[hop])
-                        break
-            results[key] = SegmentOutcome(
-                key=key,
-                static_path=state.meta.static_path,
-                end_to_end_diurnal=verdict.congested,
-                congested_hop=congested_hop,
-                link=link,
-                segment_keys=state.meta.segment_keys,
-            )
-        return results

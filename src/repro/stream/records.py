@@ -1,11 +1,11 @@
 """Stream record types: one measurement observation per record.
 
-The streaming engine consumes *records* -- flat, immutable observations
-carrying exactly what the incremental operators need -- instead of the
-batch pipeline's whole-campaign timeline arrays.  One
+The incremental operators consume *records* -- flat, immutable
+observations carrying exactly what they need -- instead of the batch
+pipeline's whole-campaign timeline arrays.  One
 :class:`TracerouteRecord` is one traceroute sample of one (src, dst,
-version) pair in one collection round; :class:`PingRecord` and
-:class:`SegmentRecord` are the ping- and per-hop-traceroute analogues.
+version) pair in one collection round; :class:`PingRecord` is the ping
+analogue.
 
 These intentionally mirror (and are derived from) the batch containers
 in :mod:`repro.datasets.timeline` / :mod:`repro.datasets.shortterm`, so
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["UnitKey", "TracerouteRecord", "PingRecord", "SegmentRecord"]
+__all__ = ["UnitKey", "TracerouteRecord", "PingRecord"]
 
 UnitKey = Tuple[int, int, int]
 """A stream unit's identity: ``(src_server_id, dst_server_id, int(version))``."""
@@ -61,25 +61,3 @@ class PingRecord:
     round_index: int
     time_hours: float
     rtt_ms: float
-
-
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One short-term traceroute round with per-hop RTTs.
-
-    ``hop_rtt_ms[i]`` is hop ``i``'s RTT in this round (NaN where the hop
-    did not answer); the end-to-end RTT is the last hop's entry, since the
-    destination server always answers.
-    """
-
-    src: int
-    dst: int
-    version: int
-    round_index: int
-    time_hours: float
-    hop_rtt_ms: Tuple[float, ...]
-
-    @property
-    def rtt_ms(self) -> float:
-        """End-to-end RTT of this round."""
-        return self.hop_rtt_ms[-1] if self.hop_rtt_ms else float("nan")

@@ -1,12 +1,11 @@
-"""Hardened snapshot file I/O shared by both checkpoint stores.
+"""Hardened snapshot file I/O behind the campaign checkpoint store.
 
 A checkpoint file that *exists* is not the same as a checkpoint file
 that is *trustworthy*: a torn rename, a half-flushed page cache at
 power loss, or an injected corruption must read as "recoverable", not
 as a crash or -- worse -- a silently wrong resume.  This module gives
-both :class:`~repro.stream.checkpoint.CheckpointStore` and
-:class:`~repro.service.checkpoint.CampaignCheckpointStore` the same
-three defenses:
+:class:`~repro.service.checkpoint.CampaignCheckpointStore` three
+defenses:
 
 * **Content checksums** -- every snapshot is framed as a magic header
   plus the SHA-256 digest of the pickled body; any bit flip or
@@ -111,9 +110,10 @@ def reap_stale_temps(directory: Path, stem: str) -> List[Path]:
     """Remove staging files a dead process left behind.
 
     ``stem`` is the store's primary file name without extension (e.g.
-    ``stream-<fingerprint>``); both the current ``<name>.ckpt.tmp.<pid>``
-    staging names and the legacy ``<stem>.tmp.<pid>`` names (from the
-    pre-hardening ``with_suffix`` bug this PR fixes) are swept.  Only
+    ``campaign-<name>-<fingerprint>``); both the current
+    ``<name>.ckpt.tmp.<pid>`` staging names and the legacy
+    ``<stem>.tmp.<pid>`` names (written by older versions that derived
+    the temp name with ``with_suffix``) are swept.  Only
     temps whose owning pid is gone -- or unparseable -- are removed, so
     a concurrent live writer is never raced.
     """

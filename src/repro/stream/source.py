@@ -1,8 +1,7 @@
-"""Pull-based record sources for the streaming engine.
+"""Pull-based record sources for the campaign service's operators.
 
 A *stream unit* is one (src, dst, version) pair's campaign: its records
-in round order plus any static per-pair context (the localization
-window's hop metadata).  Sources yield units one at a time -- each unit
+in round order.  Sources yield units one at a time -- each unit
 is built on demand with the exact batch builders from
 :mod:`repro.datasets` (same named RNG streams, same epoch walk), so a
 record stream replayed through the operators carries bit-identical
@@ -11,11 +10,10 @@ never the whole-campaign dict the batch datasets materialize.
 
 Sources:
 
-- :class:`LongTermTraceSource` / :class:`PingSource` /
-  :class:`SegmentTraceSource` -- units sampled live from a
-  :class:`~repro.measurement.platform.MeasurementPlatform`.
-- :class:`LongTermFileSource` -- units replayed from a persisted NPZ
-  archive via :func:`repro.datasets.io.iter_longterm`.
+- :class:`LongTermTraceSource` / :class:`PingSource` -- units sampled
+  live from a :class:`~repro.measurement.platform.MeasurementPlatform`.
+- :class:`WindowedSource` -- a platform source's units cut down to one
+  cycle's grid rounds.
 - :class:`ShardedSource` -- fans a platform source's units across
   forked worker processes (the :func:`repro.datasets.parallel.fork_map`
   model: fork inheritance in, pickled results + metric deltas out) with
@@ -51,30 +49,21 @@ from repro.faults.plane import (
     get_plane,
 )
 from repro.datasets.longterm import LongTermConfig, _build_timeline
-from repro.datasets.shortterm import (
-    SegmentSeries,
-    ShortTermConfig,
-    _build_ping_timeline,
-    _build_trace_entry,
-)
+from repro.datasets.shortterm import ShortTermConfig, _build_ping_timeline
 from repro.datasets.timeline import PingTimeline, TraceTimeline
 from repro.measurement.platform import MeasurementPlatform
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
-from repro.stream.columns import PingColumns, SegmentColumns, TraceColumns
-from repro.stream.operators import SegmentMeta
-from repro.stream.records import PingRecord, SegmentRecord, TracerouteRecord, UnitKey
+from repro.stream.columns import PingColumns, TraceColumns
+from repro.stream.records import PingRecord, TracerouteRecord, UnitKey
 from repro.topology.cdn import Server
 
 __all__ = [
     "StreamUnit",
     "trace_unit",
     "ping_unit",
-    "segment_unit",
     "LongTermTraceSource",
     "PingSource",
-    "SegmentTraceSource",
-    "LongTermFileSource",
     "WindowedSource",
     "ShardedSource",
     "ShardError",
@@ -89,17 +78,14 @@ class StreamUnit:
     The payload is either ``records`` (per-round objects, the original
     wire shape) or ``columns`` (the same rounds as parallel arrays, which
     the vectorized operators consume wholesale) -- never both.  ``meta``
-    carries the static per-pair context an operator needs before the
-    first record (only localization units have any); a unit with no
-    payload and no meta is a placeholder for a pair the builders skipped
-    (kept so unit indices stay aligned with the task list across
-    checkpoint/resume).
+    is static per-pair context handed to the operator's ``start_unit``
+    before the first record; the sources here set none.
     """
 
     key: UnitKey
-    kind: str  # "trace" | "ping" | "segment"
+    kind: str  # "trace" | "ping" | "mesh"
     records: Tuple[object, ...]
-    meta: Optional[SegmentMeta] = None
+    meta: Optional[object] = None
     columns: Optional[object] = None
 
     @property
@@ -172,43 +158,6 @@ def ping_unit(timeline: PingTimeline, columnar: bool = False) -> StreamUnit:
         for index in range(len(times))
     )
     return StreamUnit(key=key, kind="ping", records=records)
-
-
-def segment_unit(
-    key: UnitKey, entry: Optional[SegmentSeries], columnar: bool = False
-) -> StreamUnit:
-    """Decompose one per-hop series into a record unit (or a placeholder)."""
-    if entry is None:
-        return StreamUnit(key=key, kind="segment", records=())
-    if columnar:
-        meta = SegmentMeta(
-            hop_addresses=entry.hop_addresses,
-            segment_keys=entry.segment_keys,
-            static_path=entry.static_path,
-        )
-        return StreamUnit(
-            key=key, kind="segment", records=(), meta=meta,
-            columns=SegmentColumns.from_entry(key, entry),
-        )
-    times = entry.times_hours.tolist()
-    columns = entry.hop_rtt_ms.T.tolist()
-    records = tuple(
-        SegmentRecord(
-            src=key[0],
-            dst=key[1],
-            version=key[2],
-            round_index=index,
-            time_hours=times[index],
-            hop_rtt_ms=tuple(columns[index]),
-        )
-        for index in range(len(times))
-    )
-    meta = SegmentMeta(
-        hop_addresses=entry.hop_addresses,
-        segment_keys=entry.segment_keys,
-        static_path=entry.static_path,
-    )
-    return StreamUnit(key=key, kind="segment", records=records, meta=meta)
 
 
 def _version_tasks(
@@ -343,58 +292,6 @@ class PingSource(_PlatformSource):
             self.platform, src, dst, version, self._times, self.config
         )
         return ping_unit(timeline)
-
-
-class SegmentTraceSource(_PlatformSource):
-    """Per-hop traceroute units for the pairs flagged by the ping analysis."""
-
-    kind = "segment"
-
-    def __init__(
-        self,
-        platform: MeasurementPlatform,
-        pairs: Sequence[Tuple[Server, Server]],
-        config: Optional[ShortTermConfig] = None,
-        trim_realizations: bool = True,
-        columnar: bool = True,
-    ) -> None:
-        super().__init__(platform, trim_realizations, columnar)
-        self.config = config or ShortTermConfig()
-        self.grid = self.config.trace_grid()
-        if self.grid.end_hour > platform.config.duration_hours + 1e-9:
-            raise ValueError(
-                f"campaign covers {self.grid.end_hour:.0f}h but the platform "
-                f"simulates only {platform.config.duration_hours:.0f}h"
-            )
-        self.tasks = _version_tasks(list(pairs), self.config.versions)
-        self._times = self.grid.times()
-
-    def _build(self, src: Server, dst: Server, version) -> StreamUnit:
-        # The per-hop builder only runs for the (few) flagged pairs, so
-        # it stays on the object path; only the payload shape changes.
-        entry = _build_trace_entry(
-            self.platform, src, dst, version, self._times, self.grid
-        )
-        return segment_unit(
-            (src.server_id, dst.server_id, int(version)), entry, self.columnar
-        )
-
-
-class LongTermFileSource:
-    """Long-term units replayed one at a time from a persisted NPZ archive."""
-
-    kind = "trace"
-
-    def __init__(self, path, columnar: bool = False) -> None:
-        self.path = path
-        self.columnar = columnar
-
-    def __iter__(self) -> Iterator[StreamUnit]:
-        from repro.datasets.io import iter_longterm
-
-        for timeline in iter_longterm(self.path):
-            obs_metrics.counter("stream.units").inc()
-            yield trace_unit(timeline, columnar=self.columnar)
 
 
 class WindowedSource:

@@ -28,6 +28,13 @@ class TestParser:
         assert args.log_level == "debug" and args.log_json
         assert args.trace_out == "t.json" and args.run_report == "r.json"
 
+    def test_reproduce_has_one_analysis_path(self):
+        args = vars(build_parser().parse_args(["reproduce"]))
+        for engine_option in (
+            "stream", "checkpoint_dir", "resume", "faults_config", "faults_seed",
+        ):
+            assert engine_option not in args
+
     def test_logging_flags_on_every_command(self):
         for command in (["info"], ["trace", "--src", "0", "--dst", "1"]):
             args = build_parser().parse_args(command + ["--log-level", "info"])
@@ -78,48 +85,24 @@ class TestCommands:
 
 
 class TestStreamCommand:
+    """Streaming runs only behind ``service run``, which owns its flags."""
+
     def test_stream_flags_parse(self):
         args = build_parser().parse_args([
-            "reproduce", "--stream", "--checkpoint-dir", "ckpt", "--resume",
+            "service", "run", "--config", "svc.json",
+            "--checkpoint-dir", "ckpt", "--faults-config", "faults.json",
+            "--faults-seed", "7",
         ])
-        assert args.stream and args.resume
+        assert args.config == "svc.json"
         assert args.checkpoint_dir == "ckpt"
-
-    def test_stream_rejects_batch_experiment(self, capsys):
-        assert main(
-            ["reproduce", "--stream", "--experiments", "table1"]
-        ) == 2
-        assert "not served by --stream" in capsys.readouterr().err
+        assert args.faults_config == "faults.json" and args.faults_seed == 7
 
     def test_checkpoint_flags_require_stream(self, capsys):
-        assert main(["reproduce", "--resume"]) == 2
-        assert "require --stream" in capsys.readouterr().err
-
-    def test_resume_requires_checkpoint_dir(self, capsys):
-        assert main(["reproduce", "--stream", "--resume"]) == 2
-        assert "requires --checkpoint-dir" in capsys.readouterr().err
-
-    def test_stream_reproduce_with_manifest(self, capsys, tmp_path):
-        import json
-
-        report = tmp_path / "run.json"
-        assert main([
-            "reproduce", "--scenario", "small", "--stream",
-            "--experiments", "fig3",
-            "--checkpoint-dir", str(tmp_path / "ckpt"),
-            "--run-report", str(report),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Popular-path prevalence" in out
-        manifest = json.loads(report.read_text())
-        stream = manifest["extra"]["stream"]
-        assert stream["enabled"] is True
-        assert stream["experiments"] == ["fig3"]
-        assert stream["checkpoint_fingerprint"]
-        assert stream["phases"] == {
-            "longterm": True, "ping": False, "segment": False,
-        }
-        assert manifest["metrics"]["counters"]["stream.units"] > 0
+        for flag in (["--checkpoint-dir", "ckpt"], ["--resume"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["reproduce", *flag])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLivePlane:
@@ -138,12 +121,12 @@ class TestLivePlane:
         assert args.serve_metrics == 0
         assert args.live_out == "live.jsonl" and args.live_interval == 0.25
 
-    def test_live_out_records_stream_run(self, capsys, tmp_path):
+    def test_live_out_records_batch_run(self, capsys, tmp_path):
         import json
 
         live = tmp_path / "live.jsonl"
         assert main([
-            "reproduce", "--scenario", "small", "--stream", "--jobs", "2",
+            "reproduce", "--scenario", "small", "--jobs", "2",
             "--experiments", "fig3", "--live-out", str(live),
             "--live-interval", "0.05",
         ]) == 0
@@ -153,10 +136,8 @@ class TestLivePlane:
         assert [s["seq"] for s in samples] == list(range(len(samples)))
         last = samples[-1]
         assert last["final"] is True and last["reason"] == "complete"
-        assert last["status"]["run"]["mode"] == "stream"
+        assert last["status"]["run"]["mode"] == "batch"
         assert last["status"]["run"]["jobs"] == 2
-        assert last["counters"]["stream.units"] > 0
-        assert last["counters"]["stream.shard_units{shard=0}"] > 0
         assert last["process"]["rss_mb"] > 0
 
     def test_serve_metrics_announces_endpoint(self, capsys):
@@ -183,15 +164,28 @@ class TestLivePlane:
         assert observed == plain
 
     def test_stream_reports_byte_identical_with_live_plane(self, capsys, tmp_path):
-        argv = [
-            "reproduce", "--scenario", "small", "--stream",
-            "--experiments", "fig3",
-        ]
-        assert main(argv) == 0
+        import json
+
+        config = tmp_path / "service.json"
+        config.write_text(json.dumps({
+            "campaigns": [{
+                "name": "mesh", "kind": "mesh", "cycles": 3,
+                "rounds_per_cycle": 2, "shards": 2,
+                "mesh": {"pairs": 512, "block_pairs": 128},
+            }],
+            "port": 0,
+        }))
+        argv = ["service", "run", "--config", str(config), "--time-scale", "0.001"]
+        assert main(argv + ["--checkpoint-dir", str(tmp_path / "plain")]) == 0
         plain = capsys.readouterr().out
 
         assert main(argv + [
+            "--checkpoint-dir", str(tmp_path / "live"),
             "--live-out", str(tmp_path / "live.jsonl"), "--live-interval", "0.05",
         ]) == 0
         observed = capsys.readouterr().out
         assert observed == plain
+        assert (tmp_path / "live" / "results-mesh.json").read_bytes() == (
+            tmp_path / "plain" / "results-mesh.json"
+        ).read_bytes()
+        assert (tmp_path / "live.jsonl").read_text().strip()

@@ -238,19 +238,19 @@ def test_frk010_thread_check_silent_without_fork_actions():
 # -- SCH010: schema/version compatibility ----------------------------------
 
 _CHECKPOINT_V2 = (
-    "CHECKPOINT_SCHEMA_VERSION = 2\n"
-    "def save(operator, phase):\n"
+    "CAMPAIGN_CHECKPOINT_SCHEMA = 2\n"
+    "def save(operator, cycle):\n"
     "    payload = {\n"
-    "        'schema': CHECKPOINT_SCHEMA_VERSION,\n"
+    "        'schema': CAMPAIGN_CHECKPOINT_SCHEMA,\n"
     "        'operator': operator,\n"
-    "        'phase': phase,\n"
+    "        'cycle': cycle,\n"
     "    }\n"
     "    return payload\n"
 )
 
 
 def _tree(tmp_path, checkpoint_source):
-    root = tmp_path / "tree" / "repro" / "stream"
+    root = tmp_path / "tree" / "repro" / "service"
     root.mkdir(parents=True)
     (root / "checkpoint.py").write_text(checkpoint_source)
     return tmp_path / "tree"
@@ -292,8 +292,8 @@ def test_sch010_clean_when_snapshot_matches(tmp_path):
 def test_sch010_field_change_without_version_bump(tmp_path):
     tree = _tree(tmp_path, _CHECKPOINT_V2)
     snapshot = _snapshot_for(tmp_path, tree)
-    (tree / "repro" / "stream" / "checkpoint.py").write_text(
-        _CHECKPOINT_V2.replace("'phase': phase,\n", "'phase': phase,\n        'units_done': 0,\n")
+    (tree / "repro" / "service" / "checkpoint.py").write_text(
+        _CHECKPOINT_V2.replace("'cycle': cycle,\n", "'cycle': cycle,\n        'units_done': 0,\n")
     )
     report = _lint(tree, snapshot)
     assert codes(report) == ["SCH010"]
@@ -305,8 +305,8 @@ def test_sch010_field_change_without_version_bump(tmp_path):
 def test_sch010_version_bump_requires_snapshot_refresh(tmp_path):
     tree = _tree(tmp_path, _CHECKPOINT_V2)
     snapshot = _snapshot_for(tmp_path, tree)
-    (tree / "repro" / "stream" / "checkpoint.py").write_text(
-        _CHECKPOINT_V2.replace("CHECKPOINT_SCHEMA_VERSION = 2", "CHECKPOINT_SCHEMA_VERSION = 3")
+    (tree / "repro" / "service" / "checkpoint.py").write_text(
+        _CHECKPOINT_V2.replace("CAMPAIGN_CHECKPOINT_SCHEMA = 2", "CAMPAIGN_CHECKPOINT_SCHEMA = 3")
     )
     report = _lint(tree, snapshot)
     assert codes(report) == ["SCH010"]
@@ -325,6 +325,6 @@ def test_sch010_snapshot_round_trips(tmp_path):
     snapshot = _snapshot_for(tmp_path, tree)
     payload = json.loads(snapshot.read_text())
     assert payload["schema"] == 1
-    tracked = payload["tracked"]["stream-checkpoint"]
+    tracked = payload["tracked"]["campaign-checkpoint"]
     assert tracked["version"] == 2
-    assert tracked["fields"] == ["operator", "phase", "schema"]
+    assert tracked["fields"] == ["cycle", "operator", "schema"]

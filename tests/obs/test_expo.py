@@ -187,7 +187,7 @@ def test_server_close_is_idempotent_and_releases_port():
 # ----------------------------------------------------------------------
 
 def test_live_status_schema_covers_campaigns():
-    assert LIVE_STATUS_SCHEMA == 2  # v2 added the campaigns table
+    assert LIVE_STATUS_SCHEMA == 3  # v3 dropped the run-level checkpoint
     status = RunStatus()
     status.set_campaign("mesh", state="running", cycle=1)
     server = MetricsServer(

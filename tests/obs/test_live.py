@@ -32,7 +32,6 @@ def test_status_board_round_trip():
     status.shard_unit(0)
     status.shard_unit(0)
     status.shard_unit(1, 5)
-    status.set_checkpoint(fingerprint="abc123", units_done=40)
     board = status.as_dict()
     assert board["run"] == {"mode": "stream", "scenario": "small", "seed": 7}
     assert board["phase"] == "routing"
@@ -42,10 +41,7 @@ def test_status_board_round_trip():
         (0, 2), (1, 5)
     ]
     assert all(s["heartbeat_age_s"] >= 0 for s in board["stream"]["shards"])
-    assert board["checkpoint"]["fingerprint"] == "abc123"
-    assert board["checkpoint"]["units_done"] == 40
-    assert board["checkpoint"]["age_s"] >= 0
-    assert "saved_mono" not in board["checkpoint"]
+    assert "checkpoint" not in board
 
 
 def test_status_reset_blanks_everything():
@@ -55,7 +51,7 @@ def test_status_reset_blanks_everything():
     status.reset()
     board = status.as_dict()
     assert board["run"] == {} and board["phase"] is None
-    assert board["stream"]["shards"] == [] and board["checkpoint"] == {}
+    assert board["stream"]["shards"] == [] and board["campaigns"] == []
 
 
 def test_set_shards_reinitializes_table():
@@ -72,11 +68,10 @@ def test_refresh_derived_gauges_projects_ages():
     status = RunStatus()
     status.set_phase("build")
     status.set_shards(1)
-    status.set_checkpoint(fingerprint="f")
     refresh_derived_gauges(registry, status)
     gauges = registry.snapshot()["gauges"]
     assert gauges["live.phase_age_seconds"] >= 0
-    assert gauges["live.checkpoint_age_seconds"] >= 0
+    assert "live.checkpoint_age_seconds" not in gauges
     assert gauges["live.shard_heartbeat_age_seconds{shard=0}"] >= 0
 
 

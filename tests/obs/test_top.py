@@ -15,7 +15,7 @@ def _sample(seq, mono, units, shards=(), final=False, **extra):
         "unix": 1000.0 + mono,
         "mono": mono,
         "process": {"rss_mb": 120.0, "cpu_user_s": 1.5, "cpu_system_s": 0.2},
-        "counters": {"stream.units": units, "stream.records": units * 10},
+        "counters": {"stream.units": units},
         "gauges": {},
         "histograms": {},
         "status": {
@@ -24,7 +24,6 @@ def _sample(seq, mono, units, shards=(), final=False, **extra):
             "phase_age_s": 1.0,
             "elapsed_s": mono,
             "stream": {"shards": list(shards)},
-            "checkpoint": {},
         },
     }
     if final:
@@ -85,16 +84,13 @@ def test_render_frame_full():
         _sample(1, 11.0, 150, shards=shards),
         _sample(2, 12.0, 250, shards=shards, final=True),
     ]
-    samples[-1]["status"]["checkpoint"] = {
-        "fingerprint": "deadbeef", "units_done": 54, "age_s": 0.4
-    }
     frame = top.render_frame(samples)
     assert "scenario small" in frame
     assert "stream:longterm" in frame
     assert "rss 120.0 MB" in frame
     assert "units 250" in frame
     assert "100.0" in frame  # last units/s: (250-150)/1s
-    assert "ckpt" in frame and "deadbeef" in frame
+    assert "ckpt" not in frame  # no campaign table, no run-level line
     assert "shard" in frame and "54" in frame
     assert "run ended (complete)" in frame
 

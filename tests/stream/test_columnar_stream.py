@@ -1,10 +1,11 @@
-"""Golden equivalence and unit tests for the columnar stream plane.
+"""Unit tests for the batch primitives the columnar operators lean on.
 
-The engine's columnar mode (the default) feeds operators whole column
-blocks through ``observe_columns``; the record mode drives the same
-operators one record at a time.  Every experiment result must be
-identical between the two, at any shard count -- plus unit-level checks
-for the batch primitives the columnar operators lean on.
+Columnar units feed operators whole column blocks through
+``observe_columns``; each primitive here must leave exactly the state
+its one-sample-at-a-time counterpart would.  The operator-level
+record-vs-columns equivalence lives in ``test_operators.py``;
+``TestEngineEquivalence`` checks the whole ingest path the service runs,
+a sharded columnar source into an operator, against the record path.
 """
 
 from __future__ import annotations
@@ -16,27 +17,14 @@ import pytest
 
 from repro.datasets.longterm import LongTermConfig
 from repro.datasets.mutation import VersionedDict, dict_version
-from repro.datasets.shortterm import ShortTermConfig
-from repro.stream.engine import StreamConfig, StreamEngine
 from repro.stream.operators import (
     P2Quantile,
+    PathStatsOperator,
     RingWindow,
     batched_diurnal_power_ratios,
     windowed_diurnal_power_ratio,
 )
-
-LONGTERM = LongTermConfig(days=20)
-SHORTTERM = ShortTermConfig(ping_days=3.0, trace_days=6.0)
-
-
-def _run_engine(platform, columnar: bool, shards: int = 1):
-    engine = StreamEngine(
-        platform,
-        longterm_config=LONGTERM,
-        shortterm_config=SHORTTERM,
-        config=StreamConfig(columnar=columnar, shards=shards),
-    )
-    return engine.run()
+from repro.stream.source import LongTermTraceSource, ShardedSource
 
 
 def _values_equal(left, right):
@@ -46,30 +34,30 @@ def _values_equal(left, right):
     return left == right
 
 
-def _assert_results_equal(reference, candidate):
-    assert [r.experiment_id for r in reference] == [
-        r.experiment_id for r in candidate
-    ]
-    for expected, actual in zip(reference, candidate):
-        assert expected.report == actual.report
-        assert len(expected.metrics) == len(actual.metrics)
-        for left, right in zip(expected.metrics, actual.metrics):
-            assert left.name == right.name
-            assert _values_equal(left.measured, right.measured)
+def _ingest(units, period_hours):
+    operator = PathStatsOperator(period_hours)
+    for unit in units:
+        operator.start_unit(unit.key, unit.meta)
+        if unit.columns is not None:
+            operator.observe_columns(unit.columns)
+        else:
+            for record in unit.records:
+                operator.observe(record)
+    return operator.finalize()
 
 
 class TestEngineEquivalence:
-    @pytest.fixture(scope="class")
-    def record_results(self, platform):
-        return _run_engine(platform, columnar=False)
-
-    def test_columnar_serial_matches_record_path(self, platform, record_results):
-        columnar = _run_engine(platform, columnar=True)
-        _assert_results_equal(record_results, columnar)
-
-    def test_columnar_sharded_matches_record_path(self, platform, record_results):
-        columnar = _run_engine(platform, columnar=True, shards=2)
-        _assert_results_equal(record_results, columnar)
+    def test_columnar_sharded_matches_record_path(self, platform):
+        config = LongTermConfig(days=10)
+        pairs = platform.server_pairs(dual_stack_only=True)[:4]
+        records = LongTermTraceSource(platform, config, pairs=pairs, columnar=False)
+        columnar = LongTermTraceSource(platform, config, pairs=pairs)
+        period = records.grid.period_hours
+        expected = _ingest(records, period)
+        assert len(expected) == len(records)
+        sharded = _ingest(ShardedSource(columnar, shards=2, queue_units=2), period)
+        assert list(sharded) == list(expected)
+        assert sharded == expected
 
 
 class TestP2ObserveMany:

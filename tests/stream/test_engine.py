@@ -1,166 +1,63 @@
-"""Batch <-> stream equivalence and kill/resume determinism.
+"""Batch equivalence of the streaming path behind the campaign service.
 
-The headline contracts of the streaming engine:
-
-- every report it renders is byte-identical to the batch driver's
-  (fig6's P-squared approximation is exact at this scale, where most
-  per-path buckets stay below the estimator's five-sample threshold);
-- a run killed mid-campaign and resumed from its checkpoint produces
-  byte-identical reports to an uninterrupted run;
-- sharded unit construction changes nothing.
+A ``trace`` campaign ingests the long-term mesh cycle by cycle: a
+windowed, columnar platform source feeds a :class:`PathStatsOperator`.
+Over the whole grid it must see exactly what the batch driver's fig3
+sees: the same route-change count and popular-path prevalence for
+every timeline.
 """
 
-import pytest
-
+from repro.core.routechange import analyze_timeline
 from repro.datasets.longterm import LongTermConfig
-from repro.datasets.shortterm import ShortTermConfig
-from repro.harness import experiments as exp
-from repro.stream.engine import (
-    STREAM_EXPERIMENTS,
-    StreamConfig,
-    StreamEngine,
-    StreamInterrupted,
-)
+from repro.service.campaign import TraceDriver
+from repro.service.config import CampaignConfig
 
 LONGTERM_CONFIG = LongTermConfig(days=60)
-SHORTTERM_CONFIG = ShortTermConfig(ping_days=7.0, trace_days=14.0)
 
 
-def _render_all(results):
-    return "\n\n".join(result.render() for result in results)
-
-
-@pytest.fixture(scope="module")
-def stream_results(platform):
-    engine = StreamEngine(
-        platform,
-        longterm_config=LONGTERM_CONFIG,
-        shortterm_config=SHORTTERM_CONFIG,
-    )
-    return engine.run()
+def _fig3_inputs(stats):
+    """Per version: fig3's two ECDF samples, as sorted lists."""
+    inputs = {}
+    for version, changes, prevalence in stats:
+        entry = inputs.setdefault(int(version), ([], []))
+        entry[0].append(changes)
+        if prevalence is not None:
+            entry[1].append(prevalence)
+    return {
+        version: (sorted(changes), sorted(prevalences))
+        for version, (changes, prevalences) in inputs.items()
+    }
 
 
 class TestBatchEquivalence:
-    def test_serves_all_four_experiments(self, stream_results):
-        assert [result.experiment_id for result in stream_results] == list(STREAM_EXPERIMENTS)
-
-    def test_fig3_identical(self, stream_results, longterm):
-        assert stream_results[0].render() == exp.experiment_fig3(longterm).render()
-
-    def test_fig6_identical(self, stream_results, longterm):
-        assert stream_results[1].render() == exp.experiment_fig6(longterm).render()
-
-    def test_congestion_norm_identical(self, stream_results, ping_dataset):
-        assert (
-            stream_results[2].render()
-            == exp.experiment_congestion_norm(ping_dataset).render()
+    def test_fig3_identical(self, platform, longterm):
+        rounds = LONGTERM_CONFIG.grid().rounds
+        driver = TraceDriver(
+            CampaignConfig(name="trace", kind="trace",
+                           rounds_per_cycle=rounds // 3 + 1),
+            platform, LONGTERM_CONFIG,
         )
+        assert driver.total_cycles == 3
+        operator = driver.make_operator()
+        for cycle in range(driver.total_cycles):
+            for unit in driver.source_for_cycle(cycle):
+                operator.start_unit(unit.key, unit.meta)
+                operator.observe_columns(unit.columns)
+        summaries = operator.finalize()
+        assert len(summaries) == len(longterm.timelines)
 
-    def test_localization_identical(self, stream_results, trace_dataset, platform):
-        assert (
-            stream_results[3].render()
-            == exp.experiment_localization(trace_dataset, platform).render()
+        batch = {key: analyze_timeline(t) for key, t in longterm.timelines.items()}
+        streamed = _fig3_inputs(
+            (key[2], s.changes, s.popular_prevalence) for key, s in summaries.items()
         )
-
-
-class TestExperimentSelection:
-    def test_rejects_batch_only_experiments(self, platform):
-        with pytest.raises(ValueError, match="not served by the stream engine"):
-            StreamEngine(platform, experiments=["table1"])
-
-    def test_subset_runs_only_needed_phases(self, platform):
-        engine = StreamEngine(
-            platform,
-            longterm_config=LONGTERM_CONFIG,
-            shortterm_config=SHORTTERM_CONFIG,
-            experiments=["fig3"],
+        expected = _fig3_inputs(
+            (key[2], s.changes,
+             None if s.popular_path_id is None else s.popular_prevalence)
+            for key, s in batch.items()
         )
-        results = engine.run()
-        assert [result.experiment_id for result in results] == ["fig3"]
-        assert set(engine._completed) == {"longterm"}
+        assert streamed == expected
 
-
-class TestShardedEquivalence:
-    def test_sharded_run_identical(self, platform, stream_results):
-        engine = StreamEngine(
-            platform,
-            longterm_config=LONGTERM_CONFIG,
-            shortterm_config=SHORTTERM_CONFIG,
-            config=StreamConfig(shards=3, queue_units=2),
-        )
-        assert _render_all(engine.run()) == _render_all(stream_results)
-
-
-class TestKillResume:
-    def test_resume_is_byte_identical(self, platform, tmp_path, stream_results):
-        reference = _render_all(stream_results)
-        config = StreamConfig(checkpoint_every=8)
-
-        killed = StreamEngine(
-            platform,
-            longterm_config=LONGTERM_CONFIG,
-            shortterm_config=SHORTTERM_CONFIG,
-            config=config,
-            checkpoint_dir=tmp_path,
-        )
-        with pytest.raises(StreamInterrupted) as outcome:
-            killed.run(max_units=25)
-        assert outcome.value.phase == "longterm"
-        assert killed.checkpoint_store.load() is not None
-
-        resumed = StreamEngine(
-            platform,
-            longterm_config=LONGTERM_CONFIG,
-            shortterm_config=SHORTTERM_CONFIG,
-            config=config,
-            checkpoint_dir=tmp_path,
-        )
-        assert _render_all(resumed.run(resume=True)) == reference
-        # A completed run leaves no resume point behind.
-        assert resumed.checkpoint_store.load() is None
-
-    def test_kill_in_later_phase_resumes(self, platform, tmp_path, stream_results):
-        reference = _render_all(stream_results)
-        config = StreamConfig(checkpoint_every=8)
-        longterm_units = 2 * len(platform.server_pairs(dual_stack_only=True))
-
-        killed = StreamEngine(
-            platform,
-            longterm_config=LONGTERM_CONFIG,
-            shortterm_config=SHORTTERM_CONFIG,
-            config=config,
-            checkpoint_dir=tmp_path,
-        )
-        with pytest.raises(StreamInterrupted) as outcome:
-            killed.run(max_units=longterm_units + 10)
-        assert outcome.value.phase == "ping"
-
-        resumed = StreamEngine(
-            platform,
-            longterm_config=LONGTERM_CONFIG,
-            shortterm_config=SHORTTERM_CONFIG,
-            config=config,
-            checkpoint_dir=tmp_path,
-        )
-        assert _render_all(resumed.run(resume=True)) == reference
-
-    def test_mismatched_config_ignores_checkpoint(self, platform, tmp_path):
-        killed = StreamEngine(
-            platform,
-            longterm_config=LONGTERM_CONFIG,
-            shortterm_config=SHORTTERM_CONFIG,
-            config=StreamConfig(checkpoint_every=8),
-            checkpoint_dir=tmp_path,
-        )
-        with pytest.raises(StreamInterrupted):
-            killed.run(max_units=25)
-
-        other = StreamEngine(
-            platform,
-            longterm_config=LONGTERM_CONFIG,
-            shortterm_config=SHORTTERM_CONFIG,
-            config=StreamConfig(checkpoint_every=9),  # different fingerprint
-            checkpoint_dir=tmp_path,
-        )
-        assert other.fingerprint != killed.fingerprint
-        assert other.checkpoint_store.load() is None
+        versions = driver.results(operator, driver.total_cycles)["versions"]
+        for version, (changes, _prevalences) in expected.items():
+            assert versions[str(version)]["pairs"] == len(changes)
+            assert versions[str(version)]["changes"] == sum(changes)

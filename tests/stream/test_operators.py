@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.congestion import diurnal_power_ratio
+from repro.core.congestion import congestion_population_stats, diurnal_power_ratio
 from repro.core.routechange import analyze_timeline
 from repro.core.suboptimal import DEFAULT_THRESHOLDS_MS
+from repro.datasets.shortterm import ShortTermConfig
+from repro.datasets.timeline import PingTimeline
+from repro.net.ip import IPVersion
+from repro.service.campaign import PingDriver
+from repro.service.config import CampaignConfig
 from repro.stream.operators import (
+    CongestionWindowOperator,
     P2Quantile,
     PathStatsOperator,
     RingWindow,
     goertzel_power,
     windowed_diurnal_power_ratio,
 )
-from repro.stream.source import trace_unit
+from repro.stream.source import ping_unit, trace_unit
 
 
 class TestP2Quantile:
@@ -161,3 +167,87 @@ class TestPathStatsOperator:
             else:
                 assert summary.popular_prevalence == batch.popular_prevalence
             assert set(summary.suboptimal) == set(DEFAULT_THRESHOLDS_MS)
+
+    def test_record_feed_matches_column_feed(self, longterm):
+        period = longterm.grid.period_hours
+        by_record = PathStatsOperator(period)
+        by_columns = PathStatsOperator(period)
+        for timeline in longterm.timelines.values():
+            unit = trace_unit(timeline)
+            by_record.start_unit(unit.key)
+            for record in unit.records:
+                by_record.observe(record)
+            by_columns.observe_columns(trace_unit(timeline, columnar=True).columns)
+        assert by_columns.finalize() == by_record.finalize()
+
+
+def _verdict_fields(verdicts):
+    return {
+        key: (
+            repr(verdict.spread_ms), repr(verdict.power_ratio),
+            verdict.spread_exceeds, verdict.diurnal,
+        )
+        for key, verdict in verdicts.items()
+    }
+
+
+def _ping_timeline(dst, rtts):
+    rtts = np.asarray(rtts, dtype=np.float32)
+    return PingTimeline(
+        src_server_id=0, dst_server_id=dst, version=IPVersion.V4,
+        times_hours=np.arange(rtts.size, dtype=float) * 0.25, rtt_ms=rtts,
+    )
+
+
+class TestCongestionWindowOperator:
+    def test_record_feed_matches_column_feed(self, ping_dataset):
+        timelines = list(ping_dataset.timelines.values())
+        rounds = timelines[0].times_hours.size
+        period = ping_dataset.grid.period_hours
+        by_record = CongestionWindowOperator(period, window_rounds=rounds)
+        by_columns = CongestionWindowOperator(period, window_rounds=rounds)
+        for timeline in timelines:
+            for record in ping_unit(timeline).records:
+                by_record.observe(record)
+            by_columns.observe_columns(ping_unit(timeline, columnar=True).columns)
+        assert _verdict_fields(by_columns.verdicts()) == _verdict_fields(
+            by_record.verdicts()
+        )
+        for version in (4, 6):
+            assert by_columns.population_stats(
+                by_columns.verdicts(), version
+            ) == by_record.population_stats(by_record.verdicts(), version)
+
+    def test_population_stats_skip_pairs_without_answered_probes(self):
+        # One probe each: int(0.9 * 1) = 0 answered probes are "required",
+        # but a pair that answered none must never count (batch rule).
+        timelines = [_ping_timeline(1, [np.nan]), _ping_timeline(2, [20.0])]
+        operator = CongestionWindowOperator(0.25, window_rounds=1)
+        for timeline in timelines:
+            operator.observe_columns(ping_unit(timeline, columnar=True).columns)
+        stats = operator.population_stats(operator.verdicts(), 4)
+        assert stats.pairs == 1
+        assert stats == congestion_population_stats(timelines)
+
+    def test_ping_campaign_matches_batch_population_stats(
+        self, platform, ping_dataset
+    ):
+        # The ping campaign's whole-campaign window is the batch detector.
+        driver = PingDriver(
+            CampaignConfig(name="ping", kind="ping"), platform,
+            ShortTermConfig(ping_days=7.0, trace_days=14.0),
+        )
+        operator = driver.make_operator()
+        for timeline in ping_dataset.timelines.values():
+            operator.observe_columns(ping_unit(timeline, columnar=True).columns)
+        verdicts = operator.verdicts()
+        checked = 0
+        for version in (IPVersion.V4, IPVersion.V6):
+            batch = congestion_population_stats(
+                timeline for key, timeline in ping_dataset.timelines.items()
+                if key[2] == version
+            )
+            assert operator.population_stats(verdicts, int(version)) == batch
+            checked += batch.pairs
+        assert checked > 0
+

@@ -1,4 +1,4 @@
-"""Tests for the hardened snapshot framing shared by both stores."""
+"""Tests for the hardened snapshot framing behind the checkpoint store."""
 
 import os
 

@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.datasets.io import save_longterm
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.datasets.shortterm import ShortTermConfig, build_shortterm_ping_dataset
 from repro.obs import metrics as obs_metrics
 from repro.stream.source import (
-    LongTermFileSource,
     LongTermTraceSource,
     PingSource,
     ShardError,
@@ -65,22 +63,6 @@ class TestPingSource:
             assert unit.record_count == len(rtts)
             for index, record in enumerate(unit.iter_records()):
                 assert _rtts_equal(record.rtt_ms, rtts[index])
-
-
-class TestLongTermFileSource:
-    def test_replays_saved_archive(self, platform, tmp_path):
-        config = LongTermConfig(days=10)
-        pairs = platform.server_pairs(dual_stack_only=True)[:2]
-        dataset = build_longterm_dataset(platform, config, pairs=pairs)
-        path = tmp_path / "longterm.npz"
-        save_longterm(dataset, path)
-
-        units = list(LongTermFileSource(path))
-        assert len(units) == len(dataset.timelines)
-        for unit in units:
-            assert unit.kind == "trace"
-            timeline = dataset.timelines[(unit.key[0], unit.key[1], unit.key[2])]
-            assert len(unit.records) == timeline.rtt_ms.size
 
 
 class TestShardedSource:
