@@ -1,17 +1,12 @@
-"""CLI: ``python -m repro.lint [paths] [--format sarif] [--jobs N] ...``.
+"""CLI: ``python -m repro.lint [paths] [--format sarif] [--strict] ...``.
 
 Exit codes (also under ``--help``): **0** when there are no error-level
 findings -- warnings alone do *not* fail the run unless ``--strict`` is
 given; **1** when there are errors, or warnings under ``--strict``;
-**2** on usage errors (unknown rule code, missing path, bad baseline).
+**2** on usage errors (unknown rule code, missing path, unknown flag).
 Findings go to stdout (human lines, one JSON document, or one SARIF
 2.1.0 document); logs go to stderr via ``repro.obs`` so output stays
-pipeable.
-
-Incremental runs: per-file results are cached under content
-fingerprints (default cache root: ``$REPRO_CACHE_DIR`` or
-``~/.cache/repro``).  ``--no-cache`` disables, ``--refresh-cache``
-recomputes and rewrites, ``--jobs N`` forks the per-file phase.
+pipeable.  Every run lints every file: one serial pass, no cache.
 """
 
 from __future__ import annotations
@@ -22,17 +17,14 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.analysis.project import Project
 from repro.lint.analysis.schemas import (
     current_schemas,
     default_snapshot_path,
     write_snapshot,
 )
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.cache import LintCache, default_lint_cache_dir
 from repro.lint.findings import render_human, render_json
 from repro.lint.registry import all_rules
-from repro.lint.runner import Linter, ProjectOptions
+from repro.lint.runner import Linter, ProjectOptions, load_project
 from repro.lint.sarif import render_sarif
 from repro.obs import log
 
@@ -98,35 +90,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="warnings also fail the run (CI mode); errors fail regardless",
     )
     parser.add_argument(
-        "--no-allowlist", action="store_true",
-        help="accept noqa suppressions without a documented allowlist entry",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fork N workers for the per-file phase (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental per-file result cache",
-    )
-    parser.add_argument(
-        "--refresh-cache", action="store_true",
-        help="recompute every file and rewrite its cache entry",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", type=Path,
-        help="cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", type=Path,
-        help="suppress findings recorded in this baseline file; entries that "
-        "no longer match are reported as stale",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", type=Path,
-        help="record the current findings as a baseline file and exit 0",
-    )
-    parser.add_argument(
         "--schema-snapshot", metavar="FILE", type=Path,
         help="SCH010 snapshot to diff against (default: the committed "
         "repro/lint/schema_snapshot.json)",
@@ -158,50 +121,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
-    options = ProjectOptions(
-        schema_snapshot=args.schema_snapshot,
-        bench_baseline=None,
-    )
-    cache: Optional[LintCache] = None
-    if not args.no_cache:
-        cache = LintCache(args.cache_dir or default_lint_cache_dir())
-        if args.refresh_cache:
-            cache.clear()
-
     try:
-        linter = Linter(
+        if args.update_schema_snapshot:
+            return _update_snapshot(paths, args.schema_snapshot)
+        report = Linter(
             select=_codes(args.select),
             ignore=_codes(args.ignore),
-            enforce_allowlist=not args.no_allowlist,
-            cache=cache,
-            jobs=args.jobs,
-            options=options,
-        )
-        if args.update_schema_snapshot:
-            return _update_snapshot(linter, paths, args.schema_snapshot)
-        report = linter.lint_paths(paths)
+            options=ProjectOptions(schema_snapshot=args.schema_snapshot),
+        ).lint_paths(paths)
     except (KeyError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        entries = write_baseline(args.write_baseline, report)
-        print(
-            f"wrote {entries} baseline entr{'y' if entries == 1 else 'ies'} "
-            f"({len(report.findings)} finding(s)) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.baseline is not None:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        report.findings, report.baselined, report.baseline_stale = apply_baseline(
-            report.findings, entries
-        )
 
     output_format = "json" if args.json else args.format
     if output_format == "json":
@@ -215,31 +145,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     return report.exit_code(strict=args.strict)
 
 
-def _update_snapshot(
-    linter: Linter, paths: List[str], override: Optional[Path]
-) -> int:
+def _update_snapshot(paths: List[str], override: Optional[Path]) -> int:
     """Rebuild the SCH010 snapshot from the current tree and write it."""
-    report_linter = Linter(
-        select=[],  # no rules: we only need the summaries
-        enforce_allowlist=False,
-        cache=linter.cache,
-        jobs=linter.jobs,
-    )
-    # Reuse the per-file machinery to collect summaries without findings.
-    from repro.lint.runner import iter_python_files
-
-    files = []
-    for path in iter_python_files(paths):
-        try:
-            files.append((path, path.read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError):
-            continue
-    summaries = []
-    for path, source in files:
-        result = report_linter._analyze_source(path, source)
-        if result.get("summary"):
-            summaries.append(result["summary"])
-    tracked = current_schemas(Project(summaries))
+    tracked = current_schemas(load_project(paths))
     target = override if override is not None else default_snapshot_path()
     write_snapshot(target, tracked)
     print(

@@ -2,29 +2,25 @@
 
 The per-file rules (DET001, FRK001, ...) see one AST at a time; the
 rules this package serves (DET010, FRK010, SCH010) need to see the
-program.  The layer is split so the expensive half is cacheable:
+program.  The layer is split into per-module facts and a whole-program
+view built from them:
 
 - :mod:`repro.lint.analysis.summary` distills each module into a plain
   JSON-able :func:`build_summary` dict -- functions with import-resolved
   call records and taint atoms, classes with attribute types and lock
   attributes, fork/thread/lock events, serialized-schema dict shapes.
-  A summary depends only on the file's bytes, so the incremental runner
-  caches it under a content fingerprint.
+  A summary depends only on the file's bytes.
 - :mod:`repro.lint.analysis.project` assembles summaries into a
   :class:`Project`: a global symbol table, annotation-driven call
-  resolution, and the fork-reachability fixpoint.  Cheap to rebuild
-  every run from cached summaries.
+  resolution, and the fork-reachability fixpoint.  Cheap to build
+  once the summaries exist.
 - :mod:`repro.lint.analysis.taint` (interprocedural seed taint),
   :mod:`repro.lint.analysis.locks` (fork/thread lock order) and
   :mod:`repro.lint.analysis.schemas` (schema-snapshot compatibility)
   are the engines the project rules call.
-
-``ANALYSIS_VERSION`` participates in the lint cache key: bump it when
-the summary shape or the engines' semantics change, so stale cached
-summaries can never feed a new analysis.
 """
 
-from repro.lint.analysis.summary import ANALYSIS_VERSION, build_summary
+from repro.lint.analysis.summary import build_summary
 from repro.lint.analysis.project import Project
 
-__all__ = ["ANALYSIS_VERSION", "build_summary", "Project"]
+__all__ = ["build_summary", "Project"]

@@ -1,7 +1,7 @@
 """Project assembly: compose module summaries into a whole-program view.
 
-The :class:`Project` is rebuilt from (possibly cached) summaries on every
-run -- it is cheap, deterministic, and holds the three things the
+The :class:`Project` is built from the module summaries on every run --
+it is cheap, deterministic, and holds the three things the
 interprocedural engines need:
 
 - a **symbol table** mapping dotted names to function and class records

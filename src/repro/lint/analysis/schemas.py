@@ -86,7 +86,7 @@ def write_snapshot(path: Path, tracked: Dict[str, Dict[str, object]]) -> None:
                     encoding="utf-8")
 
 
-def _find_bench_baseline(project: Project) -> Optional[Path]:
+def _find_bench_summary(project: Project) -> Optional[Path]:
     """Walk up from any linted file to the repo root holding the baseline."""
     for summary in project.summaries.values():
         start = Path(str(summary["path"])).resolve().parent
@@ -97,9 +97,7 @@ def _find_bench_baseline(project: Project) -> Optional[Path]:
     return None
 
 
-def current_schemas(
-    project: Project, bench_path: Optional[Path] = None
-) -> Dict[str, Dict[str, object]]:
+def current_schemas(project: Project) -> Dict[str, Dict[str, object]]:
     """The tracked schemas' current (version, fields, location) by key."""
     current: Dict[str, Dict[str, object]] = {}
     for key, (module, constant) in TRACKED_SCHEMAS.items():
@@ -125,7 +123,7 @@ def current_schemas(
             "_path": str(summary["path"]),
             "_line": line,
         }
-    bench = bench_path if bench_path is not None else _find_bench_baseline(project)
+    bench = _find_bench_summary(project)
     if bench is not None:
         try:
             payload = json.loads(bench.read_text(encoding="utf-8"))
@@ -144,12 +142,11 @@ def current_schemas(
 def analyze_schemas(
     project: Project,
     snapshot_path: Optional[Path] = None,
-    bench_path: Optional[Path] = None,
 ) -> Iterator[Dict[str, object]]:
     """Yield finding dicts: {path, line, col, message}, sorted."""
     path = snapshot_path if snapshot_path is not None else default_snapshot_path()
     snapshot = load_snapshot(path)
-    current = current_schemas(project, bench_path=bench_path)
+    current = current_schemas(project)
     if snapshot is None:
         if current:
             entry = sorted(current.values(), key=lambda e: str(e["_path"]))[0]

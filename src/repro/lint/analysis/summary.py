@@ -1,4 +1,4 @@
-"""Per-module program summaries: the cacheable half of whole-program lint.
+"""Per-module program summaries: the per-file half of whole-program lint.
 
 :func:`build_summary` distills one :class:`repro.lint.context.FileContext`
 into a plain dict of facts the project layer composes later:
@@ -15,9 +15,8 @@ into a plain dict of facts the project layer composes later:
   fork actions, and the shape of every dict literal serialized with a
   ``"schema"`` key.
 
-Everything is JSON/pickle-serializable and depends only on the file's
-source bytes, so the incremental runner caches summaries under a content
-fingerprint and the project phase runs from cache without re-parsing.
+Everything is plain data that depends only on the file's source bytes;
+the project phase reads the summaries, never the ASTs.
 """
 
 from __future__ import annotations
@@ -27,10 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.lint.context import FileContext, dotted_parts
 
-__all__ = ["ANALYSIS_VERSION", "build_summary"]
-
-ANALYSIS_VERSION = 1
-"""Bump when the summary shape or engine semantics change (cache key part)."""
+__all__ = ["build_summary"]
 
 # Wall-clock reads: mirror DET002's list -- values derived from these are
 # taint sources for DET010 (a wall-clock seed is as magic as a literal).

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["FileContext", "SuppressionComment", "dotted_parts"]
+__all__ = ["FileContext", "Suppressions", "SuppressionComment", "dotted_parts"]
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?P<scope>-file)?\[(?P<rules>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)\]"
@@ -36,6 +36,24 @@ class SuppressionComment:
     line: int
     rules: Tuple[str, ...]
     file_scoped: bool
+
+
+class Suppressions:
+    """One file's noqa lookup: which rule codes are silenced on which lines."""
+
+    def __init__(self, comments: Sequence[SuppressionComment]) -> None:
+        self._line_rules: Dict[int, Set[str]] = {}
+        self._file_rules: Set[str] = set()
+        for comment in comments:
+            if comment.file_scoped:
+                self._file_rules.update(comment.rules)
+            else:
+                self._line_rules.setdefault(comment.line, set()).update(comment.rules)
+
+    def is_suppressed(self, rule: str, line: int) -> bool:
+        if rule in self._file_rules:
+            return True
+        return rule in self._line_rules.get(line, ())
 
 
 def dotted_parts(node: ast.AST) -> Optional[List[str]]:
@@ -104,13 +122,7 @@ class FileContext:
         self.is_package = path.stem == "__init__"
         self.aliases = self._import_aliases(self.tree)
         self.suppressions = _parse_suppressions(source)
-        self._line_rules: Dict[int, Set[str]] = {}
-        self._file_rules: Set[str] = set()
-        for comment in self.suppressions:
-            if comment.file_scoped:
-                self._file_rules.update(comment.rules)
-            else:
-                self._line_rules.setdefault(comment.line, set()).update(comment.rules)
+        self.noqa = Suppressions(self.suppressions)
 
     # -- scope helpers ---------------------------------------------------
 
@@ -169,11 +181,6 @@ class FileContext:
         return ".".join([self.aliases[parts[0]]] + parts[1:])
 
     # -- suppressions ----------------------------------------------------
-
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        if rule in self._file_rules:
-            return True
-        return rule in self._line_rules.get(line, ())
 
     def suppression_comments(self) -> Sequence[SuppressionComment]:
         return tuple(self.suppressions)

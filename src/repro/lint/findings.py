@@ -22,12 +22,11 @@ __all__ = [
     "render_human",
 ]
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 """Bump when the JSON report layout changes shape.
 
-v2: ``summary.baselined`` (findings suppressed by a ``--baseline`` file)
-and ``baseline_stale`` (baseline entries that matched nothing and must
-be regenerated away).
+v2: ``summary.baselined`` and ``baseline_stale`` (``--baseline`` files).
+v3: both removed with the baseline files.
 """
 
 
@@ -75,8 +74,6 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     files: int = 0
     suppressed: int = 0
-    baselined: int = 0
-    baseline_stale: List[Dict[str, object]] = field(default_factory=list)
 
     def errors(self) -> List[Finding]:
         return [f for f in self.findings if f.severity is Severity.ERROR]
@@ -110,10 +107,8 @@ def report_as_dict(report: LintReport) -> Dict[str, object]:
             "errors": len(report.errors()),
             "warnings": len(report.warnings()),
             "suppressed": report.suppressed,
-            "baselined": report.baselined,
             "by_rule": report.by_rule(),
         },
-        "baseline_stale": list(report.baseline_stale),
     }
 
 
@@ -127,20 +122,11 @@ def render_human(report: LintReport) -> str:
         f"{f.path}:{f.line}:{f.col} {f.rule} [{f.severity.value}] {f.message}"
         for f in sorted(report.findings, key=Finding.sort_key)
     ]
-    for stale in report.baseline_stale:
-        lines.append(
-            f"stale baseline entry {stale.get('key')}: {stale.get('rule')} "
-            f"{stale.get('path')} no longer fires; regenerate with "
-            "--write-baseline"
-        )
-    tally = (
+    lines.append(
         f"{len(report.findings)} finding(s) "
         f"({len(report.errors())} error, {len(report.warnings())} warning) "
         f"in {report.files} file(s); {report.suppressed} suppressed"
     )
-    if report.baselined:
-        tally += f"; {report.baselined} baselined"
-    lines.append(tally)
     return "\n".join(lines) + "\n"
 
 

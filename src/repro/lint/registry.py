@@ -35,10 +35,6 @@ class Rule:
     suppressions) are emitted by the runner itself and have a no-op
     :meth:`check` -- they are registered so they show up in
     ``--list-rules`` and can be selected/ignored like any other.
-
-    ``version`` participates in the incremental runner's cache key: bump
-    it whenever the rule's behavior changes so cached findings from the
-    old behavior can never satisfy the new one.
     """
 
     code: str = ""
@@ -46,7 +42,6 @@ class Rule:
     severity: Severity = Severity.ERROR
     rationale: str = ""
     synthetic: bool = False
-    version: int = 1
     project_scope: bool = False
 
     def applies(self, ctx: FileContext) -> bool:
@@ -78,10 +73,9 @@ class Rule:
 class ProjectRule(Rule):
     """One invariant check over the assembled whole-program view.
 
-    Project rules run after every file's summary is built (or loaded
-    from cache): the runner hands them the
-    :class:`repro.lint.analysis.project.Project` instead of one file at
-    a time.  They implement :meth:`check_project`; the per-file
+    Project rules run after every file's summary is built: the runner
+    hands them the :class:`repro.lint.analysis.project.Project` instead
+    of one file at a time.  They implement :meth:`check_project`; the per-file
     :meth:`check` is a no-op so a project rule can sit in the same
     registry, ``--select``/``--ignore`` set, and docs as the rest.
     """

@@ -91,7 +91,6 @@ class ForkUnsafeMutation(Rule):
     code = "FRK001"
     name = "fork-unsafe-mutation"
     severity = Severity.ERROR
-    version = 2  # v2: threading.Thread targets, incl. self._method resolution
     rationale = (
         "Mutations of module-level state inside fork_map or Process workers "
         "die with the worker process, so serial and parallel runs diverge; "

@@ -35,9 +35,5 @@ class SchemaCompat(ProjectRule):
     )
 
     def check_project(self, project, options) -> Iterator[Finding]:
-        for payload in analyze_schemas(
-            project,
-            snapshot_path=getattr(options, "schema_snapshot", None),
-            bench_path=getattr(options, "bench_baseline", None),
-        ):
+        for payload in analyze_schemas(project, options.schema_snapshot):
             yield self.finding_dict(payload)

@@ -1,48 +1,49 @@
 """The lint driver: discover files, run rules, apply suppression policy.
 
-Two phases per run:
+One serial pass in two phases:
 
-1. **Per-file** (expensive, cacheable): parse, run every file-scoped
-   rule, apply noqa suppressions, audit them against the allowlist, and
-   build the module's whole-program summary.  Results are cached under a
-   content fingerprint (:mod:`repro.lint.cache`) keyed by the file's
-   bytes plus everything that can change the answer -- engine version,
-   enabled rules' ``(code, version)`` pairs, the allowlist -- and can
-   run in parallel via ``fork_map`` (``jobs``).  A file that cannot be
-   read, decoded, or parsed produces one structured LNT001 finding and
-   the run continues; a rule that crashes on a file produces LNT002.
-2. **Project** (cheap, always recomputed): the summaries are assembled
-   into a :class:`repro.lint.analysis.project.Project` and the
-   project-scoped rules (DET010/FRK010/SCH010) run over it.  Their
-   findings honor the same noqa suppressions, read from the cached
-   per-file suppression tables -- so warm and cold runs produce
-   byte-identical reports.
+1. **Per-file**: parse, run every file-scoped rule, apply noqa
+   suppressions, audit them against the allowlist, and build the
+   module's whole-program summary.  A file that cannot be read,
+   decoded, or parsed produces one structured LNT001 finding and the
+   run continues; a rule that crashes on a file produces LNT002.
+2. **Project**: the summaries are assembled into a
+   :class:`repro.lint.analysis.project.Project` and the project-scoped
+   rules (DET010/FRK010/SCH010) run over it.  Their findings honor the
+   same noqa suppressions, kept from the per-file phase.
 
 Orchestration only -- rules live in :mod:`repro.lint.rules`, policy data
 in :mod:`repro.lint.allowlist`.  The public entry points are
-:func:`lint_paths` (what the CLI and CI call) and :func:`lint_source`
-(what rule tests call with fixture snippets).
+:func:`lint_paths` (what the CLI and CI call), :func:`lint_source`
+(what rule tests call with fixture snippets) and :func:`load_project`
+(the whole-program view ``--update-schema-snapshot`` writes from).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.lint import allowlist as allowlist_mod
 from repro.lint.analysis.project import Project
-from repro.lint.analysis.summary import ANALYSIS_VERSION, build_summary
-from repro.lint.cache import LintCache, entry_key
-from repro.lint.context import FileContext
-from repro.lint.findings import Finding, LintReport, Severity, summarize_codes
+from repro.lint.analysis.summary import build_summary
+from repro.lint.context import FileContext, Suppressions
+from repro.lint.findings import Finding, LintReport, summarize_codes
 from repro.lint.registry import Rule, all_rules, get_rule
 from repro.obs.log import get_logger
 
 # Importing the rules package populates the registry as a side effect.
 import repro.lint.rules  # noqa: F401  (registration import)
 
-__all__ = ["Linter", "ProjectOptions", "lint_paths", "lint_source", "iter_python_files"]
+__all__ = [
+    "Linter",
+    "ProjectOptions",
+    "lint_paths",
+    "lint_source",
+    "load_project",
+    "iter_python_files",
+]
 
 _PathLike = Union[str, Path]
 
@@ -54,7 +55,6 @@ class ProjectOptions:
     """Knobs the project-scoped rules read (path overrides for tests/CLI)."""
 
     schema_snapshot: Optional[Path] = None
-    bench_baseline: Optional[Path] = None
 
 
 def iter_python_files(paths: Iterable[_PathLike]) -> Iterator[Path]:
@@ -74,36 +74,14 @@ def iter_python_files(paths: Iterable[_PathLike]) -> Iterator[Path]:
                 yield path
 
 
-class _SuppressionTable:
-    """noqa lookups reconstructed from a cached per-file result."""
+@dataclass
+class _FileResult:
+    """One parsed file's per-file verdict and its input to the project phase."""
 
-    def __init__(self, serialized: Sequence[Sequence[object]]) -> None:
-        self._file_rules: Set[str] = set()
-        self._line_rules: Dict[int, Set[str]] = {}
-        for line, rules, file_scoped in serialized:
-            if file_scoped:
-                self._file_rules.update(rules)  # type: ignore[arg-type]
-            else:
-                self._line_rules.setdefault(int(line), set()).update(rules)  # type: ignore[arg-type, call-overload]
-
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        if rule in self._file_rules:
-            return True
-        return rule in self._line_rules.get(line, set())
-
-
-def _finding_from_dict(payload: Dict[str, object]) -> Finding:
-    return Finding(
-        rule=str(payload["rule"]),
-        severity=Severity(str(payload["severity"])),
-        path=str(payload["path"]),
-        line=int(payload["line"]),  # type: ignore[call-overload]
-        col=int(payload["col"]),  # type: ignore[call-overload]
-        message=str(payload["message"]),
-    )
-
-
-_RESULT_KEYS = frozenset({"findings", "suppressed", "suppressions", "summary"})
+    noqa: Suppressions  # project-phase findings are filtered through it too
+    summary: Dict[str, object]
+    findings: List[Finding]
+    suppressed: int
 
 
 class Linter:
@@ -116,11 +94,6 @@ class Linter:
             :data:`repro.lint.allowlist.SUPPRESSION_ALLOWLIST` or the
             runner emits LNT000 at the comment.  Rule tests disable this
             to exercise fixtures with undocumented suppressions.
-        cache: A :class:`repro.lint.cache.LintCache` for incremental
-            runs; ``None`` (the default) recomputes everything.
-        jobs: Per-file phase parallelism via ``fork_map``; falls back to
-            serial when the fork machinery is unavailable (no numpy, no
-            fork start method).
         options: Path overrides handed to project-scoped rules.
     """
 
@@ -129,8 +102,6 @@ class Linter:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
         enforce_allowlist: bool = True,
-        cache: Optional[LintCache] = None,
-        jobs: int = 1,
         options: Optional[ProjectOptions] = None,
     ) -> None:
         enabled = all_rules(select, ignore)
@@ -139,54 +110,25 @@ class Linter:
         ]
         self.project_rules: List[Rule] = [r for r in enabled if r.project_scope]
         self.enforce_allowlist = enforce_allowlist
-        self.cache = cache
-        self.jobs = max(1, int(jobs))
         self.options = options if options is not None else ProjectOptions()
         enabled_codes = {r.code for r in enabled}
         self._emit_lnt000 = "LNT000" in enabled_codes
         self._emit_lnt001 = "LNT001" in enabled_codes
         self._emit_lnt002 = "LNT002" in enabled_codes
-        self._rule_versions: Tuple[Tuple[str, int], ...] = tuple(
-            (r.code, r.version) for r in enabled
-        )
-        self._allowlist_repr = repr(
-            tuple(
-                (entry.path, entry.rule)
-                for entry in allowlist_mod.SUPPRESSION_ALLOWLIST
-            )
-        )
 
     # -- public entry points --------------------------------------------
 
     def lint_source(self, source: str, path: _PathLike) -> LintReport:
         """Lint one in-memory source blob as if it lived at ``path``."""
         report = LintReport(files=1)
-        result = self._analyze_source(Path(path), source)
-        self._merge_results(report, [result])
+        result = self._check_file(Path(path), source, report)
+        self._check_project(report, [] if result is None else [result])
         report.findings.sort(key=Finding.sort_key)
         return report
 
     def lint_paths(self, paths: Iterable[_PathLike]) -> LintReport:
         report = LintReport()
-        readable: List[Tuple[Path, str]] = []
-        for path in iter_python_files(paths):
-            report.files += 1
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as error:
-                # One structured finding per unreadable file; never abort.
-                if self._emit_lnt001:
-                    rule = get_rule("LNT001")
-                    report.findings.append(
-                        rule.finding_at(
-                            FileContextStub(path), 1, 0,
-                            f"file cannot be read: {error}",
-                        )
-                    )
-                continue
-            readable.append((path, source))
-        results = self._results_for(readable)
-        self._merge_results(report, results)
+        self._check_project(report, self._check_paths(paths, report))
         report.findings.sort(key=Finding.sort_key)
         _LOG.info(
             "lint.done",
@@ -194,82 +136,45 @@ class Linter:
             findings=len(report.findings),
             suppressed=report.suppressed,
             codes=summarize_codes(report.findings),
-            cache_hits=None if self.cache is None else self.cache.hits,
-            cache_misses=None if self.cache is None else self.cache.misses,
         )
         return report
 
     # -- per-file phase --------------------------------------------------
 
-    def _results_for(
-        self, files: Sequence[Tuple[Path, str]]
-    ) -> List[Dict[str, object]]:
-        if self.cache is None:
-            return self._map_files(files)
-        keys = [
-            entry_key(
-                ANALYSIS_VERSION,
-                self._rule_versions,
-                self._allowlist_repr,
-                self.enforce_allowlist,
-                path.as_posix(),
-                source.encode("utf-8"),
+    def _check_paths(
+        self, paths: Iterable[_PathLike], report: LintReport
+    ) -> List[_FileResult]:
+        results: List[_FileResult] = []
+        for path in iter_python_files(paths):
+            report.files += 1
+            try:
+                source = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as error:
+                # One structured finding per unreadable file; never abort.
+                self._lnt001(report, path, 1, f"file cannot be read: {error}")
+                continue
+            result = self._check_file(path, source, report)
+            if result is not None:
+                results.append(result)
+        return results
+
+    def _lnt001(self, report: LintReport, path: Path, line: int, message: str) -> None:
+        if self._emit_lnt001:
+            report.findings.append(
+                get_rule("LNT001").finding_at(FileContextStub(path), line, 0, message)
             )
-            for path, source in files
-        ]
-        results: List[Optional[Dict[str, object]]] = []
-        for key in keys:
-            entry = self.cache.load(key)
-            if entry is not None and not _RESULT_KEYS <= set(entry):
-                entry = None  # stale layout: treat as a miss
-            results.append(entry)
-        missing = [index for index, entry in enumerate(results) if entry is None]
-        if missing:
-            computed = self._map_files([files[index] for index in missing])
-            for index, result in zip(missing, computed):
-                self.cache.store(keys[index], result)
-                results[index] = result
-        return results  # type: ignore[return-value]
 
-    def _map_files(
-        self, files: Sequence[Tuple[Path, str]]
-    ) -> List[Dict[str, object]]:
-        if self.jobs > 1 and len(files) > 1:
-            fork_map = _resolve_fork_map()
-            if fork_map is not None:
-                try:
-                    return fork_map(
-                        lambda pair: self._analyze_source(pair[0], pair[1]),
-                        list(files),
-                        jobs=self.jobs,
-                        label="lint.files",
-                    )
-                except Exception:
-                    _LOG.info("lint.jobs_fallback", jobs=self.jobs)
-        return [self._analyze_source(path, source) for path, source in files]
-
-    def _analyze_source(self, path: Path, source: str) -> Dict[str, object]:
-        """The cacheable per-file result: findings + suppressions + summary."""
+    def _check_file(
+        self, path: Path, source: str, report: LintReport
+    ) -> Optional[_FileResult]:
+        """Per-file findings + summary; ``None`` (and LNT001) if it won't parse."""
         try:
             ctx = FileContext(path, source)
         except (SyntaxError, ValueError) as error:
-            findings: List[Dict[str, object]] = []
-            if self._emit_lnt001:
-                rule = get_rule("LNT001")
-                line = getattr(error, "lineno", None) or 1
-                findings.append(
-                    rule.finding_at(
-                        FileContextStub(path), line, 0,
-                        f"file does not parse: {error}",
-                    ).as_dict()
-                )
-            return {
-                "findings": findings,
-                "suppressed": 0,
-                "suppressions": [],
-                "summary": None,
-            }
-        findings = []
+            line = getattr(error, "lineno", None) or 1
+            self._lnt001(report, path, line, f"file does not parse: {error}")
+            return None
+        findings: List[Finding] = []
         suppressed = 0
         for rule in self.rules:
             if not rule.applies(ctx):
@@ -278,31 +183,22 @@ class Linter:
                 rule_findings = list(rule.check(ctx))
             except Exception as error:  # noqa: BLE001 -- any crash becomes LNT002
                 if self._emit_lnt002:
-                    crash = get_rule("LNT002")
                     findings.append(
-                        crash.finding_at(
+                        get_rule("LNT002").finding_at(
                             ctx, 1, 0,
                             f"rule {rule.code} crashed on this file "
                             f"({error!r}); its invariant went unchecked here",
-                        ).as_dict()
+                        )
                     )
                 continue
             for finding in rule_findings:
-                if ctx.is_suppressed(finding.rule, finding.line):
+                if ctx.noqa.is_suppressed(finding.rule, finding.line):
                     suppressed += 1
                 else:
-                    findings.append(finding.as_dict())
+                    findings.append(finding)
         if self.enforce_allowlist and self._emit_lnt000:
-            findings.extend(f.as_dict() for f in self._audit_suppressions(ctx))
-        return {
-            "findings": findings,
-            "suppressed": suppressed,
-            "suppressions": [
-                [comment.line, list(comment.rules), comment.file_scoped]
-                for comment in ctx.suppression_comments()
-            ],
-            "summary": build_summary(ctx),
-        }
+            findings.extend(self._audit_suppressions(ctx))
+        return _FileResult(ctx.noqa, build_summary(ctx), findings, suppressed)
 
     def _audit_suppressions(self, ctx: FileContext) -> Iterator[Finding]:
         rule = get_rule("LNT000")
@@ -320,24 +216,16 @@ class Linter:
 
     # -- project phase ---------------------------------------------------
 
-    def _merge_results(
-        self, report: LintReport, results: Sequence[Dict[str, object]]
+    def _check_project(
+        self, report: LintReport, results: Sequence[_FileResult]
     ) -> None:
-        tables: Dict[str, _SuppressionTable] = {}
-        summaries: List[Dict[str, object]] = []
         for result in results:
-            for payload in result["findings"]:  # type: ignore[union-attr]
-                report.findings.append(_finding_from_dict(payload))
-            report.suppressed += int(result["suppressed"])  # type: ignore[call-overload]
-            summary = result.get("summary")
-            if summary:
-                summaries.append(summary)  # type: ignore[arg-type]
-                tables[str(summary["path"])] = _SuppressionTable(  # type: ignore[index]
-                    result["suppressions"]  # type: ignore[arg-type]
-                )
-        if not self.project_rules or not summaries:
+            report.findings.extend(result.findings)
+            report.suppressed += result.suppressed
+        if not self.project_rules or not results:
             return
-        project = Project(summaries)
+        noqa = {str(result.summary["path"]): result.noqa for result in results}
+        project = Project([result.summary for result in results])
         for rule in self.project_rules:
             try:
                 rule_findings = list(rule.check_project(project, self.options))
@@ -359,23 +247,11 @@ class Linter:
                     )
                 continue
             for finding in rule_findings:
-                table = tables.get(finding.path)
-                if table is not None and table.is_suppressed(
-                    finding.rule, finding.line
-                ):
+                table = noqa.get(finding.path)
+                if table is not None and table.is_suppressed(finding.rule, finding.line):
                     report.suppressed += 1
                 else:
                     report.findings.append(finding)
-
-
-def _resolve_fork_map():
-    """``fork_map``, imported lazily: the import chain reaches numpy, and
-    ``python -m repro.lint`` must keep working where numpy does not exist."""
-    try:
-        from repro.datasets.parallel import fork_map
-    except Exception:  # noqa: BLE001 -- missing numpy, broken env: run serial
-        return None
-    return fork_map
 
 
 class FileContextStub:
@@ -394,14 +270,10 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     enforce_allowlist: bool = True,
-    cache: Optional[LintCache] = None,
-    jobs: int = 1,
     options: Optional[ProjectOptions] = None,
 ) -> LintReport:
     """Lint files/directories with the given rule selection; see :class:`Linter`."""
-    return Linter(
-        select, ignore, enforce_allowlist, cache=cache, jobs=jobs, options=options
-    ).lint_paths(paths)
+    return Linter(select, ignore, enforce_allowlist, options=options).lint_paths(paths)
 
 
 def lint_source(
@@ -416,3 +288,9 @@ def lint_source(
     return Linter(
         select, ignore, enforce_allowlist, options=options
     ).lint_source(source, path)
+
+
+def load_project(paths: Iterable[_PathLike]) -> Project:
+    """The whole-program view of ``paths``: every parseable file's summary."""
+    linter = Linter(select=[], enforce_allowlist=False)
+    return Project([r.summary for r in linter._check_paths(paths, LintReport())])

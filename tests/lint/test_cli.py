@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.__main__ import main as lint_main
+
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 
@@ -73,7 +75,7 @@ def test_json_mode_emits_schema_document(dirty_tree):
     result = run_cli(str(dirty_tree), "--json")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["summary"]["by_rule"] == {"DET001": 1}
 
 
@@ -123,21 +125,39 @@ def test_sarif_format_emits_valid_document(dirty_tree):
     assert results[0]["locations"][0]["physicalLocation"]["region"]["startLine"] == 2
 
 
-def test_baseline_write_then_suppress_roundtrip(dirty_tree, tmp_path):
-    baseline = tmp_path / "lint-baseline.json"
-    written = run_cli(str(dirty_tree), "--write-baseline", str(baseline))
-    assert written.returncode == 0, written.stdout + written.stderr
-    result = run_cli(str(dirty_tree), "--baseline", str(baseline), "--json")
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
-    assert payload["summary"]["findings"] == 0
-    assert payload["summary"]["baselined"] == 1
-    assert payload["baseline_stale"] == []
+def test_warm_cache_run_matches_cold_byte_for_byte(dirty_tree):
+    # The report is a pure function of the tree: two runs, same bytes.
+    first = run_cli(str(dirty_tree), "--json")
+    second = run_cli(str(dirty_tree), "--json")
+    assert first.returncode == second.returncode == 1
+    assert first.stdout == second.stdout
 
 
-def test_warm_cache_run_matches_cold_byte_for_byte(dirty_tree, tmp_path):
-    cache_dir = str(tmp_path / "lintcache")
-    cold = run_cli(str(dirty_tree), "--json", "--cache-dir", cache_dir)
-    warm = run_cli(str(dirty_tree), "--json", "--cache-dir", cache_dir)
-    assert cold.returncode == warm.returncode == 1
-    assert cold.stdout == warm.stdout
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--jobs", "2"],
+        ["--no-cache"],
+        ["--refresh-cache"],
+        ["--cache-dir", "lint-cache"],
+        ["--baseline", "lint-baseline.json"],
+        ["--write-baseline", "lint-baseline.json"],
+        ["--no-allowlist"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_removed_flags_are_usage_errors(flag, dirty_tree, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        lint_main([str(dirty_tree), *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_update_schema_snapshot_reproduces_committed_snapshot(tmp_path):
+    snapshot = tmp_path / "schema_snapshot.json"
+    result = run_cli(
+        str(SRC), "--update-schema-snapshot", "--schema-snapshot", str(snapshot)
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    committed = SRC / "repro" / "lint" / "schema_snapshot.json"
+    assert snapshot.read_bytes() == committed.read_bytes()

@@ -1,19 +1,10 @@
-"""Incremental runner semantics: cache keys, crash handling, baselines.
-
-The cache contract is strict: warm results must be byte-identical to
-cold ones, any input that could change a per-file verdict (source bytes,
-rule selection, rule *versions*, the allowlist) must miss, and a crash
--- in a file or in a rule -- degrades to one structured finding instead
-of aborting the run.
+"""Runner robustness: a crash -- in a file or in a rule -- degrades to
+one structured finding instead of aborting the run.
 """
-
-import json
 
 import pytest
 
-from repro.lint import lint_paths, report_as_dict
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.cache import LintCache
+from repro.lint import lint_paths
 from repro.lint.registry import get_rule
 
 _DIRTY = "import numpy as np\nrng = np.random.default_rng()\n"
@@ -28,66 +19,8 @@ def tree(tmp_path):
     return tmp_path / "tree"
 
 
-def _lint(tree, cache, **kwargs):
-    kwargs.setdefault("enforce_allowlist", False)
-    return lint_paths([tree], cache=cache, **kwargs)
-
-
-# -- cache hits, misses, and invalidation ----------------------------------
-
-
-def test_warm_run_is_byte_identical_and_fully_cached(tree, tmp_path):
-    cache = LintCache(tmp_path / "cache")
-    cold = report_as_dict(_lint(tree, cache))
-    assert cache.misses == 2 and cache.hits == 0
-
-    warm_cache = LintCache(tmp_path / "cache")
-    warm = report_as_dict(_lint(tree, warm_cache))
-    assert warm_cache.hits == 2 and warm_cache.misses == 0
-    assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
-
-
-def test_source_edit_invalidates_only_that_file(tree, tmp_path):
-    cache = LintCache(tmp_path / "cache")
-    _lint(tree, cache)
-    (tree / "repro" / "core" / "ok.py").write_text("def triple(x: int) -> int:\n    return 3 * x\n")
-    second = LintCache(tmp_path / "cache")
-    _lint(tree, second)
-    assert second.hits == 1 and second.misses == 1
-
-
-def test_rule_version_bump_invalidates_cache(tree, tmp_path, monkeypatch):
-    cache = LintCache(tmp_path / "cache")
-    _lint(tree, cache)
-    # A rule version bump means the rule's findings may differ even for
-    # identical sources: every entry keyed under the old version is dead.
-    monkeypatch.setattr(get_rule("DET001"), "version", 99)
-    bumped = LintCache(tmp_path / "cache")
-    report = _lint(tree, bumped)
-    assert bumped.hits == 0 and bumped.misses == 2
-    assert [finding.rule for finding in report.findings] == ["DET001"]
-
-
-def test_rule_selection_changes_cache_key(tree, tmp_path):
-    cache = LintCache(tmp_path / "cache")
-    _lint(tree, cache, select=["DET001"])
-    other = LintCache(tmp_path / "cache")
-    _lint(tree, other, select=["FRK001"])
-    assert other.hits == 0 and other.misses == 2
-
-
-def test_corrupt_cache_entry_is_a_miss(tree, tmp_path):
-    cache = LintCache(tmp_path / "cache")
-    cold = report_as_dict(_lint(tree, cache))
-    for entry in (tmp_path / "cache").rglob("*.json"):
-        entry.write_text("{not json")
-    recovered = LintCache(tmp_path / "cache")
-    warm = report_as_dict(_lint(tree, recovered))
-    assert recovered.hits == 0 and recovered.misses == 2
-    assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
-
-
-# -- crash handling: keep linting ------------------------------------------
+def _boom(*args):
+    raise RuntimeError("boom")
 
 
 def test_syntax_error_is_one_finding_and_run_continues(tree):
@@ -113,55 +46,20 @@ def test_undecodable_file_is_one_finding_and_run_continues(tree):
 
 
 def test_crashing_rule_degrades_to_lnt002(tree, monkeypatch):
-    rule = get_rule("DET001")
-    monkeypatch.setattr(
-        type(rule), "check", lambda self, ctx: (_ for _ in ()).throw(RuntimeError("boom"))
-    )
+    # Per-file phase: one crash finding per file the rule died on;
+    # everything else ran.
+    monkeypatch.setattr(type(get_rule("DET001")), "check", _boom)
     report = lint_paths([tree], enforce_allowlist=False)
-    # One crash finding per file the rule died on; everything else ran.
     assert {finding.rule for finding in report.findings} == {"LNT002"}
     assert len(report.findings) == 2
     crash = report.findings[0]
     assert "DET001" in crash.message and "boom" in crash.message
     assert "unchecked" in crash.message
 
-
-# -- baselines: adopt now, expire when fixed -------------------------------
-
-
-def test_baseline_suppresses_known_findings(tree, tmp_path):
-    baseline = tmp_path / "baseline.json"
-    report = lint_paths([tree], enforce_allowlist=False)
-    assert write_baseline(baseline, report) == 1
-
-    entries = load_baseline(baseline)
-    fresh = lint_paths([tree], enforce_allowlist=False)
-    kept, baselined, stale = apply_baseline(fresh.findings, entries)
-    assert kept == []
-    assert baselined == 1
-    assert stale == []
-
-
-def test_baseline_survives_line_shifts_but_expires_on_fix(tree, tmp_path):
-    baseline = tmp_path / "baseline.json"
-    write_baseline(baseline, lint_paths([tree], enforce_allowlist=False))
-    entries = load_baseline(baseline)
-
-    bad = tree / "repro" / "core" / "bad.py"
-    bad.write_text("# moved down\n\n" + _DIRTY)  # same finding, new line
-    shifted = lint_paths([tree], enforce_allowlist=False)
-    kept, baselined, stale = apply_baseline(shifted.findings, entries)
-    assert kept == [] and baselined == 1 and stale == []
-
-    bad.write_text("import numpy as np\nrng = np.random.default_rng(seed)\n")
-    fixed = lint_paths([tree], enforce_allowlist=False)
-    kept, baselined, stale = apply_baseline(fixed.findings, entries)
-    assert kept == [] and baselined == 0
-    assert len(stale) == 1 and stale[0]["rule"] == "DET001"
-
-
-def test_malformed_baseline_raises(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError):
-        load_baseline(baseline)
+    # Project phase: a project rule that raises is one `<project>` finding.
+    monkeypatch.setattr(type(get_rule("DET010")), "check_project", _boom)
+    report = lint_paths([tree], select=["DET010", "LNT002"], enforce_allowlist=False)
+    assert [(f.rule, f.path) for f in report.findings] == [("LNT002", "<project>")]
+    crash = report.findings[0]
+    assert "DET010" in crash.message and "boom" in crash.message
+    assert "unchecked" in crash.message

@@ -40,14 +40,12 @@ def _report():
 
 def test_json_report_golden_shape():
     payload = report_as_dict(_report())
-    assert payload["schema"] == REPORT_SCHEMA == 2
+    assert payload["schema"] == REPORT_SCHEMA == 3
     assert payload["tool"] == "repro.lint"
     assert payload["files"] == 1
-    assert sorted(payload) == [
-        "baseline_stale", "files", "findings", "schema", "summary", "tool",
-    ]
+    assert sorted(payload) == ["files", "findings", "schema", "summary", "tool"]
     assert sorted(payload["summary"]) == [
-        "baselined", "by_rule", "errors", "findings", "suppressed", "warnings",
+        "by_rule", "errors", "findings", "suppressed", "warnings",
     ]
     assert payload["summary"]["by_rule"] == {"DET001": 1, "DET002": 1}
     for finding in payload["findings"]:

@@ -10,8 +10,8 @@ never bumped its version constant.
 import json
 
 from repro.lint import lint_paths, lint_source
-from repro.lint.analysis.schemas import write_snapshot
-from repro.lint.runner import Linter, ProjectOptions
+from repro.lint.analysis.schemas import current_schemas, write_snapshot
+from repro.lint.runner import ProjectOptions, load_project
 
 
 def codes(report):
@@ -268,18 +268,8 @@ def _lint(tree, snapshot):
 def _snapshot_for(tmp_path, tree):
     # Build the snapshot from the tree itself, via the same extraction
     # `--update-schema-snapshot` uses.
-    from repro.lint.analysis.project import Project
-    from repro.lint.analysis.schemas import current_schemas
-    from repro.lint.runner import iter_python_files
-
-    linter = Linter(select=[], enforce_allowlist=False)
-    summaries = []
-    for path in iter_python_files([tree]):
-        result = linter._analyze_source(path, path.read_text(encoding="utf-8"))
-        if result.get("summary"):
-            summaries.append(result["summary"])
     snapshot = tmp_path / "schema_snapshot.json"
-    write_snapshot(snapshot, current_schemas(Project(summaries)))
+    write_snapshot(snapshot, current_schemas(load_project([tree])))
     return snapshot
 
 
