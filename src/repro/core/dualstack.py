@@ -76,13 +76,20 @@ def _same_path_matrix(v4: TraceTimeline, v6: TraceTimeline) -> np.ndarray:
 def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
     """Compute the paired IPv4/IPv6 comparison over a long-term dataset.
 
+    A first pass finds each pair's paired rounds and same-path subset and
+    counts both populations; a second fills one preallocated float64
+    buffer per population, which is sorted in place and handed to its
+    ECDF.  So the only population-sized arrays are the two buffers.
+
     Raises:
         ValueError: A usable sample carries a negative path id.
     """
-    all_diffs: List[np.ndarray] = []
-    same_path_diffs: List[np.ndarray] = []
-    per_pair: Dict[Tuple[int, int], float] = {}
-
+    # Per pair: (pair, v4, v6, paired-round mask, same-path mask over those rounds).
+    paired: List[
+        Tuple[Tuple[int, int], TraceTimeline, TraceTimeline, np.ndarray, np.ndarray]
+    ] = []
+    paired_count = 0
+    same_count = 0
     for src, dst in dataset.pairs():
         key_v4 = (src, dst, IPVersion.V4)
         key_v6 = (src, dst, IPVersion.V6)
@@ -98,27 +105,38 @@ def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
         )
         if not both.any():
             continue
-        diffs = (v4.rtt_ms[both] - v6.rtt_ms[both]).astype(float)
-        all_diffs.append(diffs)
-        per_pair[(src, dst)] = float(np.median(diffs))
-
         # Same-AS-path subset: compare observed paths per round.
         v4_ids = v4.path_id[both]
         v6_ids = v6.path_id[both]
         if v4_ids.min() < 0 or v6_ids.min() < 0:
             raise ValueError(f"usable sample without a path id for pair {(src, dst)}")
         same = _same_path_matrix(v4, v6)[v4_ids, v6_ids]
-        if same.any():
-            same_path_diffs.append(diffs[same])
+        paired.append(((src, dst), v4, v6, both, same))
+        paired_count += v4_ids.size
+        same_count += int(np.count_nonzero(same))
 
-    all_values = np.concatenate(all_diffs) if all_diffs else np.empty(0)
-    same_values = np.concatenate(same_path_diffs) if same_path_diffs else np.empty(0)
-    # Drop the per-pair pieces before the ECDFs sort their own copies.
-    del all_diffs, same_path_diffs
+    all_values = np.empty(paired_count)
+    same_values = np.empty(same_count)
+    per_pair: Dict[Tuple[int, int], float] = {}
+    paired_end = 0
+    same_end = 0
+    for pair, v4, v6, both, same in paired:
+        start = paired_end
+        paired_end += same.size
+        diffs = all_values[start:paired_end]
+        # Subtract in float32, then widen: the float64 values are exact
+        # copies of the float32 differences.
+        diffs[:] = v4.rtt_ms[both] - v6.rtt_ms[both]
+        per_pair[pair] = float(np.median(diffs))
+        start = same_end
+        same_end += int(np.count_nonzero(same))
+        same_values[start:same_end] = diffs[same]
+    all_values.sort()
+    same_values.sort()
     return DualStackComparison(
-        all_diffs=ECDF(all_values),
-        same_path_diffs=ECDF(same_values),
+        all_diffs=ECDF._adopt_sorted(all_values),
+        same_path_diffs=ECDF._adopt_sorted(same_values),
         per_pair_median=per_pair,
-        paired_samples=int(all_values.size),
-        same_path_samples=int(same_values.size),
+        paired_samples=paired_count,
+        same_path_samples=same_count,
     )

@@ -18,15 +18,28 @@ class ECDF:
     """An empirical CDF over a finite sample.
 
     NaNs in the input are dropped.  Evaluation uses the right-continuous
-    convention: ``F(x) = P(X <= x)``.
+    convention: ``F(x) = P(X <= x)``.  The input is never modified.
     """
 
     def __init__(self, values: Iterable[float]) -> None:
         if not isinstance(values, np.ndarray):
             values = list(values)
         data = np.asarray(values, dtype=float)
-        data = data[~np.isnan(data)]
+        nan = np.isnan(data)
+        if nan.any():
+            data = data[~nan]
         self._sorted = np.sort(data)
+
+    @classmethod
+    def _adopt_sorted(cls, values: np.ndarray) -> "ECDF":
+        """An ECDF that takes over ``values`` without copying.
+
+        ``values`` must be a float64 array, sorted ascending, with no
+        NaN; the caller hands it over and must not touch it afterwards.
+        """
+        ecdf = cls.__new__(cls)
+        ecdf._sorted = values
+        return ecdf
 
     def __len__(self) -> int:
         return int(self._sorted.size)

@@ -21,10 +21,14 @@ holds this line.
 Layout notes (change any of these and the bit-identity contract breaks):
 
 - Congestion is cached as one float64 series per congested segment key
-  over the *full* grid, then summed per realization in path-occurrence
-  order.  Elementwise sums commute with slicing, so a ``[low:high]``
-  slice of the cached sum is bitwise what ``CongestionSchedule.path_series``
-  returns for the epoch window.
+  over the *full* grid.  Each epoch sums the ``[low:high]`` slices of its
+  realization's series into a fresh zero window, in path-occurrence
+  order; elementwise sums commute with slicing, so the window is bitwise
+  what ``CongestionSchedule.path_series`` returns for it.  No full-grid
+  per-realization sum is ever held.
+- Kernels live only as long as one ``build_*_timeline`` call.  A kernel
+  is keyed (pair, version, candidate) and every build task is one
+  (pair, version), so no kernel would ever serve a second timeline.
 - The miss-hop weight vector is normalized once per kernel with the same
   expression the object path uses per epoch.
 - Gamma / Bernoulli / exponential / choice draws keep the object path's
@@ -57,13 +61,16 @@ _INCOMPLETE = int(TraceOutcome.INCOMPLETE)
 _LOOP = int(TraceOutcome.LOOP)
 _MISSING_IP = int(TraceOutcome.MISSING_IP)
 
+_Window = Tuple[int, int, int, int]
+"""One sampled routing epoch: ``(epoch_number, low, high, candidate)``."""
+
 
 class RealizationKernel:
     """Everything epoch-independent about sampling one realization.
 
-    One kernel serves every epoch (of every campaign on the same grid)
-    that routes over the same realization; building it costs one pass of
-    the delay/artifact precomputation the object path repeats per epoch.
+    One kernel serves every epoch of one timeline that routes over the
+    same realization; building it costs one pass of the delay/artifact
+    precomputation the object path repeats per epoch.
     """
 
     __slots__ = (
@@ -80,17 +87,17 @@ class RealizationKernel:
         "p_all_respond",
         "miss_weights",
         "miss_cdf",
-        "congestion_total",
+        "congestion",
         "observed_complete",
         "clean_outcome",
-        "_miss_paths",
+        "miss_lut",
     )
 
     def __init__(
         self,
         realization: PathRealization,
         platform: MeasurementPlatform,
-        congestion_total: Optional[np.ndarray],
+        congestion: Tuple[np.ndarray, ...],
     ) -> None:
         engine = platform.engine
         delay = platform.delay_model
@@ -128,32 +135,41 @@ class RealizationKernel:
             cdf = self.miss_weights.cumsum()
             cdf /= cdf[-1]
             self.miss_cdf = cdf
-        self.congestion_total = congestion_total
+        # Full-grid series of the congested segments, in path-occurrence
+        # order (shared with the per-grid cache, never written).
+        self.congestion = congestion
         self.observed_complete = realization.observed_path_complete
         self.clean_outcome = int(
             TraceOutcome.MISSING_AS
             if UNKNOWN_ASN in realization.observed_path_complete
             else TraceOutcome.COMPLETE
         )
-        self._miss_paths: Dict[int, Tuple[ASN, ...]] = {}
+        # Global path id of each hop's miss variant in the timeline being
+        # built (-1 until interned); path ids are timeline-local, which is
+        # one reason a kernel must not outlive its timeline.
+        self.miss_lut = np.full(self.respond.size, -1, dtype=np.int32)
 
-    def miss_path(self, hop_index: int) -> Tuple[ASN, ...]:
-        """The observed AS path when ``hop_index`` does not answer."""
-        path = self._miss_paths.get(hop_index)
-        if path is None:
-            path = self.realization.observed_path_with_miss(hop_index)
-            self._miss_paths[hop_index] = path
-        return path
+    def congestion_window(self, low: int, high: int) -> Optional[np.ndarray]:
+        """Path congestion over grid samples ``[low:high]``, or ``None``.
+
+        Summed into zeros in path-occurrence order, exactly as
+        ``CongestionSchedule.path_series`` sums the whole path.
+        """
+        if not self.congestion:
+            return None
+        total = np.zeros(high - low)
+        for series in self.congestion:
+            total += series[low:high]
+        return total
 
 
 class CampaignKernels:
-    """Per-grid kernel and congestion caches for one platform.
+    """Per-grid stream plans and congestion caches for one platform.
 
     Owns the shared full-grid ``times`` array (one allocation instead of
     one per timeline), a lazily-filled per-segment congestion series
-    cache, and the realization kernels keyed like the platform's own
-    realization cache -- including the matching :meth:`drop_pair`
-    eviction for bounded-memory streaming.
+    cache and the planned RNG stream states.  Realization kernels are
+    built per timeline and dropped with it.
     """
 
     def __init__(self, platform: MeasurementPlatform, grid: CampaignGrid) -> None:
@@ -161,10 +177,10 @@ class CampaignKernels:
         self.grid = grid
         self.times = grid.times()
         self._congestion_series: Dict[SegmentKey, np.ndarray] = {}
-        self._kernels: Dict[Tuple[int, int, int, int], Optional[RealizationKernel]] = {}
         self._paris_cuts: Dict[float, int] = {}
         self._stream_plans: Dict[
-            Tuple[str, int, int, int], List[Tuple[int, int]]
+            Tuple[str, int, int, int],
+            Tuple[List[_Window], Dict[int, Tuple[int, int]]],
         ] = {}
         # One recycled generator serves every planned stream: the
         # builders fully consume one epoch's stream before requesting
@@ -173,56 +189,86 @@ class CampaignKernels:
         self._samples_counter = obs_metrics.counter("traceroute.samples")
         self._ping_counter = obs_metrics.counter("rtt.samples")
 
+    def _sampled_epochs(
+        self, src: Server, dst: Server, version: IPVersion
+    ) -> List[_Window]:
+        """``(epoch_number, low, high, candidate)`` of every epoch the grid samples.
+
+        An epoch is sampled when it covers at least one grid point and
+        routes somewhere (``candidate >= 0``); ``[low:high]`` is its grid
+        window.  One vectorized search finds every epoch's bounds.
+        """
+        epochs = self.platform.epochs(src, dst, version)
+        if not epochs:
+            return []
+        edges = self.times.searchsorted(
+            [(epoch.start_hour, epoch.end_hour) for epoch in epochs], side="left"
+        ).tolist()
+        return [
+            (number, low, high, epoch.candidate_index)
+            for number, (epoch, (low, high)) in enumerate(zip(epochs, edges))
+            if high > low and epoch.candidate_index >= 0
+        ]
+
     def plan_streams(
         self, label: str, tasks: Iterable[Tuple[Server, Server, IPVersion]]
     ) -> None:
-        """Precompute every (pair, epoch) stream's PCG64 start state.
+        """Precompute every sampled (pair, epoch) stream's PCG64 start state.
 
         Seeding through ``SeedSequence`` costs ~15us per stream, almost
         all of it per-instance Python overhead; batching the entropy-pool
-        mixing over a whole build's ~20k streams (see
-        :mod:`repro.measurement.fastseed`) brings it to ~2us.  Builders
-        call this once with the full task list before fanning out --
-        workers inherit the read-only plan through the fork.  Unplanned
-        pairs (the bounded-memory stream sources skip planning) seed
-        through :meth:`~repro.measurement.platform.MeasurementPlatform.rng_factory`
+        mixing over a whole build's streams (see
+        :mod:`repro.measurement.fastseed`) brings it to ~2us.  Only the
+        epochs :meth:`_sampled_epochs` lists get a stream.  Builders call
+        this once with the full task list before fanning out -- workers
+        inherit the read-only plan through the fork.  Unplanned pairs
+        (the bounded-memory stream sources skip planning) seed through
+        :meth:`~repro.measurement.platform.MeasurementPlatform.rng_factory`
         unchanged, and a fastseed self-check failure downgrades the whole
         plan to that reference path: bit-identity never rides on trust.
         """
         platform = self.platform
         keys: List[Tuple[str, int, int, int]] = []
-        spans: List[Tuple[int, int]] = []
+        windows: List[List[_Window]] = []
         digests: List[int] = []
         for src, dst, version in tasks:
             digester = platform.stream_digester(
                 label, src.server_id, dst.server_id, int(version)
             )
-            count = len(platform.epochs(src, dst, version))
+            sampled = self._sampled_epochs(src, dst, version)
             keys.append((label, src.server_id, dst.server_id, int(version)))
-            spans.append((len(digests), count))
-            digests.extend(digester(number) for number in range(count))
-        states = pcg64_states(platform.config.seed, digests)
-        for key, (start, count) in zip(keys, spans):
-            self._stream_plans[key] = states[start:start + count]
+            windows.append(sampled)
+            digests.extend(digester(number) for number, _, _, _ in sampled)
+        states = iter(pcg64_states(platform.config.seed, digests))
+        for key, sampled in zip(keys, windows):
+            plan = {number: next(states) for number, _, _, _ in sampled}
+            self._stream_plans[key] = (sampled, plan)
 
-    def _stream_rng(
+    def _epoch_streams(
         self, label: str, src: Server, dst: Server, version: IPVersion
-    ) -> Callable[[int], np.random.Generator]:
-        """Per-epoch generator factory: planned fast path or reference."""
-        plan = self._stream_plans.get(
-            (label, src.server_id, dst.server_id, int(version))
-        )
-        if plan is None:
-            return self.platform.rng_factory(
+    ) -> Tuple[List[_Window], Callable[[int], np.random.Generator]]:
+        """A timeline's sampled epochs and its per-epoch generator factory.
+
+        Planned pairs reuse the plan's epoch windows and states, and
+        asking for an epoch the plan skipped raises; unplanned pairs
+        search their windows here and seed through the reference path.
+        """
+        key = (label, src.server_id, dst.server_id, int(version))
+        planned = self._stream_plans.get(key)
+        if planned is None:
+            return self._sampled_epochs(src, dst, version), self.platform.rng_factory(
                 label, src.server_id, dst.server_id, int(version)
             )
+        windows, plan = planned
         recycled = self._recycled
 
         def make(epoch_number: int) -> np.random.Generator:
-            state, inc = plan[epoch_number]
-            return recycled.set(state, inc)
+            state = plan.get(epoch_number)
+            if state is None:
+                raise LookupError(f"epoch {epoch_number} of stream {key} was not planned")
+            return recycled.set(*state)
 
-        return make
+        return windows, make
 
     def _paris_cut(self, paris_start_hour: float) -> int:
         """First grid index at or past the Paris cutover."""
@@ -239,65 +285,68 @@ class CampaignKernels:
             self._congestion_series[key] = series
         return series
 
-    def _congestion_total(self, realization: PathRealization) -> Optional[np.ndarray]:
-        """Full-grid path congestion, summed in path-occurrence order."""
-        congestion = self.platform.congestion
-        if congestion is None:
-            return None
-        events = congestion.events
-        congested = [key for key in realization.segment_keys if key in events]
-        if not congested:
-            return None
-        total = np.zeros_like(self.times)
-        for key in congested:
-            total += self._congestion_for(key)
-        return total
-
     def kernel(
         self, src: Server, dst: Server, version: IPVersion, candidate: int
     ) -> Optional[RealizationKernel]:
-        """The kernel for one (pair, version, candidate), or ``None``."""
-        cache_key = (src.server_id, dst.server_id, int(version), candidate)
-        if cache_key in self._kernels:
-            return self._kernels[cache_key]
+        """A fresh kernel for one (pair, version, candidate), or ``None``."""
         realization = self.platform.realization(src, dst, version, candidate)
-        kernel: Optional[RealizationKernel] = None
-        if realization is not None:
-            kernel = RealizationKernel(
-                realization, self.platform, self._congestion_total(realization)
-            )
-        self._kernels[cache_key] = kernel
-        return kernel
+        if realization is None:
+            return None
+        congestion = self.platform.congestion
+        events = congestion.events if congestion is not None else {}
+        return RealizationKernel(
+            realization,
+            self.platform,
+            tuple(
+                self._congestion_for(key)
+                for key in realization.segment_keys
+                if key in events
+            ),
+        )
 
-    def drop_pair(self, src_id: int, dst_id: int) -> None:
-        """Evict a pair's kernels (mirrors ``platform.drop_realizations``)."""
-        stale = [key for key in self._kernels if key[0] == src_id and key[1] == dst_id]
-        for key in stale:
-            del self._kernels[key]
+    def _timeline_kernels(
+        self, src: Server, dst: Server, version: IPVersion
+    ) -> Callable[[int], Optional[RealizationKernel]]:
+        """Per-candidate kernel lookup for one timeline build.
+
+        The kernels it builds die with the lookup, so a build leaves no
+        kernel (nor its realization) behind.
+        """
+        built: Dict[int, Optional[RealizationKernel]] = {}
+
+        def kernel_for(candidate: int) -> Optional[RealizationKernel]:
+            if candidate not in built:
+                built[candidate] = self.kernel(src, dst, version, candidate)
+            return built[candidate]
+
+        return kernel_for
 
     # ------------------------------------------------------------------
     # Column samplers
     # ------------------------------------------------------------------
 
     def _rtt_base(
-        self, kernel: RealizationKernel, low: int, high: int, rng: np.random.Generator
+        self,
+        kernel: RealizationKernel,
+        count: int,
+        congestion: Optional[np.ndarray],
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        """Baseline + queueing noise + congestion.
+        """Baseline + queueing noise + the epoch's congestion window.
 
         The object path computes ``(base + noise) + congestion``; this
         computes ``(noise + base) + congestion`` -- bitwise equal because
         IEEE addition is commutative (the association is unchanged) --
         which saves allocating a baseline array per epoch.
         """
-        count = high - low
         series = rng.gamma(kernel.noise_shape, kernel.noise_scale, size=count)
         spikes = rng.random(count) < kernel.spike_probability
         n_spikes = int(np.count_nonzero(spikes))
         if n_spikes:
             series[spikes] += rng.exponential(kernel.spike_mean_ms, size=n_spikes)
         series += kernel.base_rtt
-        if kernel.congestion_total is not None:
-            series += kernel.congestion_total[low:high]
+        if congestion is not None:
+            series += congestion
         return series
 
     def sample_trace_epoch(
@@ -311,18 +360,15 @@ class CampaignKernels:
         outcome: np.ndarray,
         path_id: np.ndarray,
         intern: Callable[[Tuple[int, ...]], int],
-        miss_lut: np.ndarray,
     ) -> None:
         """Sample one routing epoch's traceroutes into the columns.
 
         ``intern`` maps a path tuple into the timeline's global path
         table; it is called in exactly the order the object path's
         per-epoch table would be remapped, so the table is identical.
-        ``miss_lut`` carries the hop-to-global-path-id mapping this
-        timeline has interned so far for this kernel (-1 for unseen).
         """
         count = high - low
-        series = self._rtt_base(kernel, low, high, rng)
+        series = self._rtt_base(kernel, count, kernel.congestion_window(low, high), rng)
         complete_id = intern(kernel.observed_complete)
         # The outcome/path columns are written fully for this window, so
         # slice views stand in for the object path's temporaries.
@@ -367,6 +413,7 @@ class CampaignKernels:
                 chosen_hops = kernel.miss_cdf.searchsorted(
                     rng.random(n_misses), side="right"
                 )
+                miss_lut = kernel.miss_lut
                 ids = miss_lut[chosen_hops]
                 if np.count_nonzero(ids < 0):
                     # The object path interns each hop's miss variant at
@@ -376,7 +423,9 @@ class CampaignKernels:
                     for rank in np.argsort(first_index, kind="stable"):
                         hop_index = int(uniq[rank])
                         if miss_lut[hop_index] < 0:
-                            miss_lut[hop_index] = intern(kernel.miss_path(hop_index))
+                            miss_lut[hop_index] = intern(
+                                kernel.realization.observed_path_with_miss(hop_index)
+                            )
                     ids = miss_lut[chosen_hops]
                 out[misses] = _MISSING_IP
                 gid[misses] = ids
@@ -395,12 +444,10 @@ class CampaignKernels:
     ) -> None:
         """Sample one routing epoch's pings into the RTT column."""
         count = high - low
-        series = self._rtt_base(kernel, low, high, rng)
+        congestion = kernel.congestion_window(low, high)
+        series = self._rtt_base(kernel, count, congestion, rng)
         if loss_model is not None:
-            if kernel.congestion_total is not None:
-                lift = kernel.congestion_total[low:high]
-            else:
-                lift = np.zeros(count)
+            lift = congestion if congestion is not None else np.zeros(count)
             series[loss_model.sample_losses(rng, lift)] = np.nan
         elif loss_probability > 0.0:
             lost = rng.random(count) < loss_probability
@@ -444,23 +491,13 @@ class CampaignKernels:
         paris_start = (
             platform.config.paris_start_hour if version is IPVersion.V4 else None
         )
-        make_rng = self._stream_rng("longterm", src, dst, version)
-        # Miss-variant intern state per candidate, for this timeline only
-        # (path ids are timeline-local, so the LUTs must not outlive it).
-        miss_luts: Dict[int, np.ndarray] = {}
+        windows, make_rng = self._epoch_streams("longterm", src, dst, version)
+        kernel_for = self._timeline_kernels(src, dst, version)
         sampled = 0
-        for epoch_number, epoch in enumerate(platform.epochs(src, dst, version)):
-            low = int(times.searchsorted(epoch.start_hour, side="left"))
-            high = int(times.searchsorted(epoch.end_hour, side="left"))
-            if high <= low or epoch.candidate_index < 0:
-                continue
-            kernel = self.kernel(src, dst, version, epoch.candidate_index)
+        for epoch_number, low, high, candidate in windows:
+            kernel = kernel_for(candidate)
             if kernel is None:
                 continue
-            miss_lut = miss_luts.get(epoch.candidate_index)
-            if miss_lut is None:
-                miss_lut = np.full(kernel.respond.size, -1, dtype=np.int32)
-                miss_luts[epoch.candidate_index] = miss_lut
             self.sample_trace_epoch(
                 kernel,
                 low,
@@ -471,9 +508,8 @@ class CampaignKernels:
                 outcome,
                 path_id,
                 intern,
-                miss_lut,
             )
-            true_candidate[low:high] = epoch.candidate_index
+            true_candidate[low:high] = candidate
             sampled += high - low
         if sampled:
             self._samples_counter.inc(sampled)
@@ -494,18 +530,14 @@ class CampaignKernels:
         self, src: Server, dst: Server, version: IPVersion, coupled_loss: bool
     ) -> PingTimeline:
         """One pair's ping timeline, bit-identical to the object path."""
-        platform = self.platform
         times = self.times
         rtt = np.full(times.size, np.nan, dtype=np.float32)
         loss_model = LossModel() if coupled_loss else None
-        make_rng = self._stream_rng("ping", src, dst, version)
+        windows, make_rng = self._epoch_streams("ping", src, dst, version)
+        kernel_for = self._timeline_kernels(src, dst, version)
         sampled = 0
-        for epoch_number, epoch in enumerate(platform.epochs(src, dst, version)):
-            low = int(times.searchsorted(epoch.start_hour, side="left"))
-            high = int(times.searchsorted(epoch.end_hour, side="left"))
-            if high <= low or epoch.candidate_index < 0:
-                continue
-            kernel = self.kernel(src, dst, version, epoch.candidate_index)
+        for epoch_number, low, high, candidate in windows:
+            kernel = kernel_for(candidate)
             if kernel is None:
                 continue
             self.sample_ping_epoch(

@@ -9,10 +9,11 @@ and ablations use it; the analysis pipeline never does).
 
 Timelines are immutable once built: the dataclasses are frozen and their
 arrays read-only.  That makes it safe for each timeline to compute its
-derived products -- usable samples, AS-path buckets, hour-of-day groups --
-once, on first use, and hand the same read-only arrays to every analysis
-that asks.  The products live in a private memo that is never pickled, so
-a timeline pickles to the same bytes before and after any analysis.
+derived products -- usable samples, per-path sample counts, sorted AS-path
+buckets, hour-of-day groups -- once, on first use, and hand the same
+read-only arrays to every analysis that asks.  The products live in a
+private memo that is never pickled, so a timeline pickles to the same
+bytes before and after any analysis.
 
 Population analyses fill the memos of many timelines in one pass:
 :func:`population_products` hands a kernel only the timelines whose memo
@@ -180,19 +181,23 @@ class TraceTimeline(_Memoized):
 
     def path_sample_counts(self) -> Dict[int, int]:
         """Usable samples per path id, ascending by id (ids ``< 0`` skipped)."""
-        return {path_id: int(rtts.size) for path_id, rtts in self._buckets().items()}
+        return dict(self.product("path_sample_counts", self._compute_counts))
+
+    def _compute_counts(self) -> Dict[int, int]:
+        path_ids, counts = np.unique(self.usable_path_ids(), return_counts=True)
+        return {
+            path_id: count
+            for path_id, count in zip(path_ids.tolist(), counts.tolist())
+            if path_id >= 0
+        }
 
     def usable_rtts_by_path(self) -> Dict[int, np.ndarray]:
         """Usable-sample RTTs grouped by path id (the AS-path buckets).
 
-        Keys ascend by path id; each bucket keeps time order.
+        Keys ascend by path id; each bucket keeps time order.  Built fresh
+        per call and not memoized: :meth:`sorted_buckets` holds the same
+        RTTs sorted, and :meth:`path_sample_counts` holds their sizes.
         """
-        return dict(self._buckets())
-
-    def _buckets(self) -> Dict[int, np.ndarray]:
-        return self.product("buckets", self._compute_buckets)
-
-    def _compute_buckets(self) -> Dict[int, np.ndarray]:
         # One stable sort groups the usable samples by path id, keeping each
         # group in time order; the group boundaries split it into buckets
         # (read-only views of one array).
@@ -226,7 +231,7 @@ class TraceTimeline(_Memoized):
     ) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
         path_ids: List[int] = []
         pieces: List[np.ndarray] = []
-        for path_id, rtts in self._buckets().items():
+        for path_id, rtts in self.usable_rtts_by_path().items():
             finite = rtts[np.isfinite(rtts)]
             if finite.size >= min_samples:
                 path_ids.append(path_id)

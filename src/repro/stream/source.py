@@ -209,8 +209,6 @@ class _PlatformSource:
             # cache behind.  The next unit of the same pair rebuilds its
             # (cheap, deterministic) realizations.
             self.platform.drop_realizations(src.server_id, dst.server_id)
-            if self.kernels is not None:
-                self.kernels.drop_pair(src.server_id, dst.server_id)
         obs_metrics.counter("stream.units").inc()
         return unit
 

@@ -1,5 +1,7 @@
 """Tests for the IPv4-vs-IPv6 paired comparison (Figure 10a)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,46 @@ class TestPairing:
         comparison = paired_rtt_differences(LongTermDataset(grid=grid))
         assert comparison.paired_samples == 0
         assert np.isnan(comparison.within_band_fraction())
+
+
+def _reference_populations(dataset):
+    """Figure 10a's populations, gathered piece by piece per pair."""
+    all_pieces, same_pieces = [], []
+    for src, dst in dataset.pairs():
+        v4 = dataset.timelines.get((src, dst, IPVersion.V4))
+        v6 = dataset.timelines.get((src, dst, IPVersion.V6))
+        if v4 is None or v6 is None:
+            continue
+        both = (v4.usable_mask() & v6.usable_mask()
+                & np.isfinite(v4.rtt_ms) & np.isfinite(v6.rtt_ms))
+        diffs = (v4.rtt_ms[both] - v6.rtt_ms[both]).astype(float)
+        all_pieces.append(diffs)
+        same = np.array([
+            v4.paths[i] == v6.paths[j]
+            for i, j in zip(v4.path_id[both], v6.path_id[both])
+        ], dtype=bool)
+        same_pieces.append(diffs[same])
+    return np.sort(np.concatenate(all_pieces)), np.sort(np.concatenate(same_pieces))
+
+
+class TestOnPlatform:
+    def test_populations_match_piecewise_reference(self, longterm):
+        comparison = paired_rtt_differences(longterm)
+        all_values, same_values = _reference_populations(longterm)
+        assert comparison.all_diffs.values.tobytes() == all_values.tobytes()
+        assert comparison.same_path_diffs.values.tobytes() == same_values.tobytes()
+        assert comparison.paired_samples == all_values.size
+        assert comparison.same_path_samples == same_values.size
+        assert 0 < same_values.size < all_values.size
+
+    def test_traced_peak_within_three_population_buffers(self, longterm):
+        # A first call fills the timelines' usable-sample memos and numpy's
+        # lazy imports; neither is a transient of this function.
+        paired = paired_rtt_differences(longterm).paired_samples
+        tracemalloc.start()
+        try:
+            paired_rtt_differences(longterm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * paired

@@ -51,6 +51,30 @@ class TestBasics:
         assert points[-1] == (999.0, 1.0)
 
 
+class TestCopies:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([3.0, 1.0, 2.0]),
+            np.array([3.0, np.nan, 1.0]),
+            np.array([2.0, 1.0], dtype=np.float32),
+        ],
+    )
+    def test_input_never_mutated(self, values):
+        before = values.copy()
+        ecdf = ECDF(values)
+        assert values.tobytes() == before.tobytes()
+        assert not np.shares_memory(ecdf.values, values)
+
+    def test_adopted_buffer_is_not_copied(self):
+        buffer = np.array([1.0, 2.0, 2.0, 5.0])
+        adopted = ECDF._adopt_sorted(buffer)
+        assert adopted.values is buffer
+        reference = ECDF(buffer[::-1])
+        assert adopted.values.tobytes() == reference.values.tobytes()
+        assert adopted.at(2.0) == reference.at(2.0) == 0.75
+
+
 class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(_samples, st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

@@ -23,6 +23,7 @@ from repro.harness.experiments import (
     experiment_fig6,
 )
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
+from repro.net.ip import IPVersion
 from repro.stream.columns import PingColumns, TraceColumns
 
 SEEDS = [0, 7]
@@ -61,6 +62,44 @@ def _assert_ping_timelines_equal(reference, candidate):
         actual = candidate.timelines[key]
         assert actual.times_hours.tobytes() == expected.times_hours.tobytes()
         assert actual.rtt_ms.tobytes() == expected.rtt_ms.tobytes()
+
+
+def _sampled_longterm_epochs(platform: MeasurementPlatform):
+    """``(version, realization, low, high)`` of every epoch the LONGTERM grid samples."""
+    times = LONGTERM.grid().times()
+    for src, dst in platform.server_pairs(dual_stack_only=LONGTERM.dual_stack_only):
+        for version in LONGTERM.versions:
+            if src.address(version) is None or dst.address(version) is None:
+                continue
+            for epoch in platform.epochs(src, dst, version):
+                low = int(times.searchsorted(epoch.start_hour, side="left"))
+                high = int(times.searchsorted(epoch.end_hour, side="left"))
+                if high <= low or epoch.candidate_index < 0:
+                    continue
+                realization = platform.realization(src, dst, version, epoch.candidate_index)
+                if realization is not None:
+                    yield version, realization, low, high
+
+
+class TestFixtureCoverage:
+    """The fixture must exercise the draws and sums most likely to drift."""
+
+    def test_an_epoch_sums_several_congested_segments(self, seeded_platform):
+        # Per-epoch congestion is summed segment by segment; only a path
+        # with two or more congested segments exercises the sum's order.
+        events = seeded_platform.congestion.events
+        assert any(
+            sum(key in events for key in realization.segment_keys) >= 2
+            for _, realization, _, _ in _sampled_longterm_epochs(seeded_platform)
+        )
+
+    def test_an_epoch_straddles_the_paris_cutover(self, seeded_platform):
+        times = LONGTERM.grid().times()
+        cut = int(times.searchsorted(seeded_platform.config.paris_start_hour, side="left"))
+        assert any(
+            version is IPVersion.V4 and low < cut < high
+            for version, _, low, high in _sampled_longterm_epochs(seeded_platform)
+        )
 
 
 class TestTimelineEquivalence:
