@@ -25,13 +25,50 @@ Design points:
   into scalar aggregates plus a fixed-width integer histogram of
   per-pair RTT spreads, so service RSS stays flat however many cycles
   the mesh campaign runs.
+- **In-place block kernels, bit-identical to the plain formulas.**  A
+  block is generated and folded in a few buffers instead of one
+  temporary per arithmetic step; the golden digests in
+  ``tests/stream/test_mesh.py`` pin the bits.  Each rewrite is exact:
+
+  - SplitMix64 runs in place on the counter words (integer ops wrap
+    the same however they are staged), and the seed word is mixed
+    once per source.  A block's counter words are one scalar add onto
+    a per-source template of the first block's counters.
+  - Loss and congestion are decided on integers:
+    ``uniform01(w) = k * 2**-53`` with ``k = w >> 11`` is exact, and so
+    is ``rate * 2**53``, hence ``uniform01(w) < rate`` exactly when
+    ``k < ceil(rate * 2**53)`` (:func:`_uniform_cut`).  NaN is written
+    into the RTT buffer in place.
+  - Jitter is ``log1p`` in place on the uniforms buffer.
+    ``(-u) * c`` and ``u * (-c)`` are bitwise equal (rounding is
+    sign-symmetric), and ``k * (-c * 2**-53)`` rounds the same real
+    number as ``(k * 2**-53) * -c`` (scaling by a power of two is
+    exact), so the scale and the ``1 - 1e-12`` factor are one multiply.
+  - The diurnal term is computed for congested rows only (~20%).  For
+    every other row it was ``0.0 * sin(...)**2 = +0.0``, and
+    ``x + 0.0 = x`` unless ``x`` is ``-0.0``; ``MeshConfig`` rejects
+    negative millisecond fields, so no RTT here is negative or ``-0.0``.
+  - The fold takes row highs and lows from one column-wise
+    ``fmax``/``fmin`` pass over the round columns.  Both skip NaN,
+    which is the only non-finite value a block holds, and select
+    rather than round, so they equal the finite-masked extremes; an
+    all-lost row keeps spread 0.  ``rtt_min``/``rtt_max`` come from
+    them.  The sum and square sum stay over the compressed finite
+    array (squared in place): numpy's pairwise summation order over
+    that 1-D array is what sets their bits.
+- **The fold stays in the consumer.**  Folding in the shards and
+  shipping per-block aggregates instead of matrices can be made
+  bit-identical (the consumer would add the per-block sums in unit
+  order, as it does now), and it cuts the consumer's CPU.  But it moves
+  the same work onto the shards, which share the host's cores with the
+  consumer, so on a host without spare cores it saves no wall time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -50,19 +87,61 @@ __all__ = [
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 _MIX_B = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_C = np.uint64(0x94D049BB133111EB)
+_MANTISSA_SHIFT = np.uint64(11)
+_UNIT = 2.0**-53
+"""Spacing of the uniforms: ``uniform01(w) = (w >> 11) * 2**-53``."""
 
 
-def _mix64(values: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a ``uint64`` array (wrapping arithmetic)."""
-    z = values + _MIX_A
-    z = (z ^ (z >> np.uint64(30))) * _MIX_B
-    z = (z ^ (z >> np.uint64(27))) * _MIX_C
-    return z ^ (z >> np.uint64(31))
+def _mix64(values: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """SplitMix64 finalizer over a ``uint64`` array, in place (wrapping).
+
+    ``scratch`` (same shape and dtype) holds the shifted words; it is
+    allocated when not given.  Returns ``values``.
+    """
+    if scratch is None:
+        scratch = np.empty_like(values)
+    values += _MIX_A
+    np.right_shift(values, np.uint64(30), out=scratch)
+    values ^= scratch
+    values *= _MIX_B
+    np.right_shift(values, np.uint64(27), out=scratch)
+    values ^= scratch
+    values *= _MIX_C
+    np.right_shift(values, np.uint64(31), out=scratch)
+    values ^= scratch
+    return values
 
 
 def _uniform01(values: np.ndarray) -> np.ndarray:
     """Map mixed ``uint64`` words onto float64 uniforms in ``[0, 1)``."""
-    return (values >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    return (values >> _MANTISSA_SHIFT).astype(np.float64) * _UNIT
+
+
+def _uniform_cut(rate: float) -> np.uint64:
+    """The integer ``cut`` with ``uniform01(w) < rate  <=>  (w >> 11) < cut``.
+
+    ``uniform01(w)`` is exactly ``k * 2**-53`` for the integer
+    ``k = w >> 11`` (``k < 2**53`` converts to float64 exactly and the
+    power-of-two scale is exact), and ``rate * 2**53`` is exact too, so
+    ``k * 2**-53 < rate  <=>  k < rate * 2**53  <=>  k < ceil(rate * 2**53)``.
+    """
+    return np.uint64(math.ceil(rate * 2.0**53))
+
+
+def _below(words: np.ndarray, rate: float) -> np.ndarray:
+    """``uniform01(words) < rate`` in the integer domain (overwrites ``words``)."""
+    np.right_shift(words, _MANTISSA_SHIFT, out=words)
+    return words < _uniform_cut(rate)
+
+
+_ROUND_BITS = 24
+_ROUND_CAPACITY = 1 << _ROUND_BITS
+"""Rounds addressable per pair (~479 years at 15 min): the counter hash
+indexes ``pair * ROUND_CAPACITY + absolute_round``, so round
+``ROUND_CAPACITY`` of pair ``p`` would be round 0 of pair ``p + 1``."""
+
+_PAIR_CAPACITY = 1 << (64 - _ROUND_BITS)
+"""Pairs addressable before ``pair * ROUND_CAPACITY`` overflows 64 bits."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +150,9 @@ class MeshConfig:
 
     ``rounds_per_cycle`` rounds are generated per service cycle at
     ``cadence_hours`` spacing; ``pair * ROUND_CAPACITY + absolute_round``
-    indexes the counter hash, so cycles are unbounded.
+    indexes the counter hash, so a campaign may run until its absolute
+    round reaches ``ROUND_CAPACITY``.  Out-of-range fields raise
+    ``ValueError`` here rather than producing a silently wrong mesh.
     """
 
     pairs: int = 1_000_000
@@ -89,15 +170,35 @@ class MeshConfig:
     def __post_init__(self) -> None:
         if self.pairs < 1 or self.block_pairs < 1 or self.rounds_per_cycle < 1:
             raise ValueError("mesh dimensions must be positive")
+        if self.pairs > _PAIR_CAPACITY:
+            raise ValueError(
+                f"mesh pairs must be at most 2**{64 - _ROUND_BITS} "
+                f"(got {self.pairs}): pair * 2**{_ROUND_BITS} overflows 64 bits"
+            )
+        if self.rounds_per_cycle > _ROUND_CAPACITY:
+            raise ValueError(
+                f"rounds_per_cycle must be at most 2**{_ROUND_BITS} "
+                f"(got {self.rounds_per_cycle})"
+            )
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"mesh seed must be in [0, 2**64) (got {self.seed})")
+        if not (math.isfinite(self.cadence_hours) and self.cadence_hours > 0):
+            raise ValueError(
+                f"cadence_hours must be positive (got {self.cadence_hours})"
+            )
+        for name in ("base_rtt_ms", "spread_rtt_ms", "jitter_ms", "diurnal_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0 (got {value})")
+        for name in ("congested_fraction", "loss_rate"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1] (got {value})")
 
     @property
     def blocks(self) -> int:
         """Units per cycle (the last block may be ragged)."""
         return -(-self.pairs // self.block_pairs)
-
-
-_ROUND_CAPACITY = np.uint64(1) << np.uint64(24)
-"""Rounds addressable per pair before counter reuse (~191 years at 15 min)."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +258,22 @@ class SyntheticMeshSource:
     def __init__(self, config: MeshConfig, cycle: int = 0) -> None:
         self.config = config
         self.cycle = int(cycle)
+        last_round = (self.cycle + 1) * config.rounds_per_cycle
+        if self.cycle < 0 or last_round > _ROUND_CAPACITY:
+            raise ValueError(
+                f"mesh cycle {self.cycle} needs absolute rounds up to "
+                f"{last_round}; the counter hash addresses rounds "
+                f"[0, 2**{_ROUND_BITS}) per pair"
+            )
+        self._seed_word = _mix64(np.array([config.seed], dtype=np.uint64))[0]
+        # Counter words of a block whose first pair is 0; block ``i`` adds
+        # ``low * ROUND_CAPACITY`` with one scalar add, not a broadcast.
+        rows = min(config.block_pairs, config.pairs)
+        first_round = self.cycle * config.rounds_per_cycle
+        self._counters = np.add(
+            (np.arange(rows, dtype=np.uint64) << np.uint64(_ROUND_BITS))[:, None],
+            np.arange(first_round, last_round, dtype=np.uint64),
+        )
 
     def __len__(self) -> int:
         return self.config.blocks
@@ -169,44 +286,61 @@ class SyntheticMeshSource:
         return (self.cycle, index, 4)
 
     def unit_at(self, index: int) -> StreamUnit:
-        """Build block ``index`` of this cycle from the counter hash."""
+        """Build block ``index`` of this cycle from the counter hash.
+
+        Every step writes into the block's own buffers (see the module
+        notes for why each rewrite is bit-identical to the plain
+        formulation the golden tests pin).
+        """
         cfg = self.config
         if not 0 <= index < cfg.blocks:
             raise IndexError(index)
         low = index * cfg.block_pairs
         high = min(low + cfg.block_pairs, cfg.pairs)
-        pairs = np.arange(low, high, dtype=np.uint64)
-        rounds = cfg.rounds_per_cycle
-        first_round = self.cycle * rounds
-        absolute = np.arange(first_round, first_round + rounds, dtype=np.uint64)
-        seed = _mix64(np.array([[cfg.seed]], dtype=np.uint64))
+        pair_ids = np.arange(low, high, dtype=np.int64)
+        pairs = pair_ids.view(np.uint64)
+        first_round = self.cycle * cfg.rounds_per_cycle
+        absolute = np.arange(
+            first_round, first_round + cfg.rounds_per_cycle, dtype=np.uint64
+        )
 
-        # Per-pair static character: base RTT and congestion affinity.
-        pair_words = _mix64(pairs ^ seed[0])
+        # Per-pair static character: base RTT, then the congestion and
+        # phase words mixed together as one (2, pairs) array.
+        pair_words = _mix64(pairs ^ self._seed_word)
         base_u = _uniform01(pair_words)
         base = cfg.base_rtt_ms + cfg.spread_rtt_ms * base_u**2
-        congested = _uniform01(_mix64(pair_words)) < cfg.congested_fraction
-        amplitude = np.where(congested, cfg.diurnal_ms, 0.0)
-        phase = _uniform01(_mix64(pair_words ^ _MIX_B))
+        traits = _mix64(np.stack([pair_words, pair_words ^ _MIX_B]))
+        congested = np.flatnonzero(_below(traits[0], cfg.congested_fraction))
 
         # Per-sample counter words: pair * capacity + absolute round.
-        counters = pairs[:, None] * _ROUND_CAPACITY + absolute[None, :]
-        words = _mix64(counters ^ seed)
-        jitter_u = _uniform01(words)
-        loss_u = _uniform01(_mix64(words))
+        words = np.add(
+            self._counters[: high - low], np.uint64(low << _ROUND_BITS)
+        )
+        words ^= self._seed_word
+        scratch = np.empty_like(words)
+        _mix64(words, scratch)
 
+        # Jitter: base - jitter_ms * log1p(-u * (1 - 1e-12)), in the
+        # output buffer, with u * 2**-53 * -(1 - 1e-12) as one multiply.
+        np.right_shift(words, _MANTISSA_SHIFT, out=scratch)
+        rtt = scratch.astype(np.float64)
+        rtt *= -(1.0 - 1e-12) * _UNIT
+        np.log1p(rtt, out=rtt)
+        rtt *= cfg.jitter_ms
+        np.subtract(base[:, None], rtt, out=rtt)
+
+        # Diurnal term, congested rows only (elsewhere it is +0.0).
         times = absolute.astype(np.float64) * cfg.cadence_hours
-        day_fraction = (times / 24.0) % 1.0
-        diurnal = amplitude[:, None] * (
-            np.sin(2.0 * math.pi * (day_fraction[None, :] + phase[:, None]))
-            ** 2
-        )
-        rtt = (
-            base[:, None]
-            - cfg.jitter_ms * np.log1p(-jitter_u * (1.0 - 1e-12))
-            + diurnal
-        )
-        rtt = np.where(loss_u < cfg.loss_rate, np.nan, rtt)
+        phase = _uniform01(traits[1, congested])
+        diurnal = np.add.outer(phase, (times / 24.0) % 1.0)
+        diurnal *= 2.0 * math.pi
+        np.sin(diurnal, out=diurnal)
+        np.square(diurnal, out=diurnal)
+        diurnal *= cfg.diurnal_ms
+        rtt[congested] += diurnal
+
+        # Loss: a second mix of the same words, decided on integers.
+        rtt[_below(_mix64(words, scratch), cfg.loss_rate)] = np.nan
 
         obs_metrics.counter("stream.units").inc()
         key: UnitKey = (self.cycle, index, 4)
@@ -216,7 +350,7 @@ class SyntheticMeshSource:
             records=(),
             columns=MeshColumns(
                 key=key,
-                pair_ids=pairs.astype(np.int64),
+                pair_ids=pair_ids,
                 times_hours=times,
                 rtt_ms=rtt,
                 round_offset=first_round,
@@ -262,29 +396,42 @@ class MeshStatsOperator:
         """Mesh blocks carry no per-unit state; nothing to open."""
 
     def observe_columns(self, columns: MeshColumns) -> None:
-        """Fold one block's matrix into the aggregates (vectorized)."""
+        """Fold one block's matrix into the aggregates (vectorized).
+
+        NaN is the only non-finite value a mesh block holds (a lost
+        round), so the row extremes come from NaN-skipping
+        ``fmax``/``fmin`` folds across the round columns; a row with
+        every round lost has NaN extremes and spread 0.
+        """
         if self.spread_counts is None:
             self.spread_counts = np.zeros(self._bins(), dtype=np.int64)
         rtt = columns.rtt_ms
         finite = np.isfinite(rtt)
-        valid = finite.sum(axis=1)
+        observed = int(np.count_nonzero(finite))
         self.samples += int(rtt.size)
-        self.lost += int(rtt.size - finite.sum())
+        self.lost += int(rtt.size) - observed
         self.pair_rows += int(rtt.shape[0])
-        present = rtt[finite]
-        if present.size:
+        highs = rtt[:, 0].copy()
+        lows = highs.copy()
+        for column in range(1, rtt.shape[1]):
+            np.fmax(highs, rtt[:, column], out=highs)
+            np.fmin(lows, rtt[:, column], out=lows)
+        if observed:
+            # Sums over the compressed 1-D array: its pairwise summation
+            # order is what sets the bits of rtt_sum / rtt_sq_sum.
+            present = rtt[finite]
             self.rtt_sum += float(present.sum())
-            self.rtt_sq_sum += float(np.square(present).sum())
-            self.rtt_min = min(self.rtt_min, float(present.min()))
-            self.rtt_max = max(self.rtt_max, float(present.max()))
-        highs = np.where(finite, rtt, -np.inf).max(axis=1)
-        lows = np.where(finite, rtt, np.inf).min(axis=1)
-        spread = np.where(valid > 0, highs - lows, 0.0)
-        self.spread_exceeds += int((spread > self.spread_threshold_ms).sum())
-        slots = np.minimum(
-            (spread / self.spread_bin_ms).astype(np.int64), self._bins() - 1
-        )
-        self.spread_counts += np.bincount(slots, minlength=self._bins())
+            self.rtt_sq_sum += float(np.square(present, out=present).sum())
+            self.rtt_min = min(self.rtt_min, float(np.fmin.reduce(lows)))
+            self.rtt_max = max(self.rtt_max, float(np.fmax.reduce(highs)))
+        spread = np.subtract(highs, lows, out=highs)
+        np.fmax(spread, 0.0, out=spread)  # all-lost rows: NaN -> 0
+        self.spread_exceeds += int(np.count_nonzero(spread > self.spread_threshold_ms))
+        spread /= self.spread_bin_ms
+        slots = spread.astype(np.int64)
+        bins = self._bins()
+        np.minimum(slots, bins - 1, out=slots)
+        self.spread_counts += np.bincount(slots, minlength=bins)
 
     def _spread_percentile(self, q: float) -> float:
         """Percentile of the spread distribution from the histogram."""

@@ -1,5 +1,7 @@
 """Tests for the synthetic mesh source and its O(1) operator."""
 
+import dataclasses
+import hashlib
 import math
 import pickle
 
@@ -7,9 +9,12 @@ import numpy as np
 import pytest
 
 from repro.stream.mesh import (
+    MeshColumns,
     MeshConfig,
     MeshStatsOperator,
     SyntheticMeshSource,
+    _uniform01,
+    _uniform_cut,
     mesh_results,
 )
 from repro.stream.source import ShardedSource, WindowedSource
@@ -165,3 +170,296 @@ class TestMeshStatsOperator:
         payload = mesh_results(operator, 7)
         assert payload["cycles"] == 7
         assert payload["samples"] == operator.samples
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestGoldenPins:
+    """Exact bits of generated blocks and of a folded campaign.
+
+    The kernels are free to change how they compute, never what: every
+    digest below was recorded from the straightforward (one temporary
+    per step) formulation, so any drifted bit fails here, not only in
+    the benchmark's digest check.
+    """
+
+    @pytest.mark.parametrize(
+        "config, cycle, index, expected",
+        [
+            pytest.param(
+                CONFIG, 0, 0,
+                "28f2f6fbe0374d9aafdd043377f1de7c54fbce506cf50f436f4f786fc45352e4",
+                id="first-block",
+            ),
+            pytest.param(
+                CONFIG, 0, 3,
+                "6211a461cc47de22fd2d2ec19c19f9c2ee82d1e3741ebc4d5d7dae1c8026e8a4",
+                id="ragged-last-block",
+            ),
+            pytest.param(
+                dataclasses.replace(CONFIG, seed=1), 0, 0,
+                "ff16e0aced9d0a190224ec2be49412b41bf22d642b16d1a8a818552bab09db98",
+                id="seed-1",
+            ),
+            pytest.param(
+                CONFIG, 5, 1,
+                "273687cf98f487781415f633e5bafd2e55a701a6d0b2a695468835aa1dcefbde",
+                id="cycle-5",
+            ),
+            pytest.param(
+                dataclasses.replace(CONFIG, loss_rate=0.05), 0, 2,
+                "66e1ea573a25e1c4a124f6d7d9e6404d69aff3d7ab15c218d958d9bc90742bf6",
+                id="loss-0.05",
+            ),
+            pytest.param(
+                dataclasses.replace(CONFIG, congested_fraction=0.0), 0, 0,
+                "b2852da3813a9a397316d815209bfe9e993802179ac57c472217466dc0ccf5e9",
+                id="congested-0",
+            ),
+            pytest.param(
+                dataclasses.replace(CONFIG, congested_fraction=1.0), 0, 0,
+                "3e68c024333d518145e630603bdbc9cee011861d9ce59006b007b09ce03ab522",
+                id="congested-1",
+            ),
+        ],
+    )
+    def test_block_bits(self, config, cycle, index, expected):
+        block = SyntheticMeshSource(config, cycle=cycle).unit_at(index).columns
+        assert _sha256(block.rtt_ms) == expected
+
+    def test_two_cycle_fold_bits(self):
+        operator = MeshStatsOperator()
+        for cycle in range(2):
+            for unit in SyntheticMeshSource(CONFIG, cycle=cycle):
+                operator.start_unit(unit.key)
+                operator.observe_columns(unit.columns)
+        assert operator.finalize() == {
+            "samples": 16000,
+            "lost": 165,
+            "loss_rate": 0.0103125,
+            "pair_rows": 2000,
+            "rtt_mean_ms": 72.851192748,
+            "rtt_stddev_ms": 53.830922065,
+            "rtt_min_ms": 10.007601795,
+            "rtt_max_ms": 204.657146054,
+            "spread_p50_ms": 4.5,
+            "spread_p90_ms": 8.5,
+            "spread_p99_ms": 13.0,
+            "spread_exceeds": 109,
+        }
+        assert operator.rtt_sum.hex() == "0x1.19a3ea31db3f9p+20"
+        assert operator.rtt_sq_sum.hex() == "0x1.efa206e98d0d6p+26"
+        assert _sha256(operator.spread_counts) == (
+            "43ea82d4f7c9eee90448160b665a0227c047c5051dbe8e12a0d0963033167457"
+        )
+
+
+class TestKernelEdgeCases:
+    def test_lost_and_single_sample_rows(self):
+        nan = np.nan
+        rtt = np.array(
+            [
+                [nan, nan, nan, nan],  # every round lost
+                [nan, 42.0, nan, nan],  # one finite sample
+                [12.0, nan, 30.5, 11.0],  # lowest and highest of the block
+                [nan, nan, nan, nan],
+                [20.0, 20.0, nan, 20.0],  # finite but flat
+            ]
+        )
+        columns = MeshColumns(
+            key=(0, 0, 4),
+            pair_ids=np.arange(5, dtype=np.int64),
+            times_hours=np.arange(4, dtype=np.float64),
+            rtt_ms=rtt,
+        )
+        operator = MeshStatsOperator(spread_threshold_ms=10.0)
+        operator.observe_columns(columns)
+        assert operator.samples == 20
+        assert operator.lost == 13
+        assert operator.pair_rows == 5
+        assert operator.rtt_min == 11.0
+        assert operator.rtt_max == 42.0
+        present = rtt[np.isfinite(rtt)]
+        assert operator.rtt_sum == float(present.sum())
+        assert operator.rtt_sq_sum == float(np.square(present).sum())
+        # Spreads: 0 (all lost), 0 (single), 19.5, 0 (all lost), 0 (flat).
+        assert operator.spread_exceeds == 1
+        expected = np.zeros_like(operator.spread_counts)
+        expected[0] = 4
+        expected[int(19.5 / operator.spread_bin_ms)] = 1
+        np.testing.assert_array_equal(operator.spread_counts, expected)
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-9, 0.01, 0.25, 0.5, 1.0])
+    def test_integer_loss_cut_matches_float_test(self, rate):
+        cut = int(_uniform_cut(rate))
+        ks = [k for k in (cut - 1, cut, cut + 1) if 0 <= k < 2**53]
+        # Each k with its low 11 bits clear and set: both map to k * 2**-53.
+        words = np.array(
+            [word for k in ks for word in (k << 11, (k << 11) | 0x7FF)],
+            dtype=np.uint64,
+        )
+        assert ks
+        np.testing.assert_array_equal(
+            (words >> np.uint64(11)) < _uniform_cut(rate),
+            _uniform01(words) < rate,
+        )
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("loss_rate", -0.01),
+            ("loss_rate", 1.5),
+            ("loss_rate", math.nan),
+            ("congested_fraction", -0.1),
+            ("congested_fraction", 1.01),
+            ("cadence_hours", 0.0),
+            ("cadence_hours", -0.25),
+            ("cadence_hours", math.inf),
+            ("base_rtt_ms", -1.0),
+            ("spread_rtt_ms", -180.0),
+            ("jitter_ms", -2.0),
+            ("diurnal_ms", -8.0),
+            ("jitter_ms", math.inf),
+            ("seed", -1),
+            ("seed", 2**64),
+            ("rounds_per_cycle", 2**24 + 1),
+        ],
+    )
+    def test_out_of_range_fields_raise(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            dataclasses.replace(CONFIG, **{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        dataclasses.replace(
+            CONFIG, loss_rate=0.0, congested_fraction=1.0, base_rtt_ms=0.0,
+            spread_rtt_ms=0.0, jitter_ms=0.0, diurnal_ms=0.0, seed=2**64 - 1,
+        )
+        dataclasses.replace(CONFIG, loss_rate=1.0, congested_fraction=0.0)
+
+    def test_pairs_beyond_the_counter_space_raise(self):
+        # Pair ids 0 .. 2**40 - 1 fit in pair * 2**24 + round < 2**64;
+        # one more pair would wrap onto pair 0's counters.
+        assert MeshConfig(pairs=2**40, block_pairs=2**20).blocks == 2**20
+        with pytest.raises(ValueError, match="pairs"):
+            MeshConfig(pairs=2**40 + 1)
+
+    def test_cycles_beyond_the_round_capacity_raise(self):
+        config = MeshConfig(pairs=10, block_pairs=10, rounds_per_cycle=8)
+        last = 2**24 // 8 - 1  # absolute rounds [2**24 - 8, 2**24)
+        block = SyntheticMeshSource(config, cycle=last).unit_at(0).columns
+        assert block.round_offset == 2**24 - 8
+        with pytest.raises(ValueError, match="cycle"):
+            SyntheticMeshSource(config, cycle=last + 1)
+        with pytest.raises(ValueError, match="cycle"):
+            SyntheticMeshSource(config, cycle=-1)
+
+
+# ----------------------------------------------------------------------
+# The plain formulation of both kernels (one temporary per step), kept
+# as the reference the in-place kernels must match bit for bit.
+# ----------------------------------------------------------------------
+
+
+def _reference_mix64(values):
+    z = values + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _reference_uniform01(values):
+    return (values >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+
+
+def _reference_block(config, cycle, index):
+    low = index * config.block_pairs
+    high = min(low + config.block_pairs, config.pairs)
+    pairs = np.arange(low, high, dtype=np.uint64)
+    rounds = config.rounds_per_cycle
+    absolute = np.arange(cycle * rounds, (cycle + 1) * rounds, dtype=np.uint64)
+    seed = _reference_mix64(np.array([[config.seed]], dtype=np.uint64))
+    pair_words = _reference_mix64(pairs ^ seed[0])
+    base = (
+        config.base_rtt_ms
+        + config.spread_rtt_ms * _reference_uniform01(pair_words) ** 2
+    )
+    congested = (
+        _reference_uniform01(_reference_mix64(pair_words))
+        < config.congested_fraction
+    )
+    amplitude = np.where(congested, config.diurnal_ms, 0.0)
+    phase = _reference_uniform01(_reference_mix64(pair_words ^ np.uint64(0xBF58476D1CE4E5B9)))
+    counters = pairs[:, None] * np.uint64(2**24) + absolute[None, :]
+    words = _reference_mix64(counters ^ seed)
+    jitter_u = _reference_uniform01(words)
+    loss_u = _reference_uniform01(_reference_mix64(words))
+    day_fraction = ((absolute.astype(np.float64) * config.cadence_hours) / 24.0) % 1.0
+    diurnal = amplitude[:, None] * (
+        np.sin(2.0 * math.pi * (day_fraction[None, :] + phase[:, None])) ** 2
+    )
+    rtt = (
+        base[:, None]
+        - config.jitter_ms * np.log1p(-jitter_u * (1.0 - 1e-12))
+        + diurnal
+    )
+    return np.where(loss_u < config.loss_rate, np.nan, rtt)
+
+
+def _reference_fold(blocks, bin_ms=0.5, bins=801, threshold_ms=10.0):
+    state = {"lost": 0, "sum": 0.0, "sq": 0.0, "min": math.inf,
+             "max": -math.inf, "exceeds": 0, "counts": np.zeros(bins, np.int64)}
+    for rtt in blocks:
+        finite = np.isfinite(rtt)
+        state["lost"] += int(rtt.size - finite.sum())
+        present = rtt[finite]
+        if present.size:
+            state["sum"] += float(present.sum())
+            state["sq"] += float(np.square(present).sum())
+            state["min"] = min(state["min"], float(present.min()))
+            state["max"] = max(state["max"], float(present.max()))
+        highs = np.where(finite, rtt, -np.inf).max(axis=1)
+        lows = np.where(finite, rtt, np.inf).min(axis=1)
+        spread = np.where(finite.sum(axis=1) > 0, highs - lows, 0.0)
+        state["exceeds"] += int((spread > threshold_ms).sum())
+        slots = np.minimum((spread / bin_ms).astype(np.int64), bins - 1)
+        state["counts"] += np.bincount(slots, minlength=bins)
+    return state
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize(
+        "overrides, cycle",
+        [
+            ({}, 0),
+            ({"pairs": 7, "block_pairs": 3, "rounds_per_cycle": 13}, 3),
+            ({"seed": 2**64 - 1, "cadence_hours": 7.3}, 1000),
+            ({"base_rtt_ms": 0.0, "spread_rtt_ms": 0.0, "jitter_ms": 0.0}, 1),
+            ({"diurnal_ms": 0.0, "congested_fraction": 1.0}, 2),
+            ({"loss_rate": 1.0}, 0),
+            ({"loss_rate": 0.0, "congested_fraction": 1e-9}, 4),
+            ({"loss_rate": 0.5, "rounds_per_cycle": 1}, 2**24 - 1),
+        ],
+    )
+    def test_blocks_and_fold_match_plain_formulas(self, overrides, cycle):
+        config = dataclasses.replace(CONFIG, **overrides)
+        source = SyntheticMeshSource(config, cycle=cycle)
+        operator = MeshStatsOperator()
+        blocks = []
+        for index in range(len(source)):
+            columns = source.unit_at(index).columns
+            expected = _reference_block(config, cycle, index)
+            assert columns.rtt_ms.tobytes() == expected.tobytes()
+            operator.observe_columns(columns)
+            blocks.append(expected)
+        reference = _reference_fold(blocks)
+        assert operator.lost == reference["lost"]
+        assert operator.rtt_sum.hex() == reference["sum"].hex()
+        assert operator.rtt_sq_sum.hex() == reference["sq"].hex()
+        assert operator.rtt_min == reference["min"]
+        assert operator.rtt_max == reference["max"]
+        assert operator.spread_exceeds == reference["exceeds"]
+        np.testing.assert_array_equal(operator.spread_counts, reference["counts"])
