@@ -183,15 +183,22 @@ class MetricsRegistry:
                 histograms[metric.name] = metric.stats()
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
-    def delta_since(self, baseline: Dict[str, Dict[str, object]]) -> Dict[str, Dict[str, object]]:
+    def delta_since(
+        self,
+        baseline: Dict[str, Dict[str, object]],
+        current: Optional[Dict[str, Dict[str, object]]] = None,
+    ) -> Dict[str, Dict[str, object]]:
         """What changed since ``baseline`` (a prior :meth:`snapshot`).
 
         Returns only non-zero counter increments and histograms with new
         observations, so worker→parent deltas stay tiny.  Histogram
         ``min``/``max`` carry the *current* extremes -- merging extremes
         is idempotent, so inherited pre-fork history cannot skew them.
+        ``current`` (a later snapshot) ends the window; it defaults to
+        now.
         """
-        current = self.snapshot()
+        if current is None:
+            current = self.snapshot()
         base_counters = baseline.get("counters", {})
         counters = {
             name: value - base_counters.get(name, 0)

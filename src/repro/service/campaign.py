@@ -35,6 +35,7 @@ from repro.obs.log import get_logger
 from repro.service.checkpoint import CampaignCheckpointStore, campaign_fingerprint
 from repro.service.config import CampaignConfig
 from repro.stream.mesh import (
+    FoldedMeshSource,
     MeshConfig,
     MeshStatsOperator,
     SyntheticMeshSource,
@@ -55,20 +56,30 @@ _LOG = get_logger("repro.service.campaign")
 
 
 class MeshDriver:
-    """Cycles over the synthetic mesh (unbounded grid, O(1) state)."""
+    """Cycles over the synthetic mesh (unbounded grid, O(1) state).
+
+    A cycle's units carry folded blocks: the fold runs where a block is
+    built (in the shard, or inline with one shard), and the campaign's
+    operator only absorbs them in unit order.
+    """
 
     kind = "mesh"
 
     def __init__(self, config: CampaignConfig) -> None:
         self.config = config
-        self.mesh = config.mesh if config.mesh is not None else MeshConfig()
+        self.mesh = (
+            config.mesh if config.mesh is not None
+            else MeshConfig(rounds_per_cycle=config.rounds_per_cycle)
+        )
         self.total_cycles: Optional[int] = config.cycles
 
     def fingerprint_parts(self) -> tuple:
         return (self.config,)
 
-    def source_for_cycle(self, cycle: int) -> SyntheticMeshSource:
-        return SyntheticMeshSource(self.mesh, cycle=cycle)
+    def source_for_cycle(self, cycle: int) -> FoldedMeshSource:
+        return FoldedMeshSource(
+            SyntheticMeshSource(self.mesh, cycle=cycle), self.make_operator()
+        )
 
     def make_operator(self) -> MeshStatsOperator:
         return MeshStatsOperator()

@@ -56,7 +56,8 @@ class CampaignConfig:
     campaign finishes when the measurement grid is exhausted (trace/
     ping) or after ``cycles`` cycles (mesh, where the counter-hash grid
     is unbounded).  ``cycles=None`` on a mesh campaign means run until
-    drained.
+    drained.  A ``mesh`` block is only valid on a mesh campaign, and
+    its ``rounds_per_cycle`` must equal the campaign's.
     """
 
     name: str
@@ -90,6 +91,16 @@ class CampaignConfig:
             raise ValueError("cycles must be positive when set")
         if self.shards < 1 or self.queue_units < 1 or self.checkpoint_every < 1:
             raise ValueError("shards/queue_units/checkpoint_every must be positive")
+        if self.mesh is not None:
+            if self.kind != "mesh":
+                raise ValueError(
+                    f"a 'mesh' block needs kind 'mesh' (got {self.kind!r})"
+                )
+            if self.mesh.rounds_per_cycle != self.rounds_per_cycle:
+                raise ValueError(
+                    f"mesh rounds_per_cycle {self.mesh.rounds_per_cycle} "
+                    f"disagrees with the campaign's {self.rounds_per_cycle}"
+                )
 
 
 @dataclass(frozen=True)
@@ -146,7 +157,8 @@ def service_config_from_dict(payload: Dict[str, object]) -> ServiceConfig:
 
     Unknown keys fail loudly (a typo'd knob must not silently become a
     default); the ``mesh`` sub-document maps onto
-    :class:`~repro.stream.mesh.MeshConfig`.
+    :class:`~repro.stream.mesh.MeshConfig`, taking the campaign's
+    ``rounds_per_cycle`` when it names none.
     """
     if not isinstance(payload, dict):
         raise ValueError("service config must be a JSON object")
@@ -168,6 +180,11 @@ def service_config_from_dict(payload: Dict[str, object]) -> ServiceConfig:
             unknown = set(mesh) - _MESH_FIELDS
             if unknown:
                 raise ValueError(f"unknown mesh keys: {sorted(unknown)}")
+            mesh = dict(mesh)
+            mesh.setdefault(
+                "rounds_per_cycle",
+                fields.get("rounds_per_cycle", CampaignConfig.rounds_per_cycle),
+            )
             fields["mesh"] = MeshConfig(**mesh)
         retry = fields.get("retry")
         if retry is not None:

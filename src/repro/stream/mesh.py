@@ -56,12 +56,22 @@ Design points:
     them.  The sum and square sum stay over the compressed finite
     array (squared in place): numpy's pairwise summation order over
     that 1-D array is what sets their bits.
-- **The fold stays in the consumer.**  Folding in the shards and
-  shipping per-block aggregates instead of matrices can be made
-  bit-identical (the consumer would add the per-block sums in unit
-  order, as it does now), and it cuts the consumer's CPU.  But it moves
-  the same work onto the shards, which share the host's cores with the
-  consumer, so on a host without spare cores it saves no wall time.
+- **The fold runs where the block is built.**  A shard folds each
+  block it builds into a :class:`MeshBlockFold` (counts, the block's
+  float sum and square sum, extremes, spread histogram) and ships that
+  instead of the matrix; the consumer only absorbs, in unit order
+  (:class:`FoldedMeshSource`).  Bit-identity holds because each block's
+  sums are computed exactly as before and added in the same order; the
+  counts, extremes and histogram do not depend on order.  Moving the
+  fold does not save CPU -- it moves it -- but measured on the
+  1M-pair, 2-shard campaign the wall was set by the per-message cost of
+  the shard queue (pickle, feeder thread, pipe: ~100-170 us of CPU per
+  message beside generation), not by the fold: with a 74 KB matrix per
+  unit, two shards were slower than one.  A folded unit pickles to
+  ~0.7 KB, which lets :class:`~repro.stream.source.ShardedSource`
+  ship them in batches.  Measured, the fold alone took under a tenth
+  off the wall and batching matrices took nothing; together they took
+  off about a third.
 """
 
 from __future__ import annotations
@@ -79,7 +89,9 @@ from repro.stream.source import StreamUnit
 __all__ = [
     "MeshConfig",
     "MeshColumns",
+    "MeshBlockFold",
     "SyntheticMeshSource",
+    "FoldedMeshSource",
     "MeshStatsOperator",
     "mesh_results",
 ]
@@ -362,9 +374,38 @@ class SyntheticMeshSource:
             yield self.unit_at(index)
 
 
+@dataclass(frozen=True)
+class MeshBlockFold:
+    """One mesh block folded to what :class:`MeshStatsOperator` keeps.
+
+    A shard ships this instead of the block's matrix: counts, the
+    block's float sum and square sum, its RTT extremes, and its spread
+    histogram as the slots from ``spread_low`` on (trailing empty slots
+    dropped).  ``__len__`` counts samples, like :class:`MeshColumns`.
+    """
+
+    samples: int
+    lost: int
+    rows: int
+    rtt_sum: float
+    rtt_sq_sum: float
+    rtt_min: float
+    rtt_max: float
+    spread_exceeds: int
+    spread_low: int
+    spread_counts: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.samples
+
+
 @dataclass
 class MeshStatsOperator:
     """Fold mesh blocks into O(1) aggregate state.
+
+    :meth:`fold` turns one block into a :class:`MeshBlockFold` wherever
+    the block is built; :meth:`observe_columns` absorbs the folds in
+    unit order.
 
     Tracks sample/loss counts, RTT moments and extremes, and a
     fixed-width integer histogram of per-pair min-max RTT spreads per
@@ -395,43 +436,75 @@ class MeshStatsOperator:
     def start_unit(self, key: UnitKey, meta: object = None) -> None:
         """Mesh blocks carry no per-unit state; nothing to open."""
 
-    def observe_columns(self, columns: MeshColumns) -> None:
-        """Fold one block's matrix into the aggregates (vectorized).
+    def fold(self, columns: MeshColumns) -> MeshBlockFold:
+        """Fold one block's matrix into a :class:`MeshBlockFold`.
 
-        NaN is the only non-finite value a mesh block holds (a lost
-        round), so the row extremes come from NaN-skipping
-        ``fmax``/``fmin`` folds across the round columns; a row with
-        every round lost has NaN extremes and spread 0.
+        Pure: it reads only the spread settings, never the running
+        aggregates, so it runs wherever the block is built.  NaN is the
+        only non-finite value a mesh block holds (a lost round), so the
+        row extremes come from NaN-skipping ``fmax``/``fmin`` folds
+        across the round columns; a row with every round lost has NaN
+        extremes and spread 0.
         """
-        if self.spread_counts is None:
-            self.spread_counts = np.zeros(self._bins(), dtype=np.int64)
         rtt = columns.rtt_ms
         finite = np.isfinite(rtt)
         observed = int(np.count_nonzero(finite))
-        self.samples += int(rtt.size)
-        self.lost += int(rtt.size) - observed
-        self.pair_rows += int(rtt.shape[0])
         highs = rtt[:, 0].copy()
         lows = highs.copy()
         for column in range(1, rtt.shape[1]):
             np.fmax(highs, rtt[:, column], out=highs)
             np.fmin(lows, rtt[:, column], out=lows)
+        rtt_sum = rtt_sq_sum = 0.0
+        rtt_min, rtt_max = math.inf, -math.inf
         if observed:
             # Sums over the compressed 1-D array: its pairwise summation
             # order is what sets the bits of rtt_sum / rtt_sq_sum.
             present = rtt[finite]
-            self.rtt_sum += float(present.sum())
-            self.rtt_sq_sum += float(np.square(present, out=present).sum())
-            self.rtt_min = min(self.rtt_min, float(np.fmin.reduce(lows)))
-            self.rtt_max = max(self.rtt_max, float(np.fmax.reduce(highs)))
+            rtt_sum = float(present.sum())
+            rtt_sq_sum = float(np.square(present, out=present).sum())
+            rtt_min = float(np.fmin.reduce(lows))
+            rtt_max = float(np.fmax.reduce(highs))
         spread = np.subtract(highs, lows, out=highs)
         np.fmax(spread, 0.0, out=spread)  # all-lost rows: NaN -> 0
-        self.spread_exceeds += int(np.count_nonzero(spread > self.spread_threshold_ms))
+        exceeds = int(np.count_nonzero(spread > self.spread_threshold_ms))
         spread /= self.spread_bin_ms
         slots = spread.astype(np.int64)
-        bins = self._bins()
-        np.minimum(slots, bins - 1, out=slots)
-        self.spread_counts += np.bincount(slots, minlength=bins)
+        np.minimum(slots, self._bins() - 1, out=slots)
+        spread_low = int(slots.min())
+        slots -= spread_low
+        return MeshBlockFold(
+            samples=int(rtt.size),
+            lost=int(rtt.size) - observed,
+            rows=int(rtt.shape[0]),
+            rtt_sum=rtt_sum,
+            rtt_sq_sum=rtt_sq_sum,
+            rtt_min=rtt_min,
+            rtt_max=rtt_max,
+            spread_exceeds=exceeds,
+            spread_low=spread_low,
+            spread_counts=np.bincount(slots),
+        )
+
+    def observe_columns(self, block: MeshBlockFold) -> None:
+        """Absorb one folded block into the aggregates, in unit order.
+
+        The float sums are added in the order the blocks arrive, which
+        the stream keeps equal to unit order; the counts, extremes and
+        histogram do not depend on order at all.
+        """
+        if self.spread_counts is None:
+            self.spread_counts = np.zeros(self._bins(), dtype=np.int64)
+        self.samples += block.samples
+        self.lost += block.lost
+        self.pair_rows += block.rows
+        # An all-lost block adds +0.0 and infinite extremes: no change.
+        self.rtt_sum += block.rtt_sum
+        self.rtt_sq_sum += block.rtt_sq_sum
+        self.rtt_min = min(self.rtt_min, block.rtt_min)
+        self.rtt_max = max(self.rtt_max, block.rtt_max)
+        self.spread_exceeds += block.spread_exceeds
+        low = block.spread_low
+        self.spread_counts[low:low + block.spread_counts.size] += block.spread_counts
 
     def _spread_percentile(self, q: float) -> float:
         """Percentile of the spread distribution from the histogram."""
@@ -463,6 +536,45 @@ class MeshStatsOperator:
             "spread_p99_ms": self._spread_percentile(0.99),
             "spread_exceeds": self.spread_exceeds,
         }
+
+
+class FoldedMeshSource:
+    """A mesh cycle whose units carry folded blocks, not matrices.
+
+    Wraps a :class:`SyntheticMeshSource` with the
+    :meth:`MeshStatsOperator.fold` of an operator whose spread settings
+    match the consuming operator's.  Under
+    :class:`~repro.stream.source.ShardedSource` each shard folds the
+    blocks it builds, so a unit crosses the queue as ~0.7 KB instead of
+    the block's ~74 KB matrix, and the consumer only absorbs.
+    """
+
+    kind = "mesh"
+
+    def __init__(self, source: SyntheticMeshSource, operator: MeshStatsOperator) -> None:
+        self.source = source
+        self.operator = operator
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def key_hint(self, index: int) -> UnitKey:
+        """The wrapped source's unit key, without building the block."""
+        return self.source.key_hint(index)
+
+    def unit_at(self, index: int) -> StreamUnit:
+        """Build block ``index`` and fold it."""
+        unit = self.source.unit_at(index)
+        return StreamUnit(
+            key=unit.key,
+            kind=self.kind,
+            records=(),
+            columns=self.operator.fold(unit.columns),
+        )
+
+    def __iter__(self) -> Iterator[StreamUnit]:
+        for index in range(len(self)):
+            yield self.unit_at(index)
 
 
 def mesh_results(operator: MeshStatsOperator, cycles: int) -> Dict[str, object]:

@@ -14,11 +14,12 @@ Sources:
   live from a :class:`~repro.measurement.platform.MeasurementPlatform`.
 - :class:`WindowedSource` -- a platform source's units cut down to one
   cycle's grid rounds.
-- :class:`ShardedSource` -- fans a platform source's units across
+- :class:`ShardedSource` -- fans a random-access source's units across
   forked worker processes (the :func:`repro.datasets.parallel.fork_map`
-  model: fork inheritance in, pickled results + metric deltas out) with
-  a **bounded** queue per shard, so a slow consumer blocks the producers
-  instead of letting them buffer unboundedly.
+  model: fork inheritance in, pickled results + metric deltas out),
+  shipped in batches through a **bounded** queue per shard, so a slow
+  consumer blocks the producers instead of letting them buffer
+  unboundedly.
 
 Because every unit draws from its own named RNG stream, sharding and
 resume order never influence any random draw: a sharded stream, a serial
@@ -31,6 +32,7 @@ import multiprocessing
 import os
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from queue import Empty as _QueueEmpty
 from queue import Full as _QueueFull
@@ -358,6 +360,23 @@ class WindowedSource:
 # ---------------------------------------------------------------------------
 
 _DONE = "__shard_done__"
+_FAILED = "__unit_failed__"
+
+_BATCH_UNITS = 16
+"""Most units one shard queue message carries.  A message costs the
+worker a pickle, a feeder-thread hand-off and a pipe write, and the
+consumer an unpickle, more or less whatever it holds; on the 1M-pair
+mesh that per-message cost, not building or folding blocks, set the
+wall time.  Batches of 8-64 measured flat there; 4 was clearly
+slower."""
+
+_BATCH_S = 0.05
+"""A batch ships early once this long has passed since its first unit
+began building.  The clock starts before that build, so a unit that
+alone takes this long ships as soon as it is built, and a held unit
+waits at most this long plus the next unit's build: a source with slow
+units neither starves the merge nor looks like a stalled shard to the
+supervisor."""
 
 
 class ShardError(RuntimeError):
@@ -384,54 +403,113 @@ class ShardError(RuntimeError):
         self.metrics_delta = metrics_delta or {}
 
 
-def _shard_worker(
-    source, worker_index: int, shards: int, start: int, queue, stop
-) -> None:
-    """Worker loop: build this shard's units and push them with telemetry.
+class _ShardWire:
+    """The worker end of one shard queue: units leave in batches.
 
-    The queue is bounded, so ``put`` blocks when the consumer lags --
-    that is the backpressure contract.  ``stop`` is the drain event: a
-    consumer that abandons the stream mid-window sets it, and the worker
-    exits cleanly at the next unit boundary (or the next ``put`` retry)
-    instead of being terminated mid-write.  Counters incremented inside
-    the builders travel back as per-unit registry snapshot deltas,
-    exactly like :func:`repro.datasets.parallel.fork_map` workers -- and
-    on a crash the delta of the half-finished unit rides along with the
-    traceback.
+    A message is ``(tag, payload, delta)``: ``("batch", entries, delta)``
+    with up to :data:`_BATCH_UNITS` entries ``(tag, index, payload)``
+    (tag ``"unit"`` or ``_FAILED``), ``("error", traceback, delta)``, or
+    ``(_DONE, None, None)``.  Counters incremented inside the builders
+    travel back as one registry delta per message, like
+    :func:`repro.datasets.parallel.fork_map` workers' deltas.
+    :meth:`begin_unit` marks each unit boundary, so a failure ships the
+    units before it with the delta up to that boundary and carries the
+    failing unit's own delta.
     """
-    registry = obs_metrics.get_registry()
-    baseline = registry.snapshot()
 
-    def _put(item) -> bool:
-        """Bounded put that gives up when the consumer has drained away."""
-        while not stop.is_set():
+    def __init__(self, queue, stop) -> None:
+        self.queue = queue
+        self.stop = stop
+        self.registry = obs_metrics.get_registry()
+        self.baseline = self.mark = self.registry.snapshot()
+        self.pending: List[Tuple[str, int, object]] = []
+        self.opened = 0.0
+
+    def put(self, message) -> bool:
+        """Bounded put that gives up when the consumer has drained away.
+
+        The queue is bounded, so ``put`` blocks when the consumer lags
+        -- that is the backpressure contract.
+        """
+        while not self.stop.is_set():
             try:
-                queue.put(item, timeout=0.1)
+                self.queue.put(message, timeout=0.1)
                 return True
             except _QueueFull:
                 continue
         return False
 
+    def begin_unit(self) -> None:
+        """Mark a unit boundary: what is recorded from here is this unit's.
+
+        An empty batch starts its clock here, before its first unit is
+        built (see :data:`_BATCH_S`).
+        """
+        self.mark = self.registry.snapshot()
+        if not self.pending:
+            self.opened = time.monotonic()
+
+    def add(self, tag: str, index: int, payload) -> bool:
+        """Hold one unit's outcome; ship the batch once full or old."""
+        self.pending.append((tag, index, payload))
+        if (
+            len(self.pending) >= _BATCH_UNITS
+            or time.monotonic() - self.opened >= _BATCH_S
+        ):
+            return self.flush()
+        return True
+
+    def flush(self, upto=None) -> bool:
+        """Ship the held units with the registry delta since the last
+        batch, up to the snapshot ``upto`` (default: now)."""
+        if not self.pending:
+            return True
+        current = self.registry.snapshot() if upto is None else upto
+        entries, self.pending = self.pending, []
+        delta = self.registry.delta_since(self.baseline, current)
+        self.baseline = self.mark = current
+        return self.put(("batch", entries, delta))
+
+    def finish(self) -> None:
+        """Ship the last batch and the end-of-stride marker."""
+        if self.flush():
+            self.put((_DONE, None, None))
+
+    def fail(self, worker_traceback: str) -> None:
+        """Ship the units built before the failing one, then the failure."""
+        if self.flush(upto=self.mark):
+            self.put(
+                ("error", worker_traceback,
+                 self.registry.delta_since(self.baseline))
+            )
+
+
+def _shard_worker(
+    source, worker_index: int, shards: int, start: int, queue, stop
+) -> None:
+    """Worker loop: build this shard's units and ship them in batches.
+
+    ``stop`` is the drain event: a consumer that abandons the stream
+    mid-window sets it, and the worker exits cleanly at the next unit
+    boundary (or the next ``put`` retry) instead of being terminated
+    mid-write.  On a crash the units built before it still ship, and
+    the half-finished unit's registry delta rides along with the
+    traceback.
+    """
+    wire = _ShardWire(queue, stop)
     try:
         for index in range(start + worker_index, len(source), shards):
             if stop.is_set():
                 return
-            baseline = registry.snapshot()
-            unit = source.unit_at(index)
-            if not _put(("unit", index, unit, registry.delta_since(baseline))):
+            wire.begin_unit()
+            if not wire.add("unit", index, source.unit_at(index)):
                 return
-        _put((_DONE, worker_index, None, None))
+        wire.finish()
     except BaseException:  # surfaced to the parent, never swallowed
-        _put(
-            ("error", worker_index, traceback.format_exc(),
-             registry.delta_since(baseline))
-        )
+        wire.fail(traceback.format_exc())
 
 
-_FAILED = "__unit_failed__"
-
-
-def _injectors(plane, index: int, attempt: int, registry, queue=None) -> None:
+def _injectors(plane, index: int, attempt: int, wire: _ShardWire) -> None:
     """Fire the per-unit fault injectors scheduled for this attempt.
 
     Crash exits the process mid-unit (its counter is recomputed by the
@@ -439,24 +517,29 @@ def _injectors(plane, index: int, attempt: int, registry, queue=None) -> None:
     stall sleeps inside the unit's delta window; transient raises
     :class:`~repro.faults.plane.InjectedFault` for the retry loop.
 
-    A crash first flushes the queue's feeder thread: units the worker
-    already handed off must not be lost to the exit, or the parent
-    would misattribute the crash to an earlier index and the
-    attempt-gated schedule would lose determinism.
+    Before any of them fires, the worker ships its held batch, and a
+    crash also flushes the queue's feeder thread: units the worker
+    already built must reach the parent, or it would attribute the
+    crash or stall to an earlier index and the attempt-gated schedule
+    would lose determinism.
     """
     if plane is None:
         return
-    if plane.crash(index, attempt):
-        if queue is not None:
-            queue.close()
-            queue.join_thread()
-        os._exit(41)
+    crash = plane.crash(index, attempt)
     stall = plane.stall_s_for(index, attempt)
+    transient = plane.transient(index, attempt)
+    if crash or stall > 0 or transient:
+        wire.flush()
+    if crash:
+        wire.queue.close()
+        wire.queue.join_thread()
+        os._exit(41)
+    registry = wire.registry
     if stall > 0:
         registry.counter("faults.injected").inc()
         registry.counter("faults.injected{kind=stall}").inc()
         time.sleep(stall)
-    if plane.transient(index, attempt):
+    if transient:
         registry.counter("faults.injected").inc()
         registry.counter("faults.injected{kind=transient}").inc()
         raise InjectedFault("transient", f"unit {index} attempt {attempt}")
@@ -475,28 +558,17 @@ def _supervised_worker(
 ) -> None:
     """Shard worker with in-process unit retry and fault injection.
 
-    Like :func:`_shard_worker`, but a unit whose build raises (injected
-    transient or real) is retried up to ``policy.unit_attempts`` times
-    before the worker reports it as *failed* and moves on -- a sick unit
-    costs itself, never the shard.  ``resume_from``/``resume_attempt``
-    let a restarted incarnation skip the stride prefix its predecessor
-    already delivered and continue that unit's attempt numbering, which
-    keeps the attempt-gated fault schedule deterministic across
-    restarts.
+    Like :func:`_shard_worker` (same batched wire), but a unit whose
+    build raises (injected transient or real) is retried up to
+    ``policy.unit_attempts`` times before the worker reports it as
+    *failed* and moves on -- a sick unit costs itself, never the shard.
+    ``resume_from``/``resume_attempt`` let a restarted incarnation skip
+    the stride prefix its predecessor already delivered and continue
+    that unit's attempt numbering, which keeps the attempt-gated fault
+    schedule deterministic across restarts.
     """
-    registry = obs_metrics.get_registry()
     plane = get_plane()
-    baseline = registry.snapshot()
-
-    def _put(item) -> bool:
-        while not stop.is_set():
-            try:
-                queue.put(item, timeout=0.1)
-                return True
-            except _QueueFull:
-                continue
-        return False
-
+    wire = _ShardWire(queue, stop)
     try:
         for index in range(start + worker_index, len(source), shards):
             if index < resume_from:
@@ -505,12 +577,12 @@ def _supervised_worker(
                 return
             base = resume_attempt if index == resume_from else 0
             attempt = base
-            baseline = registry.snapshot()
+            wire.begin_unit()
             unit = None
             failure = None
             while True:
                 try:
-                    _injectors(plane, index, attempt, registry, queue)
+                    _injectors(plane, index, attempt, wire)
                     unit = source.unit_at(index)
                     break
                 except Exception:
@@ -519,28 +591,53 @@ def _supervised_worker(
                         failure = traceback.format_exc()
                         break
             if failure is not None:
-                if not _put(
-                    (_FAILED, index, failure, registry.delta_since(baseline))
-                ):
-                    return
-                continue
-            if not _put(("unit", index, unit, registry.delta_since(baseline))):
+                shipped = wire.add(_FAILED, index, failure)
+            else:
+                shipped = wire.add("unit", index, unit)
+            if not shipped:
                 return
-        _put((_DONE, worker_index, None, None))
+        wire.finish()
     except BaseException:  # infra failure: surfaced, shard restarts
-        _put(
-            ("error", worker_index, traceback.format_exc(),
-             registry.delta_since(baseline))
-        )
+        wire.fail(traceback.format_exc())
+
+
+_LAG_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 96.0, 128.0,
+                160.0, 192.0, 256.0, 512.0)
+"""``stream.merge_lag_units`` bounds.  Two shards with the default
+``queue_units=4`` reach 2 * (4 + 1) * 16 = 160 units with full queues
+and full held batches, so the steps stay fine up to there."""
+
+
+def _merge_lag(queues, held, shards) -> int:
+    """Units built by workers but not yet merged, over ``shards``.
+
+    Held units are counted exactly; a queued message counts as a full
+    batch.  That is exact while batches ship full, as fast units'
+    batches do, and an upper bound when one ships early, which happens
+    when units are slow and the queues are then mostly empty.  Raises
+    ``NotImplementedError`` where queues have no ``qsize`` (macOS).
+    """
+    return sum(
+        len(held[shard]) + _BATCH_UNITS * queues[shard].qsize()
+        for shard in shards
+    )
 
 
 class ShardedSource:
-    """Fan a platform source's units across forked workers.
+    """Fan a random-access source's units across forked workers.
 
     Worker ``w`` of ``shards`` builds units ``start+w, start+w+shards,
-    ...`` and pushes them into its own bounded queue
-    (``queue_units`` deep); the parent pops queues round-robin in global
-    unit order, so consumers see exactly the serial order.  Falls back to
+    ...`` and ships them, in batches of up to :data:`_BATCH_UNITS` units
+    per message, into its own bounded queue (``queue_units`` messages
+    deep, so at most ``queue_units * _BATCH_UNITS`` units in flight per
+    shard, plus one batch being built and one the parent holds).  The
+    memory that bound costs scales with the unit size: a folded mesh
+    block pickles to ~0.7 KB and a trace/ping unit cut to an 8-round
+    window to 0.5-0.8 KB, but a long-term trace unit over all 3,880
+    rounds of the default scenario to 65 KB, where the batches add
+    ~5 MB to each worker's peak RSS.  The parent unpacks each message
+    into a per-shard deque and takes units round-robin in global unit
+    order, so consumers see exactly the serial order.  Falls back to
     the serial loop for one shard or platforms without ``fork``.
 
     With a :class:`~repro.faults.plane.SupervisionPolicy` the fan-out is
@@ -586,12 +683,14 @@ class ShardedSource:
     def iter_from(self, start: int = 0) -> Iterator[StreamUnit]:
         """Yield units ``start..`` in order, building them across shards.
 
-        Live telemetry per pop: labeled per-shard queue-depth gauges and
-        receive counters (``stream.queue_depth{shard=N}`` /
+        Live telemetry per pop: labeled per-shard queue-depth gauges (in
+        messages) and receive counters (``stream.queue_depth{shard=N}`` /
         ``stream.shard_units{shard=N}``), a ``stream.merge_lag`` gauge
-        (units built by workers but not yet merged into the ordered
-        stream), and status-board heartbeats -- the last time each
-        shard delivered a unit -- for ``/status`` and the dashboard.
+        and ``stream.merge_lag_units`` histogram (units built by workers
+        but not yet merged into the ordered stream, the parent's held
+        batches included -- see :func:`_merge_lag`), and status-board
+        heartbeats -- the last time each shard delivered a unit -- for
+        ``/status`` and the dashboard.
         """
         total = len(self.source)
         shards = min(self.shards, max(1, total - start))
@@ -620,8 +719,7 @@ class ShardedSource:
         # but not yet merged), sampled at every pop -- the p99 of this is
         # the backpressure number the service benchmark reports.
         lag_hist = registry.histogram(
-            "stream.merge_lag_units", buckets=(0.0, 1.0, 2.0, 4.0, 8.0,
-                                               16.0, 32.0, 64.0, 128.0)
+            "stream.merge_lag_units", buckets=_LAG_BUCKETS
         )
         shard_depths = [
             registry.gauge(f"stream.queue_depth{{shard={worker}}}")
@@ -645,31 +743,40 @@ class ShardedSource:
         self.last_workers = workers
         for process in workers:
             process.start()
+        held = [deque() for _ in range(shards)]
         try:
             for index in range(start, total):
                 shard = (index - start) % shards
                 queue = queues[shard]
                 try:
-                    depth_gauge.set(queue.qsize())
-                    shard_depths[shard].set(queue.qsize())
-                    lag = sum(q.qsize() for q in queues)
+                    depth = queue.qsize()
+                    depth_gauge.set(depth)
+                    shard_depths[shard].set(depth)
+                    lag = _merge_lag(queues, held, range(shards))
                     lag_gauge.set(lag)
                     lag_hist.observe(lag)
                 except NotImplementedError:  # macOS has no qsize
                     pass
-                tag, value, payload, delta = queue.get()
-                if tag == "error":
+                if not held[shard]:
+                    tag, payload, delta = queue.get()
                     if delta:
                         registry.merge(delta)
-                    raise ShardError(value, payload, delta)
+                    if tag == "error":
+                        raise ShardError(shard, payload, delta)
+                    if tag != "batch":  # pragma: no cover - invariant
+                        raise RuntimeError(
+                            f"stream shard {shard} finished early at "
+                            f"unit {index}"
+                        )
+                    held[shard].extend(payload)
+                _, value, unit = held[shard].popleft()
                 if value != index:  # pragma: no cover - ordering invariant
                     raise RuntimeError(
                         f"stream shard returned unit {value}, expected {index}"
                     )
-                registry.merge(delta)
                 shard_units[shard].inc()
                 status.shard_unit(shard)
-                yield payload
+                yield unit
         finally:
             self._drain(workers, queues, stop)
 
@@ -696,8 +803,7 @@ class ShardedSource:
         depth_gauge = registry.gauge("stream.queue_depth")
         lag_gauge = registry.gauge("stream.merge_lag")
         lag_hist = registry.histogram(
-            "stream.merge_lag_units", buckets=(0.0, 1.0, 2.0, 4.0, 8.0,
-                                               16.0, 32.0, 64.0, 128.0)
+            "stream.merge_lag_units", buckets=_LAG_BUCKETS
         )
         shard_units = [
             registry.counter(f"stream.shard_units{{shard={worker}}}")
@@ -782,6 +888,10 @@ class ShardedSource:
             _spawn(shard, start, 0)
         self.last_workers = all_workers
 
+        # A restart or quarantine only happens while the merge waits on
+        # an empty deque, so a shard's held units are always from its
+        # current incarnation.
+        held = [deque() for _ in range(shards)]
         try:
             for index in range(start, total):
                 shard = (index - start) % shards
@@ -791,24 +901,37 @@ class ShardedSource:
                     if shard in quarantined:
                         result = _missing(index, shard, "quarantined")
                         break
+                    if held[shard]:
+                        tag, value, payload = held[shard].popleft()
+                        if value != index:  # pragma: no cover - invariant
+                            raise RuntimeError(
+                                f"stream shard returned unit {value}, "
+                                f"expected {index}"
+                            )
+                        if tag == _FAILED:
+                            registry.counter("stream.unit_failures").inc()
+                            result = _missing(index, shard, "unit_failed")
+                        else:
+                            result = payload
+                        break
                     queue = queues[shard]
                     process = procs[shard]
                     try:
                         depth_gauge.set(queue.qsize())
-                        lag = sum(
-                            queues[s].qsize() for s in range(shards)
-                            if s not in quarantined
+                        lag = _merge_lag(
+                            queues, held,
+                            [s for s in range(shards) if s not in quarantined],
                         )
                         lag_gauge.set(lag)
                         lag_hist.observe(lag)
                     except NotImplementedError:  # macOS has no qsize
                         pass
                     try:
-                        item = queue.get(timeout=policy.poll_s)
+                        message = queue.get(timeout=policy.poll_s)
                     except _QueueEmpty:
                         if not process.is_alive():
                             try:  # the dying worker may have delivered
-                                item = queue.get_nowait()
+                                message = queue.get_nowait()
                             except _QueueEmpty:
                                 _handle_down(shard, index, "crash")
                                 wait_started = time.monotonic()
@@ -824,28 +947,12 @@ class ShardedSource:
                             continue
                         else:
                             continue
-                    tag, value, payload, delta = item
-                    if tag == "unit":
-                        if value != index:  # pragma: no cover - invariant
-                            raise RuntimeError(
-                                f"stream shard returned unit {value}, "
-                                f"expected {index}"
-                            )
+                    tag, payload, delta = message
+                    if delta:
                         registry.merge(delta)
-                        result = payload
-                    elif tag == _FAILED:
-                        if value != index:  # pragma: no cover - invariant
-                            raise RuntimeError(
-                                f"stream shard failed unit {value}, "
-                                f"expected {index}"
-                            )
-                        if delta:
-                            registry.merge(delta)
-                        registry.counter("stream.unit_failures").inc()
-                        result = _missing(index, shard, "unit_failed")
+                    if tag == "batch":
+                        held[shard].extend(payload)
                     elif tag == "error":
-                        if delta:
-                            registry.merge(delta)
                         process.join()
                         _handle_down(shard, index, "error")
                         wait_started = time.monotonic()

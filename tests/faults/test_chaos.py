@@ -44,7 +44,7 @@ RECOVERABLE = FaultsConfig(
 
 def _campaign(tmp_path, name="mesh", supervision=None, **overrides):
     fields = dict(
-        name=name, kind="mesh", cycles=1, rounds_per_cycle=4,
+        name=name, kind="mesh", cycles=1, rounds_per_cycle=8,
         checkpoint_every=4, mesh=MESH,
     )
     fields.update(overrides)
@@ -104,6 +104,42 @@ class TestChaosEquivalence:
         resumed = _run_to_completion(second)
         assert resumed == expected
         assert json.loads(resumed)["completeness"]["coverage"] == 1.0
+
+
+# 47 units per cycle, so every shard's stride spans several batches.
+BATCH_MESH = MeshConfig(pairs=3000, block_pairs=64)
+
+# Each fault fires while its worker holds built but unshipped units.
+# Before the crash at 10 a worker holds units 0-9 (one shard), the
+# evens 0-8 (two shards) or 2 and 6 (four shards); the stall at 13 and
+# the transient at 27 likewise come after units of the same batch.
+MID_BATCH = FaultsConfig(
+    seed=11,
+    crash_units=(10,),
+    stall_units=(13,),
+    stall_s=1.5,
+    transient_units=(27,),
+)
+
+
+class TestMidBatchFaults:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_mid_batch_faults_are_attributed_to_their_unit(self, tmp_path, shards):
+        reference = _reference(tmp_path, mesh=BATCH_MESH)
+        install(MID_BATCH)
+        campaign = _campaign(
+            tmp_path, name=f"batch{shards}", shards=shards, supervision=QUICK,
+            mesh=BATCH_MESH,
+        )
+        chaotic = _run_to_completion(campaign)
+        assert chaotic == reference  # results and completeness report
+        assert json.loads(chaotic)["completeness"]["coverage"] == 1.0
+        registry = get_registry()
+        for kind in ("crash", "stall", "transient"):
+            assert registry.counter(f"faults.injected{{kind={kind}}}").value == 1
+        assert registry.counter("faults.injected").value == 3
+        assert registry.counter("shard.restarts").value == 2
+        assert registry.counter("stream.units_missing").value == 0
 
 
 class TestExactDeficit:

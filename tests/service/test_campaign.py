@@ -1,5 +1,6 @@
 """Tests for the campaign runtime: cycles, gates, durability, drivers."""
 
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,7 @@ MESH = MeshConfig(pairs=512, block_pairs=128)  # 4 units per cycle
 
 def _mesh_campaign(tmp_path, name="m", **overrides):
     fields = dict(
-        name=name, kind="mesh", cycles=2, rounds_per_cycle=4,
+        name=name, kind="mesh", cycles=2, rounds_per_cycle=8,
         checkpoint_every=2, mesh=MESH,
     )
     fields.update(overrides)
@@ -182,3 +183,45 @@ class TestPlatformDrivers:
             if key != "completeness"
         }
         assert measured == expected
+
+
+# A mesh campaign whose unit count (40 per cycle) is not a multiple of
+# the shard count times any small batch size, with a mid-cycle
+# checkpoint at ``units_done == checkpoint_every``.
+PIN_MESH = MeshConfig(pairs=5000, block_pairs=128, rounds_per_cycle=8, seed=3)
+
+
+class TestBitIdentityPins:
+    """sha256 of checkpoint and results bytes, recorded before the
+    mesh fold moved into the shards and the shard wire was batched:
+    where a block is folded and how units travel must not change a bit
+    of either."""
+
+    @pytest.mark.parametrize(
+        "shards, checkpoint_sha",
+        [
+            (1, "0b6c089a045192f81a2874482c68d05bd80db2060c4787da9a571e0ef492c8b0"),
+            (2, "a1e0d134299b8ef83885acdfe1655a9ab23e9ae1510db70725da0b73cb06d9aa"),
+        ],
+    )
+    def test_checkpoint_and_results_bytes(self, tmp_path, shards, checkpoint_sha):
+        config = CampaignConfig(
+            name="pin", kind="mesh", cycles=2, rounds_per_cycle=8,
+            checkpoint_every=16, shards=shards, queue_units=2, mesh=PIN_MESH,
+        )
+        campaign = Campaign(config, driver_for(config), tmp_path)
+        saved = {}
+        save = campaign.store.save
+
+        def recording_save(cycle, units_done, *args, **kwargs):
+            save(cycle, units_done, *args, **kwargs)
+            body = campaign.store.path.read_bytes()
+            saved.setdefault((cycle, units_done), hashlib.sha256(body).hexdigest())
+
+        campaign.store.save = recording_save
+        assert _run_to_outcome(campaign) == "finished"
+        assert saved[(0, 16)] == checkpoint_sha
+        results = hashlib.sha256(campaign.results_path.read_bytes()).hexdigest()
+        assert results == (
+            "5e344d760dac914afaab7d3a17729761d4ea48241813ad8623ea9752151db431"
+        )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.service.campaign import driver_for
 from repro.service.config import (
     CampaignConfig,
     ServiceConfig,
@@ -39,6 +40,23 @@ class TestCampaignConfig:
     def test_rejects_nonpositive_knobs(self, kwargs):
         with pytest.raises(ValueError):
             CampaignConfig(name="m", **kwargs)
+
+    def test_rejects_mesh_rounds_that_disagree(self):
+        with pytest.raises(ValueError, match="disagrees"):
+            CampaignConfig(
+                name="m", rounds_per_cycle=16,
+                mesh=MeshConfig(pairs=1000, rounds_per_cycle=8),
+            )
+
+    @pytest.mark.parametrize("kind", ["trace", "ping"])
+    def test_rejects_mesh_block_on_platform_kind(self, kind):
+        with pytest.raises(ValueError, match="needs kind 'mesh'"):
+            CampaignConfig(name="m", kind=kind, mesh=MeshConfig(pairs=1000))
+
+    def test_mesh_driver_falls_back_to_the_campaign_rounds(self):
+        config = CampaignConfig(name="m", rounds_per_cycle=16)
+        driver = driver_for(config)
+        assert driver.mesh == MeshConfig(rounds_per_cycle=16)
 
 
 class TestServiceConfig:
@@ -81,6 +99,36 @@ class TestServiceConfigFromDict:
         assert [c.name for c in config.campaigns] == ["mesh", "pings"]
         assert config.campaigns[0].mesh == MeshConfig(pairs=1024, block_pairs=256)
         assert config.time_scale == 0.01
+
+    def test_mesh_document_takes_the_campaign_rounds(self):
+        config = service_config_from_dict(
+            {"campaigns": [{"name": "m", "kind": "mesh", "rounds_per_cycle": 16,
+                            "mesh": {"pairs": 1000}}]}
+        )
+        campaign = config.campaigns[0]
+        assert campaign.mesh.rounds_per_cycle == 16
+        source = driver_for(campaign).source_for_cycle(0).source
+        assert source.unit_at(0).columns.rtt_ms.shape == (1000, 16)
+
+    def test_mesh_document_without_campaign_rounds_uses_the_default(self):
+        config = service_config_from_dict(
+            {"campaigns": [{"name": "m", "mesh": {"pairs": 1000}}]}
+        )
+        assert config.campaigns[0].mesh.rounds_per_cycle == 8
+
+    def test_mesh_document_rounds_that_disagree_fail(self):
+        with pytest.raises(ValueError, match="disagrees"):
+            service_config_from_dict(
+                {"campaigns": [{"name": "m", "rounds_per_cycle": 4,
+                                "mesh": {"pairs": 1000, "rounds_per_cycle": 8}}]}
+            )
+
+    def test_mesh_document_on_ping_campaign_fails(self):
+        with pytest.raises(ValueError, match="needs kind 'mesh'"):
+            service_config_from_dict(
+                {"campaigns": [{"name": "p", "kind": "ping",
+                                "mesh": {"pairs": 1000}}]}
+            )
 
     def test_unknown_service_key_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown service keys"):

@@ -31,7 +31,7 @@ def _service_config(tmp_path, campaigns, **overrides):
 def _mesh(name, **overrides):
     fields = dict(
         name=name, kind="mesh", cadence_s=60.0, cycles=2,
-        rounds_per_cycle=4, checkpoint_every=2, mesh=MESH,
+        rounds_per_cycle=8, checkpoint_every=2, mesh=MESH,
     )
     fields.update(overrides)
     return CampaignConfig(**fields)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.stream.mesh import (
+    FoldedMeshSource,
     MeshColumns,
     MeshConfig,
     MeshStatsOperator,
@@ -99,11 +100,11 @@ class TestSyntheticMeshSource:
         source = SyntheticMeshSource(CONFIG)
         operator_a = MeshStatsOperator()
         for unit in source:
-            operator_a.observe_columns(unit.columns)
+            operator_a.observe_columns(operator_a.fold(unit.columns))
         operator_b = MeshStatsOperator()
         sharded = ShardedSource(source, shards=2, queue_units=2)
         for unit in sharded:
-            operator_b.observe_columns(unit.columns)
+            operator_b.observe_columns(operator_b.fold(unit.columns))
         assert operator_a.finalize() == operator_b.finalize()
 
 
@@ -113,7 +114,7 @@ class TestMeshStatsOperator:
         for cycle in range(cycles):
             for unit in SyntheticMeshSource(CONFIG, cycle=cycle):
                 operator.start_unit(unit.key)
-                operator.observe_columns(unit.columns)
+                operator.observe_columns(operator.fold(unit.columns))
         return operator
 
     def test_counts_add_up(self):
@@ -145,7 +146,7 @@ class TestMeshStatsOperator:
             times_hours=columns.times_hours,
             rtt_ms=np.full_like(columns.rtt_ms, np.nan),
         )
-        operator.observe_columns(all_lost)
+        operator.observe_columns(operator.fold(all_lost))
         figures = operator.finalize()
         assert figures["lost"] == figures["samples"]
         assert figures["rtt_min_ms"] is None
@@ -155,14 +156,14 @@ class TestMeshStatsOperator:
         source = SyntheticMeshSource(CONFIG)
         straight = MeshStatsOperator()
         for unit in source:
-            straight.observe_columns(unit.columns)
+            straight.observe_columns(straight.fold(unit.columns))
 
         resumed = MeshStatsOperator()
         for unit in (source.unit_at(0), source.unit_at(1)):
-            resumed.observe_columns(unit.columns)
+            resumed.observe_columns(resumed.fold(unit.columns))
         resumed = pickle.loads(pickle.dumps(resumed))  # kill + restore
         for unit in (source.unit_at(2), source.unit_at(3)):
-            resumed.observe_columns(unit.columns)
+            resumed.observe_columns(resumed.fold(unit.columns))
         assert straight.finalize() == resumed.finalize()
 
     def test_mesh_results_appends_cycles(self):
@@ -234,7 +235,7 @@ class TestGoldenPins:
         for cycle in range(2):
             for unit in SyntheticMeshSource(CONFIG, cycle=cycle):
                 operator.start_unit(unit.key)
-                operator.observe_columns(unit.columns)
+                operator.observe_columns(operator.fold(unit.columns))
         assert operator.finalize() == {
             "samples": 16000,
             "lost": 165,
@@ -275,7 +276,7 @@ class TestKernelEdgeCases:
             rtt_ms=rtt,
         )
         operator = MeshStatsOperator(spread_threshold_ms=10.0)
-        operator.observe_columns(columns)
+        operator.observe_columns(operator.fold(columns))
         assert operator.samples == 20
         assert operator.lost == 13
         assert operator.pair_rows == 5
@@ -453,9 +454,41 @@ class TestReferenceEquivalence:
             columns = source.unit_at(index).columns
             expected = _reference_block(config, cycle, index)
             assert columns.rtt_ms.tobytes() == expected.tobytes()
-            operator.observe_columns(columns)
+            operator.observe_columns(operator.fold(columns))
             blocks.append(expected)
         reference = _reference_fold(blocks)
+        assert operator.lost == reference["lost"]
+        assert operator.rtt_sum.hex() == reference["sum"].hex()
+        assert operator.rtt_sq_sum.hex() == reference["sq"].hex()
+        assert operator.rtt_min == reference["min"]
+        assert operator.rtt_max == reference["max"]
+        assert operator.spread_exceeds == reference["exceeds"]
+        np.testing.assert_array_equal(operator.spread_counts, reference["counts"])
+
+    @pytest.mark.parametrize(
+        "overrides, cycle",
+        [
+            ({}, 0),
+            ({"loss_rate": 1.0}, 0),
+            ({"loss_rate": 0.5, "rounds_per_cycle": 1, "block_pairs": 16}, 9),
+            ({"pairs": 7, "block_pairs": 3, "rounds_per_cycle": 13}, 3),
+        ],
+    )
+    def test_blocks_folded_in_shards_match_plain_formulas(self, overrides, cycle):
+        # The campaign path: each shard folds the blocks it builds, the
+        # folds cross the queue pickled, the consumer absorbs them.
+        config = dataclasses.replace(CONFIG, **overrides)
+        blocks = SyntheticMeshSource(config, cycle=cycle)
+        folded = FoldedMeshSource(blocks, MeshStatsOperator())
+        operator = MeshStatsOperator()
+        for unit in ShardedSource(folded, shards=2, queue_units=1):
+            operator.start_unit(unit.key)
+            operator.observe_columns(unit.columns)
+        reference = _reference_fold(
+            _reference_block(config, cycle, index) for index in range(len(blocks))
+        )
+        assert operator.samples == config.pairs * config.rounds_per_cycle
+        assert operator.pair_rows == config.pairs
         assert operator.lost == reference["lost"]
         assert operator.rtt_sum.hex() == reference["sum"].hex()
         assert operator.rtt_sq_sum.hex() == reference["sq"].hex()

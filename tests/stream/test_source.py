@@ -1,14 +1,17 @@
 """Tests for the pull-based stream sources."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.datasets.shortterm import ShortTermConfig, build_shortterm_ping_dataset
+from repro.faults.plane import SupervisionPolicy
 from repro.obs import metrics as obs_metrics
 from repro.stream.source import (
+    _BATCH_UNITS,
     LongTermTraceSource,
     PingSource,
     ShardError,
@@ -202,3 +205,106 @@ class TestShardedDrain:
             for unit in ShardedSource(source, shards=2, queue_units=1).iter_from(5)
         ]
         assert head + tail == serial_keys
+
+
+class _SlowSource:
+    """Fake source whose units each take a fixed time to build."""
+
+    kind = "test"
+
+    def __init__(self, units, seconds):
+        self.units = units
+        self.seconds = seconds
+
+    def __len__(self):
+        return self.units
+
+    def unit_at(self, index):
+        time.sleep(self.seconds)
+        return index
+
+
+class TestBatchedWire:
+    """Units cross a shard queue in batches of up to ``_BATCH_UNITS``."""
+
+    SHARDS = 2
+    # More than three messages per shard, and not a multiple of
+    # shards * batch, so each stride ends on a ragged batch.
+    UNITS = 3 * SHARDS * _BATCH_UNITS + 2 * SHARDS + 1
+
+    def _source(self):
+        from repro.stream.mesh import MeshConfig, SyntheticMeshSource
+
+        return SyntheticMeshSource(
+            MeshConfig(pairs=self.UNITS * 16 - 5, block_pairs=16)
+        )
+
+    def _assert_units_equal(self, got, want):
+        assert got.key == want.key
+        assert got.columns.rtt_ms.tobytes() == want.columns.rtt_ms.tobytes()
+        assert got.columns.pair_ids.tobytes() == want.columns.pair_ids.tobytes()
+
+    def test_sharded_equals_serial_unit_by_unit(self):
+        source = self._source()
+        assert len(source) == self.UNITS
+        registry = obs_metrics.get_registry()
+        before = registry.counter("stream.units").value
+        sharded = list(ShardedSource(source, shards=self.SHARDS, queue_units=2))
+        # One registry delta per message still adds up to every unit.
+        assert registry.counter("stream.units").value - before == self.UNITS
+        serial = [source.unit_at(index) for index in range(self.UNITS)]
+        assert len(sharded) == len(serial)
+        for got, want in zip(sharded, serial):
+            self._assert_units_equal(got, want)
+
+    def test_close_mid_batch_leaves_workers_exited_cleanly(self):
+        sharded = ShardedSource(self._source(), shards=self.SHARDS, queue_units=1)
+        iterator = sharded.iter_from(0)
+        # Inside every shard's second batch.
+        for _ in range(self.SHARDS * _BATCH_UNITS + 3):
+            next(iterator)
+        iterator.close()
+        assert len(sharded.last_workers) == self.SHARDS
+        for worker in sharded.last_workers:
+            assert not worker.is_alive()
+            assert worker.exitcode == 0
+
+    def test_iter_from_inside_a_batch_resumes_exactly(self):
+        source = self._source()
+        start = self.SHARDS * _BATCH_UNITS + 5
+        resumed = list(
+            ShardedSource(source, shards=self.SHARDS, queue_units=1).iter_from(start)
+        )
+        assert len(resumed) == self.UNITS - start
+        for offset, got in enumerate(resumed):
+            self._assert_units_equal(got, source.unit_at(start + offset))
+
+    def test_slow_units_ship_before_the_stall_timeout(self):
+        # A full batch of these units takes longer than the stall
+        # timeout; batches must ship early enough that the supervisor
+        # never mistakes a busy shard for a hung one.
+        policy = SupervisionPolicy(stall_timeout_s=0.4, poll_s=0.02)
+        assert _BATCH_UNITS * 0.04 > policy.stall_timeout_s
+        registry = obs_metrics.get_registry()
+        restarts = registry.counter("shard.restarts").value
+        sharded = ShardedSource(
+            _SlowSource(units=4 * _BATCH_UNITS, seconds=0.04),
+            shards=2, queue_units=2, supervision=policy,
+        )
+        assert list(sharded) == list(range(4 * _BATCH_UNITS))
+        assert registry.counter("shard.restarts").value == restarts
+
+    def test_units_near_the_stall_timeout_are_not_held_back(self):
+        # Each unit alone takes 0.6x the stall timeout, so holding a
+        # built unit while the next one builds would look like a stall.
+        policy = SupervisionPolicy(stall_timeout_s=1.0, poll_s=0.02)
+        registry = obs_metrics.get_registry()
+        restarts = registry.counter("shard.restarts").value
+        missing = registry.counter("stream.units_missing").value
+        sharded = ShardedSource(
+            _SlowSource(units=6, seconds=0.6), shards=2, queue_units=2,
+            supervision=policy,
+        )
+        assert list(sharded) == list(range(6))
+        assert registry.counter("shard.restarts").value == restarts
+        assert registry.counter("stream.units_missing").value == missing
