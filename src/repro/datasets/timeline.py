@@ -9,9 +9,11 @@ and ablations use it; the analysis pipeline never does).
 
 Timelines are immutable once built: the dataclasses are frozen and their
 arrays read-only.  That makes it safe for each timeline to compute its
-derived products -- usable samples, per-path sample counts, sorted AS-path
-buckets, hour-of-day groups -- once, on first use, and hand the same
-read-only arrays to every analysis that asks.  The products live in a
+derived products -- per-path sample counts, sorted AS-path buckets,
+hour-of-day groups -- once, on first use, and hand the same read-only
+arrays to every analysis that asks.  The usable-sample views (mask,
+indexes, path ids) are cheaper to derive than to hold: one comparison
+over the outcome codes per call.  The products live in a
 private memo that is never pickled, so a timeline pickles to the same
 bytes before and after any analysis.
 
@@ -40,11 +42,9 @@ __all__ = [
     "stack_by_grid",
 ]
 
-_USABLE_OUTCOMES = (
-    int(TraceOutcome.COMPLETE),
-    int(TraceOutcome.MISSING_AS),
-    int(TraceOutcome.MISSING_IP),
-)
+# The usable outcomes are exactly the codes up to MISSING_IP.
+_LAST_USABLE = int(TraceOutcome.MISSING_IP)
+_OUTCOME_RANGE = (int(min(TraceOutcome)), int(max(TraceOutcome)))
 
 HOURS_PER_DAY = 24
 
@@ -140,6 +140,10 @@ class TraceTimeline(_Memoized):
                 raise ValueError(f"{name} length does not match the time grid")
         if self.true_candidate.size not in (0, count):
             raise ValueError("true_candidate length does not match the time grid")
+        if count and (
+            self.outcome.min() < _OUTCOME_RANGE[0] or self.outcome.max() > _OUTCOME_RANGE[1]
+        ):
+            raise ValueError("outcome holds a code outside TraceOutcome")
         self._freeze()
 
     def __len__(self) -> int:
@@ -151,29 +155,24 @@ class TraceTimeline(_Memoized):
         return (self.src_server_id, self.dst_server_id)
 
     def usable_mask(self) -> np.ndarray:
-        """Samples usable for AS-path analysis: reached, no AS loop."""
-        return self.product(
-            "usable_mask",
-            lambda: _read_only(np.isin(self.outcome, _USABLE_OUTCOMES)),
-        )
+        """Samples usable for AS-path analysis: reached, no AS loop.
+
+        Derived per call, not memoized: one comparison over the outcome
+        codes, which construction keeps within :class:`TraceOutcome`.
+        """
+        return _read_only(self.outcome <= _LAST_USABLE)
 
     def complete_mask(self) -> np.ndarray:
         """Samples that reached the destination (paper's "complete")."""
         return self.outcome != int(TraceOutcome.INCOMPLETE)
 
     def usable_index(self) -> np.ndarray:
-        """Sample indexes of usable samples, in time order (int32)."""
-        return self.product(
-            "usable_index",
-            lambda: _read_only(np.flatnonzero(self.usable_mask()).astype(np.int32)),
-        )
+        """Sample indexes of usable samples, in time order (int32; per call)."""
+        return _read_only(np.flatnonzero(self.usable_mask()).astype(np.int32))
 
     def usable_path_ids(self) -> np.ndarray:
-        """Path ids of usable samples, in time order."""
-        return self.product(
-            "usable_path_ids",
-            lambda: _read_only(self.path_id[self.usable_index()]),
-        )
+        """Path ids of usable samples, in time order (per call)."""
+        return _read_only(self.path_id[self.usable_mask()])
 
     def observed_paths(self) -> List[Tuple[ASN, ...]]:
         """Distinct AS paths among usable samples, in first-seen order."""

@@ -29,7 +29,12 @@ from repro.measurement.congestionmodel import (
     SegmentGeo,
     assign_congestion,
 )
-from repro.measurement.realization import PathRealization, SegmentKey, realize_path
+from repro.measurement.realization import (
+    PathRealization,
+    SegmentKey,
+    StepMemo,
+    realize_path,
+)
 from repro.measurement.rttmodel import DelayModel, DelayParams
 from repro.measurement.traceroute import ArtifactParams, TracerouteEngine
 from repro.net.asn import ASN
@@ -206,6 +211,8 @@ class MeasurementPlatform:
 
         self.delay_model = DelayModel(self.config.delay)
         self._realizations: Dict[Tuple[int, int, IPVersion, int], Optional[PathRealization]] = {}
+        # AS-step expansions shared by every realization (see realize_path).
+        self._steps: StepMemo = {}
 
         with _stage(timings, "congestion"):
             segments, crossings = self._collect_segments()
@@ -284,6 +291,10 @@ class MeasurementPlatform:
     ) -> Optional[PathRealization]:
         """The realized probe path for one candidate route (cached).
 
+        Realizations share the platform's AS-step memo, so two paths that
+        cross the same AS step from the same city hold the same hop
+        objects for it.
+
         Returns ``None`` when the candidate does not exist or cannot carry
         the protocol.
         """
@@ -302,6 +313,7 @@ class MeasurementPlatform:
                     dst,
                     candidates[candidate_index].path,
                     version,
+                    steps=self._steps,
                 )
         self._realizations[key] = result
         return result
@@ -314,7 +326,8 @@ class MeasurementPlatform:
         and rebuilding them never changes any measurement.  The streaming
         engine calls this after finishing a pair's stream unit to keep
         the cache (which otherwise grows with every pair visited) within
-        the stream's memory bound.
+        the stream's memory bound.  The AS-step memo stays: it is bounded
+        by the number of distinct steps, not by the pairs visited.
         """
         stale = [
             key
@@ -323,6 +336,14 @@ class MeasurementPlatform:
         ]
         for key in stale:
             del self._realizations[key]
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Artifact-cache entries pickled before the AS-step memo existed
+        # carry no ``_steps``; they load with an empty memo.  (Bumping
+        # CACHE_SCHEMA_VERSION instead would change every config
+        # fingerprint, campaign checkpoints' included.)
+        self.__dict__.update(state)
+        self.__dict__.setdefault("_steps", {})
 
     def _collect_segments(self) -> Tuple[Dict[SegmentKey, SegmentGeo], Dict[SegmentKey, int]]:
         """Geography and crossing counts of all primary-path segments."""

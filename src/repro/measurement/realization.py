@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.net.asn import ASN
 from repro.net.geo import GeoLocation
@@ -38,6 +38,10 @@ __all__ = [
     "SegmentKey",
     "HopSpec",
     "PathRealization",
+    "StepExpansion",
+    "StepKey",
+    "StepMemo",
+    "expand_step",
     "realize_path",
     "observed_as_path",
     "segment_seed",
@@ -204,6 +208,123 @@ def _pick_link_instance(
     return best[2] if best else None
 
 
+class StepExpansion(NamedTuple):
+    """The hops one AS-level step adds to a realized path.
+
+    Attributes:
+        hops: The egress hop inside the source AS (only when the entry city
+            is not the link's near end), the far interface of the chosen
+            link instance, and the metro core hop of the next AS.
+        exit_city: Where the step leaves the probe (the far router's city).
+        load_balanced: Whether the AS edge has more than one link instance.
+    """
+
+    hops: Tuple[HopSpec, ...]
+    exit_city: GeoLocation
+    load_balanced: bool
+
+
+StepKey = Tuple[ASN, ASN, GeoLocation, IPVersion]
+"""``(from_asn, to_asn, entry city, version)`` -- everything a step's
+expansion depends on besides the topology and the address plan."""
+
+StepMemo = Dict[StepKey, Optional[StepExpansion]]
+"""Step expansions by key; ``None`` marks a step the protocol cannot cross."""
+
+
+def _internal_address(
+    topology: RouterTopology, router_id: int, version: IPVersion
+) -> Optional[IPAddress]:
+    if version is IPVersion.V4:
+        return topology.internal_v4[router_id]
+    return topology.internal_v6.get(router_id)
+
+
+def _internal_hop(
+    plan: AddressPlan,
+    topology: RouterTopology,
+    asn: ASN,
+    from_city: GeoLocation,
+    to_city: GeoLocation,
+    version: IPVersion,
+    core: bool = False,
+) -> Optional[HopSpec]:
+    """The hop inside ``asn`` arriving at ``to_city``, or ``None`` when its
+    router has no address for the protocol."""
+    router = (
+        topology.core_router(asn, to_city)
+        if core
+        else topology.border_router(asn, to_city)
+    )
+    address = _internal_address(topology, router.router_id, version)
+    if address is None:
+        return None
+    # A same-city hop still traverses the metro aggregation fabric.
+    distance = from_city.distance_km(to_city) if from_city != to_city else 15.0
+    return HopSpec(
+        address=address,
+        owner=asn,
+        mapped_asn=plan.origin(address),
+        city=to_city,
+        distance_km=distance,
+        segment_key=_intra_key(asn, from_city, to_city),
+        respond_probability=router.respond_probability,
+    )
+
+
+def expand_step(
+    plan: AddressPlan,
+    topology: RouterTopology,
+    from_asn: ASN,
+    to_asn: ASN,
+    entry_city: GeoLocation,
+    version: IPVersion,
+) -> Optional[StepExpansion]:
+    """Expand the AS crossing ``from_asn`` -> ``to_asn`` entered at ``entry_city``.
+
+    Returns:
+        The step's hops, or ``None`` when no link instance or router on the
+        way can carry the protocol.
+    """
+    instances = topology.link_instances(from_asn, to_asn)
+    link = _pick_link_instance(instances, topology, from_asn, entry_city, version)
+    if link is None:
+        return None
+
+    hops: List[HopSpec] = []
+    near_router = topology.routers[link.router_in(from_asn)]
+    if _city_key(near_router.city) != _city_key(entry_city):
+        # Traverse from_asn internally to the egress city.
+        egress = _internal_hop(plan, topology, from_asn, entry_city, near_router.city, version)
+        if egress is None:
+            return None
+        hops.append(egress)
+
+    far_router = topology.routers[link.router_in(to_asn)]
+    far_address = link.far_interface(from_asn, version)
+    if far_address is None:
+        return None
+    hops.append(
+        HopSpec(
+            address=far_address,
+            owner=to_asn,
+            mapped_asn=plan.origin(far_address),
+            city=far_router.city,
+            distance_km=near_router.city.distance_km(far_router.city),
+            segment_key=("x", link.link_id),
+            respond_probability=far_router.respond_probability,
+        )
+    )
+    # Probes then traverse the new network's metro core.
+    core = _internal_hop(
+        plan, topology, to_asn, far_router.city, far_router.city, version, core=True
+    )
+    if core is None:
+        return None
+    hops.append(core)
+    return StepExpansion(tuple(hops), far_router.city, len(instances) > 1)
+
+
 def realize_path(
     graph: ASGraph,
     plan: AddressPlan,
@@ -212,8 +333,14 @@ def realize_path(
     dst: Server,
     as_path: Tuple[ASN, ...],
     version: IPVersion,
+    steps: Optional[StepMemo] = None,
 ) -> Optional[PathRealization]:
     """Expand ``as_path`` between two servers into a hop-level path.
+
+    Each AS-level step is looked up in (or added to) ``steps``, so
+    realizations that cross the same step from the same city share its
+    :class:`HopSpec` objects.  The memo must only ever see this
+    ``plan`` and ``topology``; ``None`` starts a fresh one.
 
     Returns:
         The realization, or ``None`` when the path cannot be realized for
@@ -229,47 +356,15 @@ def realize_path(
     dst_address = dst.address(version)
     if dst_address is None:
         return None
-
-    hops: List[HopSpec] = []
-    load_balanced = False
-
-    def internal_address(router_id: int) -> Optional[IPAddress]:
-        if version is IPVersion.V4:
-            return topology.internal_v4[router_id]
-        return topology.internal_v6.get(router_id)
-
-    def add_internal_hop(
-        asn: ASN, from_city: GeoLocation, to_city: GeoLocation, core: bool = False
-    ) -> bool:
-        router = (
-            topology.core_router(asn, to_city)
-            if core
-            else topology.border_router(asn, to_city)
-        )
-        address = internal_address(router.router_id)
-        if address is None:
-            return False
-        # A same-city hop still traverses the metro aggregation fabric.
-        distance = from_city.distance_km(to_city) if from_city != to_city else 15.0
-        hops.append(
-            HopSpec(
-                address=address,
-                owner=asn,
-                mapped_asn=plan.origin(address),
-                city=to_city,
-                distance_km=distance,
-                segment_key=_intra_key(asn, from_city, to_city),
-                respond_probability=router.respond_probability,
-            )
-        )
-        return True
+    if steps is None:
+        steps = {}
 
     # First hop: the source AS gateway in the source city.
     gateway = topology.border_router(src.asn, src.city)
-    gateway_address = internal_address(gateway.router_id)
+    gateway_address = _internal_address(topology, gateway.router_id, version)
     if gateway_address is None:
         return None
-    hops.append(
+    hops: List[HopSpec] = [
         HopSpec(
             address=gateway_address,
             owner=src.asn,
@@ -279,48 +374,29 @@ def realize_path(
             segment_key=("h", src.asn, _city_key(src.city)),
             respond_probability=gateway.respond_probability,
         )
-    )
+    ]
     current_city = src.city
+    load_balanced = False
 
     for from_asn, to_asn in zip(as_path, as_path[1:]):
-        instances = topology.link_instances(from_asn, to_asn)
-        link = _pick_link_instance(instances, topology, from_asn, current_city, version)
-        if link is None:
-            return None
-
-        near_router = topology.routers[link.router_in(from_asn)]
-        if _city_key(near_router.city) != _city_key(current_city):
-            # Traverse from_asn internally to the egress city.
-            if not add_internal_hop(from_asn, current_city, near_router.city):
-                return None
-            current_city = near_router.city
-
-        far_router = topology.routers[link.router_in(to_asn)]
-        far_address = link.far_interface(from_asn, version)
-        if far_address is None:
-            return None
-        hops.append(
-            HopSpec(
-                address=far_address,
-                owner=to_asn,
-                mapped_asn=plan.origin(far_address),
-                city=far_router.city,
-                distance_km=near_router.city.distance_km(far_router.city),
-                segment_key=("x", link.link_id),
-                respond_probability=far_router.respond_probability,
+        key = (from_asn, to_asn, current_city, version)
+        if key in steps:
+            step = steps[key]
+        else:
+            step = steps[key] = expand_step(
+                plan, topology, from_asn, to_asn, current_city, version
             )
-        )
-        current_city = far_router.city
-        if len(instances) > 1:
-            load_balanced = True
-        # Probes then traverse the new network's metro core.
-        if not add_internal_hop(to_asn, current_city, current_city, core=True):
+        if step is None:
             return None
+        hops.extend(step.hops)
+        current_city = step.exit_city
+        load_balanced = load_balanced or step.load_balanced
 
     if _city_key(current_city) != _city_key(dst.city):
-        if not add_internal_hop(dst.asn, current_city, dst.city):
+        last = _internal_hop(plan, topology, dst.asn, current_city, dst.city, version)
+        if last is None:
             return None
-        current_city = dst.city
+        hops.append(last)
 
     # Destination server: always responds, mapped via its announced block.
     hops.append(

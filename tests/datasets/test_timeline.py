@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.longterm import build_longterm_dataset
+from repro.datasets.shortterm import (
+    build_shortterm_ping_dataset,
+    build_shortterm_trace_dataset,
+)
 from repro.datasets.timeline import PingTimeline, TraceTimeline
+from repro.harness.experiments import run_all_experiments
+from repro.harness.scenarios import congested_pairs, get_scenario
+from repro.measurement.platform import MeasurementPlatform
 from repro.measurement.traceroute import TraceOutcome
 from repro.net.ip import IPVersion
 
@@ -215,6 +223,31 @@ class TestPickle:
         assert not restored.rtt_ms.flags.writeable
 
 
+class TestUsableViewsAreDerived:
+    """The usable-sample views are recomputed per call, never memoized."""
+
+    def test_full_run_memoizes_no_usable_view(self):
+        scenario = get_scenario("small")
+        platform = MeasurementPlatform(scenario.platform_config(0))
+        longterm = build_longterm_dataset(platform, scenario.longterm_config())
+        pings = build_shortterm_ping_dataset(platform, scenario.shortterm_config())
+        traces = build_shortterm_trace_dataset(
+            platform, congested_pairs(platform, pings), scenario.shortterm_config()
+        )
+        run_all_experiments(platform, longterm, pings, traces, include_fig7=False)
+        memos = [vars(timeline).get("_products", {})
+                 for timeline in longterm.timelines.values()]
+        assert any("path_sample_counts" in memo for memo in memos)
+        for memo in memos:
+            assert not {"usable_mask", "usable_index", "usable_path_ids"} & set(memo)
+
+    def test_views_are_fresh_per_call(self):
+        timeline = _timeline([COMPLETE, LOOP, MISSING_IP])
+        assert timeline.usable_mask() is not timeline.usable_mask()
+        assert timeline.usable_index().tolist() == [0, 2]
+        assert "_products" not in vars(timeline)
+
+
 # ----------------------------------------------------------------------
 # The products against naive per-call references
 # ----------------------------------------------------------------------
@@ -372,16 +405,29 @@ class TestProductsMatchReference:
         assert timeline.usable_rtts_by_path() == {}
         assert timeline.observed_paths() == []
 
-    def test_non_uint8_outcomes(self):
-        timeline = TraceTimeline(
+    @staticmethod
+    def _coded(outcomes, dtype):
+        return TraceTimeline(
             src_server_id=0, dst_server_id=1, version=IPVersion.V4,
-            times_hours=np.arange(4.0),
-            rtt_ms=np.ones(4, dtype=np.float32),
-            outcome=np.asarray([COMPLETE, 300, -1, MISSING_AS], dtype=np.int64),
-            path_id=np.zeros(4, dtype=np.int32),
+            times_hours=np.arange(float(len(outcomes))),
+            rtt_ms=np.ones(len(outcomes), dtype=np.float32),
+            outcome=np.asarray(outcomes, dtype=dtype),
+            path_id=np.zeros(len(outcomes), dtype=np.int32),
             paths=[(1, 2)],
         )
-        assert timeline.usable_mask().tolist() == [True, False, False, True]
+
+    def test_non_uint8_outcomes(self):
+        for dtype in (np.int8, np.int64):
+            timeline = self._coded([COMPLETE, LOOP, INCOMPLETE, MISSING_AS], dtype)
+            assert timeline.usable_mask().tolist() == [True, False, False, True]
+
+    @pytest.mark.parametrize("code, dtype", [
+        (5, np.int8), (-1, np.int8), (5, np.uint8), (300, np.int64), (-1, np.int64),
+    ])
+    def test_outcome_outside_trace_outcome_rejected(self, code, dtype):
+        # A stray code would otherwise pass the one-comparison usable mask.
+        with pytest.raises(ValueError, match="outside TraceOutcome"):
+            self._coded([COMPLETE, code, MISSING_AS], dtype)
 
     @settings(max_examples=200, deadline=None)
     @given(ping_timelines())

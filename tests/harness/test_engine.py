@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from repro.harness.engine import (
     default_cache_dir,
 )
 from repro.datasets.longterm import LongTermConfig
-from repro.measurement.platform import PlatformConfig
+from repro.harness.scenarios import get_scenario
+from repro.measurement.platform import MeasurementPlatform, PlatformConfig
+from repro.net.ip import IPVersion
 
 
 class TestTimings:
@@ -228,6 +231,40 @@ class TestCachedBuilders:
             assert np.array_equal(expected.rtt_ms, actual.rtt_ms, equal_nan=True)
             assert np.array_equal(expected.path_id, actual.path_id)
             assert expected.paths == actual.paths
+
+    def test_unpickled_platform_realizes_every_candidate_identically(self, tmp_path):
+        config = get_scenario("default").platform_config(0)
+        cache = ArtifactCache(tmp_path)
+        built, _ = cached_platform(config, cache=cache)
+        loaded, hit = cached_platform(config, cache=cache)
+        assert hit is True
+        # The pickle carries the AS-step memo the build filled.
+        assert loaded._steps.keys() == built._steps.keys()
+        realized = 0
+        for src, dst in built.server_pairs():
+            for version in (IPVersion.V4, IPVersion.V6):
+                for index in range(len(built.candidates(src.asn, dst.asn, version))):
+                    want = built.realization(src, dst, version, index)
+                    assert loaded.realization(src, dst, version, index) == want
+                    realized += want is not None
+        assert realized > 1000
+
+    def test_platform_pickled_without_step_memo_loads_with_an_empty_one(
+        self, tiny_config
+    ):
+        built = MeasurementPlatform(tiny_config)
+        old_layout = object.__new__(MeasurementPlatform)
+        old_layout.__dict__.update(
+            {name: value for name, value in vars(built).items() if name != "_steps"}
+        )
+        loaded = pickle.loads(pickle.dumps(old_layout))
+        assert loaded._steps == {}
+        for src, dst in built.server_pairs():
+            for version in (IPVersion.V4, IPVersion.V6):
+                for index in range(len(built.candidates(src.asn, dst.asn, version))):
+                    assert loaded.realization(src, dst, version, index) == (
+                        built.realization(src, dst, version, index))
+        assert loaded._steps
 
     def test_refresh_forces_rebuild(self, tmp_path, tiny_config):
         cache = ArtifactCache(tmp_path)

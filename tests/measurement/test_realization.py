@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.harness.scenarios import get_scenario
+from repro.measurement import realization
+from repro.measurement.platform import MeasurementPlatform
 from repro.measurement.realization import (
     UNKNOWN_ASN,
+    expand_step,
     observed_as_path,
     realize_path,
     segment_seed,
@@ -141,3 +145,108 @@ class TestRealizePath:
         for hop_index in range(len(realization.hops) - 1):
             variant = realization.observed_path_with_miss(hop_index)
             assert abs(len(variant) - len(complete)) <= 2
+
+
+# ----------------------------------------------------------------------
+# The platform's AS-step memo
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[0, 7], ids=["seed0", "seed7"])
+def default_platform(request):
+    """The ``default`` scenario's platform on one world seed."""
+    return MeasurementPlatform(get_scenario("default").platform_config(request.param))
+
+
+def every_candidate(platform):
+    """``(src, dst, version, candidate index)`` for every candidate route."""
+    for src, dst in platform.server_pairs():
+        for version in (IPVersion.V4, IPVersion.V6):
+            for index in range(len(platform.candidates(src.asn, dst.asn, version))):
+                yield src, dst, version, index
+
+
+def step_walk(platform, src, version, as_path):
+    """The memoized steps a realization of ``as_path`` crosses, in order.
+
+    Stops after a step memoized as ``None``, and before one the memo never
+    saw (the realization failed ahead of it).
+    """
+    steps = []
+    city = src.city
+    for from_asn, to_asn in zip(as_path, as_path[1:]):
+        key = (from_asn, to_asn, city, version)
+        if key not in platform._steps:
+            break
+        step = platform._steps[key]
+        steps.append(step)
+        if step is None:
+            break
+        city = step.exit_city
+    return steps
+
+
+class TestStepMemo:
+    def test_memoized_realizations_match_fresh_ones(self, default_platform):
+        platform = default_platform
+        realized = 0
+        for src, dst, version, index in every_candidate(platform):
+            memoized = platform.realization(src, dst, version, index)
+            fresh = None
+            if src.address(version) is not None:
+                fresh = realize_path(
+                    platform.graph, platform.plan, platform.topology, src, dst,
+                    platform.candidates(src.asn, dst.asn, version)[index].path,
+                    version,
+                )
+            assert memoized == fresh
+            realized += memoized is not None
+        assert realized > 1000
+
+    def test_realizations_share_step_hops(self, default_platform):
+        platform = default_platform
+        crossings = {}
+        for src, dst, version, index in every_candidate(platform):
+            realized = platform.realization(src, dst, version, index)
+            if realized is None:
+                continue
+            walk = step_walk(platform, src, version, realized.as_path)
+            assert len(walk) == len(realized.as_path) - 1
+            position = 1  # after the source gateway
+            for step in walk:
+                for offset, hop in enumerate(step.hops):
+                    assert realized.hops[position + offset] is hop
+                position += len(step.hops)
+                crossings[id(step)] = crossings.get(id(step), 0) + 1
+        # Far fewer distinct steps than step crossings: sharing is real.
+        assert max(crossings.values()) > 10
+        assert len(crossings) < sum(crossings.values()) / 5
+
+    def test_step_without_ipv6_memoized_as_none(self, default_platform, monkeypatch):
+        # IPv6 candidates never cross a v4-only AS edge, so probe IPv4
+        # candidates over IPv6 between dual-stack servers.
+        platform = default_platform
+        topology = platform.topology
+        dead_ends = 0
+        for src, dst in platform.server_pairs(dual_stack_only=True):
+            for candidate in platform.candidates(src.asn, dst.asn, IPVersion.V4):
+                path = candidate.path
+                if all(
+                    any(link.supports_ipv6() for link in topology.link_instances(a, b))
+                    for a, b in zip(path, path[1:])
+                ):
+                    continue
+                steps = {}
+                args = (platform.graph, platform.plan, topology, src, dst, path,
+                        IPVersion.V6)
+                assert realize_path(*args, steps=steps) is None
+                failed = [key for key, step in steps.items() if step is None]
+                assert len(failed) == 1
+                assert expand_step(platform.plan, topology, *failed[0]) is None
+                # A second realization is answered from the memo alone.
+                memo = dict(steps)
+                with monkeypatch.context() as patch:
+                    patch.setattr(realization, "expand_step", None)
+                    assert realize_path(*args, steps=steps) is None
+                assert steps == memo
+                dead_ends += 1
+        assert dead_ends > 0
