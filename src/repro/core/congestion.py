@@ -41,11 +41,8 @@ HOURS_PER_DAY = 24.0
 def fill_missing_rtts(values: np.ndarray) -> Optional[np.ndarray]:
     """Replace NaNs by linear interpolation (edge values are clamped).
 
-    Public because the streaming detector
-    (:mod:`repro.stream.operators`) must apply the *exact* same gap
-    filling as this batch FFT detector for the two to agree sample for
-    sample.  Returns ``None`` for series with fewer than four finite
-    samples (too sparse to interpolate meaningfully).
+    Returns ``None`` for series with fewer than four finite samples
+    (too sparse to interpolate meaningfully).
     """
     finite = np.isfinite(values)
     if finite.sum() < 4:

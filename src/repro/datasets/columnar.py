@@ -1,7 +1,6 @@
 """The columnar record plane: preallocated column buffers per campaign.
 
-The batch builders and the streaming sources both ultimately need, per
-(pair, version), four parallel arrays over the campaign grid -- RTT,
+The batch builders ultimately need, per (pair, version), four parallel arrays over the campaign grid -- RTT,
 outcome, path id, true candidate -- plus an interned path table.  The
 object path reaches them through per-epoch calls into
 :mod:`repro.measurement.rttmodel` / :mod:`repro.measurement.traceroute`
@@ -222,10 +221,10 @@ class CampaignKernels:
         epochs :meth:`_sampled_epochs` lists get a stream.  Builders call
         this once with the full task list before fanning out -- workers
         inherit the read-only plan through the fork.  Unplanned pairs
-        (the bounded-memory stream sources skip planning) seed through
+        seed through
         :meth:`~repro.measurement.platform.MeasurementPlatform.rng_factory`
-        unchanged, and a fastseed self-check failure downgrades the whole
-        plan to that reference path: bit-identity never rides on trust.
+        unchanged -- the reference path a fastseed self-check failure
+        downgrades the whole plan to: bit-identity never rides on trust.
         """
         platform = self.platform
         keys: List[Tuple[str, int, int, int]] = []

@@ -6,28 +6,19 @@ reload it instantly.  Arrays go into a single compressed ``.npz``; the
 variable-size metadata (AS-path tables, grid, server index) goes into a
 JSON sidecar embedded in the same archive.
 
-Two streaming access paths feed :mod:`repro.stream` without ever holding
-a whole campaign in memory:
-
-- :func:`iter_longterm` yields the archive's timelines **one at a time**
-  (NPZ members decompress lazily on access); :func:`load_longterm` is a
-  thin wrapper that drains it into the batch dataset dict.
-- :func:`save_records` / :func:`iter_records` persist flat measurement
-  records (:class:`~repro.stream.records.TracerouteRecord` /
-  :class:`~repro.stream.records.PingRecord`) as JSON Lines, one record
-  per line in writer order -- campaign dumps conventionally use
-  round-major order (every pair's round ``r`` before any pair's round
-  ``r+1``), matching how a live collection pipeline would emit them.
-  Both ends are generators: constant memory however large the file.
+:func:`iter_longterm` yields an archive's timelines **one at a time**
+(NPZ members decompress lazily on access), so a paper-scale archive can
+be replayed without holding the whole campaign in memory;
+:func:`load_longterm` is a thin wrapper that drains it into the batch
+dataset dict.  Short-term ping datasets round-trip the same way
+(:func:`save_pings` / :func:`load_pings`).
 """
 
 from __future__ import annotations
 
-import gzip
 import json
-import math
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -36,8 +27,6 @@ from repro.datasets.shortterm import ShortTermPingDataset
 from repro.datasets.timeline import PingTimeline, TraceTimeline
 from repro.measurement.scheduler import CampaignGrid
 from repro.net.ip import IPVersion
-from repro.stream.columns import PingColumns, TraceColumns
-from repro.stream.records import PingRecord, TracerouteRecord
 
 __all__ = [
     "save_longterm",
@@ -45,10 +34,6 @@ __all__ = [
     "iter_longterm",
     "save_pings",
     "load_pings",
-    "save_records",
-    "iter_records",
-    "iter_record_columns",
-    "RECORDS_SCHEMA_VERSION",
 ]
 
 _PathLike = Union[str, Path]
@@ -127,9 +112,8 @@ def iter_longterm(path: _PathLike) -> Iterator[TraceTimeline]:
 
     Only the yielded timeline's arrays are decompressed and alive at any
     moment -- NPZ members load lazily on access -- so replaying a
-    paper-scale archive through the streaming operators stays within the
-    stream's memory bound.  The archive handle closes when the generator
-    is exhausted (or closed).
+    paper-scale archive holds one timeline at a time.  The archive
+    handle closes when the generator is exhausted (or closed).
     """
     with np.load(path) as archive:
         meta = json.loads(bytes(archive["_meta"].tobytes()).decode("utf-8"))
@@ -199,270 +183,3 @@ def load_pings(path: _PathLike) -> ShortTermPingDataset:
                 rtt_ms=archive[f"ping_{token}"],
             )
     return dataset
-
-
-# ----------------------------------------------------------------------
-# Flat measurement records as JSON Lines (the stream's wire format)
-# ----------------------------------------------------------------------
-
-RECORDS_SCHEMA_VERSION = 1
-"""Bump when the JSONL record line layout changes shape."""
-
-
-def _open_text(path: _PathLike, mode: str):
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
-
-
-def _finite_or_none(value: float):
-    return float(value) if math.isfinite(value) else None
-
-
-def _record_line(record) -> Dict[str, object]:
-    if isinstance(record, TracerouteRecord):
-        return {
-            "t": "trace",
-            "src": record.src,
-            "dst": record.dst,
-            "v": record.version,
-            "r": record.round_index,
-            "h": record.time_hours,
-            "rtt": _finite_or_none(record.rtt_ms),
-            "o": record.outcome,
-            "p": list(record.as_path) if record.as_path is not None else None,
-        }
-    if isinstance(record, PingRecord):
-        return {
-            "t": "ping",
-            "src": record.src,
-            "dst": record.dst,
-            "v": record.version,
-            "r": record.round_index,
-            "h": record.time_hours,
-            "rtt": _finite_or_none(record.rtt_ms),
-        }
-    raise TypeError(f"cannot serialize record of type {type(record).__name__}")
-
-
-def _trace_column_lines(columns: TraceColumns) -> Iterator[Dict[str, object]]:
-    """One unit's trace columns as line dicts, byte-equal to the record
-    encoding (same key order, same shortest-repr floats)."""
-    src, dst, version = columns.key
-    times = columns.times_hours.tolist()
-    rtts = columns.rtt_ms.tolist()
-    outcomes = columns.outcome.tolist()
-    path_ids = columns.path_id.tolist()
-    paths = [list(path) for path in columns.paths]
-    for index in range(len(times)):
-        rtt = rtts[index]
-        pid = path_ids[index]
-        yield {
-            "t": "trace",
-            "src": src,
-            "dst": dst,
-            "v": version,
-            "r": index,
-            "h": times[index],
-            "rtt": rtt if math.isfinite(rtt) else None,
-            "o": outcomes[index],
-            "p": paths[pid] if pid >= 0 else None,
-        }
-
-
-def _ping_column_lines(columns: PingColumns) -> Iterator[Dict[str, object]]:
-    """One unit's ping columns as line dicts (see _trace_column_lines)."""
-    src, dst, version = columns.key
-    times = columns.times_hours.tolist()
-    rtts = columns.rtt_ms.tolist()
-    for index in range(len(times)):
-        rtt = rtts[index]
-        yield {
-            "t": "ping",
-            "src": src,
-            "dst": dst,
-            "v": version,
-            "r": index,
-            "h": times[index],
-            "rtt": rtt if math.isfinite(rtt) else None,
-        }
-
-
-def _item_lines(item: object) -> Iterator[Dict[str, object]]:
-    """Line dicts of one save_records item (a record or a column block)."""
-    if isinstance(item, TraceColumns):
-        yield from _trace_column_lines(item)
-    elif isinstance(item, PingColumns):
-        yield from _ping_column_lines(item)
-    else:
-        yield _record_line(item)
-
-
-def save_records(records: Iterable[object], path: _PathLike) -> None:
-    """Write measurement records as JSON Lines, one record per line.
-
-    Items are written in iteration order with constant memory; the
-    conventional order for campaign dumps is round-major (every pair's
-    round ``r`` before any pair's round ``r+1``), mirroring a live
-    collection pipeline's emission order.  A header line carries the
-    schema version.  Floats round-trip exactly (shortest-repr JSON);
-    NaN RTTs (losses / unreached destinations) are stored as ``null``.
-    A ``.gz`` suffix transparently gzip-compresses.
-
-    An item may also be a whole :class:`~repro.stream.columns.TraceColumns`
-    / :class:`~repro.stream.columns.PingColumns` block: its rounds are
-    encoded straight off the columns (pair-major, round order within the
-    pair), producing byte-for-byte the lines the equivalent record
-    objects would -- the schema is unchanged, columns are just the fast
-    encoder.
-    """
-    with _open_text(path, "w") as handle:
-        header = {"format": "repro-records", "schema": RECORDS_SCHEMA_VERSION}
-        handle.write(json.dumps(header, allow_nan=False) + "\n")
-        for item in records:
-            for line in _item_lines(item):
-                handle.write(json.dumps(line, allow_nan=False) + "\n")
-
-
-def iter_records(path: _PathLike) -> Iterator[object]:
-    """Yield records written by :func:`save_records`, in file order.
-
-    A generator end to end: one line is parsed at a time, so the
-    streaming operators can consume arbitrarily large dumps in bounded
-    memory.
-
-    Raises:
-        ValueError: Not a record file, or an unknown schema version.
-    """
-    with _open_text(path, "r") as handle:
-        header = json.loads(next(handle, "null"))
-        if not isinstance(header, dict) or header.get("format") != "repro-records":
-            raise ValueError(f"{path}: not a repro-records JSONL file")
-        if header.get("schema") != RECORDS_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: records schema {header.get('schema')!r} unsupported "
-                f"(expected {RECORDS_SCHEMA_VERSION})"
-            )
-        for line in handle:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            rtt = entry["rtt"]
-            rtt = float("nan") if rtt is None else float(rtt)
-            if entry["t"] == "trace":
-                as_path = entry["p"]
-                yield TracerouteRecord(
-                    src=int(entry["src"]),
-                    dst=int(entry["dst"]),
-                    version=int(entry["v"]),
-                    round_index=int(entry["r"]),
-                    time_hours=float(entry["h"]),
-                    rtt_ms=rtt,
-                    outcome=int(entry["o"]),
-                    as_path=tuple(int(asn) for asn in as_path)
-                    if as_path is not None
-                    else None,
-                )
-            elif entry["t"] == "ping":
-                yield PingRecord(
-                    src=int(entry["src"]),
-                    dst=int(entry["dst"]),
-                    version=int(entry["v"]),
-                    round_index=int(entry["r"]),
-                    time_hours=float(entry["h"]),
-                    rtt_ms=rtt,
-                )
-            else:
-                raise ValueError(f"{path}: unknown record type {entry['t']!r}")
-
-
-def _flush_column_block(
-    kind: str,
-    key: Tuple[int, int, int],
-    times: List[float],
-    rtts: List[Optional[float]],
-    outcomes: List[int],
-    paths: List[Optional[List[int]]],
-) -> Union[TraceColumns, PingColumns]:
-    """Assemble one decoded run of lines into a column block."""
-    rtt_column = np.array(
-        [math.nan if value is None else value for value in rtts], dtype=np.float32
-    )
-    times_column = np.array(times, dtype=np.float64)
-    if kind == "ping":
-        return PingColumns(key=key, times_hours=times_column, rtt_ms=rtt_column)
-    # Re-intern paths in first-appearance order, the same order the
-    # builders produce, so decoded blocks compare equal to built ones.
-    table: Dict[Tuple[int, ...], int] = {}
-    path_ids = np.empty(len(paths), dtype=np.int32)
-    for index, path in enumerate(paths):
-        if path is None:
-            path_ids[index] = -1
-            continue
-        as_path = tuple(int(asn) for asn in path)
-        path_ids[index] = table.setdefault(as_path, len(table))
-    return TraceColumns(
-        key=key,
-        times_hours=times_column,
-        rtt_ms=rtt_column,
-        outcome=np.array(outcomes, dtype=np.uint8),
-        path_id=path_ids,
-        paths=tuple(table),
-    )
-
-
-def iter_record_columns(path: _PathLike) -> Iterator[Union[TraceColumns, PingColumns]]:
-    """Yield column blocks from a :func:`save_records` file.
-
-    The inverse codec of passing column blocks to :func:`save_records`:
-    consecutive lines sharing a type and ``(src, dst, v)`` key become one
-    :class:`~repro.stream.columns.TraceColumns` /
-    :class:`~repro.stream.columns.PingColumns` block, with trace paths
-    re-interned in first appearance order.  Pair-major dumps decode to
-    one block per unit; round-major dumps still decode correctly, just
-    into many short blocks.  Memory stays bounded by the largest single
-    unit, never the file.
-
-    Raises:
-        ValueError: Not a record file, an unknown schema version, or a
-            segment/unknown record type (segments have no JSONL codec).
-    """
-    run_kind: Optional[str] = None
-    run_key: Optional[Tuple[int, int, int]] = None
-    times: List[float] = []
-    rtts: List[Optional[float]] = []
-    outcomes: List[int] = []
-    paths: List[Optional[List[int]]] = []
-
-    with _open_text(path, "r") as handle:
-        header = json.loads(next(handle, "null"))
-        if not isinstance(header, dict) or header.get("format") != "repro-records":
-            raise ValueError(f"{path}: not a repro-records JSONL file")
-        if header.get("schema") != RECORDS_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: records schema {header.get('schema')!r} unsupported "
-                f"(expected {RECORDS_SCHEMA_VERSION})"
-            )
-        for line in handle:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            kind = entry["t"]
-            if kind not in ("trace", "ping"):
-                raise ValueError(f"{path}: unknown record type {kind!r}")
-            key = (int(entry["src"]), int(entry["dst"]), int(entry["v"]))
-            if kind != run_kind or key != run_key:
-                if run_kind is not None:
-                    yield _flush_column_block(
-                        run_kind, run_key, times, rtts, outcomes, paths
-                    )
-                run_kind, run_key = kind, key
-                times, rtts, outcomes, paths = [], [], [], []
-            times.append(float(entry["h"]))
-            rtts.append(entry["rtt"])
-            if kind == "trace":
-                outcomes.append(int(entry["o"]))
-                paths.append(entry["p"])
-        if run_kind is not None:
-            yield _flush_column_block(run_kind, run_key, times, rtts, outcomes, paths)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -93,9 +94,14 @@ def _check_positive_int(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _check_non_negative(name: str, value: float) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _index_tuple(name: str, value) -> Tuple[int, ...]:
@@ -307,16 +313,14 @@ class SupervisionPolicy:
     unit_attempts: int = 2
 
     def __post_init__(self):
-        if self.stall_timeout_s <= 0:
-            raise ValueError("stall_timeout_s must be > 0")
-        if self.poll_s <= 0:
-            raise ValueError("poll_s must be > 0")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
-        if self.restart_backoff_s < 0:
-            raise ValueError("restart_backoff_s must be >= 0")
-        if self.backoff_ceiling_s < 0:
-            raise ValueError("backoff_ceiling_s must be >= 0")
+        _check_positive("stall_timeout_s", self.stall_timeout_s)
+        _check_positive("poll_s", self.poll_s)
+        if not isinstance(self.max_restarts, int) or self.max_restarts < 0:
+            raise ValueError(
+                f"max_restarts must be an integer >= 0, got {self.max_restarts!r}"
+            )
+        _check_non_negative("restart_backoff_s", self.restart_backoff_s)
+        _check_non_negative("backoff_ceiling_s", self.backoff_ceiling_s)
         _check_positive_int("unit_attempts", self.unit_attempts)
 
 
@@ -335,10 +339,8 @@ class RetryPolicy:
 
     def __post_init__(self):
         _check_positive_int("max_attempts", self.max_attempts)
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-        if self.backoff_ceiling_s < 0:
-            raise ValueError("backoff_ceiling_s must be >= 0")
+        _check_non_negative("backoff_s", self.backoff_s)
+        _check_non_negative("backoff_ceiling_s", self.backoff_ceiling_s)
 
 
 def backoff_delay(

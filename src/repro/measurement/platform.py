@@ -318,25 +318,6 @@ class MeasurementPlatform:
         self._realizations[key] = result
         return result
 
-    def drop_realizations(self, src_server_id: int, dst_server_id: int) -> None:
-        """Evict one pair's cached path realizations.
-
-        Realizations are pure functions of the built topology --
-        :func:`realize_path` consumes no shared randomness -- so evicting
-        and rebuilding them never changes any measurement.  The streaming
-        engine calls this after finishing a pair's stream unit to keep
-        the cache (which otherwise grows with every pair visited) within
-        the stream's memory bound.  The AS-step memo stays: it is bounded
-        by the number of distinct steps, not by the pairs visited.
-        """
-        stale = [
-            key
-            for key in self._realizations
-            if key[0] == src_server_id and key[1] == dst_server_id
-        ]
-        for key in stale:
-            del self._realizations[key]
-
     def __setstate__(self, state: Dict[str, object]) -> None:
         # Artifact-cache entries pickled before the AS-step memo existed
         # carry no ``_steps``; they load with an empty memo.  (Bumping

@@ -1,19 +1,20 @@
 """The always-on measurement campaign service.
 
 The paper's platform ran a 16-month always-on campaign: full-mesh
-traceroutes every 3 hours, pings every 15 minutes, continuously, with
-the analyses consuming whatever had been collected so far.  This
-package is that operational layer for the reproduction:
+traceroutes every 3 hours, pings every 15 minutes, continuously.  The
+paper's analyses run on the batch pipeline (``reproduce``); this
+package is the always-on operational layer, run at scale over the
+synthetic million-pair mesh (:mod:`repro.stream.mesh`):
 
 - :mod:`repro.service.config` -- declarative campaign + service shapes
-  (name, kind, cadence, shard fan-out, cycle horizon).
+  (name, cadence, shard fan-out, cycle horizon).
 - :mod:`repro.service.campaign` -- one named campaign as a durable unit
-  of work: drivers build each cycle's windowed source, the incremental
-  operators accumulate across cycles, and the versioned checkpoint
-  store makes kill/restart resume byte-identical.
+  of work: the mesh driver builds each cycle's source, the operator
+  accumulates across cycles, and the versioned checkpoint store makes
+  kill/restart resume byte-identical.
 - :mod:`repro.service.supervisor` -- the asyncio scheduler that owns
   every campaign's fire times, runs cycles on executor threads over the
-  sharded stream sources, and drains cleanly on SIGTERM.
+  sharded stream source, and drains cleanly on SIGTERM.
 - :mod:`repro.service.api` -- the ``/campaigns`` + pause/resume/drain
   control routes mounted on the :class:`repro.obs.expo.MetricsServer`.
 - :mod:`repro.service.checkpoint` -- fingerprint-keyed atomic campaign

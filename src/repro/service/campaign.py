@@ -2,19 +2,16 @@
 
 A campaign is a *driver* (how to build cycle ``c``'s source and how to
 summarize the operator at the end) plus a :class:`Campaign` runtime
-that owns the incremental operator across cycles, gates every unit on
-pause/drain, checkpoints at unit boundaries, and writes the final
-results as canonical JSON.
+that owns the operator across cycles, gates every unit on pause/drain,
+checkpoints at unit boundaries, and writes the final results as
+canonical JSON.
 
-Determinism contract: cycle ``c`` of any campaign feeds the operator
-exactly the grid rounds ``[c*W, (c+1)*W)`` -- the platform drivers cut
-them out of the full per-pair timelines with
-:class:`~repro.stream.source.WindowedSource` (identical RNG draws to
-the batch pipeline), the mesh driver generates them from a stateless
-counter hash.  The incremental operators carry their cross-cycle state
-internally, so the concatenation of all cycles is bit-identical to one
-uninterrupted feed -- and so is any kill/restart replay from a
-checkpoint, which is the service's durability story.
+Determinism contract: cycle ``c`` of a campaign feeds the operator
+exactly the mesh rounds ``[c*W, (c+1)*W)``, generated from a stateless
+counter hash.  The operator carries its cross-cycle state internally
+and absorbs units in order, so the concatenation of all cycles is
+bit-identical to one uninterrupted feed -- and so is any kill/restart
+replay from a checkpoint, which is the service's durability story.
 """
 
 from __future__ import annotations
@@ -24,11 +21,8 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
-from repro.datasets.longterm import LongTermConfig
-from repro.datasets.shortterm import ShortTermConfig
 from repro.faults.completeness import DataCompleteness, MissingUnit
 from repro.faults.plane import SupervisionPolicy
-from repro.measurement.platform import MeasurementPlatform
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
@@ -41,16 +35,9 @@ from repro.stream.mesh import (
     SyntheticMeshSource,
     mesh_results,
 )
-from repro.stream.operators import CongestionWindowOperator, PathStatsOperator
-from repro.stream.source import (
-    LongTermTraceSource,
-    PingSource,
-    ShardedSource,
-    StreamUnit,
-    WindowedSource,
-)
+from repro.stream.source import ShardedSource, StreamUnit
 
-__all__ = ["Campaign", "driver_for", "MeshDriver", "TraceDriver", "PingDriver"]
+__all__ = ["Campaign", "driver_for", "MeshDriver"]
 
 _LOG = get_logger("repro.service.campaign")
 
@@ -62,8 +49,6 @@ class MeshDriver:
     built (in the shard, or inline with one shard), and the campaign's
     operator only absorbs them in unit order.
     """
-
-    kind = "mesh"
 
     def __init__(self, config: CampaignConfig) -> None:
         self.config = config
@@ -90,147 +75,9 @@ class MeshDriver:
         return mesh_results(operator, cycles_done)
 
 
-class TraceDriver:
-    """Cycles over the long-term traceroute mesh (the 3-hour campaign)."""
-
-    kind = "trace"
-
-    def __init__(
-        self,
-        config: CampaignConfig,
-        platform: MeasurementPlatform,
-        dataset_config: Optional[LongTermConfig] = None,
-    ) -> None:
-        self.config = config
-        self.platform = platform
-        self.dataset_config = dataset_config or LongTermConfig()
-        self.source = LongTermTraceSource(platform, self.dataset_config)
-        self.grid = self.source.grid
-        window = config.rounds_per_cycle
-        horizon = -(-self.grid.rounds // window)
-        self.total_cycles: Optional[int] = (
-            min(horizon, config.cycles) if config.cycles is not None else horizon
-        )
-
-    def fingerprint_parts(self) -> tuple:
-        return (self.config, self.platform.config, self.dataset_config)
-
-    def source_for_cycle(self, cycle: int) -> WindowedSource:
-        window = self.config.rounds_per_cycle
-        low = cycle * window
-        return WindowedSource(self.source, low, min(low + window, self.grid.rounds))
-
-    def make_operator(self) -> PathStatsOperator:
-        return PathStatsOperator(period_hours=self.grid.period_hours)
-
-    def results(
-        self, operator: PathStatsOperator, cycles_done: int
-    ) -> Dict[str, object]:
-        summaries = operator.finalize()
-        by_version: Dict[int, Dict[str, float]] = {}
-        for key, summary in summaries.items():
-            entry = by_version.setdefault(
-                key[2],
-                {"pairs": 0, "changes": 0, "unique_paths": 0, "stable_pairs": 0},
-            )
-            entry["pairs"] += 1
-            entry["changes"] += summary.changes
-            entry["unique_paths"] += summary.unique_paths
-            if (
-                summary.popular_prevalence is not None
-                and summary.popular_prevalence >= 0.99
-            ):
-                entry["stable_pairs"] += 1
-        return {
-            "cycles": int(cycles_done),
-            "rounds": int(min(cycles_done * self.config.rounds_per_cycle,
-                              self.grid.rounds)),
-            "versions": {
-                str(version): by_version[version] for version in sorted(by_version)
-            },
-        }
-
-
-class PingDriver:
-    """Cycles over the short-term ping campaign (the 15-minute cadence)."""
-
-    kind = "ping"
-
-    def __init__(
-        self,
-        config: CampaignConfig,
-        platform: MeasurementPlatform,
-        dataset_config: Optional[ShortTermConfig] = None,
-    ) -> None:
-        self.config = config
-        self.platform = platform
-        self.dataset_config = dataset_config or ShortTermConfig()
-        self.source = PingSource(platform, self.dataset_config)
-        self.grid = self.source.grid
-        window = config.rounds_per_cycle
-        horizon = -(-self.grid.rounds // window)
-        self.total_cycles: Optional[int] = (
-            min(horizon, config.cycles) if config.cycles is not None else horizon
-        )
-
-    def fingerprint_parts(self) -> tuple:
-        return (self.config, self.platform.config, self.dataset_config)
-
-    def source_for_cycle(self, cycle: int) -> WindowedSource:
-        window = self.config.rounds_per_cycle
-        low = cycle * window
-        return WindowedSource(self.source, low, min(low + window, self.grid.rounds))
-
-    def make_operator(self) -> CongestionWindowOperator:
-        # Whole-campaign window: verdicts match the batch detector's.
-        return CongestionWindowOperator(
-            period_hours=self.grid.period_hours, window_rounds=self.grid.rounds
-        )
-
-    def results(
-        self, operator: CongestionWindowOperator, cycles_done: int
-    ) -> Dict[str, object]:
-        verdicts = operator.verdicts()
-        versions: Dict[str, object] = {}
-        for version in (4, 6):
-            stats = operator.population_stats(verdicts, version)
-            if stats.pairs:
-                versions[str(version)] = {
-                    "pairs": stats.pairs,
-                    "spread_exceeds": stats.spread_exceeds,
-                    "congested": stats.congested,
-                }
-        return {
-            "cycles": int(cycles_done),
-            "rounds": int(min(cycles_done * self.config.rounds_per_cycle,
-                              self.grid.rounds)),
-            "versions": versions,
-        }
-
-
-def driver_for(
-    config: CampaignConfig,
-    platform: Optional[MeasurementPlatform] = None,
-    longterm_config: Optional[LongTermConfig] = None,
-    shortterm_config: Optional[ShortTermConfig] = None,
-):
-    """The driver matching a campaign config's kind.
-
-    ``longterm_config``/``shortterm_config`` shape the platform
-    campaigns' measurement grids (the supervisor passes the scenario's;
-    defaults are paper scale and need a platform window to match).
-    """
-    if config.kind == "mesh":
-        return MeshDriver(config)
-    if platform is None:
-        raise ValueError(
-            f"campaign {config.name!r} (kind {config.kind!r}) needs a platform"
-        )
-    if config.kind == "trace":
-        return TraceDriver(config, platform, longterm_config)
-    if config.kind == "ping":
-        return PingDriver(config, platform, shortterm_config)
-    raise ValueError(f"unknown campaign kind {config.kind!r}")
+def driver_for(config: CampaignConfig) -> MeshDriver:
+    """The driver of a campaign config (every campaign is a mesh)."""
+    return MeshDriver(config)
 
 
 class Campaign:
@@ -380,15 +227,6 @@ class Campaign:
             self._pause.wait(0.05)
         return not self._drain.is_set()
 
-    def _feed(self, unit: StreamUnit) -> None:
-        self.operator.start_unit(unit.key, unit.meta)
-        if unit.columns is not None and hasattr(self.operator, "observe_columns"):
-            if len(unit.columns):
-                self.operator.observe_columns(unit.columns)
-        else:
-            for record in unit.iter_records():
-                self.operator.observe(record)
-
     def _units(self, source) -> Iterator[StreamUnit]:
         if self.supervision is not None:
             # Supervised runs always fan out (even one shard forks), so
@@ -477,7 +315,7 @@ class Campaign:
                     # indices stay aligned with unit indices.
                     missing_counter.inc()
                 else:
-                    self._feed(unit)
+                    self.operator.observe_columns(unit.columns)
                     self.completeness.deliver(
                         self.cycle * total_units + self.units_done
                     )

@@ -5,14 +5,13 @@ restarted against the same config, resumes every campaign from its last
 checkpoint and finishes with byte-identical results.**  This module is
 the mechanism -- an atomic temp-file-and-rename pickle store over the
 checksummed framing of :mod:`repro.stream.snapshot`, keyed per campaign
-and carrying the campaign's cycle position plus its incremental
-operator wholesale.
+and carrying the campaign's cycle position plus its operator
+wholesale.
 
 The fingerprint covers the :class:`~repro.service.config.CampaignConfig`
-(and, for platform campaigns, the platform config) together with
-:data:`CAMPAIGN_CHECKPOINT_SCHEMA`; any config or layout change turns
-old snapshots into clean misses, never wrong resumes.  SCH010 pins the
-payload's field set against ``schema_snapshot.json``.
+together with :data:`CAMPAIGN_CHECKPOINT_SCHEMA`; any config or layout
+change turns old snapshots into clean misses, never wrong resumes.
+SCH010 pins the payload's field set against ``schema_snapshot.json``.
 """
 
 from __future__ import annotations
@@ -60,9 +59,9 @@ _LOG = get_logger("repro.service.checkpoint")
 def campaign_fingerprint(*parts: object) -> str:
     """Fingerprint of everything one campaign's resume depends on.
 
-    Callers pass the campaign config and whatever the driver measures
-    against (the platform config for trace/ping, nothing extra for the
-    self-describing mesh); the schema version is mixed in here.
+    Callers pass the driver's fingerprint parts -- the campaign config,
+    which describes its mesh completely; the schema version is mixed in
+    here.
     """
     return config_fingerprint(
         "campaign-checkpoint", CAMPAIGN_CHECKPOINT_SCHEMA, *parts

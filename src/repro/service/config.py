@@ -1,11 +1,12 @@
 """Declarative shapes of the campaign service.
 
-A :class:`CampaignConfig` names one recurring measurement campaign --
-what it measures (``kind``), how often a cycle fires (``cadence_s``),
-how much of the measurement grid each cycle covers
-(``rounds_per_cycle``), and how wide the stream fan-out runs.  A
-:class:`ServiceConfig` is the whole service: the campaign list plus the
-durability/exposition knobs.
+A :class:`CampaignConfig` names one recurring synthetic-mesh campaign
+-- how often a cycle fires (``cadence_s``), how many mesh rounds each
+cycle covers (``rounds_per_cycle``), how many cycles it runs, and how
+wide the stream fan-out runs.  A :class:`ServiceConfig` is the whole
+service: the campaign list plus the durability/exposition knobs.
+Counts must be integers and durations finite: a float count or a NaN
+cadence fails here, not halfway through a campaign.
 
 Both are frozen dataclasses so
 :func:`repro.harness.engine.config_fingerprint` covers every field --
@@ -14,11 +15,11 @@ makes "resume against a changed config" structurally impossible (the
 checkpoint reads as a miss and the campaign restarts).  CCH001 watches
 this file for knobs that silently escape the fingerprint.
 
-``time_scale`` compresses the clock for tests and CI smoke runs: the
-paper's 3-hour traceroute cadence at ``time_scale=0.001`` fires every
-10.8 s.  It scales *scheduling* only -- measurement grids, RNG draws
-and results are completely unaffected, so a compressed run's output is
-byte-identical to a real-time run's.
+``time_scale`` compresses the clock for tests and CI smoke runs: a
+15-minute cadence at ``time_scale=0.001`` fires every 0.9 s.  It
+scales *scheduling* only -- mesh rounds and results are completely
+unaffected, so a compressed run's output is byte-identical to a
+real-time run's.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from typing import Dict, Optional, Tuple
 from repro.faults.plane import (
     RetryPolicy,
     SupervisionPolicy,
+    _check_positive,
+    _check_positive_int,
     retry_policy_from_dict,
     supervision_policy_from_dict,
 )
@@ -42,22 +45,24 @@ __all__ = [
     "service_config_from_dict",
 ]
 
-CAMPAIGN_KINDS = ("trace", "ping", "mesh")
-"""Supported campaign kinds: long-term traceroute mesh, short-term
-pings (both over the simulated platform), and the synthetic
-million-pair mesh."""
+CAMPAIGN_KINDS = ("mesh",)
+"""Supported campaign kinds: the synthetic million-pair mesh."""
+
+_RETIRED_KINDS = ("trace", "ping")
+"""Campaign kinds an older service ran over the simulated platform.
+Their configs fail loudly rather than run as something else."""
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """One named recurring campaign.
+    """One named recurring mesh campaign.
 
-    ``rounds_per_cycle`` grid rounds are ingested per cycle; the
-    campaign finishes when the measurement grid is exhausted (trace/
-    ping) or after ``cycles`` cycles (mesh, where the counter-hash grid
-    is unbounded).  ``cycles=None`` on a mesh campaign means run until
-    drained.  A ``mesh`` block is only valid on a mesh campaign, and
-    its ``rounds_per_cycle`` must equal the campaign's.
+    ``rounds_per_cycle`` mesh rounds are ingested per cycle; the
+    campaign finishes after ``cycles`` cycles (the counter-hash grid
+    is unbounded), and ``cycles=None`` means run until drained.  A
+    ``mesh`` block's ``rounds_per_cycle`` must equal the campaign's.
+    ``kind`` has the one value ``"mesh"``; it stays a field because
+    the checkpoint fingerprint covers every field.
     """
 
     name: str
@@ -79,28 +84,28 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if not self.name or any(c in self.name for c in " /{}"):
             raise ValueError(f"invalid campaign name {self.name!r}")
+        if self.kind in _RETIRED_KINDS:
+            raise ValueError(
+                f"campaign kind {self.kind!r} was retired; the service runs "
+                f"only {CAMPAIGN_KINDS} campaigns"
+            )
         if self.kind not in CAMPAIGN_KINDS:
             raise ValueError(
                 f"unknown campaign kind {self.kind!r}; valid: {CAMPAIGN_KINDS}"
             )
-        if self.cadence_s <= 0:
-            raise ValueError("cadence_s must be positive")
-        if self.rounds_per_cycle < 1:
-            raise ValueError("rounds_per_cycle must be positive")
-        if self.cycles is not None and self.cycles < 1:
-            raise ValueError("cycles must be positive when set")
-        if self.shards < 1 or self.queue_units < 1 or self.checkpoint_every < 1:
-            raise ValueError("shards/queue_units/checkpoint_every must be positive")
-        if self.mesh is not None:
-            if self.kind != "mesh":
-                raise ValueError(
-                    f"a 'mesh' block needs kind 'mesh' (got {self.kind!r})"
-                )
-            if self.mesh.rounds_per_cycle != self.rounds_per_cycle:
-                raise ValueError(
-                    f"mesh rounds_per_cycle {self.mesh.rounds_per_cycle} "
-                    f"disagrees with the campaign's {self.rounds_per_cycle}"
-                )
+        _check_positive("cadence_s", self.cadence_s)
+        for name in ("rounds_per_cycle", "shards", "queue_units", "checkpoint_every"):
+            _check_positive_int(name, getattr(self, name))
+        if self.cycles is not None:
+            _check_positive_int("cycles", self.cycles)
+        if (
+            self.mesh is not None
+            and self.mesh.rounds_per_cycle != self.rounds_per_cycle
+        ):
+            raise ValueError(
+                f"mesh rounds_per_cycle {self.mesh.rounds_per_cycle} "
+                f"disagrees with the campaign's {self.rounds_per_cycle}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,6 @@ class ServiceConfig:
     """The whole service: campaigns plus durability and exposition."""
 
     campaigns: Tuple[CampaignConfig, ...]
-    scenario: str = "small"
-    seed: int = 0
     checkpoint_dir: str = "service-state"
     time_scale: float = 1.0
     host: str = "127.0.0.1"
@@ -135,14 +138,11 @@ class ServiceConfig:
         names = [campaign.name for campaign in self.campaigns]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate campaign names in {names}")
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        if self.live_interval_s <= 0:
-            raise ValueError("live_interval_s must be positive")
-        if self.drain_after_s is not None and self.drain_after_s <= 0:
-            raise ValueError("drain_after_s must be positive when set")
-        if self.drain_grace_s <= 0:
-            raise ValueError("drain_grace_s must be positive")
+        _check_positive("time_scale", self.time_scale)
+        _check_positive("live_interval_s", self.live_interval_s)
+        if self.drain_after_s is not None:
+            _check_positive("drain_after_s", self.drain_after_s)
+        _check_positive("drain_grace_s", self.drain_grace_s)
 
 
 _CAMPAIGN_FIELDS = {f.name for f in CampaignConfig.__dataclass_fields__.values()}

@@ -43,41 +43,23 @@ _LOG = get_logger("repro.service.supervisor")
 class ServiceSupervisor:
     """Owns every campaign's lifecycle from restore to drain.
 
-    Construction is cheap and synchronous (drivers may build a platform,
-    which is the one expensive step); :meth:`run` blocks until every
-    campaign finishes or a drain request lands.  Tests drive
+    Construction is cheap and synchronous; :meth:`run` blocks until
+    every campaign finishes or a drain request lands.  Tests drive
     :meth:`run` directly; the CLI adds the live-out flight recorder.
     """
 
     def __init__(
         self,
         config: ServiceConfig,
-        platform=None,
         recorder: Optional[FlightRecorder] = None,
         serve: bool = True,
     ) -> None:
         self.config = config
-        longterm_config = shortterm_config = None
-        if any(
-            campaign.kind in ("trace", "ping") for campaign in config.campaigns
-        ):
-            from repro.harness.scenarios import get_scenario, scenario_platform
-
-            scenario = get_scenario(config.scenario)
-            longterm_config = scenario.longterm_config()
-            shortterm_config = scenario.shortterm_config()
-            if platform is None:
-                platform = scenario_platform(config.scenario, config.seed)
-        self.platform = platform
         checkpoint_dir = Path(config.checkpoint_dir)
         self.campaigns: List[Campaign] = [
             Campaign(
                 entry,
-                driver_for(
-                    entry, platform,
-                    longterm_config=longterm_config,
-                    shortterm_config=shortterm_config,
-                ),
+                driver_for(entry),
                 checkpoint_dir,
                 supervision=config.supervision,
             )
@@ -157,8 +139,6 @@ class ServiceSupervisor:
         status = obs_live.get_status()
         status.begin_run(
             mode="service",
-            scenario=self.config.scenario,
-            seed=self.config.seed,
             campaigns=[c.config.name for c in self.campaigns],
         )
         status.set_phase("service")

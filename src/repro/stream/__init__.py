@@ -1,18 +1,11 @@
-"""repro.stream: bounded-memory streaming over the measurement campaigns.
+"""repro.stream: bounded-memory streaming behind the campaign service.
 
 The batch pipeline materializes every timeline before :mod:`repro.core`
 runs; this package feeds the campaign service (:mod:`repro.service`)
-record streams instead, one pair at a time:
+its synthetic mesh one block at a time:
 
-- :mod:`repro.stream.records` -- flat per-observation record types.
-- :mod:`repro.stream.columns` -- the same observations as per-unit
-  column blocks, the payload the vectorized operators consume.
-- :mod:`repro.stream.source` -- pull-based unit sources over the live
-  platform, a per-cycle window, and a sharded fan-out with bounded
-  queues.
-- :mod:`repro.stream.operators` -- incremental operators: route-change /
-  prevalence accumulators, P-squared percentile estimators, and the
-  sliding-window Goertzel congestion detector.
+- :mod:`repro.stream.source` -- stream units and the sharded fan-out
+  with bounded queues.
 - :mod:`repro.stream.mesh` -- the counter-hash full-mesh source and its
   operator.
 - :mod:`repro.stream.snapshot` -- checksummed, generation-rotated
@@ -26,33 +19,13 @@ import ``repro`` without it.
 from __future__ import annotations
 
 __all__ = [
-    "TracerouteRecord",
-    "PingRecord",
-    "TraceColumns",
-    "PingColumns",
     "StreamUnit",
-    "LongTermTraceSource",
-    "PingSource",
     "ShardedSource",
-    "P2Quantile",
-    "PathStatsOperator",
-    "CongestionWindowOperator",
-    "windowed_diurnal_power_ratio",
 ]
 
 _LAZY_EXPORTS = {
-    "TracerouteRecord": "repro.stream.records",
-    "PingRecord": "repro.stream.records",
-    "TraceColumns": "repro.stream.columns",
-    "PingColumns": "repro.stream.columns",
     "StreamUnit": "repro.stream.source",
-    "LongTermTraceSource": "repro.stream.source",
-    "PingSource": "repro.stream.source",
     "ShardedSource": "repro.stream.source",
-    "P2Quantile": "repro.stream.operators",
-    "PathStatsOperator": "repro.stream.operators",
-    "CongestionWindowOperator": "repro.stream.operators",
-    "windowed_diurnal_power_ratio": "repro.stream.operators",
 }
 
 

@@ -82,9 +82,9 @@ from typing import Dict, Iterator, Optional
 
 import numpy as np
 
+from repro.faults.plane import _check_positive_int
 from repro.obs import metrics as obs_metrics
-from repro.stream.records import PingRecord, UnitKey
-from repro.stream.source import StreamUnit
+from repro.stream.source import StreamUnit, UnitKey
 
 __all__ = [
     "MeshConfig",
@@ -163,8 +163,9 @@ class MeshConfig:
     ``rounds_per_cycle`` rounds are generated per service cycle at
     ``cadence_hours`` spacing; ``pair * ROUND_CAPACITY + absolute_round``
     indexes the counter hash, so a campaign may run until its absolute
-    round reaches ``ROUND_CAPACITY``.  Out-of-range fields raise
-    ``ValueError`` here rather than producing a silently wrong mesh.
+    round reaches ``ROUND_CAPACITY``.  Out-of-range fields, and counts
+    that are not integers, raise ``ValueError`` here rather than
+    producing a silently wrong mesh.
     """
 
     pairs: int = 1_000_000
@@ -180,8 +181,8 @@ class MeshConfig:
     loss_rate: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.pairs < 1 or self.block_pairs < 1 or self.rounds_per_cycle < 1:
-            raise ValueError("mesh dimensions must be positive")
+        for name in ("pairs", "block_pairs", "rounds_per_cycle"):
+            _check_positive_int(name, getattr(self, name))
         if self.pairs > _PAIR_CAPACITY:
             raise ValueError(
                 f"mesh pairs must be at most 2**{64 - _ROUND_BITS} "
@@ -192,8 +193,10 @@ class MeshConfig:
                 f"rounds_per_cycle must be at most 2**{_ROUND_BITS} "
                 f"(got {self.rounds_per_cycle})"
             )
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"mesh seed must be in [0, 2**64) (got {self.seed})")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 1 << 64):
+            raise ValueError(
+                f"mesh seed must be an integer in [0, 2**64) (got {self.seed!r})"
+            )
         if not (math.isfinite(self.cadence_hours) and self.cadence_hours > 0):
             raise ValueError(
                 f"cadence_hours must be positive (got {self.cadence_hours})"
@@ -217,8 +220,7 @@ class MeshConfig:
 class MeshColumns:
     """One block of mesh pairs as a ``(pairs, rounds)`` RTT matrix.
 
-    Lost rounds are NaN.  ``__len__`` counts samples (matrix cells) so
-    unit/record accounting matches the per-pair sources.
+    Lost rounds are NaN.  ``__len__`` counts samples (matrix cells).
     """
 
     key: UnitKey
@@ -230,42 +232,15 @@ class MeshColumns:
     def __len__(self) -> int:
         return int(self.rtt_ms.size)
 
-    def slice(self, low: int, high: int) -> "MeshColumns":
-        """Rounds ``[low, high)`` as a new block (all pairs kept)."""
-        return MeshColumns(
-            key=self.key,
-            pair_ids=self.pair_ids,
-            times_hours=self.times_hours[low:high],
-            rtt_ms=self.rtt_ms[:, low:high],
-            round_offset=self.round_offset + low,
-        )
-
-    def records(self) -> Iterator[PingRecord]:
-        """Materialize per-sample records (tests/debugging only)."""
-        times = self.times_hours.tolist()
-        for row, pair in enumerate(self.pair_ids.tolist()):
-            rtts = self.rtt_ms[row].tolist()
-            for index in range(len(times)):
-                yield PingRecord(
-                    src=pair,
-                    dst=-1,
-                    version=4,
-                    round_index=self.round_offset + index,
-                    time_hours=times[index],
-                    rtt_ms=rtts[index],
-                )
-
 
 class SyntheticMeshSource:
     """Random-access block units of one mesh cycle.
 
     Compatible with :class:`~repro.stream.source.ShardedSource`
-    (``__len__`` / ``unit_at`` / ``kind``): a million-pair cycle at the
-    default block size is ~977 units, each built independently by
-    whichever shard owns its stride.
+    (``__len__`` / ``unit_at``): a million-pair cycle at the default
+    block size is ~977 units, each built independently by whichever
+    shard owns its stride.
     """
-
-    kind = "mesh"
 
     def __init__(self, config: MeshConfig, cycle: int = 0) -> None:
         self.config = config
@@ -358,8 +333,6 @@ class SyntheticMeshSource:
         key: UnitKey = (self.cycle, index, 4)
         return StreamUnit(
             key=key,
-            kind=self.kind,
-            records=(),
             columns=MeshColumns(
                 key=key,
                 pair_ids=pair_ids,
@@ -432,9 +405,6 @@ class MeshStatsOperator:
 
     def _bins(self) -> int:
         return int(self.spread_max_ms / self.spread_bin_ms) + 1
-
-    def start_unit(self, key: UnitKey, meta: object = None) -> None:
-        """Mesh blocks carry no per-unit state; nothing to open."""
 
     def fold(self, columns: MeshColumns) -> MeshBlockFold:
         """Fold one block's matrix into a :class:`MeshBlockFold`.
@@ -549,8 +519,6 @@ class FoldedMeshSource:
     the block's ~74 KB matrix, and the consumer only absorbs.
     """
 
-    kind = "mesh"
-
     def __init__(self, source: SyntheticMeshSource, operator: MeshStatsOperator) -> None:
         self.source = source
         self.operator = operator
@@ -565,12 +533,7 @@ class FoldedMeshSource:
     def unit_at(self, index: int) -> StreamUnit:
         """Build block ``index`` and fold it."""
         unit = self.source.unit_at(index)
-        return StreamUnit(
-            key=unit.key,
-            kind=self.kind,
-            records=(),
-            columns=self.operator.fold(unit.columns),
-        )
+        return StreamUnit(key=unit.key, columns=self.operator.fold(unit.columns))
 
     def __iter__(self) -> Iterator[StreamUnit]:
         for index in range(len(self)):

@@ -1,29 +1,18 @@
-"""Pull-based record sources for the campaign service's operators.
+"""Stream units and the sharded fan-out that delivers them in order.
 
-A *stream unit* is one (src, dst, version) pair's campaign: its records
-in round order.  Sources yield units one at a time -- each unit
-is built on demand with the exact batch builders from
-:mod:`repro.datasets` (same named RNG streams, same epoch walk), so a
-record stream replayed through the operators carries bit-identical
-sample values -- but only ever holds *one* pair's timeline in memory,
-never the whole-campaign dict the batch datasets materialize.
+A *stream unit* is one random-access piece of a campaign cycle -- for
+the synthetic mesh (:mod:`repro.stream.mesh`), one block of pairs.  A
+source exposes ``__len__`` and ``unit_at(index)``, and every unit is a
+pure function of its index, so units can be built anywhere, in any
+order.
 
-Sources:
-
-- :class:`LongTermTraceSource` / :class:`PingSource` -- units sampled
-  live from a :class:`~repro.measurement.platform.MeasurementPlatform`.
-- :class:`WindowedSource` -- a platform source's units cut down to one
-  cycle's grid rounds.
-- :class:`ShardedSource` -- fans a random-access source's units across
-  forked worker processes (the :func:`repro.datasets.parallel.fork_map`
-  model: fork inheritance in, pickled results + metric deltas out),
-  shipped in batches through a **bounded** queue per shard, so a slow
-  consumer blocks the producers instead of letting them buffer
-  unboundedly.
-
-Because every unit draws from its own named RNG stream, sharding and
-resume order never influence any random draw: a sharded stream, a serial
-stream, and the batch pipeline all see the same sample values.
+:class:`ShardedSource` fans a source's units across forked worker
+processes (the :func:`repro.datasets.parallel.fork_map` model: fork
+inheritance in, pickled results + metric deltas out), shipped in
+batches through a **bounded** queue per shard, so a slow consumer
+blocks the producers instead of letting them buffer unboundedly.
+Because no unit depends on another, sharding and resume order never
+influence a value: a sharded stream and a serial stream are identical.
 """
 
 from __future__ import annotations
@@ -36,9 +25,8 @@ from collections import deque
 from dataclasses import dataclass
 from queue import Empty as _QueueEmpty
 from queue import Full as _QueueFull
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.datasets.columnar import CampaignKernels
 from repro.faults.completeness import (
     CompletenessView,
     DataCompleteness,
@@ -50,309 +38,36 @@ from repro.faults.plane import (
     backoff_delay,
     get_plane,
 )
-from repro.datasets.longterm import LongTermConfig, _build_timeline
-from repro.datasets.shortterm import ShortTermConfig, _build_ping_timeline
-from repro.datasets.timeline import PingTimeline, TraceTimeline
-from repro.measurement.platform import MeasurementPlatform
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
-from repro.stream.columns import PingColumns, TraceColumns
-from repro.stream.records import PingRecord, TracerouteRecord, UnitKey
-from repro.topology.cdn import Server
 
 __all__ = [
+    "UnitKey",
     "StreamUnit",
-    "trace_unit",
-    "ping_unit",
-    "LongTermTraceSource",
-    "PingSource",
-    "WindowedSource",
     "ShardedSource",
     "ShardError",
     "MissingUnit",
 ]
 
+UnitKey = Tuple[int, int, int]
+"""A stream unit's identity; a mesh block's is ``(cycle, block, 4)``."""
+
 
 @dataclass
 class StreamUnit:
-    """One pair-campaign's payload, in round order.
+    """One unit's payload, keyed.
 
-    The payload is either ``records`` (per-round objects, the original
-    wire shape) or ``columns`` (the same rounds as parallel arrays, which
-    the vectorized operators consume wholesale) -- never both.  ``meta``
-    is static per-pair context handed to the operator's ``start_unit``
-    before the first record; the sources here set none.
+    ``columns`` is whatever the consuming operator absorbs -- for the
+    mesh, a block matrix or its fold.  ``len(columns)`` counts samples.
     """
 
     key: UnitKey
-    kind: str  # "trace" | "ping" | "mesh"
-    records: Tuple[object, ...]
-    meta: Optional[object] = None
-    columns: Optional[object] = None
+    columns: object
 
     @property
     def record_count(self) -> int:
-        """Rounds carried by this unit, whatever the payload shape."""
-        if self.columns is not None:
-            return len(self.columns)
-        return len(self.records)
-
-    def iter_records(self) -> Iterator[object]:
-        """Per-round records, whatever the payload shape.
-
-        Columnar units materialize records lazily; they are identical to
-        the ones the object path would have carried.
-        """
-        if self.columns is not None:
-            yield from self.columns.records()
-        else:
-            yield from self.records
-
-
-def trace_unit(timeline: TraceTimeline, columnar: bool = False) -> StreamUnit:
-    """Decompose one long-term timeline into a record unit."""
-    key = (timeline.src_server_id, timeline.dst_server_id, int(timeline.version))
-    if columnar:
-        return StreamUnit(
-            key=key, kind="trace", records=(),
-            columns=TraceColumns.from_timeline(timeline),
-        )
-    times = timeline.times_hours.tolist()
-    rtts = timeline.rtt_ms.tolist()
-    outcomes = timeline.outcome.tolist()
-    path_ids = timeline.path_id.tolist()
-    paths = timeline.paths
-    records = tuple(
-        TracerouteRecord(
-            src=key[0],
-            dst=key[1],
-            version=key[2],
-            round_index=index,
-            time_hours=times[index],
-            rtt_ms=rtts[index],
-            outcome=outcomes[index],
-            as_path=paths[path_ids[index]] if path_ids[index] >= 0 else None,
-        )
-        for index in range(len(times))
-    )
-    return StreamUnit(key=key, kind="trace", records=records)
-
-
-def ping_unit(timeline: PingTimeline, columnar: bool = False) -> StreamUnit:
-    """Decompose one ping timeline into a record unit."""
-    key = (timeline.src_server_id, timeline.dst_server_id, int(timeline.version))
-    if columnar:
-        return StreamUnit(
-            key=key, kind="ping", records=(),
-            columns=PingColumns.from_timeline(timeline),
-        )
-    times = timeline.times_hours.tolist()
-    rtts = timeline.rtt_ms.tolist()
-    records = tuple(
-        PingRecord(
-            src=key[0],
-            dst=key[1],
-            version=key[2],
-            round_index=index,
-            time_hours=times[index],
-            rtt_ms=rtts[index],
-        )
-        for index in range(len(times))
-    )
-    return StreamUnit(key=key, kind="ping", records=records)
-
-
-def _version_tasks(
-    pairs: Sequence[Tuple[Server, Server]], versions
-) -> List[Tuple[Server, Server, object]]:
-    """The batch builders' (src, dst, version) task list, in their order."""
-    return [
-        (src, dst, version)
-        for src, dst in pairs
-        for version in versions
-        if src.address(version) is not None and dst.address(version) is not None
-    ]
-
-
-class _PlatformSource:
-    """Shared plumbing of the live platform-backed sources."""
-
-    kind = "unit"
-
-    def __init__(
-        self,
-        platform: MeasurementPlatform,
-        trim_realizations: bool,
-        columnar: bool = True,
-    ) -> None:
-        self.platform = platform
-        self.trim_realizations = trim_realizations
-        self.columnar = columnar
-        self.kernels: Optional[CampaignKernels] = None
-        self.tasks: List[Tuple[Server, Server, object]] = []
-
-    def __len__(self) -> int:
-        return len(self.tasks)
-
-    def _build(self, src: Server, dst: Server, version) -> StreamUnit:
-        raise NotImplementedError
-
-    def key_hint(self, index: int) -> Tuple[int, int, int]:
-        """The unit's logical key without building it (deficit reports)."""
-        src, dst, version = self.tasks[index]
-        return (src.server_id, dst.server_id, int(version))
-
-    def unit_at(self, index: int) -> StreamUnit:
-        """Build the unit of one task (random access, for shards/resume)."""
-        src, dst, version = self.tasks[index]
-        unit = self._build(src, dst, version)
-        if self.trim_realizations:
-            # Bounded-memory invariant: a unit leaves no realization
-            # cache behind.  The next unit of the same pair rebuilds its
-            # (cheap, deterministic) realizations.
-            self.platform.drop_realizations(src.server_id, dst.server_id)
-        obs_metrics.counter("stream.units").inc()
-        return unit
-
-    def __iter__(self) -> Iterator[StreamUnit]:
-        for index in range(len(self.tasks)):
-            yield self.unit_at(index)
-
-
-class LongTermTraceSource(_PlatformSource):
-    """Long-term traceroute units sampled live from the platform."""
-
-    kind = "trace"
-
-    def __init__(
-        self,
-        platform: MeasurementPlatform,
-        config: Optional[LongTermConfig] = None,
-        pairs: Optional[Sequence[Tuple[Server, Server]]] = None,
-        trim_realizations: bool = True,
-        columnar: bool = True,
-    ) -> None:
-        super().__init__(platform, trim_realizations, columnar)
-        self.config = config or LongTermConfig()
-        self.grid = self.config.grid()
-        if self.grid.end_hour > platform.config.duration_hours + 1e-9:
-            raise ValueError(
-                f"campaign covers {self.grid.end_hour:.0f}h but the platform "
-                f"simulates only {platform.config.duration_hours:.0f}h"
-            )
-        if pairs is None:
-            pairs = platform.server_pairs(dual_stack_only=self.config.dual_stack_only)
-        self.tasks = _version_tasks(list(pairs), self.config.versions)
-        if self.columnar:
-            self.kernels = CampaignKernels(platform, self.grid)
-
-    def _build(self, src: Server, dst: Server, version) -> StreamUnit:
-        if self.kernels is not None:
-            timeline = self.kernels.build_trace_timeline(src, dst, version)
-            return trace_unit(timeline, columnar=True)
-        timeline = _build_timeline(self.platform, src, dst, version, self.grid)
-        return trace_unit(timeline)
-
-
-class PingSource(_PlatformSource):
-    """Short-term ping units sampled live from the platform."""
-
-    kind = "ping"
-
-    def __init__(
-        self,
-        platform: MeasurementPlatform,
-        config: Optional[ShortTermConfig] = None,
-        pairs: Optional[Sequence[Tuple[Server, Server]]] = None,
-        trim_realizations: bool = True,
-        columnar: bool = True,
-    ) -> None:
-        super().__init__(platform, trim_realizations, columnar)
-        self.config = config or ShortTermConfig()
-        self.grid = self.config.ping_grid()
-        if self.grid.end_hour > platform.config.duration_hours + 1e-9:
-            raise ValueError(
-                f"campaign covers {self.grid.end_hour:.0f}h but the platform "
-                f"simulates only {platform.config.duration_hours:.0f}h"
-            )
-        if pairs is None:
-            pairs = platform.server_pairs(dual_stack_only=False)
-        self.tasks = _version_tasks(list(pairs), self.config.versions)
-        self._times = self.grid.times()
-        if self.columnar:
-            self.kernels = CampaignKernels(platform, self.grid)
-
-    def _build(self, src: Server, dst: Server, version) -> StreamUnit:
-        if self.kernels is not None:
-            timeline = self.kernels.build_ping_timeline(
-                src, dst, version, self.config.congestion_coupled_loss
-            )
-            return ping_unit(timeline, columnar=True)
-        timeline = _build_ping_timeline(
-            self.platform, src, dst, version, self._times, self.config
-        )
-        return ping_unit(timeline)
-
-
-class WindowedSource:
-    """Restrict a platform source's units to grid rounds ``[low, high)``.
-
-    The campaign service feeds operators one *cycle* (a contiguous slice
-    of the measurement grid) at a time.  Every per-(pair, epoch) RNG
-    stream is position-fixed in the full grid, so the wrapped source
-    still builds each pair's whole-campaign timeline -- identical draws
-    to the batch pipeline -- and the window is cut out afterwards.  The
-    concatenation of a campaign's windows therefore feeds an operator
-    exactly the full timeline, bit for bit, however the grid is cut into
-    cycles (the incremental operators carry their cross-boundary state
-    in ``state.last`` / ring windows / P² estimators).
-
-    Random access (``unit_at``) and ``__len__`` delegate to the wrapped
-    source, so a windowed source shards and resumes exactly like the
-    source it wraps.
-    """
-
-    def __init__(self, source, low: int, high: int) -> None:
-        if low < 0 or high < low:
-            raise ValueError(f"invalid window [{low}, {high})")
-        self.source = source
-        self.low = int(low)
-        self.high = int(high)
-
-    @property
-    def kind(self) -> str:
-        """The wrapped source's unit kind."""
-        return self.source.kind
-
-    def __len__(self) -> int:
-        return len(self.source)
-
-    def key_hint(self, index: int):
-        """Delegate the unit's logical key to the wrapped source."""
-        hint = getattr(self.source, "key_hint", None)
-        return hint(index) if hint is not None else None
-
-    def unit_at(self, index: int) -> StreamUnit:
-        """The wrapped source's unit, cut down to the window's rounds."""
-        unit = self.source.unit_at(index)
-        if unit.columns is not None:
-            return StreamUnit(
-                key=unit.key,
-                kind=unit.kind,
-                records=(),
-                meta=unit.meta,
-                columns=unit.columns.slice(self.low, self.high),
-            )
-        return StreamUnit(
-            key=unit.key,
-            kind=unit.kind,
-            records=unit.records[self.low:self.high],
-            meta=unit.meta,
-        )
-
-    def __iter__(self) -> Iterator[StreamUnit]:
-        for index in range(len(self.source)):
-            yield self.unit_at(index)
+        """Samples carried by this unit."""
+        return len(self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +346,8 @@ class ShardedSource:
     per message, into its own bounded queue (``queue_units`` messages
     deep, so at most ``queue_units * _BATCH_UNITS`` units in flight per
     shard, plus one batch being built and one the parent holds).  The
-    memory that bound costs scales with the unit size: a folded mesh
-    block pickles to ~0.7 KB and a trace/ping unit cut to an 8-round
-    window to 0.5-0.8 KB, but a long-term trace unit over all 3,880
-    rounds of the default scenario to 65 KB, where the batches add
-    ~5 MB to each worker's peak RSS.  The parent unpacks each message
+    memory that bound costs scales with the unit size; a folded mesh
+    block pickles to ~0.7 KB.  The parent unpacks each message
     into a per-shard deque and takes units round-robin in global unit
     order, so consumers see exactly the serial order.  Falls back to
     the serial loop for one shard or platforms without ``fork``.
@@ -671,11 +383,6 @@ class ShardedSource:
         self.last_workers: List[multiprocessing.Process] = []
         """The worker processes of the most recent fan-out (diagnostics:
         after the iterator is exhausted or closed, all must be dead)."""
-
-    @property
-    def kind(self) -> str:
-        """The wrapped source's unit kind."""
-        return self.source.kind
 
     def __len__(self) -> int:
         return len(self.source)

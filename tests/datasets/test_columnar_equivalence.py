@@ -2,7 +2,7 @@
 
 ``repro.datasets.columnar`` replays the exact RNG draw sequence of the
 per-round object builders as whole-epoch array operations, so every
-observable artifact -- timeline arrays, JSONL bytes, figure metrics --
+observable artifact -- timeline arrays, figure metrics --
 must match the object path bit for bit, at any seed and worker count.
 These tests are the contract: a columnar kernel change that shifts a
 single draw fails here before it can silently change any figure.
@@ -14,7 +14,6 @@ import math
 
 import pytest
 
-from repro.datasets.io import iter_record_columns, save_records
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.datasets.shortterm import ShortTermConfig, build_shortterm_ping_dataset
 from repro.harness.experiments import (
@@ -24,7 +23,6 @@ from repro.harness.experiments import (
 )
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
 from repro.net.ip import IPVersion
-from repro.stream.columns import PingColumns, TraceColumns
 
 SEEDS = [0, 7]
 JOBS = [1, 2]
@@ -122,58 +120,6 @@ class TestTimelineEquivalence:
             seeded_platform, SHORTTERM, jobs=jobs, columnar=True
         )
         _assert_ping_timelines_equal(reference, candidate)
-
-
-class TestJsonlCodecEquivalence:
-    def test_column_blocks_encode_byte_identically(self, seeded_platform, tmp_path):
-        longterm = build_longterm_dataset(seeded_platform, LONGTERM)
-        pings = build_shortterm_ping_dataset(seeded_platform, SHORTTERM)
-        blocks = [
-            TraceColumns.from_timeline(timeline)
-            for timeline in list(longterm.timelines.values())[:4]
-        ] + [
-            PingColumns.from_timeline(timeline)
-            for timeline in list(pings.timelines.values())[:4]
-        ]
-        records = [record for block in blocks for record in block.records()]
-
-        object_path = tmp_path / "objects.jsonl"
-        column_path = tmp_path / "columns.jsonl"
-        save_records(records, object_path)
-        save_records(blocks, column_path)
-        assert column_path.read_bytes() == object_path.read_bytes()
-
-    def test_column_blocks_decode_round_trip(self, seeded_platform, tmp_path):
-        longterm = build_longterm_dataset(seeded_platform, LONGTERM)
-        blocks = [
-            TraceColumns.from_timeline(timeline)
-            for timeline in list(longterm.timelines.values())[:4]
-        ]
-        path = tmp_path / "trace.jsonl"
-        save_records(blocks, path)
-
-        decoded = list(iter_record_columns(path))
-        assert len(decoded) == len(blocks)
-        for original, restored in zip(blocks, decoded):
-            assert isinstance(restored, TraceColumns)
-            assert restored.key == original.key
-            assert restored.times_hours.tobytes() == original.times_hours.tobytes()
-            assert restored.rtt_ms.tobytes() == original.rtt_ms.tobytes()
-            assert restored.outcome.tobytes() == original.outcome.tobytes()
-            # Path table intern order may differ (the decoder interns in
-            # first-appearance order); the per-round paths must not.
-            for index in range(len(original)):
-                left = original.path_id[index]
-                right = restored.path_id[index]
-                assert (left < 0) == (right < 0)
-                if left >= 0:
-                    assert original.paths[left] == restored.paths[right]
-
-    def test_decoder_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "bogus.jsonl"
-        path.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ValueError, match="not a repro-records"):
-            list(iter_record_columns(path))
 
 
 def _metric_pairs(result):

@@ -1,5 +1,9 @@
 """Tests for dataset persistence."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.datasets.io import load_longterm, save_longterm
@@ -73,73 +77,6 @@ class TestIterLongterm:
         iterator.close()  # closing early must release the archive cleanly
 
 
-class TestRecordsJsonl:
-    def _records(self):
-        from repro.stream.records import PingRecord, TracerouteRecord
-
-        return [
-            TracerouteRecord(
-                src=0, dst=1, version=4, round_index=0, time_hours=0.25,
-                rtt_ms=12.345678901234567, outcome=0, as_path=(3356, 174, 2914),
-            ),
-            TracerouteRecord(
-                src=0, dst=1, version=6, round_index=1, time_hours=3.25,
-                rtt_ms=float("nan"), outcome=2, as_path=None,
-            ),
-            PingRecord(src=2, dst=3, version=4, round_index=5, time_hours=1.5,
-                       rtt_ms=float("nan")),
-            PingRecord(src=2, dst=3, version=4, round_index=6, time_hours=1.75,
-                       rtt_ms=99.125),
-        ]
-
-    def _assert_equal(self, expected, actual):
-        import math
-
-        assert len(actual) == len(expected)
-        for left, right in zip(expected, actual):
-            assert type(left) is type(right)
-            for field in left.__dataclass_fields__:
-                a, b = getattr(left, field), getattr(right, field)
-                if isinstance(a, float) and math.isnan(a):
-                    assert math.isnan(b)
-                else:
-                    assert a == b, (field, a, b)
-
-    def test_round_trip(self, tmp_path):
-        from repro.datasets.io import iter_records, save_records
-
-        path = tmp_path / "records.jsonl"
-        save_records(self._records(), path)
-        self._assert_equal(self._records(), list(iter_records(path)))
-
-    def test_round_trip_gzip(self, tmp_path):
-        from repro.datasets.io import iter_records, save_records
-
-        path = tmp_path / "records.jsonl.gz"
-        save_records(self._records(), path)
-        self._assert_equal(self._records(), list(iter_records(path)))
-
-    def test_rejects_wrong_format(self, tmp_path):
-        import pytest
-
-        from repro.datasets.io import iter_records
-
-        path = tmp_path / "bogus.jsonl"
-        path.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ValueError, match="not a repro-records"):
-            list(iter_records(path))
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        import pytest
-
-        from repro.datasets.io import iter_records
-
-        path = tmp_path / "future.jsonl"
-        path.write_text('{"format": "repro-records", "schema": 999}\n')
-        with pytest.raises(ValueError, match="schema 999"):
-            list(iter_records(path))
-
-
 class TestPingRoundtrip:
     def test_save_load_pings(self, platform, tmp_path):
         import numpy as np
@@ -163,3 +100,20 @@ class TestPingRoundtrip:
                 timeline.rtt_ms, loaded.timelines[key].rtt_ms, equal_nan=True
             )
         assert loaded.grid.period_hours == dataset.grid.period_hours
+
+
+class TestLayering:
+    def test_dataset_layer_imports_no_stream_module(self):
+        # The dataset layer sits below the stream package: importing it,
+        # persistence included, must not pull any of repro.stream in.
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import sys, repro.datasets, repro.datasets.io; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.stream')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert result.stdout.strip() == "[]"

@@ -98,11 +98,11 @@ class TestCampaignStoreHardening:
 
 
 class TestStreamStoreHardening:
-    """The store of a stream-fed ``trace`` campaign, keyed like the service keys it."""
+    """The store of a stream-fed mesh campaign, keyed like the service keys it."""
 
     def _store(self, tmp_path):
-        fingerprint = campaign_fingerprint(CampaignConfig(name="trace", kind="trace"))
-        return CampaignCheckpointStore(tmp_path, "trace", fingerprint)
+        fingerprint = campaign_fingerprint(CampaignConfig(name="stream", kind="mesh"))
+        return CampaignCheckpointStore(tmp_path, "stream", fingerprint)
 
     def test_corrupt_primary_recovers_previous_generation(self, tmp_path):
         store = self._store(tmp_path)
@@ -115,7 +115,7 @@ class TestStreamStoreHardening:
         assert payload["operator"] == {"gen": 1}
         registry = get_registry()
         assert registry.counter("service.checkpoint.corrupt").value == 1
-        recovered = registry.counter("service.checkpoint.recovered{campaign=trace}")
+        recovered = registry.counter("service.checkpoint.recovered{campaign=stream}")
         assert recovered.value == 1
 
     def test_open_reaps_dead_writer_temps(self, tmp_path):
@@ -129,7 +129,7 @@ class TestStreamStoreHardening:
         assert not stale.exists() and not legacy.exists()
         assert live.exists()  # a live writer is never raced
         registry = get_registry()
-        reaped = registry.counter("service.checkpoint.temps_reaped{campaign=trace}")
+        reaped = registry.counter("service.checkpoint.temps_reaped{campaign=stream}")
         assert reaped.value == 2
 
     def test_clear_removes_fallback_generation(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the deterministic fault schedule and recovery policies."""
 
 import json
+import math
 
 import pytest
 
@@ -142,10 +143,27 @@ class TestPolicies:
             SupervisionPolicy(stall_timeout_s=0)
         with pytest.raises(ValueError):
             SupervisionPolicy(unit_attempts=0)
+        with pytest.raises(ValueError, match="max_restarts must be an integer"):
+            SupervisionPolicy(max_restarts=1.5)
 
     def test_retry_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["stall_timeout_s", "poll_s", "restart_backoff_s", "backoff_ceiling_s"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_supervision_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SupervisionPolicy(**{field: value})
+
+    @pytest.mark.parametrize("field", ["backoff_s", "backoff_ceiling_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_retry_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RetryPolicy(**{field: value})
 
 
 class TestLoaders:

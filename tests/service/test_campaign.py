@@ -5,8 +5,6 @@ import json
 
 import pytest
 
-from repro.datasets.longterm import LongTermConfig
-from repro.datasets.shortterm import ShortTermConfig
 from repro.service.campaign import Campaign, driver_for
 from repro.service.config import CampaignConfig
 from repro.stream.mesh import MeshConfig
@@ -134,55 +132,6 @@ class TestDurability:
         campaign.run_cycle()
         changed = _mesh_campaign(tmp_path, checkpoint_every=3)
         assert changed.restore() is False
-
-
-class TestPlatformDrivers:
-    def test_driver_for_requires_platform(self):
-        with pytest.raises(ValueError, match="needs a platform"):
-            driver_for(CampaignConfig(name="t", kind="trace"))
-
-    def test_trace_cycles_match_one_uninterrupted_feed(self, platform, tmp_path):
-        dataset_config = LongTermConfig(days=10.0)
-        config = CampaignConfig(name="trace", kind="trace", rounds_per_cycle=30)
-        driver = driver_for(config, platform, longterm_config=dataset_config)
-        campaign = Campaign(config, driver, tmp_path)
-        assert _run_to_outcome(campaign) == "finished"
-        assert campaign.results["rounds"] == driver.grid.rounds
-
-        batch = driver.make_operator()
-        full = driver.source_for_cycle(0).source
-        for unit in full:
-            batch.start_unit(unit.key, unit.meta)
-            batch.observe_columns(unit.columns)
-        expected = driver.results(batch, campaign.cycle)
-        completeness = campaign.results["completeness"]
-        assert completeness["coverage"] == 1.0
-        assert completeness["missing"] == []
-        measured = {
-            key: value for key, value in campaign.results.items()
-            if key != "completeness"
-        }
-        assert measured == expected
-
-    def test_ping_cycles_match_one_uninterrupted_feed(self, platform, tmp_path):
-        dataset_config = ShortTermConfig(ping_days=2.0, trace_days=2.0)
-        config = CampaignConfig(name="pings", kind="ping", rounds_per_cycle=64)
-        driver = driver_for(config, platform, shortterm_config=dataset_config)
-        campaign = Campaign(config, driver, tmp_path)
-        assert _run_to_outcome(campaign) == "finished"
-
-        batch = driver.make_operator()
-        full = driver.source_for_cycle(0).source
-        for unit in full:
-            batch.start_unit(unit.key, unit.meta)
-            batch.observe_columns(unit.columns)
-        expected = driver.results(batch, campaign.cycle)
-        assert campaign.results["completeness"]["coverage"] == 1.0
-        measured = {
-            key: value for key, value in campaign.results.items()
-            if key != "completeness"
-        }
-        assert measured == expected
 
 
 # A mesh campaign whose unit count (40 per cycle) is not a multiple of

@@ -1,5 +1,8 @@
 """Tests for the service/campaign config shapes and the JSON loader."""
 
+import json
+import math
+
 import pytest
 
 from repro.service.campaign import driver_for
@@ -35,6 +38,13 @@ class TestCampaignConfig:
             {"shards": 0},
             {"queue_units": 0},
             {"checkpoint_every": 0},
+            {"cadence_s": math.nan},
+            {"cadence_s": math.inf},
+            {"rounds_per_cycle": 2.5},
+            {"cycles": 2.5},
+            {"shards": 2.5},
+            {"queue_units": 2.5},
+            {"checkpoint_every": 2.5},
         ],
     )
     def test_rejects_nonpositive_knobs(self, kwargs):
@@ -49,9 +59,10 @@ class TestCampaignConfig:
             )
 
     @pytest.mark.parametrize("kind", ["trace", "ping"])
-    def test_rejects_mesh_block_on_platform_kind(self, kind):
-        with pytest.raises(ValueError, match="needs kind 'mesh'"):
-            CampaignConfig(name="m", kind=kind, mesh=MeshConfig(pairs=1000))
+    def test_rejects_retired_kinds(self, kind):
+        with pytest.raises(ValueError, match=f"kind '{kind}' was retired"):
+            CampaignConfig(name="m", kind=kind)
+
 
     def test_mesh_driver_falls_back_to_the_campaign_rounds(self):
         config = CampaignConfig(name="m", rounds_per_cycle=16)
@@ -72,7 +83,13 @@ class TestServiceConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"time_scale": 0}, {"live_interval_s": 0}, {"drain_after_s": 0}],
+        [{"time_scale": 0}, {"live_interval_s": 0}, {"drain_after_s": 0}]
+        + [
+            {field: value}
+            for field in ("time_scale", "live_interval_s", "drain_after_s",
+                          "drain_grace_s")
+            for value in (math.nan, math.inf)
+        ],
     )
     def test_rejects_nonpositive_knobs(self, kwargs):
         with pytest.raises(ValueError):
@@ -89,14 +106,13 @@ class TestServiceConfigFromDict:
                         "cycles": 2,
                         "mesh": {"pairs": 1024, "block_pairs": 256},
                     },
-                    {"name": "pings", "kind": "ping", "cadence_s": 900},
+                    {"name": "slow", "kind": "mesh", "cadence_s": 900},
                 ],
-                "scenario": "small",
                 "time_scale": 0.01,
                 "port": 0,
             }
         )
-        assert [c.name for c in config.campaigns] == ["mesh", "pings"]
+        assert [c.name for c in config.campaigns] == ["mesh", "slow"]
         assert config.campaigns[0].mesh == MeshConfig(pairs=1024, block_pairs=256)
         assert config.time_scale == 0.01
 
@@ -123,18 +139,79 @@ class TestServiceConfigFromDict:
                                 "mesh": {"pairs": 1000, "rounds_per_cycle": 8}}]}
             )
 
-    def test_mesh_document_on_ping_campaign_fails(self):
-        with pytest.raises(ValueError, match="needs kind 'mesh'"):
-            service_config_from_dict(
-                {"campaigns": [{"name": "p", "kind": "ping",
-                                "mesh": {"pairs": 1000}}]}
-            )
+    @pytest.mark.parametrize("kind", ["trace", "ping"])
+    def test_retired_kind_document_fails(self, kind):
+        with pytest.raises(ValueError, match=f"kind '{kind}' was retired"):
+            service_config_from_dict({"campaigns": [{"name": "p", "kind": kind}]})
+
+    @pytest.mark.parametrize(
+        "field",
+        ["rounds_per_cycle", "cycles", "shards", "queue_units", "checkpoint_every"],
+    )
+    def test_non_integer_count_document_fails(self, field):
+        # rounds_per_cycle 2.5 once made cycles 0 and 1 both count round 2.
+        document = json.loads(f'{{"campaigns": [{{"name": "m", "{field}": 2.5}}]}}')
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            service_config_from_dict(document)
+
+    def test_non_integer_mesh_rounds_document_fails(self):
+        document = json.loads(
+            '{"campaigns": [{"name": "m", "mesh": {"rounds_per_cycle": 2.5}}]}'
+        )
+        with pytest.raises(ValueError, match="rounds_per_cycle must be an integer"):
+            service_config_from_dict(document)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_cadence_document_fails(self, literal):
+        document = json.loads(
+            f'{{"campaigns": [{{"name": "m", "cadence_s": {literal}}}]}}'
+        )
+        with pytest.raises(ValueError, match="cadence_s must be finite"):
+            service_config_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "field", ["time_scale", "live_interval_s", "drain_after_s", "drain_grace_s"]
+    )
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_service_document_fails(self, field, literal):
+        document = json.loads(
+            f'{{"campaigns": [{{"name": "m"}}], "{field}": {literal}}}'
+        )
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            service_config_from_dict(document)
+
+    @pytest.mark.parametrize("field", ["backoff_s", "backoff_ceiling_s"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_retry_document_fails(self, field, literal):
+        document = json.loads(
+            f'{{"campaigns": [{{"name": "m", "retry": {{"{field}": {literal}}}}}]}}'
+        )
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            service_config_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["stall_timeout_s", "poll_s", "restart_backoff_s", "backoff_ceiling_s"],
+    )
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_supervision_document_fails(self, field, literal):
+        document = json.loads(
+            f'{{"campaigns": [{{"name": "m"}}], '
+            f'"supervision": {{"{field}": {literal}}}}}'
+        )
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            service_config_from_dict(document)
 
     def test_unknown_service_key_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown service keys"):
             service_config_from_dict(
                 {"campaigns": [{"name": "m"}], "time_scael": 1.0}
             )
+
+    @pytest.mark.parametrize("key", ["scenario", "seed"])
+    def test_platform_world_keys_are_gone(self, key):
+        with pytest.raises(ValueError, match="unknown service keys"):
+            service_config_from_dict({"campaigns": [{"name": "m"}], key: 0})
 
     def test_unknown_campaign_key_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown campaign keys"):

@@ -18,7 +18,7 @@ from repro.stream.mesh import (
     _uniform_cut,
     mesh_results,
 )
-from repro.stream.source import ShardedSource, WindowedSource
+from repro.stream.source import ShardedSource
 
 CONFIG = MeshConfig(pairs=1000, block_pairs=256, rounds_per_cycle=8)
 
@@ -70,27 +70,6 @@ class TestSyntheticMeshSource:
         observed = np.isnan(columns.rtt_ms).mean()
         assert observed == pytest.approx(0.05, abs=0.01)
 
-    def test_records_match_columns(self):
-        columns = SyntheticMeshSource(CONFIG, cycle=1).unit_at(2).columns
-        records = list(columns.records())
-        assert len(records) == len(columns)
-        first = records[0]
-        assert first.src == int(columns.pair_ids[0])
-        assert first.round_index == columns.round_offset
-        cell = float(columns.rtt_ms[0, 0])
-        assert (first.rtt_ms == cell) or (
-            math.isnan(first.rtt_ms) and math.isnan(cell)
-        )
-
-    def test_window_concatenation_matches_full_block(self):
-        source = SyntheticMeshSource(CONFIG)
-        full = source.unit_at(0).columns
-        lowhalf = WindowedSource(source, 0, 4).unit_at(0).columns
-        highhalf = WindowedSource(source, 4, 8).unit_at(0).columns
-        rejoined = np.concatenate([lowhalf.rtt_ms, highhalf.rtt_ms], axis=1)
-        np.testing.assert_array_equal(rejoined, full.rtt_ms)
-        assert highhalf.round_offset == 4
-
     def test_out_of_range_block_raises(self):
         source = SyntheticMeshSource(CONFIG)
         with pytest.raises(IndexError):
@@ -113,7 +92,6 @@ class TestMeshStatsOperator:
         operator = MeshStatsOperator()
         for cycle in range(cycles):
             for unit in SyntheticMeshSource(CONFIG, cycle=cycle):
-                operator.start_unit(unit.key)
                 operator.observe_columns(operator.fold(unit.columns))
         return operator
 
@@ -234,7 +212,6 @@ class TestGoldenPins:
         operator = MeshStatsOperator()
         for cycle in range(2):
             for unit in SyntheticMeshSource(CONFIG, cycle=cycle):
-                operator.start_unit(unit.key)
                 operator.observe_columns(operator.fold(unit.columns))
         assert operator.finalize() == {
             "samples": 16000,
@@ -328,6 +305,10 @@ class TestConfigValidation:
             ("seed", -1),
             ("seed", 2**64),
             ("rounds_per_cycle", 2**24 + 1),
+            ("pairs", 1000.0),
+            ("block_pairs", 2.5),
+            ("rounds_per_cycle", 2.5),
+            ("seed", 1.5),
         ],
     )
     def test_out_of_range_fields_raise(self, field, value):
@@ -482,7 +463,6 @@ class TestReferenceEquivalence:
         folded = FoldedMeshSource(blocks, MeshStatsOperator())
         operator = MeshStatsOperator()
         for unit in ShardedSource(folded, shards=2, queue_units=1):
-            operator.start_unit(unit.key)
             operator.observe_columns(unit.columns)
         reference = _reference_fold(
             _reference_block(config, cycle, index) for index in range(len(blocks))

@@ -1,128 +1,46 @@
-"""Tests for the pull-based stream sources."""
+"""Tests for the sharded stream fan-out."""
 
-import math
 import time
 
-import numpy as np
 import pytest
 
-from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
-from repro.datasets.shortterm import ShortTermConfig, build_shortterm_ping_dataset
 from repro.faults.plane import SupervisionPolicy
 from repro.obs import metrics as obs_metrics
-from repro.stream.source import (
-    _BATCH_UNITS,
-    LongTermTraceSource,
-    PingSource,
-    ShardError,
-    ShardedSource,
-)
+from repro.stream.source import _BATCH_UNITS, ShardError, ShardedSource
 
 
-def _rtts_equal(a, b):
-    return (a == b) or (math.isnan(a) and math.isnan(b))
+def _mesh_source(units, block_pairs=16):
+    from repro.stream.mesh import MeshConfig, SyntheticMeshSource
 
-
-class TestLongTermTraceSource:
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_units_match_batch_timelines(self, platform, columnar):
-        config = LongTermConfig(days=10)
-        pairs = platform.server_pairs(dual_stack_only=True)[:3]
-        batch = build_longterm_dataset(platform, config, pairs=pairs)
-        source = LongTermTraceSource(
-            platform, config, pairs=pairs, columnar=columnar
-        )
-
-        assert len(source) == len(batch.timelines)
-        for unit in source:
-            timeline = batch.timelines[
-                (unit.key[0], unit.key[1], unit.key[2])
-            ]
-            assert unit.record_count == timeline.rtt_ms.size
-            rtts = timeline.rtt_ms.tolist()
-            outcomes = timeline.outcome.tolist()
-            for index, record in enumerate(unit.iter_records()):
-                assert _rtts_equal(record.rtt_ms, rtts[index])
-                assert record.outcome == outcomes[index]
-                assert record.round_index == index
-
-    def test_window_check_mirrors_batch(self, platform):
-        with pytest.raises(ValueError, match="platform simulates only"):
-            LongTermTraceSource(platform, LongTermConfig(days=10_000))
-
-
-class TestPingSource:
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_units_match_batch_timelines(self, platform, columnar):
-        config = ShortTermConfig(ping_days=2.0)
-        pairs = platform.server_pairs()[:3]
-        batch = build_shortterm_ping_dataset(platform, config, pairs=pairs)
-        source = PingSource(platform, config, pairs=pairs, columnar=columnar)
-
-        assert len(source) == len(batch.timelines)
-        for unit in source:
-            timeline = batch.timelines[(unit.key[0], unit.key[1], unit.key[2])]
-            rtts = timeline.rtt_ms.tolist()
-            assert unit.record_count == len(rtts)
-            for index, record in enumerate(unit.iter_records()):
-                assert _rtts_equal(record.rtt_ms, rtts[index])
+    return SyntheticMeshSource(
+        MeshConfig(pairs=units * block_pairs, block_pairs=block_pairs)
+    )
 
 
 class TestShardedSource:
-    def test_sharded_equals_serial(self, platform):
-        config = LongTermConfig(days=10)
-        pairs = platform.server_pairs(dual_stack_only=True)[:3]
-        serial = list(LongTermTraceSource(platform, config, pairs=pairs))
-        sharded = list(
-            ShardedSource(
-                LongTermTraceSource(platform, config, pairs=pairs),
-                shards=3,
-                queue_units=2,
-            )
-        )
+    def test_sharded_equals_serial(self):
+        source = _mesh_source(units=7)
+        serial = [source.unit_at(index) for index in range(len(source))]
+        sharded = list(ShardedSource(source, shards=3, queue_units=2))
         assert len(sharded) == len(serial)
         for left, right in zip(serial, sharded):
             assert left.key == right.key
             assert left.record_count == right.record_count
-            for a, b in zip(left.iter_records(), right.iter_records()):
-                assert _rtts_equal(a.rtt_ms, b.rtt_ms)
-                assert a.outcome == b.outcome
-                assert a.as_path == b.as_path
+            assert left.columns.rtt_ms.tobytes() == right.columns.rtt_ms.tobytes()
 
-    def test_iter_from_offset(self, platform):
-        config = LongTermConfig(days=10)
-        pairs = platform.server_pairs(dual_stack_only=True)[:2]
-        source = LongTermTraceSource(platform, config, pairs=pairs)
+    def test_iter_from_offset(self):
+        source = _mesh_source(units=5)
         full = [unit.key for unit in ShardedSource(source, shards=2).iter_from(0)]
         tail = [unit.key for unit in ShardedSource(source, shards=2).iter_from(2)]
         assert tail == full[2:]
 
-    def test_rejects_bad_queue_bound(self, platform):
-        source = LongTermTraceSource(
-            platform, LongTermConfig(days=10),
-            pairs=platform.server_pairs(dual_stack_only=True)[:1],
-        )
+    def test_rejects_bad_queue_bound(self):
         with pytest.raises(ValueError, match="queue_units"):
-            ShardedSource(source, shards=2, queue_units=0)
-
-    def test_trim_keeps_realization_cache_bounded(self, platform):
-        config = LongTermConfig(days=10)
-        pairs = platform.server_pairs(dual_stack_only=True)[:3]
-        source = LongTermTraceSource(platform, config, pairs=pairs)
-        for _ in source:
-            pass
-        trimmed_pairs = {(src.server_id, dst.server_id) for src, dst, _ in source.tasks}
-        leftover = [
-            key for key in platform._realizations
-            if (key[0], key[1]) in trimmed_pairs
-        ]
-        assert leftover == []
+            ShardedSource(_mesh_source(units=1), shards=2, queue_units=0)
 
 
 class _ExplodingSource:
     """Fake source whose fourth unit dies after doing partial work."""
-
-    kind = "test"
 
     def __len__(self):
         return 6
@@ -209,8 +127,6 @@ class TestShardedDrain:
 
 class _SlowSource:
     """Fake source whose units each take a fixed time to build."""
-
-    kind = "test"
 
     def __init__(self, units, seconds):
         self.units = units
