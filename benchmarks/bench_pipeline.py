@@ -1,6 +1,6 @@
 """End-to-end pipeline benchmark: serial vs parallel vs warm cache vs service.
 
-Runs the pipeline and the campaign service in five phases, each in its own
+Runs the pipeline and the mesh campaign in four phases, each in its own
 subprocess so ``resource.getrusage`` peak-RSS readings are per-phase
 (``ru_maxrss`` is a process-lifetime high-water mark and never resets):
 
@@ -8,16 +8,11 @@ subprocess so ``resource.getrusage`` peak-RSS readings are per-phase
 2. ``parallel``  -- jobs=N, its own cold cache directory.
 3. ``warm``      -- jobs=1, reusing the serial phase's cache, so platform
    and long-term construction are skipped entirely.
-4. ``service``   -- the campaign service's scale proof: a sharded
+4. ``service``   -- the mesh campaign's scale proof: a sharded
    synthetic mesh campaign (``--mesh-pairs`` pairs, default one
    million) streamed end-to-end through the incremental mesh operator,
    reporting steady-state ingest rate, merge-lag p99 (units buffered in
    shard queues but not yet consumed) and peak RSS.
-5. ``faults``    -- the fault plane's cost: the same mesh campaign run
-   unsupervised (baseline), supervised with zero faults (the recovery
-   machinery's overhead, which perf_guard bounds), and in degraded mode
-   with one of four shards quarantined by an injected crash loop
-   (throughput and coverage with a shard down).
 
 Writes machine-readable per-stage timings to a JSON file (default
 ``benchmarks/output/pipeline_timings.json``) plus a stable-schema
@@ -54,7 +49,7 @@ from repro.datasets.shortterm import (
     build_shortterm_trace_dataset,
 )
 
-SUMMARY_SCHEMA = 5
+SUMMARY_SCHEMA = 6
 
 
 def _peak_rss_bytes(who: int = resource.RUSAGE_SELF) -> int:
@@ -141,11 +136,11 @@ def _histogram_percentile(stats: dict, q: float) -> float:
 
 
 def run_service_phase(seed: int, shards: int, mesh_pairs: int) -> dict:
-    """One steady-state campaign-service pass over the synthetic mesh.
+    """One steady-state mesh campaign pass over the synthetic mesh.
 
-    Drives the mesh campaign exactly as ``repro service run`` would (the
-    sharded source, the incremental operator, periodic checkpoints) but
-    back-to-back with no cadence sleeps, so the wall time is pure ingest.
+    Drives the mesh campaign's cycles back to back (the sharded source,
+    the incremental operator, periodic checkpoints), so the wall time is
+    pure ingest.
     """
     from repro.obs import metrics as obs_metrics
     from repro.service.campaign import Campaign, driver_for
@@ -190,98 +185,10 @@ def run_service_phase(seed: int, shards: int, mesh_pairs: int) -> dict:
     }
 
 
-def run_faults_phase(seed: int, mesh_pairs: int) -> dict:
-    """The fault plane's cost: supervised overhead and degraded throughput.
-
-    Three back-to-back mesh campaign runs over a quarter-size mesh (the
-    phase runs the campaign three times): unsupervised baseline,
-    supervised with zero faults (their rate gap is
-    ``overhead_fraction``, the recovery machinery's price when nothing
-    goes wrong), and supervised under an injected crash loop that
-    quarantines shard 3 of 4 immediately (degraded-mode throughput and
-    the coverage the completeness accountant reports).
-    """
-    from repro.faults.plane import FaultsConfig, SupervisionPolicy, install, uninstall
-    from repro.obs import metrics as obs_metrics
-    from repro.service.campaign import Campaign, driver_for
-    from repro.service.config import CampaignConfig
-    from repro.stream.mesh import MeshConfig
-
-    pairs = max(mesh_pairs // 4, 65536)
-    shards = 4
-    timings = Timings()
-    started = time.perf_counter()
-
-    def _run(label: str, supervision=None) -> Campaign:
-        obs_metrics.get_registry().reset()
-        config = CampaignConfig(
-            name=f"faults-{label}",
-            kind="mesh",
-            cycles=1,
-            rounds_per_cycle=8,
-            shards=shards,
-            queue_units=4,
-            checkpoint_every=256,
-            mesh=MeshConfig(pairs=pairs, seed=seed),
-        )
-        with tempfile.TemporaryDirectory(prefix="repro-bench-faults-") as state:
-            campaign = Campaign(
-                config, driver_for(config), Path(state),
-                supervision=supervision,
-            )
-            with timings.stage(label):
-                while campaign.run_cycle() == "completed":
-                    pass
-        return campaign
-
-    def _rate(campaign: Campaign, label: str) -> float:
-        return int(campaign.results["samples"]) / max(
-            timings.as_dict()[label], 1e-9
-        )
-
-    policy = SupervisionPolicy()
-    baseline_rate = _rate(_run("faults-baseline"), "faults-baseline")
-    supervised_rate = _rate(
-        _run("faults-supervised", supervision=policy), "faults-supervised"
-    )
-    # Crash unit 3 (shard 3's first unit) on every attempt; with no
-    # restart budget the shard quarantines immediately and the campaign
-    # finishes on three of four shards.
-    install(FaultsConfig(seed=seed, crash_units=(3,), crash_repeats=99))
-    try:
-        degraded = _run(
-            "faults-degraded",
-            supervision=SupervisionPolicy(max_restarts=0),
-        )
-    finally:
-        uninstall()
-    degraded_rate = _rate(degraded, "faults-degraded")
-    completeness = degraded.results["completeness"]
-    wall = time.perf_counter() - started
-
-    return {
-        "jobs": shards,
-        "cache_hit": {},
-        "wall_seconds": wall,
-        "stage_seconds": timings.as_dict(),
-        "stages": timings.as_records(),
-        "mesh_pairs": pairs,
-        "baseline_rate_per_s": baseline_rate,
-        "supervised_rate_per_s": supervised_rate,
-        "overhead_fraction": max(0.0, 1.0 - supervised_rate / baseline_rate),
-        "degraded_rate_per_s": degraded_rate,
-        "degraded_coverage": completeness["coverage"],
-        "degraded_units_missing": len(completeness["missing"]),
-        "quarantined_shards": 1,
-    }
-
-
 def _child_main(args: argparse.Namespace) -> int:
     """``--run-phase`` entry: run one phase, print its record as JSON."""
     if args.run_phase == "service":
         record = run_service_phase(args.seed, args.jobs, args.mesh_pairs)
-    elif args.run_phase == "faults":
-        record = run_faults_phase(args.seed, args.mesh_pairs)
     else:
         record = run_phase(
             args.scenario, args.seed, jobs=args.jobs, cache_dir=Path(args.cache_dir)
@@ -319,13 +226,11 @@ def build_summary(
 ) -> dict:
     """The stable-schema repo-root summary (``BENCH_pipeline.json``).
 
-    Schema version 5: version 4's per-phase wall time, flat
-    stage -> seconds map, ``peak_rss_mb``, ``memory`` section, the
-    comparative extras (``speedup.columnar``, ``stage_seconds_delta``)
-    and the ``service`` scale-proof section, plus a ``faults`` section
-    with the fault plane's cost figures: the supervised zero-fault
-    overhead fraction (perf_guard bounds it) and degraded-mode
-    throughput/coverage with one of four shards quarantined.
+    Schema version 6: per-phase wall time, flat stage -> seconds map,
+    ``peak_rss_mb``, ``memory`` section, the comparative extras
+    (``speedup.columnar``, ``stage_seconds_delta``) and the ``service``
+    scale-proof section.  Version 5's ``faults`` phase and section are
+    gone with the fault plane they measured.
     """
     comparable = (
         isinstance(previous, dict)
@@ -385,18 +290,6 @@ def build_summary(
             "merge_lag_p99_units": service["merge_lag_p99_units"],
             "peak_rss_mb": round(service["peak_rss_bytes"] / 1e6, 1),
         }
-    faults = report["phases"].get("faults")
-    if faults is not None:
-        summary["faults"] = {
-            "mesh_pairs": faults["mesh_pairs"],
-            "shards": faults["jobs"],
-            "baseline_rate_per_s": round(faults["baseline_rate_per_s"], 1),
-            "supervised_rate_per_s": round(faults["supervised_rate_per_s"], 1),
-            "overhead_fraction": round(faults["overhead_fraction"], 4),
-            "degraded_rate_per_s": round(faults["degraded_rate_per_s"], 1),
-            "degraded_coverage": round(faults["degraded_coverage"], 4),
-            "quarantined_shards": faults["quarantined_shards"],
-        }
     return summary
 
 
@@ -450,9 +343,7 @@ def main(argv=None) -> int:
              f"jobs={parallel_jobs}, cold cache"),
             ("warm", 1, serial_cache, "jobs=1, reusing serial cache"),
             ("service", 2, serial_cache,
-             f"campaign service, {args.mesh_pairs:,}-pair mesh"),
-            ("faults", 4, serial_cache,
-             "fault plane: supervised overhead + degraded mode"),
+             f"mesh campaign, {args.mesh_pairs:,}-pair mesh"),
         ]
         for step, (name, jobs, cache_dir, blurb) in enumerate(plan, start=1):
             print(f"[{step}/{len(plan)}] {name:<8} ({blurb})", flush=True)
@@ -489,11 +380,6 @@ def main(argv=None) -> int:
           f"over {service['mesh_pairs']:,} pairs, "
           f"merge-lag p99 {service['merge_lag_p99_units']:g} units, "
           f"peak RSS {report['memory']['service_vs_serial_rss']:.1%} of serial")
-    faults = report["phases"]["faults"]
-    print(f"faults: supervision overhead {faults['overhead_fraction']:.1%}, "
-          f"degraded {faults['degraded_rate_per_s']:,.0f} samples/s at "
-          f"{faults['degraded_coverage']:.1%} coverage "
-          f"({faults['quarantined_shards']}/{faults['jobs']} shards down)")
     print(f"wrote {output}")
 
     if args.summary:

@@ -15,13 +15,7 @@ mesh ingest rate must stay above ``1 / --service-rate-factor`` (default
 2.0) times the baseline's when both ran the same mesh size, and service
 peak RSS must stay under ``--service-rss-bound`` (default 1.0) times
 serial peak RSS -- the O(1)-state property that lets the million-pair
-mesh stream at bounded memory.
-
-One fault-plane guard (schema 5 summaries; skipped when the candidate
-lacks the ``faults`` section): the supervised zero-fault overhead
-fraction -- the recovery machinery's price when nothing goes wrong,
-measured back-to-back against an unsupervised run of the same mesh --
-must stay under ``--faults-overhead-bound`` (default 0.05)::
+mesh stream at bounded memory::
 
     PYTHONPATH=src python benchmarks/perf_guard.py \
         --baseline BENCH_pipeline.json --candidate /tmp/bench_new.json
@@ -79,10 +73,6 @@ def main(argv=None) -> int:
                         help="failure threshold: service peak RSS may be at "
                              "most this fraction of serial peak RSS "
                              "(default: 1.0)")
-    parser.add_argument("--faults-overhead-bound", type=float, default=0.05,
-                        help="failure threshold: supervised zero-fault "
-                             "ingest may cost at most this fraction of the "
-                             "unsupervised rate (default: 0.05)")
     args = parser.parse_args(argv)
 
     baseline = _load_summary(args.baseline, "baseline")
@@ -137,18 +127,6 @@ def main(argv=None) -> int:
                 f"service RSS ratio {service_rss:.3f} exceeds bound "
                 f"{args.service_rss_bound}"
             )
-
-    cand_faults = candidate.get("faults")
-    if isinstance(cand_faults, dict):
-        overhead = cand_faults.get("overhead_fraction")
-        if isinstance(overhead, (int, float)):
-            print(f"faults supervision overhead: {overhead:.1%} "
-                  f"(bound {args.faults_overhead_bound:.1%})")
-            if overhead > args.faults_overhead_bound:
-                failures.append(
-                    f"supervision overhead {overhead:.1%} exceeds bound "
-                    f"{args.faults_overhead_bound:.1%}"
-                )
 
     if failures:
         for failure in failures:

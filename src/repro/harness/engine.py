@@ -38,7 +38,6 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro.datasets.longterm import LongTermConfig, LongTermDataset, build_longterm_dataset
 from repro.harness.report import render_table
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
-from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer
@@ -84,7 +83,6 @@ class Timings:
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
         """Time a ``with`` block and record it under ``name``."""
-        obs_live.get_status().set_phase(name)
         started = time.perf_counter()
         try:
             with get_tracer().span(name):
@@ -335,9 +333,7 @@ def cached_longterm(
 @contextmanager
 def _engine_stage(timings: Optional[Timings], name: str) -> Iterator[None]:
     # Span either way: via the Timings shim when recording, bare otherwise.
-    # Either path marks the stage as the live phase for /status.
     if timings is None:
-        obs_live.get_status().set_phase(name)
         with get_tracer().span(name):
             yield
     else:

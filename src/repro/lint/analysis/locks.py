@@ -1,6 +1,6 @@
 """Fork/thread lock-order analysis: the engine behind FRK010.
 
-Two hazards, both of which PR 7's telemetry threads made real:
+Two hazards of mixing threads with forks:
 
 **Held lock at fork.**  ``fork_map``/``ShardedSource`` children inherit a
 snapshot of every lock in the parent.  If the forking call sits inside a
@@ -11,9 +11,9 @@ call record carrying a non-empty held-lock set and flags the ones that
 can reach a fork action, using the project's fork-reachability fixpoint.
 
 **Thread started outside the fork guard.**  A sampling thread that takes
-a shared lock (``MetricsRegistry``, ``FlightRecorder`` ring, checkpoint
-writer) can hold it at the instant another thread forks -- unless its
-lock acquisitions are routed through :func:`repro.obs.live.fork_guard`,
+a shared lock (``MetricsRegistry``, a checkpoint writer) can hold it at
+the instant another thread forks -- unless its lock acquisitions are
+routed through :func:`repro.obs.metrics.fork_guard`,
 whose ``os.register_at_fork`` hooks quiesce the guard around every fork.
 For every resolvable ``threading.Thread(target=...)`` in a project that
 forks anywhere, the engine walks the target's call graph; a shared-lock
@@ -127,7 +127,7 @@ def _thread_findings(project: Project) -> Iterator[Tuple[str, int, int, str]]:
                 path, int(start["line"]), int(start["col"]),
                 f"thread target {target.name} acquires {token} "
                 f"(in {where}, line {line}) without routing through "
-                "obs.live.fork_guard; a concurrent fork can freeze the "
+                "obs.metrics.fork_guard; a concurrent fork can freeze the "
                 "lock held in the child",
             )
 

@@ -45,9 +45,9 @@ _FORK_ATTRS = frozenset({"Pool", "Process"})
 class FuncView:
     """One function or method, addressable by its global dotted name."""
 
-    name: str  # e.g. repro.obs.live.FlightRecorder.sample
+    name: str  # e.g. repro.obs.metrics.MetricsRegistry.snapshot
     module: str
-    qualname: str  # module-local, e.g. FlightRecorder.sample
+    qualname: str  # module-local, e.g. MetricsRegistry.snapshot
     class_name: Optional[str]
     info: Dict[str, object] = field(repr=False)
 

@@ -1,13 +1,10 @@
 """Schema-compat checking: the engine behind SCH010.
 
-Four serialized formats must never change shape silently, because old
+Two serialized formats must never change shape silently, because old
 artifacts outlive the code that wrote them:
 
-- the **live telemetry sample**, versioned by ``repro.obs.live.LIVE_SCHEMA``;
 - the **campaign checkpoint** payload, versioned by
   ``repro.service.checkpoint.CAMPAIGN_CHECKPOINT_SCHEMA``;
-- the service's ``/campaigns`` **control document**, versioned by
-  ``repro.service.api.CAMPAIGNS_SCHEMA``;
 - the committed bench baseline ``BENCH_pipeline.json`` (its own
   ``schema`` key).
 
@@ -49,11 +46,9 @@ SNAPSHOT_SCHEMA = 1
 
 # key -> (module holding the version constant, constant name)
 TRACKED_SCHEMAS: Dict[str, Tuple[str, str]] = {
-    "live-sample": ("repro.obs.live", "LIVE_SCHEMA"),
     "campaign-checkpoint": (
         "repro.service.checkpoint", "CAMPAIGN_CHECKPOINT_SCHEMA",
     ),
-    "campaigns-status": ("repro.service.api", "CAMPAIGNS_SCHEMA"),
 }
 
 BENCH_KEY = "bench-summary"

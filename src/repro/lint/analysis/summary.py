@@ -45,9 +45,9 @@ _LOCK_CONSTRUCTORS = frozenset(
 )
 
 # The one lock that is *supposed* to be held around telemetry reads so
-# forks cannot inherit it mid-flight (see repro.obs.live.fork_guard).
-GUARD_CALLABLE = "repro.obs.live.fork_guard"
-GUARD_LOCK = "repro.obs.live._fork_lock"
+# forks cannot inherit it mid-flight (see repro.obs.metrics.fork_guard).
+GUARD_CALLABLE = "repro.obs.metrics.fork_guard"
+GUARD_LOCK = "repro.obs.metrics._fork_lock"
 GUARD_TOKEN = "guard"
 
 _FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]

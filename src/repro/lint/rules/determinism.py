@@ -262,7 +262,7 @@ class WallClockAndSetOrder(Rule):
     def applies(self, ctx: FileContext) -> bool:
         return ctx.in_packages(
             "core", "datasets", "measurement", "routing", "topology", "stream",
-            "service", "faults",
+            "service",
         )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -5,7 +5,7 @@ protects the *spawn sites*: no fork (``os.fork``/``fork_map``/
 ``ShardedSource``/``Process``/``Pool``) may happen -- directly or down
 the call chain -- while a shared lock is held, and no thread whose
 target takes shared locks may be started in a forking program unless
-those acquisitions route through :func:`repro.obs.live.fork_guard`.
+those acquisitions route through :func:`repro.obs.metrics.fork_guard`.
 The analysis lives in :mod:`repro.lint.analysis.locks`.
 """
 
@@ -27,7 +27,7 @@ class ForkLockOrder(ProjectRule):
     severity = Severity.ERROR
     rationale = (
         "A fork that happens while a shared lock is held -- or a thread "
-        "that takes shared locks outside obs.live.fork_guard in a forking "
+        "that takes shared locks outside obs.metrics.fork_guard in a forking "
         "program -- hands children locks that no thread of theirs will "
         "release; hangs like that killed long telemetry runs before the "
         "fork guard existed."

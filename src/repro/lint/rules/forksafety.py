@@ -22,12 +22,12 @@ workers directly, so the rule also resolves callables passed as the
 calls and holds them to the identical contract -- results travel through
 the queue, side effects through registry snapshot deltas.
 
-``threading.Thread(target=...)`` workers (PR 7's flight recorder and
-expo server) get the *global-rebinding* half of the same check: threads
-share memory, so container mutation is visible -- but ``global`` name
-rebinding from a worker races every reader with no lock discipline the
-linter can see, and the repo's contract is that telemetry threads only
-touch state through the lock-guarded registry objects.  The rule
+``threading.Thread(target=...)`` workers get the *global-rebinding*
+half of the same check: threads share memory, so container mutation is
+visible -- but ``global`` name rebinding from a worker races every
+reader with no lock discipline the linter can see, and the repo's
+contract is that background threads only touch state through the
+lock-guarded registry objects.  The rule
 resolves ``Thread`` targets exactly like ``Process`` targets, including
 ``self._method`` references to a method defined in the same file.
 

@@ -1,35 +1,26 @@
 """Observability layer: structured logging, metrics, tracing, run manifests.
 
-The pipeline is a long-running measurement campaign -- 485 simulated days,
-thousands of server pairs -- and this package is its flight recorder:
+The pipeline simulates a long-running measurement campaign -- 485
+simulated days, thousands of server pairs -- and this package records
+what a run did:
 
 - :mod:`repro.obs.log` -- structured logging (human-readable or JSON-lines)
   with rate-limited progress reporting for long builds.
 - :mod:`repro.obs.metrics` -- a process-local registry of counters, gauges
-  and histograms with a JSON ``snapshot()`` and fork-safe delta merging.
+  and histograms with a JSON ``snapshot()``, fork-safe delta merging, and
+  the at-fork hook that keeps forked children from inheriting its lock.
 - :mod:`repro.obs.trace` -- hierarchical wall-time spans, exportable as
   Chrome trace-event JSON (open in https://ui.perfetto.dev).
 - :mod:`repro.obs.runinfo` -- the run manifest: scenario, seed, config
   fingerprints, versions, metric snapshot and span summary in one JSON
   document (``reproduce --run-report``).
-- :mod:`repro.obs.live` -- the live telemetry plane: a thread-safe
-  :class:`~repro.obs.live.RunStatus` board and the sampling
-  :class:`~repro.obs.live.FlightRecorder` (ring buffer + JSONL stream +
-  crash dump) behind ``reproduce --live-out``.
-- :mod:`repro.obs.expo` -- HTTP exposition of the live plane:
-  Prometheus-text ``/metrics``, JSON ``/status`` and ``/health`` behind
-  ``reproduce --serve-metrics``.
-- :mod:`repro.obs.top` -- a terminal dashboard that tails the live
-  JSONL or polls the endpoint (``python -m repro.obs.top``).
 
 ``repro.obs`` sits below every other layer and imports nothing from the
 rest of the package at module scope, so any module may instrument itself
 freely.
 """
 
-from repro.obs import expo, live, log, metrics, runinfo, trace
-from repro.obs.expo import MetricsServer, prometheus_text
-from repro.obs.live import FlightRecorder, RunStatus, get_status
+from repro.obs import log, metrics, runinfo, trace
 from repro.obs.log import Progress, StructuredLogger, configure, get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Span, Tracer, get_tracer, set_tracer, use_tracer
@@ -39,13 +30,6 @@ __all__ = [
     "metrics",
     "trace",
     "runinfo",
-    "live",
-    "expo",
-    "FlightRecorder",
-    "RunStatus",
-    "get_status",
-    "MetricsServer",
-    "prometheus_text",
     "configure",
     "get_logger",
     "Progress",

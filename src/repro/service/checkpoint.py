@@ -1,7 +1,7 @@
 """Durable campaign snapshots: one fingerprint-keyed file per campaign.
 
-The service's durability contract in one sentence: **a killed service,
-restarted against the same config, resumes every campaign from its last
+The campaign's durability contract in one sentence: **a killed
+campaign, restarted against the same config, resumes from its last
 checkpoint and finishes with byte-identical results.**  This module is
 the mechanism -- an atomic temp-file-and-rename pickle store over the
 checksummed framing of :mod:`repro.stream.snapshot`, keyed per campaign
@@ -20,14 +20,11 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.faults.plane import get_plane
 from repro.harness.engine import config_fingerprint
-from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.stream.snapshot import (
     SnapshotCorrupt,
-    corrupt_file,
     fallback_path,
     reap_stale_temps,
     read_snapshot,
@@ -45,12 +42,12 @@ CAMPAIGN_CHECKPOINT_SCHEMA = 2
 
 Version 2: snapshots moved to the checksummed, generation-rotated
 framing of :mod:`repro.stream.snapshot`, and the payload carries the
-campaign's :class:`~repro.faults.completeness.DataCompleteness` state
+campaign's :class:`~repro.service.completeness.DataCompleteness` state
 so a resumed degraded campaign still reports its exact deficit.
 
 Part of the checkpoint fingerprint surface (CCH001's contract): bumping
 it orphans every existing snapshot as a schema mismatch instead of
-letting a new service version resume state it no longer understands.
+letting a new version resume state it no longer understands.
 """
 
 _LOG = get_logger("repro.service.checkpoint")
@@ -82,7 +79,6 @@ class CampaignCheckpointStore:
         self.directory = Path(directory)
         self.name = name
         self.fingerprint = fingerprint
-        self._saves = 0
         reaped = reap_stale_temps(
             self.directory, f"campaign-{name}-{fingerprint}"
         )
@@ -117,7 +113,7 @@ class CampaignCheckpointStore:
         ``results`` is only present on the final snapshot of a finished
         campaign (the restart then re-serves them without re-ingesting).
         ``completeness`` carries the campaign's delivered/missing
-        accounting so a degraded campaign's deficit survives restarts.
+        accounting, so a restored campaign's deficit survives restarts.
         """
         started = time.perf_counter()
         payload = {
@@ -131,29 +127,11 @@ class CampaignCheckpointStore:
             "completeness": completeness,
         }
         write_snapshot(self.path, payload)
-        plane = get_plane()
-        if plane is not None and plane.corrupt(
-            f"campaign-{self.name}", self._saves
-        ):
-            obs_metrics.counter("faults.injected").inc()
-            obs_metrics.counter("faults.injected{kind=corrupt}").inc()
-            _LOG.warning(
-                "faults.injected", kind="corrupt",
-                store=f"campaign-{self.name}", save=self._saves,
-            )
-            corrupt_file(self.path)
-        self._saves += 1
         elapsed = time.perf_counter() - started
         obs_metrics.counter(
             f"service.checkpoint.saves{{campaign={self.name}}}"
         ).inc()
         obs_metrics.histogram("service.checkpoint_seconds").observe(elapsed)
-        obs_live.get_status().set_campaign(
-            self.name,
-            fingerprint=self.fingerprint,
-            cycle=int(cycle),
-            units_done=int(units_done),
-        )
         _LOG.debug(
             "service.checkpoint.saved",
             campaign=self.name,

@@ -1,8 +1,8 @@
-"""repro.stream: bounded-memory streaming behind the campaign service.
+"""repro.stream: bounded-memory streaming behind the mesh campaign.
 
 The batch pipeline materializes every timeline before :mod:`repro.core`
-runs; this package feeds the campaign service (:mod:`repro.service`)
-its synthetic mesh one block at a time:
+runs; this package feeds the mesh campaign (:mod:`repro.service`) its
+synthetic mesh one block at a time:
 
 - :mod:`repro.stream.source` -- stream units and the sharded fan-out
   with bounded queues.

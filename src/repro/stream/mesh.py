@@ -1,9 +1,9 @@
-"""Synthetic million-pair mesh: the campaign service's scale workload.
+"""Synthetic million-pair mesh: the mesh campaign's scale workload.
 
 The paper's platform measured a full server mesh continuously for 16
 months.  The simulated platform reproduces its *figures* faithfully but
 tops out around 10^4 pair-campaigns per build -- far from the "millions
-of pairs, forever" regime an always-on service must sustain.  This
+of pairs, forever" regime of an always-on campaign.  This
 module supplies that regime synthetically: a mesh of up to millions of
 pairs whose RTT samples are a **pure counter hash** of
 ``(seed, pair, absolute round)``, so any sample can be generated at any
@@ -23,7 +23,7 @@ Design points:
   the platform's named RNG streams, taken to its limit.
 - **O(1) operator state.**  :class:`MeshStatsOperator` folds each block
   into scalar aggregates plus a fixed-width integer histogram of
-  per-pair RTT spreads, so service RSS stays flat however many cycles
+  per-pair RTT spreads, so campaign RSS stays flat however many cycles
   the mesh campaign runs.
 - **In-place block kernels, bit-identical to the plain formulas.**  A
   block is generated and folded in a few buffers instead of one
@@ -82,7 +82,6 @@ from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.faults.plane import _check_positive_int
 from repro.obs import metrics as obs_metrics
 from repro.stream.source import StreamUnit, UnitKey
 
@@ -146,6 +145,12 @@ def _below(words: np.ndarray, rate: float) -> np.ndarray:
     return words < _uniform_cut(rate)
 
 
+def _check_positive_int(name: str, value: int) -> None:
+    """Reject a count that is not an ``int`` >= 1; ``bool`` is no count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 _ROUND_BITS = 24
 _ROUND_CAPACITY = 1 << _ROUND_BITS
 """Rounds addressable per pair (~479 years at 15 min): the counter hash
@@ -160,7 +165,7 @@ _PAIR_CAPACITY = 1 << (64 - _ROUND_BITS)
 class MeshConfig:
     """Shape and statistics of the synthetic mesh campaign.
 
-    ``rounds_per_cycle`` rounds are generated per service cycle at
+    ``rounds_per_cycle`` rounds are generated per campaign cycle at
     ``cadence_hours`` spacing; ``pair * ROUND_CAPACITY + absolute_round``
     indexes the counter hash, so a campaign may run until its absolute
     round reaches ``ROUND_CAPACITY``.  Out-of-range fields, and counts
@@ -264,13 +269,6 @@ class SyntheticMeshSource:
 
     def __len__(self) -> int:
         return self.config.blocks
-
-    def key_hint(self, index: int) -> UnitKey:
-        """The unit key for ``index`` without building the block --
-        completeness reports name missing units by key, not just index."""
-        if not 0 <= index < self.config.blocks:
-            raise IndexError(index)
-        return (self.cycle, index, 4)
 
     def unit_at(self, index: int) -> StreamUnit:
         """Build block ``index`` of this cycle from the counter hash.
@@ -525,10 +523,6 @@ class FoldedMeshSource:
 
     def __len__(self) -> int:
         return len(self.source)
-
-    def key_hint(self, index: int) -> UnitKey:
-        """The wrapped source's unit key, without building the block."""
-        return self.source.key_hint(index)
 
     def unit_at(self, index: int) -> StreamUnit:
         """Build block ``index`` and fold it."""

@@ -153,7 +153,7 @@ def _pid_alive(pid: int) -> bool:
 
 
 def corrupt_file(path: Path, flavor: str = "truncate") -> None:
-    """Deterministically damage a snapshot file (fault injection).
+    """Deterministically damage a snapshot file (the recovery tests' tool).
 
     ``truncate`` chops the file to half its length (simulating a torn
     write); ``garble`` flips bits mid-body (simulating at-rest rot).

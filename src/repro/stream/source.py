@@ -18,27 +18,14 @@ influence a value: a sharded stream and a serial stream are identical.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
 from queue import Empty as _QueueEmpty
 from queue import Full as _QueueFull
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Tuple
 
-from repro.faults.completeness import (
-    CompletenessView,
-    DataCompleteness,
-    MissingUnit,
-)
-from repro.faults.plane import (
-    InjectedFault,
-    SupervisionPolicy,
-    backoff_delay,
-    get_plane,
-)
-from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 
 __all__ = [
@@ -46,7 +33,6 @@ __all__ = [
     "StreamUnit",
     "ShardedSource",
     "ShardError",
-    "MissingUnit",
 ]
 
 UnitKey = Tuple[int, int, int]
@@ -75,7 +61,6 @@ class StreamUnit:
 # ---------------------------------------------------------------------------
 
 _DONE = "__shard_done__"
-_FAILED = "__unit_failed__"
 
 _BATCH_UNITS = 16
 """Most units one shard queue message carries.  A message costs the
@@ -90,8 +75,7 @@ _BATCH_S = 0.05
 began building.  The clock starts before that build, so a unit that
 alone takes this long ships as soon as it is built, and a held unit
 waits at most this long plus the next unit's build: a source with slow
-units neither starves the merge nor looks like a stalled shard to the
-supervisor."""
+units does not starve the merge."""
 
 
 class ShardError(RuntimeError):
@@ -122,8 +106,8 @@ class _ShardWire:
     """The worker end of one shard queue: units leave in batches.
 
     A message is ``(tag, payload, delta)``: ``("batch", entries, delta)``
-    with up to :data:`_BATCH_UNITS` entries ``(tag, index, payload)``
-    (tag ``"unit"`` or ``_FAILED``), ``("error", traceback, delta)``, or
+    with up to :data:`_BATCH_UNITS` entries ``("unit", index, payload)``,
+    ``("error", traceback, delta)``, or
     ``(_DONE, None, None)``.  Counters incremented inside the builders
     travel back as one registry delta per message, like
     :func:`repro.datasets.parallel.fork_map` workers' deltas.
@@ -224,98 +208,6 @@ def _shard_worker(
         wire.fail(traceback.format_exc())
 
 
-def _injectors(plane, index: int, attempt: int, wire: _ShardWire) -> None:
-    """Fire the per-unit fault injectors scheduled for this attempt.
-
-    Crash exits the process mid-unit (its counter is recomputed by the
-    supervising parent -- an ``os._exit`` ships no registry delta);
-    stall sleeps inside the unit's delta window; transient raises
-    :class:`~repro.faults.plane.InjectedFault` for the retry loop.
-
-    Before any of them fires, the worker ships its held batch, and a
-    crash also flushes the queue's feeder thread: units the worker
-    already built must reach the parent, or it would attribute the
-    crash or stall to an earlier index and the attempt-gated schedule
-    would lose determinism.
-    """
-    if plane is None:
-        return
-    crash = plane.crash(index, attempt)
-    stall = plane.stall_s_for(index, attempt)
-    transient = plane.transient(index, attempt)
-    if crash or stall > 0 or transient:
-        wire.flush()
-    if crash:
-        wire.queue.close()
-        wire.queue.join_thread()
-        os._exit(41)
-    registry = wire.registry
-    if stall > 0:
-        registry.counter("faults.injected").inc()
-        registry.counter("faults.injected{kind=stall}").inc()
-        time.sleep(stall)
-    if transient:
-        registry.counter("faults.injected").inc()
-        registry.counter("faults.injected{kind=transient}").inc()
-        raise InjectedFault("transient", f"unit {index} attempt {attempt}")
-
-
-def _supervised_worker(
-    source,
-    worker_index: int,
-    shards: int,
-    start: int,
-    queue,
-    stop,
-    resume_from: int,
-    resume_attempt: int,
-    policy: SupervisionPolicy,
-) -> None:
-    """Shard worker with in-process unit retry and fault injection.
-
-    Like :func:`_shard_worker` (same batched wire), but a unit whose
-    build raises (injected transient or real) is retried up to
-    ``policy.unit_attempts`` times before the worker reports it as
-    *failed* and moves on -- a sick unit costs itself, never the shard.
-    ``resume_from``/``resume_attempt`` let a restarted incarnation skip
-    the stride prefix its predecessor already delivered and continue
-    that unit's attempt numbering, which keeps the attempt-gated fault
-    schedule deterministic across restarts.
-    """
-    plane = get_plane()
-    wire = _ShardWire(queue, stop)
-    try:
-        for index in range(start + worker_index, len(source), shards):
-            if index < resume_from:
-                continue
-            if stop.is_set():
-                return
-            base = resume_attempt if index == resume_from else 0
-            attempt = base
-            wire.begin_unit()
-            unit = None
-            failure = None
-            while True:
-                try:
-                    _injectors(plane, index, attempt, wire)
-                    unit = source.unit_at(index)
-                    break
-                except Exception:
-                    attempt += 1
-                    if attempt - base >= policy.unit_attempts:
-                        failure = traceback.format_exc()
-                        break
-            if failure is not None:
-                shipped = wire.add(_FAILED, index, failure)
-            else:
-                shipped = wire.add("unit", index, unit)
-            if not shipped:
-                return
-        wire.finish()
-    except BaseException:  # infra failure: surfaced, shard restarts
-        wire.fail(traceback.format_exc())
-
-
 _LAG_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 96.0, 128.0,
                 160.0, 192.0, 256.0, 512.0)
 """``stream.merge_lag_units`` bounds.  Two shards with the default
@@ -323,8 +215,8 @@ _LAG_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 96.0, 128.0,
 and full held batches, so the steps stay fine up to there."""
 
 
-def _merge_lag(queues, held, shards) -> int:
-    """Units built by workers but not yet merged, over ``shards``.
+def _merge_lag(queues, held) -> int:
+    """Units built by workers but not yet merged.
 
     Held units are counted exactly; a queued message counts as a full
     batch.  That is exact while batches ship full, as fast units'
@@ -333,8 +225,8 @@ def _merge_lag(queues, held, shards) -> int:
     ``NotImplementedError`` where queues have no ``qsize`` (macOS).
     """
     return sum(
-        len(held[shard]) + _BATCH_UNITS * queues[shard].qsize()
-        for shard in shards
+        len(units) + _BATCH_UNITS * queue.qsize()
+        for units, queue in zip(held, queues)
     )
 
 
@@ -350,36 +242,16 @@ class ShardedSource:
     block pickles to ~0.7 KB.  The parent unpacks each message
     into a per-shard deque and takes units round-robin in global unit
     order, so consumers see exactly the serial order.  Falls back to
-    the serial loop for one shard or platforms without ``fork``.
-
-    With a :class:`~repro.faults.plane.SupervisionPolicy` the fan-out is
-    *supervised*: a dead or stalled worker is restarted with
-    deterministic exponential backoff (bounded per shard), a shard that
-    exhausts its restart budget is quarantined -- the merge keeps going
-    and yields :class:`~repro.faults.completeness.MissingUnit` markers
-    for the units that shard owned -- with every miss recorded in a
-    :class:`DataCompleteness` accountant (consumers record deliveries,
-    so supervised and unsupervised runs account identically).  Because
-    units are independent pure functions of their index, any schedule of
-    crashes and restarts that still delivers every index yields a stream
-    byte-identical to the fault-free one.
+    the serial loop for one shard or platforms without ``fork``.  A
+    worker that raises ends the stream with a :class:`ShardError`.
     """
 
-    def __init__(
-        self,
-        source,
-        shards: int,
-        queue_units: int = 4,
-        supervision: Optional[SupervisionPolicy] = None,
-        completeness: Optional["DataCompleteness | CompletenessView"] = None,
-    ) -> None:
+    def __init__(self, source, shards: int, queue_units: int = 4) -> None:
         if queue_units < 1:
             raise ValueError("queue_units must be positive")
         self.source = source
         self.shards = int(shards)
         self.queue_units = int(queue_units)
-        self.supervision = supervision
-        self.completeness = completeness or DataCompleteness()
         self.last_workers: List[multiprocessing.Process] = []
         """The worker processes of the most recent fan-out (diagnostics:
         after the iterator is exhausted or closed, all must be dead)."""
@@ -390,52 +262,25 @@ class ShardedSource:
     def iter_from(self, start: int = 0) -> Iterator[StreamUnit]:
         """Yield units ``start..`` in order, building them across shards.
 
-        Live telemetry per pop: labeled per-shard queue-depth gauges (in
-        messages) and receive counters (``stream.queue_depth{shard=N}`` /
-        ``stream.shard_units{shard=N}``), a ``stream.merge_lag`` gauge
-        and ``stream.merge_lag_units`` histogram (units built by workers
-        but not yet merged into the ordered stream, the parent's held
-        batches included -- see :func:`_merge_lag`), and status-board
-        heartbeats -- the last time each shard delivered a unit -- for
-        ``/status`` and the dashboard.
+        Each pop of a sharded stream records the ``stream.merge_lag_units``
+        histogram: units built by workers but not yet merged into the
+        ordered stream, the parent's held batches included (see
+        :func:`_merge_lag`).
         """
         total = len(self.source)
         shards = min(self.shards, max(1, total - start))
-        registry = obs_metrics.get_registry()
-        status = obs_live.get_status()
-        if self.supervision is not None:
-            if "fork" in multiprocessing.get_all_start_methods():
-                yield from self._iter_supervised(start, total, shards)
-            else:  # pragma: no cover - non-fork platforms
-                yield from self._iter_serial_supervised(start, total)
-            return
         if shards <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            status.set_shards(1)
-            serial_units = registry.counter("stream.shard_units{shard=0}")
             for index in range(start, total):
-                unit = self.source.unit_at(index)
-                serial_units.inc()
-                status.shard_unit(0)
-                yield unit
+                yield self.source.unit_at(index)
             return
 
-        status.set_shards(shards)
-        depth_gauge = registry.gauge("stream.queue_depth")
-        lag_gauge = registry.gauge("stream.merge_lag")
+        registry = obs_metrics.get_registry()
         # Distribution of the instantaneous lag (units built by workers
         # but not yet merged), sampled at every pop -- the p99 of this is
-        # the backpressure number the service benchmark reports.
+        # the backpressure number the mesh benchmark reports.
         lag_hist = registry.histogram(
             "stream.merge_lag_units", buckets=_LAG_BUCKETS
         )
-        shard_depths = [
-            registry.gauge(f"stream.queue_depth{{shard={worker}}}")
-            for worker in range(shards)
-        ]
-        shard_units = [
-            registry.counter(f"stream.shard_units{{shard={worker}}}")
-            for worker in range(shards)
-        ]
         context = multiprocessing.get_context("fork")
         stop = context.Event()
         queues = [context.Queue(maxsize=self.queue_units) for _ in range(shards)]
@@ -456,12 +301,7 @@ class ShardedSource:
                 shard = (index - start) % shards
                 queue = queues[shard]
                 try:
-                    depth = queue.qsize()
-                    depth_gauge.set(depth)
-                    shard_depths[shard].set(depth)
-                    lag = _merge_lag(queues, held, range(shards))
-                    lag_gauge.set(lag)
-                    lag_hist.observe(lag)
+                    lag_hist.observe(_merge_lag(queues, held))
                 except NotImplementedError:  # macOS has no qsize
                     pass
                 if not held[shard]:
@@ -481,276 +321,9 @@ class ShardedSource:
                     raise RuntimeError(
                         f"stream shard returned unit {value}, expected {index}"
                     )
-                shard_units[shard].inc()
-                status.shard_unit(shard)
                 yield unit
         finally:
             self._drain(workers, queues, stop)
-
-    def _iter_supervised(
-        self, start: int, total: int, shards: int
-    ) -> Iterator[object]:
-        """Supervised merge: restart, backoff, quarantine, account.
-
-        Yields :class:`StreamUnit` for delivered units and
-        :class:`MissingUnit` markers (same global index order) for units
-        lost to a quarantined shard or an exhausted retry budget, so the
-        consumer's unit counter -- and therefore checkpoint offsets --
-        never skews against unit indices.
-        """
-        policy = self.supervision
-        plane = get_plane()
-        registry = obs_metrics.get_registry()
-        status = obs_live.get_status()
-        completeness = self.completeness
-        seed = plane.config.seed if plane is not None else 0
-        key_hint = getattr(self.source, "key_hint", None)
-
-        status.set_shards(shards)
-        depth_gauge = registry.gauge("stream.queue_depth")
-        lag_gauge = registry.gauge("stream.merge_lag")
-        lag_hist = registry.histogram(
-            "stream.merge_lag_units", buckets=_LAG_BUCKETS
-        )
-        shard_units = [
-            registry.counter(f"stream.shard_units{{shard={worker}}}")
-            for worker in range(shards)
-        ]
-
-        context = multiprocessing.get_context("fork")
-        stop = context.Event()
-        all_workers: List[multiprocessing.Process] = []
-        all_queues: List[object] = []
-        queues: List[object] = [None] * shards
-        procs: List[Optional[multiprocessing.Process]] = [None] * shards
-        restarts = [0] * shards
-        attempts: Dict[int, int] = {}
-        quarantined: Set[int] = set()
-
-        def _spawn(shard: int, resume_from: int, resume_attempt: int) -> None:
-            queue = context.Queue(maxsize=self.queue_units)
-            process = context.Process(
-                target=_supervised_worker,
-                args=(self.source, shard, shards, start, queue, stop,
-                      resume_from, resume_attempt, policy),
-                daemon=True,
-            )
-            queues[shard] = queue
-            procs[shard] = process
-            all_queues.append(queue)
-            all_workers.append(process)
-            process.start()
-
-        def _missing(index: int, shard: int, reason: str) -> MissingUnit:
-            key = None
-            if key_hint is not None:
-                try:
-                    key = key_hint(index)
-                except Exception:
-                    key = None
-            marker = MissingUnit(
-                index=index, shard=shard, reason=reason, key=key
-            )
-            completeness.record_missing(marker)
-            registry.counter("stream.units_missing").inc()
-            return marker
-
-        def _handle_down(shard: int, index: int, cause: str) -> None:
-            """One worker incarnation is gone: restart or quarantine."""
-            attempt = attempts.get(index, 0)
-            if plane is not None and cause == "crash" and plane.crash(
-                index, attempt
-            ):
-                # The exiting worker could not ship this counter itself.
-                registry.counter("faults.injected").inc()
-                registry.counter("faults.injected{kind=crash}").inc()
-            if plane is not None and cause == "stall" and plane.stall_s_for(
-                index, attempt
-            ) > 0:
-                registry.counter("faults.injected").inc()
-                registry.counter("faults.injected{kind=stall}").inc()
-            attempts[index] = attempt + 1
-            restarts[shard] += 1
-            registry.counter("shard.restarts").inc()
-            registry.counter(f"shard.restarts{{shard={shard}}}").inc()
-            if restarts[shard] > policy.max_restarts:
-                quarantined.add(shard)
-                registry.counter("shard.quarantined").inc()
-                registry.counter(f"shard.quarantined{{shard={shard}}}").inc()
-                status.shard_state(
-                    shard, "quarantined", restarts=restarts[shard]
-                )
-                return
-            status.shard_state(shard, "restarting", restarts=restarts[shard])
-            delay = backoff_delay(
-                policy.restart_backoff_s, policy.backoff_ceiling_s,
-                restarts[shard], seed, shard,
-            )
-            if delay > 0:
-                time.sleep(delay)
-            _spawn(shard, index, attempts[index])
-            status.shard_state(shard, "ok", restarts=restarts[shard])
-
-        for shard in range(shards):
-            _spawn(shard, start, 0)
-        self.last_workers = all_workers
-
-        # A restart or quarantine only happens while the merge waits on
-        # an empty deque, so a shard's held units are always from its
-        # current incarnation.
-        held = [deque() for _ in range(shards)]
-        try:
-            for index in range(start, total):
-                shard = (index - start) % shards
-                result = None
-                wait_started = time.monotonic()
-                while result is None:
-                    if shard in quarantined:
-                        result = _missing(index, shard, "quarantined")
-                        break
-                    if held[shard]:
-                        tag, value, payload = held[shard].popleft()
-                        if value != index:  # pragma: no cover - invariant
-                            raise RuntimeError(
-                                f"stream shard returned unit {value}, "
-                                f"expected {index}"
-                            )
-                        if tag == _FAILED:
-                            registry.counter("stream.unit_failures").inc()
-                            result = _missing(index, shard, "unit_failed")
-                        else:
-                            result = payload
-                        break
-                    queue = queues[shard]
-                    process = procs[shard]
-                    try:
-                        depth_gauge.set(queue.qsize())
-                        lag = _merge_lag(
-                            queues, held,
-                            [s for s in range(shards) if s not in quarantined],
-                        )
-                        lag_gauge.set(lag)
-                        lag_hist.observe(lag)
-                    except NotImplementedError:  # macOS has no qsize
-                        pass
-                    try:
-                        message = queue.get(timeout=policy.poll_s)
-                    except _QueueEmpty:
-                        if not process.is_alive():
-                            try:  # the dying worker may have delivered
-                                message = queue.get_nowait()
-                            except _QueueEmpty:
-                                _handle_down(shard, index, "crash")
-                                wait_started = time.monotonic()
-                                continue
-                        elif (
-                            time.monotonic() - wait_started
-                            > policy.stall_timeout_s
-                        ):
-                            process.terminate()
-                            process.join()
-                            _handle_down(shard, index, "stall")
-                            wait_started = time.monotonic()
-                            continue
-                        else:
-                            continue
-                    tag, payload, delta = message
-                    if delta:
-                        registry.merge(delta)
-                    if tag == "batch":
-                        held[shard].extend(payload)
-                    elif tag == "error":
-                        process.join()
-                        _handle_down(shard, index, "error")
-                        wait_started = time.monotonic()
-                    elif tag == _DONE:  # pragma: no cover - invariant
-                        raise RuntimeError(
-                            f"stream shard {shard} finished early at "
-                            f"unit {index}"
-                        )
-                if isinstance(result, MissingUnit):
-                    yield result
-                else:
-                    # Delivery accounting belongs to the consumer (it
-                    # runs identically on unsupervised paths, keeping
-                    # completeness reports byte-identical across modes);
-                    # the fan-out only ever records misses.
-                    shard_units[shard].inc()
-                    status.shard_unit(shard)
-                    yield result
-        finally:
-            self._drain(all_workers, all_queues, stop)
-
-    def _iter_serial_supervised(
-        self, start: int, total: int
-    ) -> Iterator[object]:  # pragma: no cover - non-fork platforms
-        """In-process fallback with the same retry/accounting contract.
-
-        Without ``fork`` a crash injection cannot kill a worker process,
-        so crash and stall degrade to retryable in-process faults with a
-        budget equivalent to the forked path's
-        (``max(unit_attempts, max_restarts + 1)``).
-        """
-        policy = self.supervision
-        plane = get_plane()
-        registry = obs_metrics.get_registry()
-        status = obs_live.get_status()
-        key_hint = getattr(self.source, "key_hint", None)
-        status.set_shards(1)
-        serial_units = registry.counter("stream.shard_units{shard=0}")
-        budget = max(policy.unit_attempts, policy.max_restarts + 1)
-        for index in range(start, total):
-            attempt = 0
-            unit = None
-            while True:
-                try:
-                    if plane is not None:
-                        if plane.crash(index, attempt):
-                            registry.counter("faults.injected").inc()
-                            registry.counter(
-                                "faults.injected{kind=crash}"
-                            ).inc()
-                            raise InjectedFault(
-                                "crash", f"unit {index} (in-process)"
-                            )
-                        stall = plane.stall_s_for(index, attempt)
-                        if stall > 0:
-                            registry.counter("faults.injected").inc()
-                            registry.counter(
-                                "faults.injected{kind=stall}"
-                            ).inc()
-                            time.sleep(stall)
-                        if plane.transient(index, attempt):
-                            registry.counter("faults.injected").inc()
-                            registry.counter(
-                                "faults.injected{kind=transient}"
-                            ).inc()
-                            raise InjectedFault(
-                                "transient", f"unit {index} attempt {attempt}"
-                            )
-                    unit = self.source.unit_at(index)
-                    break
-                except Exception:
-                    attempt += 1
-                    if attempt >= budget:
-                        break
-            if unit is None:
-                key = None
-                if key_hint is not None:
-                    try:
-                        key = key_hint(index)
-                    except Exception:
-                        key = None
-                marker = MissingUnit(
-                    index=index, shard=0, reason="unit_failed", key=key
-                )
-                self.completeness.record_missing(marker)
-                registry.counter("stream.units_missing").inc()
-                yield marker
-            else:
-                serial_units.inc()
-                status.shard_unit(0)
-                yield unit
 
     @staticmethod
     def _drain(workers, queues, stop, join_timeout: float = 5.0) -> None:
@@ -761,9 +334,8 @@ class ShardedSource:
         queues empty so a producer blocked inside a full bounded queue
         can finish its ``put`` and observe the event.  Workers are only
         terminated as a last resort after the join timeout -- the common
-        path (completion, consumer ``close()``, supervisor drain) ends
-        every worker cleanly with exit code 0 and no stuck queue feeder
-        threads.
+        path (completion or consumer ``close()``) ends every worker
+        cleanly with exit code 0 and no stuck queue feeder threads.
         """
         stop.set()
         deadline = time.monotonic() + join_timeout

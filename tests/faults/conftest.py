@@ -1,15 +1,13 @@
-"""Fault-plane test isolation: never leak an installed plane."""
+"""Checkpoint-hardening test isolation: reset metrics around each test."""
 
 import pytest
 
-from repro.faults.plane import uninstall
 from repro.obs.metrics import get_registry
 
 
 @pytest.fixture(autouse=True)
-def _clean_plane():
-    """Uninstall the global fault plane and reset metrics after each test."""
+def _clean_registry():
+    """Reset the default metrics registry before and after each test."""
     get_registry().reset()
     yield
-    uninstall()
     get_registry().reset()

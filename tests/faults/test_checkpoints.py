@@ -1,13 +1,12 @@
 """Hardening tests for the campaign checkpoint store.
 
 The store must survive corruption (fall back to the previous
-generation), injected corruption from the fault plane, and stale temp
-files left by dead writers -- and count every recovery.
+generation) and stale temp files left by dead writers -- and count
+every recovery.
 """
 
 import os
 
-from repro.faults.plane import FaultsConfig, install
 from repro.obs.metrics import get_registry
 from repro.service.checkpoint import CampaignCheckpointStore, campaign_fingerprint
 from repro.service.config import CampaignConfig
@@ -47,30 +46,6 @@ class TestCampaignStoreHardening:
         corrupt_file(fallback_path(store.path), "garble")
         assert store.load() is None
 
-    def test_plane_injects_corruption_on_targeted_save(self, tmp_path):
-        install(FaultsConfig(seed=1, corrupt_saves=(1,)))
-        store = self._store(tmp_path)
-        store.save(1, 0, {"gen": 1})  # save 0: clean
-        store.save(2, 0, {"gen": 2})  # save 1: corrupted
-        registry = get_registry()
-        assert registry.counter("faults.injected{kind=corrupt}").value == 1
-        payload = store.load()  # falls back to generation 1
-        assert payload["operator"] == {"gen": 1}
-        counter = registry.counter(
-            "service.checkpoint.recovered{campaign=mesh}"
-        )
-        assert counter.value == 1
-
-    def test_plane_targets_one_store_by_tag(self, tmp_path):
-        # corrupt_saves ordinals are per store; each store counts its own
-        # saves, so ordinal 0 hits both stores' first save independently.
-        install(FaultsConfig(seed=1, corrupt_saves=(0,)))
-        store = self._store(tmp_path)
-        store.save(1, 0, None)
-        registry = get_registry()
-        assert registry.counter("faults.injected{kind=corrupt}").value == 1
-        assert store.load() is None  # no previous generation to serve
-
     def test_open_reaps_dead_writer_temps(self, tmp_path):
         stale = tmp_path / f"campaign-mesh-{'f' * 8}.ckpt.tmp.999999"
         stale.write_bytes(b"torn write")
@@ -98,7 +73,7 @@ class TestCampaignStoreHardening:
 
 
 class TestStreamStoreHardening:
-    """The store of a stream-fed mesh campaign, keyed like the service keys it."""
+    """The store of a stream-fed mesh campaign, keyed like a campaign keys it."""
 
     def _store(self, tmp_path):
         fingerprint = campaign_fingerprint(CampaignConfig(name="stream", kind="mesh"))

@@ -32,6 +32,7 @@ class TestParser:
         args = vars(build_parser().parse_args(["reproduce"]))
         for engine_option in (
             "stream", "checkpoint_dir", "resume", "faults_config", "faults_seed",
+            "serve_metrics", "live_out", "live_interval",
         ):
             assert engine_option not in args
 
@@ -85,107 +86,18 @@ class TestCommands:
 
 
 class TestStreamCommand:
-    """Streaming runs only behind ``service run``, which owns its flags."""
-
-    def test_stream_flags_parse(self):
-        args = build_parser().parse_args([
-            "service", "run", "--config", "svc.json",
-            "--checkpoint-dir", "ckpt", "--faults-config", "faults.json",
-            "--faults-seed", "7",
-        ])
-        assert args.config == "svc.json"
-        assert args.checkpoint_dir == "ckpt"
-        assert args.faults_config == "faults.json" and args.faults_seed == 7
+    """No command streams: ``reproduce`` has no streaming or service flags."""
 
     def test_checkpoint_flags_require_stream(self, capsys):
-        for flag in (["--checkpoint-dir", "ckpt"], ["--resume"]):
+        for flag in (["--checkpoint-dir", "ckpt"], ["--resume"],
+                     ["--serve-metrics"], ["--live-out", "live.jsonl"]):
             with pytest.raises(SystemExit) as exit_info:
                 main(["reproduce", *flag])
             assert exit_info.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
-
-class TestLivePlane:
-    def test_live_flags_parse(self):
-        args = build_parser().parse_args(["reproduce"])
-        assert args.serve_metrics is None
-        assert args.live_out is None and args.live_interval == 1.0
-
-        args = build_parser().parse_args(["reproduce", "--serve-metrics"])
-        assert args.serve_metrics == 9309  # bare flag uses the default port
-
-        args = build_parser().parse_args([
-            "reproduce", "--serve-metrics", "0",
-            "--live-out", "live.jsonl", "--live-interval", "0.25",
-        ])
-        assert args.serve_metrics == 0
-        assert args.live_out == "live.jsonl" and args.live_interval == 0.25
-
-    def test_live_out_records_batch_run(self, capsys, tmp_path):
-        import json
-
-        live = tmp_path / "live.jsonl"
-        assert main([
-            "reproduce", "--scenario", "small", "--jobs", "2",
-            "--experiments", "fig3", "--live-out", str(live),
-            "--live-interval", "0.05",
-        ]) == 0
-        capsys.readouterr()
-        samples = [json.loads(line) for line in live.read_text().splitlines()]
-        assert samples, "no flight-recorder samples written"
-        assert [s["seq"] for s in samples] == list(range(len(samples)))
-        last = samples[-1]
-        assert last["final"] is True and last["reason"] == "complete"
-        assert last["status"]["run"]["mode"] == "batch"
-        assert last["status"]["run"]["jobs"] == 2
-        assert last["process"]["rss_mb"] > 0
-
-    def test_serve_metrics_announces_endpoint(self, capsys):
-        assert main([
-            "reproduce", "--scenario", "small", "--experiments", "table1",
-            "--serve-metrics", "0",
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "live telemetry at http://127.0.0.1:" in err
-        assert "/metrics /status /health" in err
-
-    def test_reports_byte_identical_with_live_plane(self, capsys, tmp_path):
-        assert main([
-            "reproduce", "--scenario", "small", "--experiments", "table1",
-        ]) == 0
-        plain = capsys.readouterr().out
-
-        assert main([
-            "reproduce", "--scenario", "small", "--experiments", "table1",
-            "--live-out", str(tmp_path / "live.jsonl"),
-            "--live-interval", "0.05", "--serve-metrics", "0",
-        ]) == 0
-        observed = capsys.readouterr().out
-        assert observed == plain
-
-    def test_stream_reports_byte_identical_with_live_plane(self, capsys, tmp_path):
-        import json
-
-        config = tmp_path / "service.json"
-        config.write_text(json.dumps({
-            "campaigns": [{
-                "name": "mesh", "kind": "mesh", "cycles": 3,
-                "rounds_per_cycle": 2, "shards": 2,
-                "mesh": {"pairs": 512, "block_pairs": 128},
-            }],
-            "port": 0,
-        }))
-        argv = ["service", "run", "--config", str(config), "--time-scale", "0.001"]
-        assert main(argv + ["--checkpoint-dir", str(tmp_path / "plain")]) == 0
-        plain = capsys.readouterr().out
-
-        assert main(argv + [
-            "--checkpoint-dir", str(tmp_path / "live"),
-            "--live-out", str(tmp_path / "live.jsonl"), "--live-interval", "0.05",
-        ]) == 0
-        observed = capsys.readouterr().out
-        assert observed == plain
-        assert (tmp_path / "live" / "results-mesh.json").read_bytes() == (
-            tmp_path / "plain" / "results-mesh.json"
-        ).read_bytes()
-        assert (tmp_path / "live.jsonl").read_text().strip()
+    def test_no_service_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["service", "run", "--config", "svc.json"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'service'" in capsys.readouterr().err

@@ -202,7 +202,7 @@ def test_frk010_fork_guard_routing_is_clean():
     report = lint_source(
         "import threading\n"
         "from repro.datasets.parallel import fork_map\n"
-        "from repro.obs.live import fork_guard\n"
+        "from repro.obs.metrics import fork_guard\n"
         "_LOCK = threading.Lock()\n"
         "def _loop():\n"
         "    with fork_guard():\n"

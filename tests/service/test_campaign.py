@@ -1,4 +1,4 @@
-"""Tests for the campaign runtime: cycles, gates, durability, drivers."""
+"""Tests for the campaign runtime: cycles, durability, drivers."""
 
 import hashlib
 import json
@@ -20,6 +20,23 @@ def _mesh_campaign(tmp_path, name="m", **overrides):
     fields.update(overrides)
     config = CampaignConfig(**fields)
     return Campaign(config, driver_for(config), tmp_path)
+
+
+class _StoppingSource:
+    """A cycle source whose unit ``stop_at`` raises, so the campaign
+    stops mid-cycle as a killed process would."""
+
+    def __init__(self, source, stop_at):
+        self.source = source
+        self.stop_at = stop_at
+
+    def __len__(self):
+        return len(self.source)
+
+    def unit_at(self, index):
+        if index == self.stop_at:
+            raise RuntimeError(f"stopped at unit {index}")
+        return self.source.unit_at(index)
 
 
 def _run_to_outcome(campaign, limit=20):
@@ -62,30 +79,6 @@ class TestMeshCampaignLifecycle:
         assert single.results_path.read_bytes() == sharded.results_path.read_bytes()
 
 
-class TestGates:
-    def test_drain_before_cycle_checkpoints_immediately(self, tmp_path):
-        campaign = _mesh_campaign(tmp_path)
-        campaign.request_drain()
-        assert campaign.run_cycle() == "drained"
-        assert campaign.store.load() is not None
-        assert campaign.state == "drained"
-
-    def test_drain_wins_over_pause(self, tmp_path):
-        campaign = _mesh_campaign(tmp_path)
-        campaign.pause()
-        campaign.request_drain()
-        assert campaign.run_cycle() == "drained"  # must not hang on the gate
-
-    def test_pause_resume_flips_board_state(self, tmp_path):
-        campaign = _mesh_campaign(tmp_path)
-        campaign.pause()
-        assert campaign.paused
-        assert campaign.state == "paused"
-        campaign.resume()
-        assert not campaign.paused
-        assert campaign.state == "idle"
-
-
 class TestDurability:
     def test_restore_without_checkpoint_is_clean_start(self, tmp_path):
         campaign = _mesh_campaign(tmp_path)
@@ -97,18 +90,11 @@ class TestDurability:
         _run_to_outcome(reference)
 
         campaign = _mesh_campaign(tmp_path / "live")
-        gate = campaign._wait_gate
-        calls = {"n": 0}
-
-        def draining_gate():
-            calls["n"] += 1
-            if calls["n"] == 3:  # two units in: drain mid-cycle
-                campaign.request_drain()
-            return gate()
-
-        campaign._wait_gate = draining_gate
-        assert campaign.run_cycle() == "drained"
-        assert campaign.units_done == 2
+        build = campaign.driver.source_for_cycle
+        campaign.driver.source_for_cycle = lambda cycle: _StoppingSource(build(cycle), 2)
+        with pytest.raises(RuntimeError, match="stopped at unit 2"):
+            campaign.run_cycle()
+        assert campaign.units_done == 2  # the checkpoint_every=2 boundary
 
         resumed = _mesh_campaign(tmp_path / "live")
         assert resumed.restore() is True

@@ -1,14 +1,12 @@
-"""Kill-and-restart durability: the service's headline contract.
+"""Kill-and-restart durability: the campaign's headline contract.
 
-A supervisor process killed mid-campaign -- gracefully (SIGTERM drains
-to a checkpoint boundary) or brutally (SIGKILL, no goodbye) -- must,
-when restarted against the same config, resume from its last checkpoint
-and finish with results byte-identical to a never-interrupted run.
+A process running a campaign's cycle loop, killed mid-campaign with
+SIGKILL (no goodbye), must -- when a new process restores the same
+campaign -- resume from its last checkpoint and finish with results
+byte-identical to a never-interrupted run.
 """
 
-import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -18,53 +16,46 @@ import pytest
 
 _REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
-# Enough cycles at a real-time cadence that the kill reliably lands
-# mid-run; the resumed run is then compressed to finish immediately.
-_CAMPAIGN = {
-    "name": "mesh",
-    "kind": "mesh",
-    "cadence_s": 0.3,
-    "cycles": 12,
-    "rounds_per_cycle": 4,
-    "checkpoint_every": 2,
-    "mesh": {"pairs": 2048, "block_pairs": 256},
-}
+# Restores the campaign from argv[1] and runs its cycles, pausing
+# argv[2] seconds after each: with a pause the kill reliably lands
+# mid-run; without one a run finishes at once.
+_CYCLE_LOOP = """
+import sys, time
+from pathlib import Path
+
+from repro.service.campaign import Campaign, driver_for
+from repro.service.config import CampaignConfig
+from repro.stream.mesh import MeshConfig
+
+config = CampaignConfig(
+    name="mesh", kind="mesh", cadence_s=0.3, cycles=12, rounds_per_cycle=4,
+    checkpoint_every=2,
+    mesh=MeshConfig(pairs=2048, block_pairs=256, rounds_per_cycle=4),
+)
+campaign = Campaign(config, driver_for(config), Path(sys.argv[1]))
+campaign.restore()
+while not campaign.done:
+    campaign.run_cycle()
+    time.sleep(float(sys.argv[2]))
+print("mesh: done")
+"""
 
 
-def _write_config(tmp_path, name):
-    state = tmp_path / f"{name}-state"
-    config = {
-        "campaigns": [_CAMPAIGN],
-        "checkpoint_dir": str(state),
-        "port": 0,
-    }
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(config))
-    return path, state
+def _command(state_dir, pause):
+    return [sys.executable, "-c", _CYCLE_LOOP, str(state_dir), str(pause)]
 
 
-def _run_service(config_path, *extra, check=True):
+def _env():
+    return {**os.environ, "PYTHONPATH": str(_REPO_SRC)}
+
+
+def _run_campaign(state_dir):
     process = subprocess.run(
-        [sys.executable, "-m", "repro", "service", "run",
-         "--config", str(config_path), "--time-scale", "0.001", *extra],
-        env={**os.environ, "PYTHONPATH": str(_REPO_SRC)},
-        capture_output=True,
-        text=True,
+        _command(state_dir, 0), env=_env(), capture_output=True, text=True,
         timeout=120,
     )
-    if check:
-        assert process.returncode == 0, process.stderr
+    assert process.returncode == 0, process.stderr
     return process
-
-
-def _start_service(config_path):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "service", "run",
-         "--config", str(config_path)],
-        env={**os.environ, "PYTHONPATH": str(_REPO_SRC)},
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
 
 
 def _wait_for_checkpoint(state_dir, process, timeout=60):
@@ -73,7 +64,7 @@ def _wait_for_checkpoint(state_dir, process, timeout=60):
     while time.monotonic() < deadline:
         if list(state_dir.glob("campaign-mesh-*.ckpt")):
             return
-        assert process.poll() is None, "service exited before checkpointing"
+        assert process.poll() is None, "campaign exited before checkpointing"
         time.sleep(0.05)
     raise AssertionError("no checkpoint appeared")
 
@@ -81,37 +72,20 @@ def _wait_for_checkpoint(state_dir, process, timeout=60):
 @pytest.fixture(scope="module")
 def reference_results(tmp_path_factory):
     """One uninterrupted run's canonical results bytes."""
-    tmp_path = tmp_path_factory.mktemp("reference")
-    config_path, state = _write_config(tmp_path, "reference")
-    _run_service(config_path)
+    state = tmp_path_factory.mktemp("reference") / "state"
+    _run_campaign(state)
     return (state / "results-mesh.json").read_bytes()
 
 
 class TestKillAndRestart:
-    def test_sigterm_drains_then_restart_is_byte_identical(
-        self, tmp_path, reference_results
-    ):
-        config_path, state = _write_config(tmp_path, "sigterm")
-        process = _start_service(config_path)
-        try:
-            _wait_for_checkpoint(state, process)
-            assert process.poll() is None, "kill must land mid-run"
-            process.send_signal(signal.SIGTERM)
-            assert process.wait(timeout=60) == 0  # graceful drain
-        finally:
-            if process.poll() is None:
-                process.kill()
-        assert not (state / "results-mesh.json").exists()
-
-        resumed = _run_service(config_path)
-        assert "mesh: done" in resumed.stdout
-        assert (state / "results-mesh.json").read_bytes() == reference_results
-
     def test_sigkill_then_restart_is_byte_identical(
         self, tmp_path, reference_results
     ):
-        config_path, state = _write_config(tmp_path, "sigkill")
-        process = _start_service(config_path)
+        state = tmp_path / "state"
+        process = subprocess.Popen(
+            _command(state, 0.3), env=_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
         try:
             _wait_for_checkpoint(state, process)
             assert process.poll() is None, "kill must land mid-run"
@@ -120,7 +94,8 @@ class TestKillAndRestart:
         finally:
             if process.poll() is None:
                 process.kill()
+        assert not (state / "results-mesh.json").exists()
 
-        resumed = _run_service(config_path)
+        resumed = _run_campaign(state)
         assert "mesh: done" in resumed.stdout
         assert (state / "results-mesh.json").read_bytes() == reference_results

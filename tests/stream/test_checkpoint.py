@@ -8,7 +8,7 @@ layer's own read/write calls.
 
 import pytest
 
-from repro.obs import live, metrics
+from repro.obs import metrics
 from repro.service.checkpoint import (
     CAMPAIGN_CHECKPOINT_SCHEMA,
     CampaignCheckpointStore,
@@ -18,11 +18,10 @@ from repro.stream.snapshot import read_snapshot, write_snapshot
 
 
 @pytest.fixture(autouse=True)
-def clean_board():
-    """Saves publish to the live status board; clear it after each test."""
+def clean_registry():
+    """Saves count into the metrics registry; clear it after each test."""
     yield
     metrics.get_registry().reset()
-    live.get_status().reset()
 
 
 class TestFingerprint:

@@ -309,6 +309,9 @@ class TestConfigValidation:
             ("block_pairs", 2.5),
             ("rounds_per_cycle", 2.5),
             ("seed", 1.5),
+            ("pairs", True),
+            ("block_pairs", True),
+            ("rounds_per_cycle", True),
         ],
     )
     def test_out_of_range_fields_raise(self, field, value):

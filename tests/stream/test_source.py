@@ -4,9 +4,15 @@ import time
 
 import pytest
 
-from repro.faults.plane import SupervisionPolicy
 from repro.obs import metrics as obs_metrics
-from repro.stream.source import _BATCH_UNITS, ShardError, ShardedSource
+from repro.stream.source import (
+    _BATCH_S,
+    _BATCH_UNITS,
+    _DONE,
+    ShardError,
+    ShardedSource,
+    _shard_worker,
+)
 
 
 def _mesh_source(units, block_pairs=16):
@@ -126,18 +132,48 @@ class TestShardedDrain:
 
 
 class _SlowSource:
-    """Fake source whose units each take a fixed time to build."""
+    """Fake source whose units each take a fixed time to build; records
+    when each build began (only in the process that builds it)."""
 
     def __init__(self, units, seconds):
         self.units = units
         self.seconds = seconds
+        self.started = {}
 
     def __len__(self):
         return self.units
 
     def unit_at(self, index):
+        self.started[index] = time.monotonic()
         time.sleep(self.seconds)
         return index
+
+
+class _RecordingQueue:
+    """Stands in for a shard queue: records each message and when it left."""
+
+    def __init__(self):
+        self.sent = []
+
+    def put(self, message, timeout=None):
+        self.sent.append((time.monotonic(), message))
+
+
+class _NeverStop:
+    def is_set(self):
+        return False
+
+
+def _ship_one_shard(source):
+    """Run one shard's worker loop in-process; its batches with ship times."""
+    queue = _RecordingQueue()
+    _shard_worker(source, 0, 1, 0, queue, _NeverStop())
+    assert queue.sent[-1][1] == (_DONE, None, None)
+    batches = [(shipped, entries) for shipped, (tag, entries, _) in queue.sent[:-1]]
+    assert [tag for _, (tag, _, _) in queue.sent[:-1]] == ["batch"] * len(batches)
+    shipped_indexes = [index for _, entries in batches for _, index, _ in entries]
+    assert shipped_indexes == list(range(len(source)))
+    return batches
 
 
 class TestBatchedWire:
@@ -196,31 +232,22 @@ class TestBatchedWire:
             self._assert_units_equal(got, source.unit_at(start + offset))
 
     def test_slow_units_ship_before_the_stall_timeout(self):
-        # A full batch of these units takes longer than the stall
-        # timeout; batches must ship early enough that the supervisor
-        # never mistakes a busy shard for a hung one.
-        policy = SupervisionPolicy(stall_timeout_s=0.4, poll_s=0.02)
-        assert _BATCH_UNITS * 0.04 > policy.stall_timeout_s
-        registry = obs_metrics.get_registry()
-        restarts = registry.counter("shard.restarts").value
-        sharded = ShardedSource(
-            _SlowSource(units=4 * _BATCH_UNITS, seconds=0.04),
-            shards=2, queue_units=2, supervision=policy,
-        )
-        assert list(sharded) == list(range(4 * _BATCH_UNITS))
-        assert registry.counter("shard.restarts").value == restarts
+        # A full batch of these units takes longer than 0.4 s; batches
+        # must ship within _BATCH_S plus one unit's build of their first
+        # unit's start, so a busy shard never looks hung for 0.4 s.
+        seconds, bound = 0.04, 0.4
+        assert _BATCH_UNITS * seconds > bound > _BATCH_S + seconds
+        source = _SlowSource(units=2 * _BATCH_UNITS, seconds=seconds)
+        for shipped, entries in _ship_one_shard(source):
+            assert len(entries) < _BATCH_UNITS  # shipped early, not full
+            assert shipped - source.started[entries[0][1]] < bound
 
     def test_units_near_the_stall_timeout_are_not_held_back(self):
-        # Each unit alone takes 0.6x the stall timeout, so holding a
-        # built unit while the next one builds would look like a stall.
-        policy = SupervisionPolicy(stall_timeout_s=1.0, poll_s=0.02)
-        registry = obs_metrics.get_registry()
-        restarts = registry.counter("shard.restarts").value
-        missing = registry.counter("stream.units_missing").value
-        sharded = ShardedSource(
-            _SlowSource(units=6, seconds=0.6), shards=2, queue_units=2,
-            supervision=policy,
-        )
-        assert list(sharded) == list(range(6))
-        assert registry.counter("shard.restarts").value == restarts
-        assert registry.counter("stream.units_missing").value == missing
+        # Each unit alone takes 0.6 s: holding a built unit while the
+        # next one builds would keep it 1.2 s, so each ships alone, as
+        # soon as it is built.
+        seconds, bound = 0.6, 1.0
+        source = _SlowSource(units=3, seconds=seconds)
+        for shipped, entries in _ship_one_shard(source):
+            assert len(entries) == 1
+            assert shipped - source.started[entries[0][1]] < bound
