@@ -3,8 +3,9 @@
 A :class:`CampaignConfig` names one recurring synthetic-mesh campaign
 -- how many mesh rounds each cycle covers (``rounds_per_cycle``), how
 many cycles it runs, and how wide the stream fan-out runs.  Counts must
-be integers and durations finite: a float or ``bool`` count or a NaN
-cadence fails here, not halfway through a campaign.
+be integers and durations finite numbers: a float or ``bool`` count,
+or a NaN or ``bool`` cadence, fails here, not halfway through a
+campaign.
 
 The config is a frozen dataclass so
 :func:`repro.harness.engine.config_fingerprint` covers every field --
@@ -75,7 +76,11 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown campaign kind {self.kind!r}; valid: {CAMPAIGN_KINDS}"
             )
-        if not (math.isfinite(self.cadence_s) and self.cadence_s > 0):
+        if (
+            isinstance(self.cadence_s, bool)
+            or not isinstance(self.cadence_s, (int, float))
+            or not (math.isfinite(self.cadence_s) and self.cadence_s > 0)
+        ):
             raise ValueError(
                 f"cadence_s must be finite and > 0, got {self.cadence_s!r}"
             )

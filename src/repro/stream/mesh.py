@@ -198,7 +198,9 @@ class MeshConfig:
                 f"rounds_per_cycle must be at most 2**{_ROUND_BITS} "
                 f"(got {self.rounds_per_cycle})"
             )
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 1 << 64):
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, int) and 0 <= self.seed < 1 << 64
+        ):
             raise ValueError(
                 f"mesh seed must be an integer in [0, 2**64) (got {self.seed!r})"
             )

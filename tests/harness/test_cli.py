@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -35,6 +37,36 @@ class TestParser:
             "serve_metrics", "live_out", "live_interval",
         ):
             assert engine_option not in args
+
+    def test_reproduce_options_are_exactly_the_batch_ones(self):
+        parser = build_parser()
+        commands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(commands.choices) == ["info", "reproduce", "trace"]
+        options = {
+            option
+            for action in commands.choices["reproduce"]._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        assert options == {
+            "--help", "--scenario", "--seed", "--experiments", "--jobs",
+            "--timings", "--cache", "--cache-dir", "--refresh-cache",
+            "--trace-out", "--run-report", "--log-level", "--log-json",
+        }
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--serve-metrics", "--live-out", "--live-interval", "--faults-config",
+         "--faults-seed", "--stream", "--checkpoint-dir", "--resume"],
+    )
+    def test_retired_reproduce_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["reproduce", flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_logging_flags_on_every_command(self):
         for command in (["info"], ["trace", "--src", "0", "--dst", "1"]):

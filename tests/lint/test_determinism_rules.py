@@ -1,5 +1,7 @@
 """DET001/DET002 fixtures: positive, negative, and suppressed snippets."""
 
+import pytest
+
 from repro.lint import lint_source
 
 
@@ -134,6 +136,24 @@ def test_det002_scope_covers_stream_package():
         select=["DET002"],
     )
     assert codes(report) == ["DET002"]
+
+
+@pytest.mark.parametrize(
+    "package, flagged",
+    [("core", True), ("datasets", True), ("measurement", True),
+     ("routing", True), ("topology", True), ("stream", True),
+     ("service", True), ("obs", False), ("harness", False),
+     ("faults", False)],
+)
+def test_det002_scope_is_the_result_producing_packages(package, flagged):
+    report = lint_source(
+        "import time\n"
+        "def stamp():\n"
+        "    return time.time()\n",
+        path=f"src/repro/{package}/example.py",
+        select=["DET002"],
+    )
+    assert codes(report) == (["DET002"] if flagged else [])
 
 
 def test_det002_ignores_wall_clock_outside_scope():

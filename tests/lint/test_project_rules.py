@@ -7,6 +7,7 @@ call boundary, a lock held at a transitive fork, a schema edit that
 never bumped its version constant.
 """
 
+import importlib
 import json
 
 from repro.lint import lint_paths, lint_source
@@ -216,6 +217,24 @@ def test_frk010_fork_guard_routing_is_clean():
         select=["FRK010"],
     )
     assert codes(report) == []
+
+
+def test_fork_guard_names_resolve_to_the_metrics_guard():
+    from repro.lint.analysis.summary import GUARD_CALLABLE, GUARD_LOCK
+
+    def resolve(dotted):
+        module, name = dotted.rsplit(".", 1)
+        return getattr(importlib.import_module(module), name)
+
+    assert resolve(GUARD_CALLABLE)() is resolve(GUARD_LOCK)
+
+
+def test_tracked_schemas_name_integer_version_constants():
+    from repro.lint.analysis.schemas import TRACKED_SCHEMAS
+
+    assert sorted(TRACKED_SCHEMAS) == ["campaign-checkpoint"]
+    for module, constant in TRACKED_SCHEMAS.values():
+        assert isinstance(getattr(importlib.import_module(module), constant), int)
 
 
 def test_frk010_thread_check_silent_without_fork_actions():

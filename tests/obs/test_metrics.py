@@ -1,7 +1,12 @@
 """Metrics registry: instrument semantics, snapshots, fork-delta merging."""
 
+import os
+import threading
+import time
+
 import pytest
 
+from repro.obs import metrics
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 
@@ -124,3 +129,64 @@ def test_reset_empties_registry():
     assert registry.snapshot() == {
         "counters": {}, "gauges": {}, "histograms": {}
     }
+
+
+def test_fork_guard_is_one_lock_for_the_process():
+    assert metrics.fork_guard() is metrics.fork_guard()
+    assert metrics.fork_guard() is metrics._fork_lock
+
+
+def test_registry_lock_outlives_reset():
+    lock = metrics.registry_lock()
+    metrics.get_registry().reset()
+    assert metrics.registry_lock() is lock
+    assert metrics.registry_lock() is metrics.get_registry()._lock
+
+
+def test_fork_hooks_take_the_guard_and_the_registry_lock_then_free_both():
+    metrics._fork_acquire()
+    try:
+        assert metrics.fork_guard().locked()
+        assert metrics.registry_lock().locked()
+    finally:
+        metrics._fork_release()
+    assert not metrics.fork_guard().locked()
+    assert not metrics.registry_lock().locked()
+    metrics._fork_release()  # releasing free locks is harmless
+    assert not metrics.fork_guard().locked()
+
+
+def _fork_child_sees_free_locks() -> bool:
+    pid = os.fork()
+    if pid == 0:  # child: report and leave without running pytest's exit
+        free = not (metrics.fork_guard().locked() or metrics.registry_lock().locked())
+        os._exit(0 if free else 1)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status) == 0
+
+
+def test_forked_child_inherits_both_locks_free():
+    assert _fork_child_sees_free_locks()
+
+
+@pytest.mark.parametrize("lock", ["fork_guard", "registry_lock"])
+def test_fork_waits_for_a_thread_holding_a_lock(lock):
+    held = threading.Event()
+    released = []
+
+    def hold():
+        with getattr(metrics, lock)():
+            held.set()
+            time.sleep(0.1)
+            released.append(True)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    held.wait()
+    try:
+        # The before-fork hook blocks on the held lock, so the clone
+        # happens only after the thread let go -- never with it held.
+        assert _fork_child_sees_free_locks()
+        assert released == [True]
+    finally:
+        thread.join()

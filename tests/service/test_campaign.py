@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.service.campaign import Campaign, driver_for
 from repro.service.config import CampaignConfig
 from repro.stream.mesh import MeshConfig
@@ -78,6 +79,72 @@ class TestMeshCampaignLifecycle:
         _run_to_outcome(sharded)
         assert single.results_path.read_bytes() == sharded.results_path.read_bytes()
 
+    @pytest.mark.parametrize(
+        "shards, queue_units, checkpoint_every",
+        [(1, 4, 1), (1, 4, 3), (1, 4, 64), (2, 1, 1), (2, 1, 2), (2, 4, 3),
+         (3, 2, 2), (4, 1, 5)],
+    )
+    def test_results_do_not_depend_on_fanout_or_checkpoint_cadence(
+        self, tmp_path, shards, queue_units, checkpoint_every
+    ):
+        reference = _mesh_campaign(tmp_path / "ref")
+        _run_to_outcome(reference)
+        campaign = _mesh_campaign(
+            tmp_path / "run", shards=shards, queue_units=queue_units,
+            checkpoint_every=checkpoint_every,
+        )
+        _run_to_outcome(campaign)
+        assert (
+            campaign.results_path.read_bytes()
+            == reference.results_path.read_bytes()
+        )
+
+    @pytest.mark.parametrize("cycles", [1, 2, 3, 4])
+    def test_cycle_outcomes_counters_and_coverage(self, tmp_path, cycles):
+        campaign = _mesh_campaign(tmp_path, cycles=cycles)
+        outcomes = [campaign.run_cycle() for _ in range(cycles)]
+        assert outcomes == ["completed"] * (cycles - 1) + ["finished"]
+        units = MESH.blocks * cycles
+        registry = obs_metrics.get_registry()
+        assert registry.counter("service.units{campaign=m}").value == units
+        assert registry.counter("service.cycles{campaign=m}").value == cycles
+        assert registry.counter("service.records{campaign=m}").value == (
+            MESH.pairs * MESH.rounds_per_cycle * cycles
+        )
+        assert campaign.results["completeness"] == {
+            "expected": units, "delivered": units, "missing": [], "coverage": 1.0,
+        }
+
+    def test_open_ended_campaign_runs_until_the_caller_stops(self, tmp_path):
+        campaign = _mesh_campaign(tmp_path, cycles=None)
+        assert [campaign.run_cycle() for _ in range(3)] == ["completed"] * 3
+        assert not campaign.done
+        assert campaign.cycle == 3
+        assert not campaign.results_path.exists()
+
+    @pytest.mark.parametrize("checkpoint_every", [1, 2, 3, 4, 5])
+    def test_checkpoints_land_every_n_units_and_at_each_cycle_end(
+        self, tmp_path, checkpoint_every
+    ):
+        campaign = _mesh_campaign(tmp_path, checkpoint_every=checkpoint_every)
+        saved = []
+        save = campaign.store.save
+
+        def recording_save(cycle, units_done, *args, **kwargs):
+            saved.append((cycle, units_done))
+            save(cycle, units_done, *args, **kwargs)
+
+        campaign.store.save = recording_save
+        _run_to_outcome(campaign)
+        expected = []
+        for cycle in range(2):
+            expected += [
+                (cycle, units) for units in range(1, MESH.blocks)
+                if units % checkpoint_every == 0
+            ]
+            expected.append((cycle + 1, 0))
+        assert saved == expected
+
 
 class TestDurability:
     def test_restore_without_checkpoint_is_clean_start(self, tmp_path):
@@ -104,6 +171,41 @@ class TestDurability:
             resumed.results_path.read_bytes()
             == reference.results_path.read_bytes()
         )
+
+    @pytest.mark.parametrize("stop_at", [0, 1, 2, 3])
+    @pytest.mark.parametrize("cycle", [0, 1])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stop_at_any_unit_then_restore_is_byte_identical(
+        self, tmp_path, shards, cycle, stop_at
+    ):
+        reference = _mesh_campaign(tmp_path / "ref", shards=shards)
+        _run_to_outcome(reference)
+
+        campaign = _mesh_campaign(tmp_path / "live", shards=shards)
+        for _ in range(cycle):
+            assert campaign.run_cycle() == "completed"
+        build = campaign.driver.source_for_cycle
+        campaign.driver.source_for_cycle = (
+            lambda c: _StoppingSource(build(c), stop_at)
+        )
+        # A shard worker's failure arrives as a ShardError, itself a
+        # RuntimeError carrying the worker's traceback.
+        with pytest.raises(RuntimeError, match=f"stopped at unit {stop_at}"):
+            campaign.run_cycle()
+        assert campaign.units_done == stop_at
+
+        # The last checkpoint is the checkpoint_every=2 boundary inside
+        # the cycle, or else the end of the cycle before it.
+        resume_units = 2 if stop_at >= 2 else 0
+        resumed = _mesh_campaign(tmp_path / "live", shards=shards)
+        assert resumed.restore() is (cycle > 0 or resume_units > 0)
+        assert (resumed.cycle, resumed.units_done) == (cycle, resume_units)
+        assert _run_to_outcome(resumed) == "finished"
+        assert (
+            resumed.results_path.read_bytes()
+            == reference.results_path.read_bytes()
+        )
+        assert resumed.store.path.read_bytes() == reference.store.path.read_bytes()
 
     def test_restore_of_finished_campaign_serves_results(self, tmp_path):
         campaign = _mesh_campaign(tmp_path)

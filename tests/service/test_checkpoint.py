@@ -1,13 +1,47 @@
 """Tests for the campaign checkpoint store."""
 
-from repro.stream.snapshot import read_snapshot, write_snapshot
+import dataclasses
 
+import pytest
+
+from repro.stream.mesh import MeshConfig
+from repro.stream.snapshot import fallback_path, read_snapshot, write_snapshot
+
+from repro.service import checkpoint
 from repro.service.checkpoint import (
     CAMPAIGN_CHECKPOINT_SCHEMA,
     CampaignCheckpointStore,
     campaign_fingerprint,
 )
 from repro.service.config import CampaignConfig
+
+# One changed value for every config field the fingerprint must cover;
+# ``kind`` and ``retry`` each have a single legal value.
+CAMPAIGN_CHANGES = {
+    "name": "other",
+    "cadence_s": 60.0,
+    "rounds_per_cycle": 4,
+    "cycles": 3,
+    "shards": 2,
+    "queue_units": 8,
+    "checkpoint_every": 16,
+    "mesh": MeshConfig(pairs=1000),
+}
+
+# The same for the mesh a campaign carries; its ``rounds_per_cycle``
+# must equal the campaign's, which CAMPAIGN_CHANGES already varies.
+MESH_CHANGES = {
+    "pairs": 2000,
+    "block_pairs": 512,
+    "cadence_hours": 0.5,
+    "seed": 1,
+    "base_rtt_ms": 11.0,
+    "spread_rtt_ms": 170.0,
+    "jitter_ms": 3.0,
+    "diurnal_ms": 7.0,
+    "congested_fraction": 0.3,
+    "loss_rate": 0.02,
+}
 
 
 class TestCampaignFingerprint:
@@ -23,6 +57,35 @@ class TestCampaignFingerprint:
             CampaignConfig(name="m", rounds_per_cycle=4)
         )
         assert base != campaign_fingerprint(CampaignConfig(name="other"))
+
+    def test_every_field_with_two_legal_values_is_varied(self):
+        fields = {f.name for f in dataclasses.fields(CampaignConfig)}
+        assert fields - set(CAMPAIGN_CHANGES) == {"kind", "retry"}
+        mesh_fields = {f.name for f in dataclasses.fields(MeshConfig)}
+        assert mesh_fields - set(MESH_CHANGES) == {"rounds_per_cycle"}
+
+    @pytest.mark.parametrize("field", sorted(CAMPAIGN_CHANGES))
+    def test_changes_with_each_field(self, field):
+        base = CampaignConfig(name="m")
+        changed = dataclasses.replace(base, **{field: CAMPAIGN_CHANGES[field]})
+        assert campaign_fingerprint(base) != campaign_fingerprint(changed)
+
+    @pytest.mark.parametrize("field", sorted(MESH_CHANGES))
+    def test_changes_with_each_mesh_field(self, field):
+        mesh = MeshConfig(pairs=1000)
+        base = CampaignConfig(name="m", mesh=mesh)
+        changed = CampaignConfig(
+            name="m", mesh=dataclasses.replace(mesh, **{field: MESH_CHANGES[field]})
+        )
+        assert campaign_fingerprint(base) != campaign_fingerprint(changed)
+
+    def test_changes_with_the_checkpoint_schema(self, monkeypatch):
+        config = CampaignConfig(name="m")
+        base = campaign_fingerprint(config)
+        monkeypatch.setattr(
+            checkpoint, "CAMPAIGN_CHECKPOINT_SCHEMA", CAMPAIGN_CHECKPOINT_SCHEMA + 1
+        )
+        assert campaign_fingerprint(config) != base
 
 
 class TestCampaignCheckpointStore:
@@ -81,3 +144,39 @@ class TestCampaignCheckpointStore:
         store.clear()
         assert store.load() is None
         store.clear()  # idempotent
+
+    def test_path_names_the_campaign_and_its_fingerprint(self, tmp_path):
+        store = CampaignCheckpointStore(tmp_path / "ckpt", "mesh-1", "abc123")
+        assert store.path == tmp_path / "ckpt" / "campaign-mesh-1-abc123.ckpt"
+
+    def test_payload_names_its_campaign_and_fingerprint(self, tmp_path):
+        store = self._store(tmp_path)
+        store.save(0, 1, None)
+        payload = read_snapshot(store.path)
+        assert (payload["campaign"], payload["fingerprint"]) == ("mesh", "f" * 8)
+
+    @pytest.mark.parametrize("saves", [1, 2, 3, 5])
+    def test_load_serves_the_last_save_and_keeps_the_one_before(
+        self, tmp_path, saves
+    ):
+        store = self._store(tmp_path)
+        for cycle in range(1, saves + 1):
+            store.save(cycle, 0, {"gen": cycle})
+        payload = store.load()
+        assert (payload["cycle"], payload["operator"]) == (saves, {"gen": saves})
+        fallback = fallback_path(store.path)
+        if saves == 1:
+            assert not fallback.exists()
+        else:
+            assert read_snapshot(fallback)["cycle"] == saves - 1
+
+    def test_campaigns_sharing_a_directory_keep_their_own_snapshots(self, tmp_path):
+        first = CampaignCheckpointStore(tmp_path, "a", "f" * 8)
+        second = CampaignCheckpointStore(tmp_path, "b", "f" * 8)
+        first.save(1, 2, {"who": "a"})
+        second.save(3, 4, {"who": "b"})
+        assert first.load()["operator"] == {"who": "a"}
+        assert second.load()["operator"] == {"who": "b"}
+        first.clear()
+        assert first.load() is None
+        assert second.load()["cycle"] == 3

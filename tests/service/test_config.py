@@ -1,5 +1,6 @@
 """Tests for the campaign config shape."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,10 @@ import pytest
 from repro.service.campaign import driver_for
 from repro.service.config import CampaignConfig
 from repro.stream.mesh import MeshConfig
+
+COUNT_FIELDS = (
+    "rounds_per_cycle", "cycles", "shards", "queue_units", "checkpoint_every",
+)
 
 
 class TestCampaignConfig:
@@ -19,6 +24,10 @@ class TestCampaignConfig:
     def test_rejects_unroutable_names(self, name):
         with pytest.raises(ValueError, match="invalid campaign name"):
             CampaignConfig(name=name)
+
+    @pytest.mark.parametrize("name", ["m", "mesh-1", "a_b.c", "Mesh7"])
+    def test_accepts_routable_names(self, name):
+        assert CampaignConfig(name=name).name == name
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown campaign kind"):
@@ -51,6 +60,34 @@ class TestCampaignConfig:
         with pytest.raises(ValueError):
             CampaignConfig(name="m", **kwargs)
 
+    @pytest.mark.parametrize("value", [-1, False, "4", 4.0])
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_rejects_counts_that_are_not_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            CampaignConfig(name="m", **{field: value})
+
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    def test_accepts_a_count_of_one(self, field):
+        assert getattr(CampaignConfig(name="m", **{field: 1}), field) == 1
+
+    @pytest.mark.parametrize("value", [-math.inf, -1.0, -0.0, True, "900"])
+    def test_rejects_cadences_that_are_not_positive_finite_seconds(self, value):
+        with pytest.raises(ValueError, match="cadence_s must be finite"):
+            CampaignConfig(name="m", cadence_s=value)
+
+    def test_accepts_an_integer_cadence(self):
+        assert CampaignConfig(name="m", cadence_s=60).cadence_s == 60
+
+    def test_is_frozen(self):
+        config = CampaignConfig(name="m")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.shards = 2
+
+    def test_accepts_mesh_rounds_that_agree(self):
+        mesh = MeshConfig(pairs=1000, rounds_per_cycle=16)
+        config = CampaignConfig(name="m", rounds_per_cycle=16, mesh=mesh)
+        assert driver_for(config).mesh is mesh
+
     def test_rejects_mesh_rounds_that_disagree(self):
         with pytest.raises(ValueError, match="disagrees"):
             CampaignConfig(
@@ -62,6 +99,16 @@ class TestCampaignConfig:
     def test_rejects_retired_kinds(self, kind):
         with pytest.raises(ValueError, match=f"kind '{kind}' was retired"):
             CampaignConfig(name="m", kind=kind)
+
+    @pytest.mark.parametrize("kind", ["", "MESH", "mesh ", "traceroute"])
+    def test_rejects_kinds_that_are_neither_mesh_nor_retired(self, kind):
+        with pytest.raises(ValueError, match="unknown campaign kind"):
+            CampaignConfig(name="m", kind=kind)
+
+    @pytest.mark.parametrize("retry", [0, 3, False, "none", {}])
+    def test_rejects_every_retry_value_but_none(self, retry):
+        with pytest.raises(ValueError, match="retry must be None"):
+            CampaignConfig(name="m", retry=retry)
 
     def test_rejects_a_retry_policy(self):
         with pytest.raises(ValueError, match="retry must be None"):

@@ -312,6 +312,21 @@ class TestConfigValidation:
             ("pairs", True),
             ("block_pairs", True),
             ("rounds_per_cycle", True),
+            ("seed", True),
+            ("seed", False),
+            ("seed", "0"),
+            ("pairs", False),
+            ("block_pairs", False),
+            ("rounds_per_cycle", False),
+            ("pairs", 0),
+            ("block_pairs", -1),
+            ("rounds_per_cycle", 0),
+            ("loss_rate", math.inf),
+            ("congested_fraction", math.nan),
+            ("cadence_hours", math.nan),
+            ("base_rtt_ms", math.nan),
+            ("spread_rtt_ms", math.inf),
+            ("diurnal_ms", math.nan),
         ],
     )
     def test_out_of_range_fields_raise(self, field, value):

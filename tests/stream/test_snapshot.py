@@ -1,5 +1,6 @@
 """Tests for the hardened snapshot framing behind the checkpoint store."""
 
+import hashlib
 import os
 
 import pytest
@@ -15,6 +16,9 @@ from repro.stream.snapshot import (
     temp_path,
     write_snapshot,
 )
+
+HEADER = len(SNAPSHOT_MAGIC) + hashlib.sha256().digest_size
+"""Magic plus digest: the framing before the pickled body."""
 
 
 class TestWriteRead:
@@ -58,6 +62,39 @@ class TestCorruptionDetection:
         path = tmp_path / "state.ckpt"
         path.write_bytes(pickle.dumps({"legacy": True}))
         with pytest.raises(SnapshotCorrupt, match="header"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "keep",
+        [0, 1, len(SNAPSHOT_MAGIC) - 1, len(SNAPSHOT_MAGIC),
+         len(SNAPSHOT_MAGIC) + 31, HEADER, -1],
+    )
+    def test_every_truncation_is_corrupt(self, tmp_path, keep):
+        path = tmp_path / "state.ckpt"
+        write_snapshot(path, {"rows": list(range(64))})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:keep])
+        with pytest.raises(SnapshotCorrupt):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "offset",
+        [0, len(SNAPSHOT_MAGIC) - 1, len(SNAPSHOT_MAGIC), HEADER - 1, HEADER, -1],
+    )
+    def test_every_flipped_byte_is_corrupt(self, tmp_path, offset):
+        path = tmp_path / "state.ckpt"
+        write_snapshot(path, {"rows": list(range(64))})
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotCorrupt):
+            read_snapshot(path)
+
+    def test_digest_valid_body_that_is_no_pickle_is_corrupt(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        body = b"not a pickle"
+        path.write_bytes(SNAPSHOT_MAGIC + hashlib.sha256(body).digest() + body)
+        with pytest.raises(SnapshotCorrupt, match="unpickle"):
             read_snapshot(path)
 
     def test_unknown_corruption_flavor_rejected(self, tmp_path):

@@ -1,17 +1,22 @@
 """Tests for the sharded stream fan-out."""
 
+import queue
 import time
+from collections import deque
 
 import pytest
 
 from repro.obs import metrics as obs_metrics
+from repro.stream import source as stream_source
 from repro.stream.source import (
     _BATCH_S,
     _BATCH_UNITS,
     _DONE,
     ShardError,
     ShardedSource,
+    _merge_lag,
     _shard_worker,
+    _ShardWire,
 )
 
 
@@ -39,6 +44,43 @@ class TestShardedSource:
         full = [unit.key for unit in ShardedSource(source, shards=2).iter_from(0)]
         tail = [unit.key for unit in ShardedSource(source, shards=2).iter_from(2)]
         assert tail == full[2:]
+
+    @pytest.mark.parametrize("queue_units", [1, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_every_fanout_delivers_the_serial_stream(self, shards, queue_units):
+        source = _mesh_source(units=7)
+        sharded = list(ShardedSource(source, shards, queue_units))
+        assert [unit.key for unit in sharded] == [
+            source.unit_at(index).key for index in range(7)
+        ]
+        for index, unit in enumerate(sharded):
+            assert (
+                unit.columns.rtt_ms.tobytes()
+                == source.unit_at(index).columns.rtt_ms.tobytes()
+            )
+
+    @pytest.mark.parametrize("start", range(8))
+    def test_iter_from_each_offset_is_the_serial_tail(self, start):
+        source = _mesh_source(units=7)
+        keys = [unit.key for unit in ShardedSource(source, shards=3).iter_from(start)]
+        assert keys == [source.unit_at(index).key for index in range(start, 7)]
+
+    @pytest.mark.parametrize("start, workers", [(0, 3), (4, 3), (5, 2), (6, 0)])
+    def test_forks_no_more_shards_than_units_remain(self, start, workers):
+        sharded = ShardedSource(_mesh_source(units=7), shards=3)
+        list(sharded.iter_from(start))
+        assert len(sharded.last_workers) == workers
+
+    def test_sharded_stream_records_merge_lag_at_every_pop(self):
+        source = _mesh_source(units=7)
+        lag = obs_metrics.get_registry().histogram(
+            "stream.merge_lag_units", buckets=stream_source._LAG_BUCKETS
+        )
+        before = lag.count
+        list(ShardedSource(source, shards=2))
+        assert lag.count - before == 7
+        list(ShardedSource(source, shards=1))
+        assert lag.count - before == 7  # the serial loop has no merge
 
     def test_rejects_bad_queue_bound(self):
         with pytest.raises(ValueError, match="queue_units"):
@@ -84,6 +126,29 @@ class TestShardErrorContext:
         # The doomed unit's delta is merged into the parent registry too.
         partial_after = registry.counter("test.shard_crash.partial_work").value
         assert partial_after == partial_before + 2
+
+    def test_shard_error_without_counters_carries_only_the_traceback(self):
+        error = ShardError(0, "Traceback: boom", None)
+        assert str(error) == "stream shard 0 failed\nTraceback: boom"
+        assert error.shard == 0
+        assert error.metrics_delta == {}
+
+
+class TestMergeLag:
+    class _SizedQueue:
+        def __init__(self, size):
+            self.size = size
+
+        def qsize(self):
+            return self.size
+
+    def test_counts_held_units_and_queued_messages_as_full_batches(self):
+        held = [deque([1, 2]), deque(), deque([3])]
+        queues = [self._SizedQueue(size) for size in (1, 2, 0)]
+        assert _merge_lag(queues, held) == 2 + 1 + _BATCH_UNITS * 3
+
+    def test_empty_fanout_has_no_lag(self):
+        assert _merge_lag([self._SizedQueue(0)] * 2, [deque(), deque()]) == 0
 
 
 class TestShardedDrain:
@@ -251,3 +316,113 @@ class TestBatchedWire:
         for shipped, entries in _ship_one_shard(source):
             assert len(entries) == 1
             assert shipped - source.started[entries[0][1]] < bound
+
+
+class _StopAfterFirstTry:
+    def __init__(self):
+        self.checks = 0
+
+    def is_set(self):
+        self.checks += 1
+        return self.checks > 1
+
+
+class _FullQueue:
+    def __init__(self):
+        self.attempts = 0
+
+    def put(self, message, timeout=None):
+        self.attempts += 1
+        raise queue.Full
+
+
+class TestShardWire:
+    """The worker end of a shard queue, driven in-process."""
+
+    @pytest.fixture
+    def no_clock(self, monkeypatch):
+        # Batches ship on size alone, however slowly the host runs.
+        monkeypatch.setattr(stream_source, "_BATCH_S", 3600.0)
+
+    def _wire(self):
+        sink = _RecordingQueue()
+        return _ShardWire(sink, _NeverStop()), sink
+
+    def test_a_full_batch_ships_at_once_and_the_tail_on_finish(self, no_clock):
+        wire, sink = self._wire()
+        for index in range(_BATCH_UNITS + 3):
+            wire.begin_unit()
+            assert wire.add("unit", index, index * 10)
+        assert len(sink.sent) == 1
+        tag, entries, _ = sink.sent[0][1]
+        assert tag == "batch"
+        assert entries == [("unit", i, i * 10) for i in range(_BATCH_UNITS)]
+        wire.finish()
+        assert [message[0] for _, message in sink.sent] == ["batch", "batch", _DONE]
+        assert [index for _, index, _ in sink.sent[1][1][1]] == [
+            _BATCH_UNITS, _BATCH_UNITS + 1, _BATCH_UNITS + 2,
+        ]
+        assert sink.sent[2][1] == (_DONE, None, None)
+
+    def test_flush_of_nothing_sends_nothing(self):
+        wire, sink = self._wire()
+        assert wire.flush() is True
+        assert sink.sent == []
+
+    def test_put_gives_up_once_the_consumer_has_drained_away(self):
+        full = _FullQueue()
+        wire = _ShardWire(full, _StopAfterFirstTry())
+        assert wire.put(("batch", [], {})) is False
+        assert full.attempts == 1
+
+    def test_batch_carries_the_counters_its_units_recorded(self, no_clock):
+        wire, sink = self._wire()
+        built = obs_metrics.get_registry().counter("test.shard_wire.built")
+        for index in range(3):
+            wire.begin_unit()
+            built.inc()
+            wire.add("unit", index, None)
+        wire.finish()
+        _, _, delta = sink.sent[0][1]
+        assert delta["counters"]["test.shard_wire.built"] == 3
+
+    def test_fail_ships_the_units_before_the_failing_one_then_its_delta(
+        self, no_clock
+    ):
+        wire, sink = self._wire()
+        registry = obs_metrics.get_registry()
+        wire.begin_unit()
+        registry.counter("test.shard_wire.whole").inc()
+        wire.add("unit", 0, "payload")
+        wire.begin_unit()
+        registry.counter("test.shard_wire.partial").inc(5)
+        wire.fail("Traceback: boom")
+        (_, batch), (_, error) = sink.sent
+        assert batch[0] == "batch"
+        assert batch[1] == [("unit", 0, "payload")]
+        assert batch[2]["counters"] == {"test.shard_wire.whole": 1}
+        assert error[:2] == ("error", "Traceback: boom")
+        assert error[2]["counters"] == {"test.shard_wire.partial": 5}
+
+    def test_worker_stopped_before_its_first_unit_ships_nothing(self):
+        class _Stopped:
+            def is_set(self):
+                return True
+
+        sink = _RecordingQueue()
+        _shard_worker(_mesh_source(units=3), 0, 1, 0, sink, _Stopped())
+        assert sink.sent == []
+
+    @pytest.mark.parametrize("start", [0, 2])
+    @pytest.mark.parametrize("worker", [0, 1, 2])
+    def test_worker_builds_every_shards_th_unit_from_start(self, worker, start):
+        source = _mesh_source(units=8)
+        sink = _RecordingQueue()
+        _shard_worker(source, worker, 3, start, sink, _NeverStop())
+        assert sink.sent[-1][1] == (_DONE, None, None)
+        shipped = [
+            index
+            for _, (tag, entries, _) in sink.sent[:-1]
+            for _, index, _ in entries
+        ]
+        assert shipped == list(range(start + worker, 8, 3))
