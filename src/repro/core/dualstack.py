@@ -6,12 +6,17 @@ traceroutes, and the subset whose observed AS paths agree across protocols
 ("Same AS-paths").  Positive values mean IPv6 was faster; the tails beyond
 +/-50 ms quantify how much a dual-stack deployment can save by switching
 protocols per destination.
+
+The two populations are ~1.4M and ~1.0M float64 values on the default
+scenario, two of the largest transients of a run.  So the comparison
+keeps only per-pair masks and medians, and each population is built,
+read and dropped in turn (:class:`DualStackComparison`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,31 +28,75 @@ from repro.net.ip import IPVersion
 __all__ = ["DualStackComparison", "paired_rtt_differences"]
 
 
-@dataclass
+_PairRounds = Tuple[Tuple[int, int], TraceTimeline, TraceTimeline, np.ndarray, np.ndarray]
+"""One pair's paired rounds: ``(pair, v4, v6, paired-round mask, same-path
+mask over those rounds)``."""
+
+
+@dataclass(eq=False)
 class DualStackComparison:
     """The Figure 10a populations.
 
+    The comparison keeps each pair's paired-round masks, not the
+    populations: :attr:`all_diffs` and :attr:`same_path_diffs` build
+    their ECDF on every read (one float64 buffer, filled and sorted in
+    place) and do not cache it.  A caller that holds one population
+    while it needs it, and drops it before reading the other, never
+    holds both buffers at once.
+
     Attributes:
-        all_diffs: ECDF of ``RTTv4 - RTTv6`` over all paired traceroutes.
-        same_path_diffs: Same, restricted to rounds where the observed AS
-            paths match across protocols.
+        pair_rounds: Per pair with paired rounds, in pair order: the pair,
+            its two timelines, the mask of its paired rounds and the
+            same-AS-path mask over those rounds.
         per_pair_median: Median difference per server pair, for per-pair
             tail statistics ("for 3.7% of the endpoint pairs ...").
         paired_samples / same_path_samples: Population sizes.
     """
 
-    all_diffs: ECDF
-    same_path_diffs: ECDF
+    pair_rounds: List[_PairRounds]
     per_pair_median: Dict[Tuple[int, int], float]
     paired_samples: int
     same_path_samples: int
 
-    def within_band_fraction(self, band_ms: float = 10.0) -> float:
+    @property
+    def all_diffs(self) -> ECDF:
+        """ECDF of ``RTTv4 - RTTv6`` over all paired traceroutes (built per read)."""
+        return self._population(same_path=False)
+
+    @property
+    def same_path_diffs(self) -> ECDF:
+        """Same, restricted to rounds where the observed AS paths match
+        across protocols (built per read)."""
+        return self._population(same_path=True)
+
+    def _population(self, same_path: bool) -> ECDF:
+        size = self.same_path_samples if same_path else self.paired_samples
+        values = np.empty(size)
+        end = 0
+        for _, v4, v6, both, same in self.pair_rounds:
+            # The float32 differences widen exactly into the float64 buffer.
+            diffs = _paired_diffs(v4, v6, both)
+            if same_path:
+                diffs = diffs[same]
+            start, end = end, end + diffs.size
+            values[start:end] = diffs
+        values.sort()
+        return ECDF._adopt_sorted(values)
+
+    def within_band_fraction(
+        self, band_ms: float = 10.0, all_diffs: Optional[ECDF] = None
+    ) -> float:
         """Fraction of paired traceroutes with |diff| <= band (the shaded
-        region of Figure 10a)."""
-        if len(self.all_diffs) == 0:
+        region of Figure 10a).
+
+        ``all_diffs`` is :attr:`all_diffs` if the caller holds it already;
+        otherwise it is built for this call.
+        """
+        if all_diffs is None:
+            all_diffs = self.all_diffs
+        if len(all_diffs) == 0:
             return float("nan")
-        return self.all_diffs.at(band_ms) - self.all_diffs.at(-band_ms - 1e-9)
+        return all_diffs.at(band_ms) - all_diffs.at(-band_ms - 1e-9)
 
     def v6_saves_fraction(self, threshold_ms: float = 50.0) -> float:
         """Fraction of pairs where switching to IPv6 saves >= threshold."""
@@ -64,6 +113,15 @@ class DualStackComparison:
         return float(np.mean(values <= -threshold_ms))
 
 
+def _paired_diffs(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.ndarray:
+    """``RTTv4 - RTTv6`` over the paired rounds ``both``, in float32.
+
+    One subtraction over the whole grid and one selection cost less than
+    selecting each column first, and give the same values.
+    """
+    return (v4.rtt_ms - v6.rtt_ms)[both]
+
+
 def _same_path_matrix(v4: TraceTimeline, v6: TraceTimeline) -> np.ndarray:
     """``[i, j]`` is whether IPv4 path ``i`` equals IPv6 path ``j``."""
     matrix = np.zeros((len(v4.paths), len(v6.paths)), dtype=bool)
@@ -76,18 +134,17 @@ def _same_path_matrix(v4: TraceTimeline, v6: TraceTimeline) -> np.ndarray:
 def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
     """Compute the paired IPv4/IPv6 comparison over a long-term dataset.
 
-    A first pass finds each pair's paired rounds and same-path subset and
-    counts both populations; a second fills one preallocated float64
-    buffer per population, which is sorted in place and handed to its
-    ECDF.  So the only population-sized arrays are the two buffers.
+    One pass finds each pair's paired rounds and same-path subset,
+    counts both populations and takes each pair's median difference.
+    The populations themselves are built when read
+    (:attr:`DualStackComparison.all_diffs`), so this call makes no
+    population-sized array.
 
     Raises:
         ValueError: A usable sample carries a negative path id.
     """
-    # Per pair: (pair, v4, v6, paired-round mask, same-path mask over those rounds).
-    paired: List[
-        Tuple[Tuple[int, int], TraceTimeline, TraceTimeline, np.ndarray, np.ndarray]
-    ] = []
+    pair_rounds: List[_PairRounds] = []
+    per_pair: Dict[Tuple[int, int], float] = {}
     paired_count = 0
     same_count = 0
     for src, dst in dataset.pairs():
@@ -111,31 +168,14 @@ def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
         if v4_ids.min() < 0 or v6_ids.min() < 0:
             raise ValueError(f"usable sample without a path id for pair {(src, dst)}")
         same = _same_path_matrix(v4, v6)[v4_ids, v6_ids]
-        paired.append(((src, dst), v4, v6, both, same))
+        pair_rounds.append(((src, dst), v4, v6, both, same))
+        # The median of the widened differences, as in the populations.
+        diffs = _paired_diffs(v4, v6, both).astype(np.float64)
+        per_pair[(src, dst)] = float(np.median(diffs))
         paired_count += v4_ids.size
         same_count += int(np.count_nonzero(same))
-
-    all_values = np.empty(paired_count)
-    same_values = np.empty(same_count)
-    per_pair: Dict[Tuple[int, int], float] = {}
-    paired_end = 0
-    same_end = 0
-    for pair, v4, v6, both, same in paired:
-        start = paired_end
-        paired_end += same.size
-        diffs = all_values[start:paired_end]
-        # Subtract in float32, then widen: the float64 values are exact
-        # copies of the float32 differences.
-        diffs[:] = v4.rtt_ms[both] - v6.rtt_ms[both]
-        per_pair[pair] = float(np.median(diffs))
-        start = same_end
-        same_end += int(np.count_nonzero(same))
-        same_values[start:same_end] = diffs[same]
-    all_values.sort()
-    same_values.sort()
     return DualStackComparison(
-        all_diffs=ECDF._adopt_sorted(all_values),
-        same_path_diffs=ECDF._adopt_sorted(same_values),
+        pair_rounds=pair_rounds,
         per_pair_median=per_pair,
         paired_samples=paired_count,
         same_path_samples=same_count,

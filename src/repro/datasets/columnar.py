@@ -41,7 +41,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.datasets.timeline import PingTimeline, TraceTimeline
+from repro.datasets.timeline import (
+    CANDIDATE_DTYPE,
+    PATH_ID_DTYPE,
+    PathTable,
+    PingTimeline,
+    TraceTimeline,
+)
 from repro.measurement.fastseed import RecycledGenerator, pcg64_states
 from repro.measurement.loss import LossModel
 from repro.measurement.ping import DEFAULT_LOSS_PROBABILITY
@@ -49,7 +55,6 @@ from repro.measurement.platform import MeasurementPlatform
 from repro.measurement.realization import UNKNOWN_ASN, PathRealization, SegmentKey
 from repro.measurement.scheduler import CampaignGrid
 from repro.measurement.traceroute import TraceOutcome, TracerouteFlavor, _loop_variant
-from repro.net.asn import ASN
 from repro.net.ip import IPVersion
 from repro.obs import metrics as obs_metrics
 from repro.topology.cdn import Server
@@ -146,7 +151,7 @@ class RealizationKernel:
         # Global path id of each hop's miss variant in the timeline being
         # built (-1 until interned); path ids are timeline-local, which is
         # one reason a kernel must not outlive its timeline.
-        self.miss_lut = np.full(self.respond.size, -1, dtype=np.int32)
+        self.miss_lut = np.full(self.respond.size, -1, dtype=PATH_ID_DTYPE)
 
     def congestion_window(self, low: int, high: int) -> Optional[np.ndarray]:
         """Path congestion over grid samples ``[low:high]``, or ``None``.
@@ -473,19 +478,9 @@ class CampaignKernels:
         count = times.size
         rtt = np.full(count, np.nan, dtype=np.float32)
         outcome = np.full(count, int(TraceOutcome.INCOMPLETE), dtype=np.uint8)
-        path_id = np.full(count, -1, dtype=np.int32)
-        true_candidate = np.full(count, -1, dtype=np.int16)
-
-        paths: List[Tuple[ASN, ...]] = []
-        path_index: Dict[Tuple[ASN, ...], int] = {}
-
-        def intern(path: Tuple[ASN, ...]) -> int:
-            index = path_index.get(path)
-            if index is None:
-                index = len(paths)
-                paths.append(path)
-                path_index[path] = index
-            return index
+        path_id = np.full(count, -1, dtype=PATH_ID_DTYPE)
+        true_candidate = np.full(count, -1, dtype=CANDIDATE_DTYPE)
+        table = PathTable((src.server_id, dst.server_id))
 
         paris_start = (
             platform.config.paris_start_hour if version is IPVersion.V4 else None
@@ -506,7 +501,7 @@ class CampaignKernels:
                 rtt,
                 outcome,
                 path_id,
-                intern,
+                table.intern,
             )
             true_candidate[low:high] = candidate
             sampled += high - low
@@ -521,7 +516,7 @@ class CampaignKernels:
             rtt_ms=rtt,
             outcome=outcome,
             path_id=path_id,
-            paths=paths,
+            paths=table.paths,
             true_candidate=true_candidate,
         )
 

@@ -24,7 +24,13 @@ import numpy as np
 
 from repro.datasets.longterm import LongTermDataset
 from repro.datasets.shortterm import ShortTermPingDataset
-from repro.datasets.timeline import PingTimeline, TraceTimeline
+from repro.datasets.timeline import (
+    CANDIDATE_DTYPE,
+    PATH_ID_DTYPE,
+    PingTimeline,
+    TraceTimeline,
+    compact_column,
+)
 from repro.measurement.scheduler import CampaignGrid
 from repro.net.ip import IPVersion
 
@@ -89,6 +95,12 @@ def _parse_grid(meta: Dict[str, object]) -> CampaignGrid:
 
 
 def _archive_timelines(archive, meta, times: np.ndarray) -> Iterator[TraceTimeline]:
+    """The archive's timelines, with the builders' compact id columns.
+
+    Archives saved before the compact layout hold wider id columns
+    (int32 path ids, int16 candidates); they are narrowed here, so a
+    replayed timeline has the layout of a freshly built one.
+    """
     for entry in meta["timelines"]:
         src, dst = int(entry["src"]), int(entry["dst"])
         version = IPVersion(int(entry["version"]))
@@ -101,9 +113,11 @@ def _archive_timelines(archive, meta, times: np.ndarray) -> Iterator[TraceTimeli
             times_hours=times,
             rtt_ms=archive[f"rtt_{token}"],
             outcome=archive[f"outcome_{token}"],
-            path_id=archive[f"pathid_{token}"],
+            path_id=compact_column(archive[f"pathid_{token}"], PATH_ID_DTYPE, "path_id"),
             paths=paths,
-            true_candidate=archive[f"cand_{token}"],
+            true_candidate=compact_column(
+                archive[f"cand_{token}"], CANDIDATE_DTYPE, "true_candidate"
+            ),
         )
 
 

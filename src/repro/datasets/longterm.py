@@ -17,12 +17,16 @@ import numpy as np
 from repro.datasets.columnar import CampaignKernels
 from repro.datasets.mutation import KeyOrderCached, VersionedDict, dict_version
 from repro.datasets.parallel import fork_map
-from repro.datasets.timeline import TraceTimeline
+from repro.datasets.timeline import (
+    CANDIDATE_DTYPE,
+    PATH_ID_DTYPE,
+    PathTable,
+    TraceTimeline,
+)
 from repro.obs import metrics as obs_metrics
 from repro.measurement.platform import MeasurementPlatform
 from repro.measurement.scheduler import LONG_TERM_PERIOD_HOURS, CampaignGrid
 from repro.measurement.traceroute import TraceOutcome
-from repro.net.asn import ASN
 from repro.net.ip import IPVersion
 from repro.topology.cdn import Server
 
@@ -117,19 +121,9 @@ def _build_timeline(
     count = times.size
     rtt = np.full(count, np.nan, dtype=np.float32)
     outcome = np.full(count, int(TraceOutcome.INCOMPLETE), dtype=np.uint8)
-    path_id = np.full(count, -1, dtype=np.int32)
-    true_candidate = np.full(count, -1, dtype=np.int16)
-
-    paths: List[Tuple[ASN, ...]] = []
-    path_index: Dict[Tuple[ASN, ...], int] = {}
-
-    def intern(path: Tuple[ASN, ...]) -> int:
-        index = path_index.get(path)
-        if index is None:
-            index = len(paths)
-            paths.append(path)
-            path_index[path] = index
-        return index
+    path_id = np.full(count, -1, dtype=PATH_ID_DTYPE)
+    true_candidate = np.full(count, -1, dtype=CANDIDATE_DTYPE)
+    table = PathTable((src.server_id, dst.server_id))
 
     paris_start = platform.config.paris_start_hour if version is IPVersion.V4 else None
 
@@ -153,7 +147,9 @@ def _build_timeline(
         rtt[low:high] = series.rtt_ms
         outcome[low:high] = series.outcome
         true_candidate[low:high] = epoch.candidate_index
-        remap = np.array([intern(variant) for variant in series.variants], dtype=np.int32)
+        remap = np.array(
+            [table.intern(variant) for variant in series.variants], dtype=PATH_ID_DTYPE
+        )
         ids = series.variant_id
         mapped = np.where(ids >= 0, remap[np.maximum(ids, 0)], -1)
         path_id[low:high] = mapped
@@ -166,7 +162,7 @@ def _build_timeline(
         rtt_ms=rtt,
         outcome=outcome,
         path_id=path_id,
-        paths=paths,
+        paths=table.paths,
         true_candidate=true_candidate,
     )
 

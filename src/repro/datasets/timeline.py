@@ -9,13 +9,21 @@ and ablations use it; the analysis pipeline never does).
 
 Timelines are immutable once built: the dataclasses are frozen and their
 arrays read-only.  That makes it safe for each timeline to compute its
-derived products -- per-path sample counts, sorted AS-path buckets,
-hour-of-day groups -- once, on first use, and hand the same read-only
-arrays to every analysis that asks.  The usable-sample views (mask,
-indexes, path ids) are cheaper to derive than to hold: one comparison
-over the outcome codes per call.  The products live in a
-private memo that is never pickled, so a timeline pickles to the same
-bytes before and after any analysis.
+derived products -- per-path sample counts, hour-of-day groups -- once,
+on first use, and hand the same read-only values to every analysis that
+asks.  The usable-sample views (mask, indexes, path ids) and the sorted
+AS-path buckets are cheaper to derive than to hold: the views cost one
+comparison over the outcome codes per call, and the buckets are sorted
+only on the way to the percentiles that are memoized instead.  The
+products live in a private memo that is never pickled, so a timeline
+pickles to the same bytes before and after any analysis.
+
+The long-term corpus is the largest thing a run holds, so its id
+columns are compact: path ids are int16 (:data:`PATH_ID_DTYPE`) and
+candidate indexes int8 (:data:`CANDIDATE_DTYPE`), 8 bytes per sample
+with the float32 RTT and the uint8 outcome.  :class:`PathTable` refuses
+a path table whose ids would not fit, and :func:`compact_column`
+narrows wider columns saved before the compact layout.
 
 Population analyses fill the memos of many timelines in one pass:
 :func:`population_products` hands a kernel only the timelines whose memo
@@ -30,11 +38,17 @@ from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from repro.measurement.platform import CANDIDATE_DTYPE
 from repro.measurement.traceroute import TraceOutcome
 from repro.net.asn import ASN
 from repro.net.ip import IPVersion
 
 __all__ = [
+    "PATH_ID_DTYPE",
+    "CANDIDATE_DTYPE",
+    "MAX_PATHS",
+    "PathTable",
+    "compact_column",
     "TraceTimeline",
     "PingTimeline",
     "PingStack",
@@ -52,9 +66,69 @@ _PRODUCTS = "_products"
 """Instance attribute holding the memo of derived products (not pickled)."""
 
 
+PATH_ID_DTYPE = np.dtype(np.int16)
+"""Dtype of :attr:`TraceTimeline.path_id`; :data:`CANDIDATE_DTYPE` (from
+:mod:`repro.measurement.platform`, whose config keeps ``max_alternatives``
+within it) is that of :attr:`TraceTimeline.true_candidate`."""
+
+MAX_PATHS = int(np.iinfo(PATH_ID_DTYPE).max)
+"""Most distinct AS paths one timeline's path table may hold."""
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def compact_column(array: np.ndarray, dtype: np.dtype, name: str) -> np.ndarray:
+    """``array`` as ``dtype``, after checking that every value fits.
+
+    Returns ``array`` itself when it already has ``dtype``; an integer
+    column in another dtype is copied narrowed.
+
+    Raises:
+        ValueError: ``array`` is not an integer column, or holds a value
+            outside ``dtype``'s range.
+    """
+    if array.dtype == dtype:
+        return array
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer column, got {array.dtype}")
+    info = np.iinfo(dtype)
+    if array.size and (array.min() < info.min or array.max() > info.max):
+        raise ValueError(f"{name} holds values outside {dtype}")
+    return array.astype(dtype)
+
+
+class PathTable:
+    """A timeline's AS-path table while it is built: path -> dense id.
+
+    Ids are handed out in first-seen order; ``paths`` lists the table.
+    """
+
+    def __init__(self, pair: Tuple[int, int]) -> None:
+        self.pair = pair
+        self.paths: List[Tuple[ASN, ...]] = []
+        self._index: Dict[Tuple[ASN, ...], int] = {}
+
+    def intern(self, path: Tuple[ASN, ...]) -> int:
+        """The id of ``path``, adding it to the table if it is new.
+
+        Raises:
+            ValueError: The table would pass :data:`MAX_PATHS` entries
+                (the largest :data:`PATH_ID_DTYPE` value).
+        """
+        index = self._index.get(path)
+        if index is None:
+            index = len(self.paths)
+            if index >= MAX_PATHS:
+                raise ValueError(
+                    f"pair {self.pair} observed more than {MAX_PATHS} distinct "
+                    f"AS paths; path ids are {PATH_ID_DTYPE}"
+                )
+            self.paths.append(path)
+            self._index[path] = index
+        return index
 
 
 class _Memoized:
@@ -113,12 +187,16 @@ class TraceTimeline(_Memoized):
         outcome: :class:`~repro.measurement.traceroute.TraceOutcome` per
             sample (uint8).
         path_id: Index into :attr:`paths` of the observed AS path per sample
-            (int32; ``-1`` for incomplete samples).
+            (int16 from the builders; ``-1`` for incomplete samples).
         paths: Distinct observed AS paths for this timeline.
         true_candidate: Ground-truth candidate-route index per sample
-            (int16; ``-1`` when the destination was unreachable).  Simulator
-            metadata -- not visible to the analysis pipeline.  Either empty
-            or one entry per sample.
+            (int8 from the builders; ``-1`` when the destination was
+            unreachable).  Simulator metadata -- not visible to the
+            analysis pipeline.  Either empty or one entry per sample.
+
+    The analyses accept id columns of any integer dtype; unpickling
+    narrows wider ones (saved before the compact layout) to the
+    builders' dtypes.
     """
 
     _ARRAYS = ("times_hours", "rtt_ms", "outcome", "path_id", "true_candidate")
@@ -131,7 +209,9 @@ class TraceTimeline(_Memoized):
     outcome: np.ndarray
     path_id: np.ndarray
     paths: List[Tuple[ASN, ...]] = field(default_factory=list)
-    true_candidate: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int16))
+    true_candidate: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=CANDIDATE_DTYPE)
+    )
 
     def __post_init__(self) -> None:
         count = self.times_hours.size
@@ -145,6 +225,14 @@ class TraceTimeline(_Memoized):
         ):
             raise ValueError("outcome holds a code outside TraceOutcome")
         self._freeze()
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state = dict(state)
+        state["path_id"] = compact_column(state["path_id"], PATH_ID_DTYPE, "path_id")
+        state["true_candidate"] = compact_column(
+            state["true_candidate"], CANDIDATE_DTYPE, "true_candidate"
+        )
+        super().__setstate__(state)
 
     def __len__(self) -> int:
         return int(self.times_hours.size)
@@ -194,8 +282,8 @@ class TraceTimeline(_Memoized):
         """Usable-sample RTTs grouped by path id (the AS-path buckets).
 
         Keys ascend by path id; each bucket keeps time order.  Built fresh
-        per call and not memoized: :meth:`sorted_buckets` holds the same
-        RTTs sorted, and :meth:`path_sample_counts` holds their sizes.
+        per call and not memoized, like :meth:`sorted_buckets`;
+        :meth:`path_sample_counts` holds their sizes.
         """
         # One stable sort groups the usable samples by path id, keeping each
         # group in time order; the group boundaries split it into buckets
@@ -215,19 +303,14 @@ class TraceTimeline(_Memoized):
         }
 
     def sorted_buckets(self, min_samples: int) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
-        """Each bucket's finite RTTs, sorted once: ``(path_ids, values, bounds)``.
+        """Each bucket's finite RTTs, sorted: ``(path_ids, values, bounds)``.
 
         Only buckets with at least ``min_samples`` finite RTTs are kept,
         ascending by path id.  Bucket ``k`` (path ``path_ids[k]``) is
         ``values[bounds[k]:bounds[k + 1]]``, ascending, in the RTT dtype.
+        Sorted per call and not memoized: the callers memoize what they
+        read off the sorted values (:mod:`repro.core.rttstats`).
         """
-        return self.product(
-            ("sorted_buckets", min_samples), lambda: self._compute_sorted(min_samples)
-        )
-
-    def _compute_sorted(
-        self, min_samples: int
-    ) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
         path_ids: List[int] = []
         pieces: List[np.ndarray] = []
         for path_id, rtts in self.usable_rtts_by_path().items():

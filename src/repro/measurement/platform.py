@@ -56,7 +56,14 @@ from repro.topology.cdn import CDNDeployment, Server, deploy_cdn
 from repro.topology.generator import ASGraph, TopologyConfig, generate_topology
 from repro.topology.routers import RouterTopology, build_router_topology
 
-__all__ = ["PlatformConfig", "MeasurementPlatform"]
+__all__ = ["CANDIDATE_DTYPE", "MAX_ALTERNATIVES", "PlatformConfig", "MeasurementPlatform"]
+
+CANDIDATE_DTYPE = np.dtype(np.int8)
+"""Dtype of a candidate-route index as trace timelines store it."""
+
+MAX_ALTERNATIVES = int(np.iinfo(CANDIDATE_DTYPE).max)
+"""Most candidate routes a pair may keep, so every index fits
+:data:`CANDIDATE_DTYPE`."""
 
 
 @dataclass
@@ -80,6 +87,17 @@ class PlatformConfig:
     congestion: CongestionConfig = field(default_factory=CongestionConfig)
     delay: DelayParams = field(default_factory=DelayParams)
     artifacts: ArtifactParams = field(default_factory=ArtifactParams)
+
+    def __post_init__(self) -> None:
+        if (
+            isinstance(self.max_alternatives, bool)
+            or not isinstance(self.max_alternatives, int)
+            or not 1 <= self.max_alternatives <= MAX_ALTERNATIVES
+        ):
+            raise ValueError(
+                f"max_alternatives must be an int in 1..{MAX_ALTERNATIVES}, "
+                f"got {self.max_alternatives!r}"
+            )
 
     @property
     def paris_start_hour(self) -> Optional[float]:

@@ -130,3 +130,18 @@ class TestOnPlatform:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * paired
+
+    def test_reading_a_population_peaks_at_one_buffer(self, longterm):
+        comparison = paired_rtt_differences(longterm)
+        for size, read in (
+            (comparison.paired_samples, lambda: comparison.all_diffs),
+            (comparison.same_path_samples, lambda: comparison.same_path_diffs),
+        ):
+            tracemalloc.start()
+            try:
+                assert len(read()) == size
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # One float64 buffer, sorted in place, plus one pair's pieces.
+            assert peak <= 1.25 * 8 * size

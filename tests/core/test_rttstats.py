@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.rttstats import (
+    MEMO_PERCENTILES,
     best_path_id,
     path_percentiles,
     path_rtt_std,
@@ -41,6 +42,41 @@ class TestPercentiles:
     def test_std(self):
         timeline = timeline_with_rtts([0] * 4, [10, 10, 10, 10])
         assert path_rtt_std(timeline)[0] == pytest.approx(0.0)
+
+
+class TestPercentileMemo:
+    def _timeline(self):
+        return timeline_with_rtts(
+            [0] * 10 + [1] * 10,
+            list(np.linspace(10, 20, 10)) + list(np.linspace(50, 60, 10)),
+        )
+
+    def test_one_sort_fills_both_memoized_percentiles(self, monkeypatch):
+        timeline = self._timeline()
+        sorts = []
+        sorted_buckets = type(timeline).sorted_buckets
+
+        def counting(self, min_samples):
+            sorts.append(min_samples)
+            return sorted_buckets(self, min_samples)
+
+        monkeypatch.setattr(type(timeline), "sorted_buckets", counting)
+        p90 = path_percentiles(timeline, 90.0)
+        p10 = path_percentiles(timeline, 10.0)
+        assert len(sorts) == 1
+        memo = vars(timeline)["_products"]
+        assert set(memo) == {("percentiles", q) for q in MEMO_PERCENTILES}
+        for q, got in ((10.0, p10), (90.0, p90)):
+            path_ids, values, bounds = sorted_buckets(timeline, 3)
+            want = {path_id: float(np.percentile(values[bounds[k]:bounds[k + 1]], q))
+                    for k, path_id in enumerate(path_ids)}
+            assert got == want
+
+    def test_other_percentiles_are_not_memoized(self):
+        timeline = self._timeline()
+        median = path_percentiles(timeline, 50.0)
+        assert median[0] == pytest.approx(15.0, abs=0.01)
+        assert "_products" not in vars(timeline)
 
 
 class TestBestPath:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.datasets.shortterm import ShortTermConfig, build_shortterm_ping_dataset
+from repro.datasets.timeline import CANDIDATE_DTYPE, PATH_ID_DTYPE
 from repro.harness.experiments import (
     experiment_congestion_norm,
     experiment_fig3,
@@ -46,6 +47,10 @@ def _assert_trace_timelines_equal(reference, candidate):
     assert set(reference.timelines) == set(candidate.timelines)
     for key, expected in reference.timelines.items():
         actual = candidate.timelines[key]
+        for name in ("times_hours", "rtt_ms", "outcome", "path_id", "true_candidate"):
+            assert getattr(actual, name).dtype == getattr(expected, name).dtype, name
+        assert actual.path_id.dtype == PATH_ID_DTYPE
+        assert actual.true_candidate.dtype == CANDIDATE_DTYPE
         assert actual.times_hours.tobytes() == expected.times_hours.tobytes()
         assert actual.rtt_ms.tobytes() == expected.rtt_ms.tobytes()
         assert actual.outcome.tobytes() == expected.outcome.tobytes()

@@ -77,6 +77,38 @@ class TestIterLongterm:
         iterator.close()  # closing early must release the archive cleanly
 
 
+class TestOldLayout:
+    def test_archive_with_wide_id_columns_loads_compact(self, platform, tmp_path):
+        from repro.datasets.io import iter_longterm
+
+        pairs = platform.server_pairs(dual_stack_only=True)[:2]
+        dataset = build_longterm_dataset(platform, LongTermConfig(days=10), pairs=pairs)
+        path = tmp_path / "longterm.npz"
+        save_longterm(dataset, path)
+        # Rewrite the archive in the layout saved before the compact
+        # columns: int32 path ids, int16 candidates.
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        for name in arrays:
+            if name.startswith("pathid_"):
+                arrays[name] = arrays[name].astype(np.int32)
+            elif name.startswith("cand_"):
+                arrays[name] = arrays[name].astype(np.int16)
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **arrays)
+
+        loaded = load_longterm(old)
+        streamed = list(iter_longterm(old))
+        assert len(streamed) == len(dataset.timelines)
+        for timeline in list(loaded.timelines.values()) + streamed:
+            key = (timeline.src_server_id, timeline.dst_server_id, timeline.version)
+            fresh = dataset.timelines[key]
+            assert timeline.path_id.dtype == np.int16
+            assert timeline.true_candidate.dtype == np.int8
+            assert timeline.path_id.tobytes() == fresh.path_id.tobytes()
+            assert timeline.true_candidate.tobytes() == fresh.true_candidate.tobytes()
+
+
 class TestPingRoundtrip:
     def test_save_load_pings(self, platform, tmp_path):
         import numpy as np

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets import timeline as timeline_module
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.measurement.traceroute import TraceOutcome
 from repro.net.ip import IPVersion
@@ -65,6 +66,29 @@ class TestBuild:
             platform, LongTermConfig(days=10), pairs=pairs
         )
         assert len(dataset.pairs()) == len({(s.server_id, d.server_id) for s, d in pairs})
+
+
+class TestCompactColumns:
+    def test_builders_emit_8_bytes_per_sample(self, longterm):
+        for timeline in longterm.timelines.values():
+            assert timeline.path_id.dtype == np.int16
+            assert timeline.true_candidate.dtype == np.int8
+            columns = (timeline.rtt_ms, timeline.outcome, timeline.path_id,
+                       timeline.true_candidate)
+            assert sum(column.nbytes for column in columns) == 8 * len(timeline)
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_a_path_table_past_its_limit_raises_naming_the_pair(
+        self, platform, monkeypatch, columnar
+    ):
+        # With no room in the table, the first path either builder
+        # interns passes the limit.
+        monkeypatch.setattr(timeline_module, "MAX_PATHS", 0)
+        src, dst = platform.server_pairs(dual_stack_only=True)[0]
+        with pytest.raises(ValueError, match=rf"pair \({src.server_id}, {dst.server_id}\)"):
+            build_longterm_dataset(
+                platform, LongTermConfig(days=10), pairs=[(src, dst)], columnar=columnar
+            )
 
 
 class TestDeterminism:

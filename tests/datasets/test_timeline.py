@@ -13,7 +13,14 @@ from repro.datasets.shortterm import (
     build_shortterm_ping_dataset,
     build_shortterm_trace_dataset,
 )
-from repro.datasets.timeline import PingTimeline, TraceTimeline
+from repro.core.dualstack import paired_rtt_differences
+from repro.datasets.timeline import (
+    MAX_PATHS,
+    PathTable,
+    PingTimeline,
+    TraceTimeline,
+    compact_column,
+)
 from repro.harness.experiments import run_all_experiments
 from repro.harness.scenarios import congested_pairs, get_scenario
 from repro.measurement.platform import MeasurementPlatform
@@ -223,23 +230,109 @@ class TestPickle:
         assert not restored.rtt_ms.flags.writeable
 
 
+class TestCompactLayout:
+    def test_path_table_holds_max_paths_then_raises_naming_the_pair(self):
+        assert MAX_PATHS == np.iinfo(np.int16).max
+        table = PathTable((4, 9))
+        ids = [table.intern((path,)) for path in range(MAX_PATHS)]
+        assert ids == list(range(MAX_PATHS))
+        assert table.intern((0,)) == 0
+        assert np.asarray(ids, dtype=np.int16).tolist() == ids
+        with pytest.raises(ValueError, match=r"pair \(4, 9\)"):
+            table.intern((MAX_PATHS,))
+        assert len(table.paths) == MAX_PATHS
+
+    def test_compact_column_narrows_within_range(self):
+        wide = np.asarray([-1, 0, 32767], dtype=np.int32)
+        narrow = compact_column(wide, np.dtype(np.int16), "path_id")
+        assert narrow.dtype == np.int16
+        assert narrow.tolist() == wide.tolist()
+        assert compact_column(narrow, np.dtype(np.int16), "path_id") is narrow
+
+    def test_compact_column_rejects_what_it_cannot_hold(self):
+        with pytest.raises(ValueError, match="path_id holds values outside int16"):
+            compact_column(np.asarray([0, 40000], dtype=np.int32), np.dtype(np.int16),
+                           "path_id")
+        with pytest.raises(ValueError, match="true_candidate holds values outside int8"):
+            compact_column(np.asarray([-129], dtype=np.int16), np.dtype(np.int8),
+                           "true_candidate")
+        with pytest.raises(ValueError, match="integer"):
+            compact_column(np.zeros(2), np.dtype(np.int16), "path_id")
+
+    def test_pickle_with_wide_id_columns_loads_compact(self):
+        # Artifact caches written before the compact layout hold int32
+        # path ids and int16 candidates.
+        wide = _timeline([COMPLETE, MISSING_IP, INCOMPLETE], path_ids=[0, 1, -1],
+                         paths=[(1, 2), (1, 3)])
+        assert wide.path_id.dtype == np.int32
+        assert wide.true_candidate.dtype == np.int16
+        restored = pickle.loads(pickle.dumps(wide, protocol=pickle.HIGHEST_PROTOCOL))
+        assert restored.path_id.dtype == np.int16
+        assert restored.true_candidate.dtype == np.int8
+        assert restored.path_id.tolist() == wide.path_id.tolist()
+        assert restored.true_candidate.tolist() == wide.true_candidate.tolist()
+        assert not restored.path_id.flags.writeable
+        assert not restored.true_candidate.flags.writeable
+
+    def test_pickle_with_ids_past_the_compact_range_fails_loudly(self):
+        wide = _timeline([COMPLETE, COMPLETE], path_ids=[0, 70000])
+        with pytest.raises(ValueError, match="path_id"):
+            pickle.loads(pickle.dumps(wide))
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    """The ``small`` scenario's datasets after every experiment ran on them."""
+    scenario = get_scenario("small")
+    platform = MeasurementPlatform(scenario.platform_config(0))
+    longterm = build_longterm_dataset(platform, scenario.longterm_config())
+    pings = build_shortterm_ping_dataset(platform, scenario.shortterm_config())
+    traces = build_shortterm_trace_dataset(
+        platform, congested_pairs(platform, pings), scenario.shortterm_config()
+    )
+    run_all_experiments(platform, longterm, pings, traces, include_fig7=False)
+    return longterm
+
+
 class TestUsableViewsAreDerived:
     """The usable-sample views are recomputed per call, never memoized."""
 
-    def test_full_run_memoizes_no_usable_view(self):
-        scenario = get_scenario("small")
-        platform = MeasurementPlatform(scenario.platform_config(0))
-        longterm = build_longterm_dataset(platform, scenario.longterm_config())
-        pings = build_shortterm_ping_dataset(platform, scenario.shortterm_config())
-        traces = build_shortterm_trace_dataset(
-            platform, congested_pairs(platform, pings), scenario.shortterm_config()
-        )
-        run_all_experiments(platform, longterm, pings, traces, include_fig7=False)
+    def test_full_run_memoizes_no_usable_view(self, small_run):
         memos = [vars(timeline).get("_products", {})
-                 for timeline in longterm.timelines.values()]
+                 for timeline in small_run.timelines.values()]
         assert any("path_sample_counts" in memo for memo in memos)
         for memo in memos:
             assert not {"usable_mask", "usable_index", "usable_path_ids"} & set(memo)
+
+
+class TestMemoryShape:
+    """What a full run leaves resident, checked by shape rather than RSS."""
+
+    def test_long_term_columns_take_8_bytes_per_sample(self, small_run):
+        for timeline in small_run.timelines.values():
+            columns = (timeline.rtt_ms, timeline.outcome, timeline.path_id,
+                       timeline.true_candidate)
+            assert sum(column.nbytes for column in columns) == 8 * len(timeline)
+
+    def test_memos_hold_counts_and_percentiles_only(self, small_run):
+        percentile_keys = {("percentiles", 10.0), ("percentiles", 90.0)}
+        seen = set()
+        for timeline in small_run.timelines.values():
+            memo = vars(timeline).get("_products", {})
+            assert set(memo) <= {"path_sample_counts"} | percentile_keys
+            for value in memo.values():
+                assert isinstance(value, dict)
+                assert not any(isinstance(item, np.ndarray) for item in value.values())
+            seen.update(memo)
+        assert seen == {"path_sample_counts"} | percentile_keys
+
+    def test_dual_stack_populations_are_built_per_read(self, small_run):
+        comparison = paired_rtt_differences(small_run)
+        first, second = comparison.all_diffs, comparison.all_diffs
+        assert first is not second
+        assert first.values is not second.values
+        assert first.values.tobytes() == second.values.tobytes()
+        assert comparison.same_path_diffs is not comparison.same_path_diffs
 
     def test_views_are_fresh_per_call(self):
         timeline = _timeline([COMPLETE, LOOP, MISSING_IP])

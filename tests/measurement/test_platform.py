@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.measurement.platform import MeasurementPlatform, PlatformConfig
+from repro.measurement.platform import MAX_ALTERNATIVES, MeasurementPlatform, PlatformConfig
 from repro.net.ip import IPVersion
 
 
@@ -69,6 +69,18 @@ class TestAssembly:
     def test_paris_disabled(self):
         config = PlatformConfig(paris_adoption_fraction=None)
         assert config.paris_start_hour is None
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("value", [True, False, 6.0, "6", None, 0, -1, 128])
+    def test_max_alternatives_outside_the_candidate_column_is_rejected(self, value):
+        with pytest.raises(ValueError, match="max_alternatives"):
+            PlatformConfig(max_alternatives=value)
+
+    @pytest.mark.parametrize("value", [1, 6, MAX_ALTERNATIVES])
+    def test_max_alternatives_within_int8_is_accepted(self, value):
+        assert PlatformConfig(max_alternatives=value).max_alternatives == value
+        assert MAX_ALTERNATIVES == np.iinfo(np.int8).max
 
 
 class TestDeterminism:
