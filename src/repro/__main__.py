@@ -30,6 +30,8 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.harness.experiments import EXPERIMENTS, ExperimentInputs, run_experiments
+from repro.harness.report import render_table
 from repro.harness.scenarios import (
     SCENARIOS,
     scenario_longterm,
@@ -44,12 +46,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import Tracer, use_tracer
 
 _LOG = obs_log.get_logger("repro.cli")
-
-_EXPERIMENT_NAMES = (
-    "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-    "congestion-norm", "localization", "link-classification", "fig9",
-    "fig10a", "fig10b", "ext-loss", "ext-sharedinfra",
-)
 
 
 def _add_scenario_argument(parser: argparse.ArgumentParser) -> None:
@@ -106,34 +102,29 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_reproduce(args: argparse.Namespace) -> int:
-    from repro.harness import experiments as exp
-    from repro.harness.engine import ArtifactCache, Timings
+    from repro.harness.engine import ArtifactCache
     from repro.harness.scenarios import get_scenario
 
     wanted = (
         [name.strip() for name in args.experiments.split(",")]
         if args.experiments
-        else list(_EXPERIMENT_NAMES)
+        else list(EXPERIMENTS)
     )
-    unknown = [name for name in wanted if name not in _EXPERIMENT_NAMES]
+    unknown = [name for name in wanted if name not in EXPERIMENTS]
     if unknown:
         print(f"error: unknown experiments {unknown}; valid: "
-              f"{', '.join(_EXPERIMENT_NAMES)}", file=sys.stderr)
+              f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
 
-    # Any observability output needs the stage recorder wired through the
-    # pipeline -- stages become spans via the Timings shim.  The flat
-    # table itself prints only under --timings.
-    observing = bool(args.timings or args.trace_out or args.run_report)
     registry = get_registry()
-    if observing:
+    if args.timings or args.trace_out or args.run_report:
+        # A run that reports on itself counts from zero.
         registry.reset()
     # Pre-register cache counters so manifests always report them, even on
     # runs that never touch the artifact cache.
     for name in ("cache.hit", "cache.miss", "cache.corrupt", "cache.store"):
         registry.counter(name)
 
-    timings = Timings() if observing else None
     tracer = Tracer()
     cache = None
     if args.cache or args.cache_dir:
@@ -141,6 +132,8 @@ def _command_reproduce(args: argparse.Namespace) -> int:
         if args.refresh_cache:
             cache.clear()
     jobs = args.jobs
+    # Build only the datasets the requested experiments read.
+    needed = {dataset for name in wanted for dataset in EXPERIMENTS[name].inputs}
 
     _LOG.info("reproduce.start", scenario=args.scenario, seed=args.seed,
               jobs=jobs, experiments=",".join(wanted),
@@ -149,68 +142,33 @@ def _command_reproduce(args: argparse.Namespace) -> int:
     with use_tracer(tracer), tracer.span(
         "reproduce", scenario=args.scenario, seed=args.seed, jobs=jobs
     ):
-        platform = scenario_platform(
-            args.scenario, args.seed, jobs=jobs, cache=cache, timings=timings
-        )
-        results = []
-        # Build only the datasets the requested experiments need.
-        longterm_needed = any(
-            name in wanted
-            for name in ("table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-                         "fig10a", "fig10b", "ext-sharedinfra")
-        )
-        ping_needed = any(name in wanted for name in ("congestion-norm", "ext-loss"))
-        trace_needed = any(
-            name in wanted
-            for name in ("localization", "link-classification", "fig9")
-        )
-        longterm = (
-            scenario_longterm(args.scenario, args.seed, jobs=jobs, cache=cache,
-                              timings=timings)
-            if longterm_needed else None
-        )
-        pings = (
-            scenario_ping(args.scenario, args.seed, jobs=jobs, timings=timings)
-            if ping_needed or trace_needed else None
-        )
-        traces = (
-            scenario_traces(args.scenario, args.seed, jobs=jobs, timings=timings)
-            if trace_needed else None
-        )
-
-        drivers = {
-            "table1": lambda: exp.experiment_table1(longterm),
-            "fig1": lambda: exp.experiment_fig1(platform, longterm),
-            "fig2": lambda: exp.experiment_fig2(longterm),
-            "fig3": lambda: exp.experiment_fig3(longterm),
-            "fig4": lambda: exp.experiment_fig4(longterm),
-            "fig5": lambda: exp.experiment_fig5(longterm),
-            "fig6": lambda: exp.experiment_fig6(longterm),
-            "fig7": lambda: exp.experiment_fig7(platform, jobs=jobs),
-            "congestion-norm": lambda: exp.experiment_congestion_norm(pings),
-            "localization": lambda: exp.experiment_localization(traces, platform),
-            "link-classification": lambda: exp.experiment_link_classification(
-                traces, platform
+        inputs = ExperimentInputs(
+            platform=scenario_platform(args.scenario, args.seed, jobs=jobs, cache=cache),
+            longterm=(
+                scenario_longterm(args.scenario, args.seed, jobs=jobs, cache=cache)
+                if "longterm" in needed else None
             ),
-            "fig9": lambda: exp.experiment_fig9(traces, platform),
-            "fig10a": lambda: exp.experiment_fig10a(longterm),
-            "fig10b": lambda: exp.experiment_fig10b(longterm),
-            "ext-loss": lambda: exp.experiment_loss(pings),
-            "ext-sharedinfra": lambda: exp.experiment_sharedinfra(longterm),
-        }
-        for name in wanted:
-            if timings is not None:
-                with timings.stage(f"experiment:{name}"):
-                    results.append(drivers[name]())
-            else:
-                results.append(drivers[name]())
+            pings=(
+                scenario_ping(args.scenario, args.seed, jobs=jobs)
+                if "pings" in needed else None
+            ),
+            traces=(
+                scenario_traces(args.scenario, args.seed, jobs=jobs)
+                if "traces" in needed else None
+            ),
+            jobs=jobs,
+        )
+        results = run_experiments(wanted, inputs)
 
     for result in results:
         print(result.render())
         print()
     if args.timings:
+        stages = tracer.stage_seconds()
+        rows = [(name, f"{seconds:.3f}s") for name, seconds in stages.items()]
+        rows.append(("total", f"{sum(stages.values()):.3f}s"))
         print("== stage timings ==")
-        print(timings.render())
+        print(render_table(("stage", "wall time"), rows))
 
     if args.trace_out:
         with open(args.trace_out, "w") as handle:
@@ -222,7 +180,7 @@ def _command_reproduce(args: argparse.Namespace) -> int:
         scenario = get_scenario(args.scenario)
         platform_config = scenario.platform_config(args.seed)
         configs = {"platform": platform_config}
-        if longterm_needed:
+        if "longterm" in needed:
             configs["longterm"] = (platform_config, scenario.longterm_config())
         manifest = obs_runinfo.build_manifest(
             scenario=args.scenario,
@@ -283,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument(
         "--experiments", default="",
         help="comma-separated experiment ids (default: all); "
-             f"valid: {', '.join(_EXPERIMENT_NAMES)}",
+             f"valid: {', '.join(EXPERIMENTS)}",
     )
     reproduce.add_argument(
         "--jobs", type=int, default=1,

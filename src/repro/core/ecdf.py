@@ -11,7 +11,40 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-__all__ = ["ECDF"]
+__all__ = ["ECDF", "sorted_quantiles"]
+
+
+def sorted_quantiles(
+    values: np.ndarray, starts: np.ndarray, counts: np.ndarray, fraction: float
+) -> np.ndarray:
+    """The ``fraction``-quantile of many sorted float segments at once.
+
+    Segment ``k`` is ``values[starts[k]:starts[k] + counts[k]]``, sorted
+    ascending; each quantile is read off it by index, so nothing is
+    copied or sorted.  ``0 <= fraction <= 1``.  Each result is bit for
+    bit ``np.quantile(segment, fraction)`` with numpy's ``linear`` rule
+    and a Python-float ``fraction``: the weight is a Python float there,
+    so numpy interpolates in the values' dtype (float32 segments in
+    float32).  Empty segments give NaN.
+    """
+    counts = np.asarray(counts)
+    result = np.full(counts.shape, np.nan, dtype=values.dtype)
+    filled = counts > 0
+    if not filled.any():
+        return result
+    starts, counts = np.asarray(starts)[filled], counts[filled]
+    virtual = (counts - 1) * fraction
+    previous = np.floor(virtual)
+    low = starts + np.minimum(previous, counts - 1).astype(np.intp)
+    high = starts + np.minimum(previous + 1, counts - 1).astype(np.intp)
+    weight = virtual - previous
+    below, above = values[low], values[high]
+    step = above - below
+    lerp = below + step * weight.astype(values.dtype)
+    upper = weight >= 0.5
+    lerp[upper] = (above - step * (1 - weight).astype(values.dtype))[upper]
+    result[filled] = lerp
+    return result
 
 
 class ECDF:
@@ -59,9 +92,11 @@ class ECDF:
         """The ``q``-quantile (``0 <= q <= 1``); NaN for an empty sample."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._sorted.size == 0:
+        size = self._sorted.size
+        if size == 0:
             return float("nan")
-        return float(np.quantile(self._sorted, q))
+        return float(sorted_quantiles(self._sorted, np.zeros(1, np.intp),
+                                      np.full(1, size), q)[0])
 
     def tail_fraction(self, x: float) -> float:
         """``P(X >= x)``; NaN for an empty sample."""

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.ecdf import sorted_quantiles
 from repro.datasets.timeline import TraceTimeline
 
 __all__ = [
@@ -45,30 +46,10 @@ def sorted_percentiles(
 ) -> np.ndarray:
     """The ``q``-th percentile of many sorted float segments at once.
 
-    Segment ``k`` is ``values[starts[k]:starts[k] + counts[k]]``, sorted
-    ascending.  Each result is bit for bit ``np.percentile(segment, q)``
-    with numpy's ``linear`` rule and a Python-float ``q``: the weight is
-    a Python float there, so numpy interpolates in the values' dtype
-    (float32 segments in float32).  Empty segments give NaN.
+    :func:`~repro.core.ecdf.sorted_quantiles` at ``q / 100``: bit for bit
+    ``np.percentile(segment, q)`` for each segment, NaN for empty ones.
     """
-    counts = np.asarray(counts)
-    result = np.full(counts.shape, np.nan, dtype=values.dtype)
-    filled = counts > 0
-    if not filled.any():
-        return result
-    starts, counts = np.asarray(starts)[filled], counts[filled]
-    virtual = (counts - 1) * (q / 100)
-    previous = np.floor(virtual)
-    low = starts + np.minimum(previous, counts - 1).astype(np.intp)
-    high = starts + np.minimum(previous + 1, counts - 1).astype(np.intp)
-    weight = virtual - previous
-    below, above = values[low], values[high]
-    step = above - below
-    lerp = below + step * weight.astype(values.dtype)
-    upper = weight >= 0.5
-    lerp[upper] = (above - step * (1 - weight).astype(values.dtype))[upper]
-    result[filled] = lerp
-    return result
+    return sorted_quantiles(values, starts, counts, q / 100)
 
 
 def path_percentiles(timeline: TraceTimeline, q: float) -> Dict[int, float]:

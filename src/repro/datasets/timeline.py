@@ -174,7 +174,8 @@ class _Memoized:
         self._freeze()
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hash; a field-wise == over arrays raises.
+@dataclass(frozen=True, eq=False)
 class TraceTimeline(_Memoized):
     """All traceroutes from one server to another over one protocol.
 
@@ -323,7 +324,8 @@ class TraceTimeline(_Memoized):
         return tuple(path_ids), _read_only(values), _read_only(bounds)
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hash; a field-wise == over arrays raises.
+@dataclass(frozen=True, eq=False)
 class PingTimeline(_Memoized):
     """All pings from one server to another over one protocol.
 
@@ -407,7 +409,8 @@ STACK_ROWS = 256
 copy of a stack is 1.4 MB, so the population kernels stay small."""
 
 
-@dataclass(frozen=True)
+# eq=False: identity equality and hash; a field-wise == over arrays raises.
+@dataclass(frozen=True, eq=False)
 class PingStack:
     """Ping timelines that share one time grid and RTT dtype, as one matrix.
 

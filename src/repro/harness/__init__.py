@@ -4,16 +4,20 @@
   cached builder, so the benchmarks and examples share platforms/datasets.
 - :mod:`repro.harness.experiments` -- one driver per paper table/figure;
   each returns a structured result plus a rendered text report with the
-  paper's value next to the measured one.
+  paper's value next to the measured one.  ``EXPERIMENTS`` is the one
+  table of them that ``run_all_experiments`` and ``reproduce`` run.
 - :mod:`repro.harness.report` -- plain-text tables, ECDF series and decile
   heatmaps in the style the paper prints them.
-- :mod:`repro.harness.engine` -- the on-disk artifact cache and per-stage
-  wall-time recorder behind ``reproduce --cache`` / ``--timings``.
+- :mod:`repro.harness.engine` -- the on-disk artifact cache behind
+  ``reproduce --cache``.
+
+Stage timing is the tracer's (:mod:`repro.obs.trace`): every build stage
+and experiment opens a span, and ``reproduce --timings`` prints the run's
+top-level spans.
 """
 
 from repro.harness.engine import (
     ArtifactCache,
-    Timings,
     cached_longterm,
     cached_platform,
     config_fingerprint,
@@ -47,7 +51,6 @@ __all__ = [
     "render_ecdf",
     "render_heatmap",
     "format_duration",
-    "Timings",
     "ArtifactCache",
     "config_fingerprint",
     "default_cache_dir",

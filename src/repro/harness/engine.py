@@ -1,14 +1,9 @@
-"""The dataset-generation engine: artifact cache + stage timing.
+"""The dataset-generation engine: the on-disk artifact cache.
 
 Building the paper's campaigns from scratch means simulating a 485-day
 world; at the ``default`` scenario scale that takes tens of seconds, at
-``large`` scale minutes.  This module makes the pipeline *incremental* and
-*observable*:
+``large`` scale minutes.  This module makes the pipeline *incremental*:
 
-- :class:`Timings` records per-stage wall time across the whole pipeline
-  (topology, routing, congestion assignment, timeline build,
-  per-experiment) and renders/serializes it for ``reproduce --timings``
-  and the pipeline benchmark.
 - :class:`ArtifactCache` persists built platforms and long-term datasets
   on disk, keyed by a stable fingerprint of their configs, so examples
   and benchmarks stop re-simulating identical worlds.  Entries are
@@ -16,6 +11,9 @@ world; at the ``default`` scenario scale that takes tens of seconds, at
   written atomically.
 - :func:`cached_platform` / :func:`cached_longterm` are the high-level
   entry points: build on miss (optionally in parallel), load on hit.
+  Each load, build and store runs in a span on the current tracer
+  (``platform-load``, ``platform-store``, ``longterm-load``,
+  ``longterm-build``, ``longterm-store``).
 
 The cache directory defaults to ``~/.cache/repro`` and can be overridden
 per call or via the ``REPRO_CACHE_DIR`` environment variable.  Loaded
@@ -30,20 +28,16 @@ import enum
 import hashlib
 import os
 import pickle
-import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.datasets.longterm import LongTermConfig, LongTermDataset, build_longterm_dataset
-from repro.harness.report import render_table
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
-from repro.obs.trace import get_tracer
 
 __all__ = [
-    "Timings",
     "ArtifactCache",
     "config_fingerprint",
     "default_cache_dir",
@@ -60,64 +54,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _PathLike = Union[str, Path]
 
 _LOG = get_logger("repro.harness.engine")
-
-
-class Timings:
-    """A lightweight per-stage wall-time recorder.
-
-    Stages append in completion order and may repeat (e.g. one
-    ``experiment:`` stage per driver); :meth:`as_dict` aggregates repeats
-    by summing.
-
-    Since the ``repro.obs`` layer landed this is a thin shim over tracing
-    spans: every :meth:`stage` block also opens a span of the same name on
-    the current :class:`repro.obs.trace.Tracer`, so ``--timings`` callers
-    keep their flat table while ``--trace-out`` sees the same stages as a
-    tree.  The recorded seconds are measured here, not taken from the
-    span, so the table's values are exactly what PR 1 produced.
-    """
-
-    def __init__(self) -> None:
-        self.stages: List[Tuple[str, float]] = []
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block and record it under ``name``."""
-        started = time.perf_counter()
-        try:
-            with get_tracer().span(name):
-                yield
-        finally:
-            self.record(name, time.perf_counter() - started)
-
-    def record(self, name: str, seconds: float) -> None:
-        """Record an externally-measured stage."""
-        self.stages.append((name, float(seconds)))
-
-    def total(self) -> float:
-        """Sum of all recorded stage times."""
-        return sum(seconds for _, seconds in self.stages)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Stage name -> total seconds (repeats summed), insertion order."""
-        merged: Dict[str, float] = {}
-        for name, seconds in self.stages:
-            merged[name] = merged.get(name, 0.0) + seconds
-        return merged
-
-    def as_records(self) -> List[Dict[str, float]]:
-        """The raw stage list as JSON-ready records, in completion order."""
-        return [
-            {"stage": name, "seconds": seconds} for name, seconds in self.stages
-        ]
-
-    def render(self) -> str:
-        """A text table of aggregated stage times."""
-        rows = [
-            (name, f"{seconds:.3f}s") for name, seconds in self.as_dict().items()
-        ]
-        rows.append(("total", f"{self.total():.3f}s"))
-        return render_table(("stage", "wall time"), rows)
 
 
 def _canonical(value: object) -> object:
@@ -258,7 +194,6 @@ def cached_platform(
     config: Optional[PlatformConfig] = None,
     cache: Optional[ArtifactCache] = None,
     jobs: int = 1,
-    timings: Optional[Timings] = None,
     refresh: bool = False,
 ) -> Tuple[MeasurementPlatform, bool]:
     """A measurement platform for ``config``, loaded from disk when possible.
@@ -267,8 +202,6 @@ def cached_platform(
         config: Platform construction parameters.
         cache: Artifact store (the default cache directory otherwise).
         jobs: Workers for route computation on a miss.
-        timings: Optional stage recorder; a hit records ``platform-load``,
-            a miss the usual construction stages plus ``platform-store``.
         refresh: Force a rebuild even when a cached entry exists.
 
     Returns:
@@ -278,14 +211,14 @@ def cached_platform(
     cache = cache or ArtifactCache()
     fingerprint = config_fingerprint("platform", config)
     if not refresh:
-        with _engine_stage(timings, "platform-load"):
+        with obs_trace.span("platform-load"):
             artifact = cache.load("platform", fingerprint)
         if artifact is not None:
             return artifact, True
     _LOG.info("platform.build", fingerprint=fingerprint, jobs=jobs,
               clusters=config.cluster_count, seed=config.seed)
-    platform = MeasurementPlatform(config, timings=timings, jobs=jobs)
-    with _engine_stage(timings, "platform-store"):
+    platform = MeasurementPlatform(config, jobs=jobs)
+    with obs_trace.span("platform-store"):
         cache.store("platform", fingerprint, platform)
     return platform, False
 
@@ -296,7 +229,6 @@ def cached_longterm(
     platform: Optional[MeasurementPlatform] = None,
     cache: Optional[ArtifactCache] = None,
     jobs: int = 1,
-    timings: Optional[Timings] = None,
     refresh: bool = False,
 ) -> Tuple[LongTermDataset, bool]:
     """The long-term dataset for a (platform, campaign) config pair.
@@ -313,29 +245,16 @@ def cached_longterm(
     cache = cache or ArtifactCache()
     fingerprint = config_fingerprint("longterm", platform_config, longterm_config)
     if not refresh:
-        with _engine_stage(timings, "longterm-load"):
+        with obs_trace.span("longterm-load"):
             artifact = cache.load("longterm", fingerprint)
         if artifact is not None:
             return artifact, True
     if platform is None:
-        platform, _ = cached_platform(
-            platform_config, cache=cache, jobs=jobs, timings=timings
-        )
+        platform, _ = cached_platform(platform_config, cache=cache, jobs=jobs)
     _LOG.info("longterm.build", fingerprint=fingerprint, jobs=jobs,
               days=longterm_config.days)
-    with _engine_stage(timings, "longterm-build"):
+    with obs_trace.span("longterm-build"):
         dataset = build_longterm_dataset(platform, longterm_config, jobs=jobs)
-    with _engine_stage(timings, "longterm-store"):
+    with obs_trace.span("longterm-store"):
         cache.store("longterm", fingerprint, dataset)
     return dataset, False
-
-
-@contextmanager
-def _engine_stage(timings: Optional[Timings], name: str) -> Iterator[None]:
-    # Span either way: via the Timings shim when recording, bare otherwise.
-    if timings is None:
-        with get_tracer().span(name):
-            yield
-    else:
-        with timings.stage(name):
-            yield

@@ -3,15 +3,16 @@
 One function per table/figure in the paper's evaluation.  Each returns an
 :class:`ExperimentResult` holding (a) machine-readable metrics, each paired
 with the value the paper reports, and (b) a rendered text report with the
-same rows/series the paper presents.  ``run_all_experiments`` drives the
-full reproduction and is what EXPERIMENTS.md is generated from.
+same rows/series the paper presents.  :data:`EXPERIMENTS` is the one
+table of experiments -- id, the inputs its driver reads, the driver --
+that both ``run_all_experiments`` (what EXPERIMENTS.md is generated from)
+and ``python -m repro reproduce`` run through.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +58,10 @@ __all__ = [
     "experiment_fig10b",
     "experiment_loss",
     "experiment_sharedinfra",
+    "ExperimentInputs",
+    "Experiment",
+    "EXPERIMENTS",
+    "run_experiments",
     "run_all_experiments",
 ]
 
@@ -812,6 +817,76 @@ def experiment_sharedinfra(dataset: LongTermDataset) -> ExperimentResult:
 # The full reproduction
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ExperimentInputs:
+    """What experiment drivers read; a dataset no driver needs stays ``None``."""
+
+    platform: MeasurementPlatform
+    longterm: Optional[LongTermDataset] = None
+    pings: Optional[ShortTermPingDataset] = None
+    traces: Optional[ShortTermTraceDataset] = None
+    jobs: int = 1
+    """Worker processes for experiments that build datasets (fig7)."""
+
+
+class Experiment(NamedTuple):
+    """One row of :data:`EXPERIMENTS`."""
+
+    inputs: Tuple[str, ...]
+    """The :class:`ExperimentInputs` datasets the driver reads (the
+    platform is always there)."""
+    run: Callable[[ExperimentInputs], ExperimentResult]
+
+
+# Every driver names its ``experiment_*`` function at call time, so a
+# rebound module attribute (a test's monkeypatch, a profiler's wrapper)
+# is the one that runs.  Order is the paper's, and the order of a full run.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table1": Experiment(("longterm",), lambda data: experiment_table1(data.longterm)),
+    "fig1": Experiment(
+        ("longterm",), lambda data: experiment_fig1(data.platform, data.longterm)),
+    "fig2": Experiment(("longterm",), lambda data: experiment_fig2(data.longterm)),
+    "fig3": Experiment(("longterm",), lambda data: experiment_fig3(data.longterm)),
+    "fig4": Experiment(("longterm",), lambda data: experiment_fig4(data.longterm)),
+    "fig5": Experiment(("longterm",), lambda data: experiment_fig5(data.longterm)),
+    "fig6": Experiment(("longterm",), lambda data: experiment_fig6(data.longterm)),
+    "fig7": Experiment((), lambda data: experiment_fig7(data.platform, jobs=data.jobs)),
+    "congestion-norm": Experiment(
+        ("pings",), lambda data: experiment_congestion_norm(data.pings)),
+    "localization": Experiment(
+        ("traces",), lambda data: experiment_localization(data.traces, data.platform)),
+    "link-classification": Experiment(
+        ("traces",),
+        lambda data: experiment_link_classification(data.traces, data.platform)),
+    "fig9": Experiment(
+        ("traces",), lambda data: experiment_fig9(data.traces, data.platform)),
+    "fig10a": Experiment(("longterm",), lambda data: experiment_fig10a(data.longterm)),
+    "fig10b": Experiment(("longterm",), lambda data: experiment_fig10b(data.longterm)),
+    "ext-loss": Experiment(("pings",), lambda data: experiment_loss(data.pings)),
+    "ext-sharedinfra": Experiment(
+        ("longterm",), lambda data: experiment_sharedinfra(data.longterm)),
+}
+"""Experiment id -> the datasets its driver reads and the driver."""
+
+
+def run_experiments(
+    names: Sequence[str], inputs: ExperimentInputs
+) -> List[ExperimentResult]:
+    """Run the named experiments in the given order.
+
+    Each driver runs in an ``experiment:<id>`` span on the current tracer.
+
+    Raises:
+        KeyError: A name that is not in :data:`EXPERIMENTS`.
+    """
+    results: List[ExperimentResult] = []
+    for name in names:
+        driver = EXPERIMENTS[name].run
+        with obs_trace.span(f"experiment:{name}"):
+            results.append(driver(inputs))
+    return results
+
+
 def run_all_experiments(
     platform: MeasurementPlatform,
     longterm: LongTermDataset,
@@ -819,7 +894,6 @@ def run_all_experiments(
     traces: ShortTermTraceDataset,
     include_fig7: bool = True,
     jobs: int = 1,
-    timings: Optional[object] = None,
 ) -> List[ExperimentResult]:
     """Run every table/figure experiment and return their results.
 
@@ -828,42 +902,8 @@ def run_all_experiments(
         include_fig7: Whether to run the (dataset-building) granularity
             experiment.
         jobs: Worker processes for experiments that build datasets (fig7).
-        timings: Optional :class:`repro.harness.engine.Timings`; records
-            one ``experiment:<id>`` stage per driver.  A span of the same
-            name is opened on the current tracer either way.
     """
-    drivers = [
-        ("table1", lambda: experiment_table1(longterm)),
-        ("fig1", lambda: experiment_fig1(platform, longterm)),
-        ("fig2", lambda: experiment_fig2(longterm)),
-        ("fig3", lambda: experiment_fig3(longterm)),
-        ("fig4", lambda: experiment_fig4(longterm)),
-        ("fig5", lambda: experiment_fig5(longterm)),
-        ("fig6", lambda: experiment_fig6(longterm)),
-    ]
-    if include_fig7:
-        drivers.append(("fig7", lambda: experiment_fig7(platform, jobs=jobs)))
-    drivers.extend(
-        [
-            ("congestion-norm", lambda: experiment_congestion_norm(pings)),
-            ("localization", lambda: experiment_localization(traces, platform)),
-            ("link-classification",
-             lambda: experiment_link_classification(traces, platform)),
-            ("fig9", lambda: experiment_fig9(traces, platform)),
-            ("fig10a", lambda: experiment_fig10a(longterm)),
-            ("fig10b", lambda: experiment_fig10b(longterm)),
-            ("ext-loss", lambda: experiment_loss(pings)),
-            ("ext-sharedinfra", lambda: experiment_sharedinfra(longterm)),
-        ]
+    names = [name for name in EXPERIMENTS if include_fig7 or name != "fig7"]
+    return run_experiments(
+        names, ExperimentInputs(platform, longterm, pings, traces, jobs)
     )
-    results: List[ExperimentResult] = []
-    for name, driver in drivers:
-        started = time.perf_counter()
-        with obs_trace.span(f"experiment:{name}"):
-            result = driver()
-        if timings is not None:
-            timings.record(
-                f"experiment:{result.experiment_id}", time.perf_counter() - started
-            )
-        results.append(result)
-    return results

@@ -30,7 +30,7 @@ from repro.core.congestion import CongestionDetector
 from repro.measurement.congestionmodel import CongestionConfig
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
 from repro.obs.log import get_logger
-from repro.obs.trace import stage as _obs_stage
+from repro.obs import trace as obs_trace
 from repro.topology.cdn import Server
 
 __all__ = ["Scenario", "SCENARIOS", "get_scenario", "scenario_platform",
@@ -141,7 +141,6 @@ def scenario_platform(
     seed: int = 0,
     jobs: int = 1,
     cache: Optional[object] = None,
-    timings: Optional[object] = None,
 ) -> MeasurementPlatform:
     """The (memoized) platform of a scenario.
 
@@ -150,7 +149,6 @@ def scenario_platform(
         jobs: Worker processes for route computation on a build.
         cache: Optional :class:`repro.harness.engine.ArtifactCache`; when
             given, the platform is loaded from / stored to disk.
-        timings: Optional :class:`repro.harness.engine.Timings` recorder.
     """
     key = (name, seed)
     if key not in _platform_cache:
@@ -160,11 +158,9 @@ def scenario_platform(
         if cache is not None:
             from repro.harness.engine import cached_platform
 
-            platform, _ = cached_platform(
-                config, cache=cache, jobs=jobs, timings=timings
-            )
+            platform, _ = cached_platform(config, cache=cache, jobs=jobs)
         else:
-            platform = MeasurementPlatform(config, timings=timings, jobs=jobs)
+            platform = MeasurementPlatform(config, jobs=jobs)
         _platform_cache[key] = platform
     return _platform_cache[key]
 
@@ -174,7 +170,6 @@ def scenario_longterm(
     seed: int = 0,
     jobs: int = 1,
     cache: Optional[object] = None,
-    timings: Optional[object] = None,
 ) -> LongTermDataset:
     """The (memoized) long-term dataset of a scenario."""
     key = (name, seed)
@@ -186,16 +181,14 @@ def scenario_longterm(
             dataset, _ = cached_longterm(
                 scenario.platform_config(seed),
                 scenario.longterm_config(),
-                platform=scenario_platform(name, seed, jobs=jobs, cache=cache,
-                                           timings=timings),
+                platform=scenario_platform(name, seed, jobs=jobs, cache=cache),
                 cache=cache,
                 jobs=jobs,
-                timings=timings,
             )
         else:
-            platform = scenario_platform(name, seed, jobs=jobs, timings=timings)
+            platform = scenario_platform(name, seed, jobs=jobs)
             _LOG.info("scenario.longterm", scenario=name, seed=seed, jobs=jobs)
-            with _obs_stage("longterm-build", timings):
+            with obs_trace.span("longterm-build"):
                 dataset = build_longterm_dataset(
                     platform, scenario.longterm_config(), jobs=jobs
                 )
@@ -207,14 +200,13 @@ def scenario_ping(
     name: str = "default",
     seed: int = 0,
     jobs: int = 1,
-    timings: Optional[object] = None,
 ) -> ShortTermPingDataset:
     """The (memoized) short-term ping dataset of a scenario."""
     key = (name, seed)
     if key not in _ping_cache:
-        platform = scenario_platform(name, seed, jobs=jobs, timings=timings)
+        platform = scenario_platform(name, seed, jobs=jobs)
         _LOG.info("scenario.ping", scenario=name, seed=seed, jobs=jobs)
-        with _obs_stage("ping-build", timings):
+        with obs_trace.span("ping-build"):
             _ping_cache[key] = build_shortterm_ping_dataset(
                 platform, get_scenario(name).shortterm_config(), jobs=jobs
             )
@@ -248,7 +240,6 @@ def scenario_traces(
     seed: int = 0,
     detector: Optional[CongestionDetector] = None,
     jobs: int = 1,
-    timings: Optional[object] = None,
 ) -> ShortTermTraceDataset:
     """The (memoized) short-term traceroute dataset of a scenario.
 
@@ -258,12 +249,12 @@ def scenario_traces(
     """
     key = (name, seed)
     if key not in _trace_cache:
-        platform = scenario_platform(name, seed, jobs=jobs, timings=timings)
-        pings = scenario_ping(name, seed, jobs=jobs, timings=timings)
+        platform = scenario_platform(name, seed, jobs=jobs)
+        pings = scenario_ping(name, seed, jobs=jobs)
         pairs = congested_pairs(platform, pings, detector)
         _LOG.info("scenario.traces", scenario=name, seed=seed, jobs=jobs,
                   congested_pairs=len(pairs))
-        with _obs_stage("shorttrace-build", timings):
+        with obs_trace.span("shorttrace-build"):
             _trace_cache[key] = build_shortterm_trace_dataset(
                 platform, pairs, get_scenario(name).shortterm_config(), jobs=jobs
             )

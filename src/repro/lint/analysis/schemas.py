@@ -1,18 +1,14 @@
 """Schema-compat checking: the engine behind SCH010.
 
-Two serialized formats must never change shape silently, because old
-artifacts outlive the code that wrote them:
+A serialized format must never change shape silently, because old
+artifacts outlive the code that wrote them.  The one tracked format is
+the **campaign checkpoint** payload, versioned by
+``repro.service.checkpoint.CAMPAIGN_CHECKPOINT_SCHEMA``.
 
-- the **campaign checkpoint** payload, versioned by
-  ``repro.service.checkpoint.CAMPAIGN_CHECKPOINT_SCHEMA``;
-- the committed bench baseline ``BENCH_pipeline.json`` (its own
-  ``schema`` key).
-
-The engine extracts the *current* shape of each from the project
-summaries (the dict literal serialized with a ``"schema"`` key whose
-version value is the tracked constant, plus any later ``d[k] = ...``
-additions in the same function) and for the bench baseline from the
-JSON file itself, then diffs against the committed snapshot
+The engine extracts its *current* shape from the project summaries (the
+dict literal serialized with a ``"schema"`` key whose version value is
+the tracked constant, plus any later ``d[k] = ...`` additions in the
+same function), then diffs against the committed snapshot
 (``schema_snapshot.json`` next to this package):
 
 - fields changed, version unchanged  -> "bump the version constant";
@@ -51,9 +47,6 @@ TRACKED_SCHEMAS: Dict[str, Tuple[str, str]] = {
     ),
 }
 
-BENCH_KEY = "bench-summary"
-BENCH_BASELINE = "BENCH_pipeline.json"
-
 
 def default_snapshot_path() -> Path:
     return Path(__file__).resolve().parent.parent / "schema_snapshot.json"
@@ -79,17 +72,6 @@ def write_snapshot(path: Path, tracked: Dict[str, Dict[str, object]]) -> None:
     payload = {"schema": SNAPSHOT_SCHEMA, "tracked": serializable}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _find_bench_summary(project: Project) -> Optional[Path]:
-    """Walk up from any linted file to the repo root holding the baseline."""
-    for summary in project.summaries.values():
-        start = Path(str(summary["path"])).resolve().parent
-        for candidate in (start, *start.parents):
-            baseline = candidate / BENCH_BASELINE
-            if baseline.is_file():
-                return baseline
-    return None
 
 
 def current_schemas(project: Project) -> Dict[str, Dict[str, object]]:
@@ -118,19 +100,6 @@ def current_schemas(project: Project) -> Dict[str, Dict[str, object]]:
             "_path": str(summary["path"]),
             "_line": line,
         }
-    bench = _find_bench_summary(project)
-    if bench is not None:
-        try:
-            payload = json.loads(bench.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            payload = None
-        if isinstance(payload, dict) and "schema" in payload:
-            current[BENCH_KEY] = {
-                "version": payload["schema"],
-                "fields": sorted(payload),
-                "_path": str(bench),
-                "_line": 1,
-            }
     return current
 
 

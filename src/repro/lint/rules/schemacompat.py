@@ -1,8 +1,8 @@
 """SCH010: serialized-schema compatibility against the committed snapshot.
 
-Campaign checkpoints and the committed bench baseline outlive the code
-that wrote them.  SCH010 statically extracts their
-current field sets and version constants and diffs them against
+Campaign checkpoints outlive the code that wrote them.  SCH010
+statically extracts their current field set and version constant and
+diffs them against
 ``repro/lint/schema_snapshot.json``: fields changed without a version
 bump is the error that corrupts old readers; a bumped version with a
 stale snapshot is an unreviewed change.  ``python -m repro.lint
@@ -28,7 +28,7 @@ class SchemaCompat(ProjectRule):
     name = "schema-compat"
     severity = Severity.ERROR
     rationale = (
-        "Checkpoint payloads and the bench baseline are "
+        "Checkpoint payloads are "
         "read by code older than the writer; changing their fields without "
         "bumping the version constant (and refreshing the committed "
         "snapshot) silently corrupts every old reader."

@@ -39,7 +39,7 @@ from repro.measurement.rttmodel import DelayModel, DelayParams
 from repro.measurement.traceroute import ArtifactParams, TracerouteEngine
 from repro.net.asn import ASN
 from repro.net.ip import IPVersion
-from repro.obs.trace import stage as obs_stage
+from repro.obs import trace as obs_trace
 from repro.seeds import PLATFORM_SEED
 from repro.routing.bgp import compute_route_table
 from repro.routing.dynamics import (
@@ -115,18 +115,6 @@ def _stream_seed(base_seed: int, *key_parts: object) -> np.random.SeedSequence:
     return np.random.SeedSequence([base_seed, int.from_bytes(digest, "big")])
 
 
-def _stage(timings: Optional[object], name: str):
-    """A timing context for one build stage.
-
-    ``timings`` is any object with a ``stage(name)`` context manager (see
-    :class:`repro.harness.engine.Timings`); duck typing keeps the
-    measurement layer free of a harness dependency.  Either way the stage
-    opens a span on the current tracer, so build stages show up in
-    ``--trace-out`` even when no flat recorder is attached.
-    """
-    return obs_stage(name, timings)
-
-
 class MeasurementPlatform:
     """The assembled simulation: build once, query everywhere.
 
@@ -142,16 +130,15 @@ class MeasurementPlatform:
     def __init__(
         self,
         config: Optional[PlatformConfig] = None,
-        timings: Optional[object] = None,
         jobs: int = 1,
     ) -> None:
         """Assemble every substrate under the config's seed.
 
+        Each build stage (``topology`` ... ``congestion``) runs in a span
+        of that name on the current tracer.
+
         Args:
             config: Construction parameters (default config otherwise).
-            timings: Optional stage recorder -- any object with a
-                ``stage(name)`` context manager, e.g.
-                :class:`repro.harness.engine.Timings`.
             jobs: Worker processes for route computation (``<= 1``
                 serial).  The result is identical at any job count.
         """
@@ -160,21 +147,21 @@ class MeasurementPlatform:
         self._server_pairs_cache: Dict[Tuple[bool, bool], List[Tuple[Server, Server]]] = {}
         self._measured_as_pairs_cache: Optional[List[Tuple[ASN, ASN]]] = None
 
-        with _stage(timings, "topology"):
+        with obs_trace.span("topology"):
             self.graph: ASGraph = generate_topology(
                 self.config.topology, rng=np.random.default_rng(_stream_seed(seed, "topology"))
             )
-        with _stage(timings, "addressing"):
+        with obs_trace.span("addressing"):
             self.plan: AddressPlan = allocate_addresses(
                 self.graph,
                 self.config.addressing,
                 rng=np.random.default_rng(_stream_seed(seed, "addressing")),
             )
-        with _stage(timings, "routers"):
+        with obs_trace.span("routers"):
             self.topology: RouterTopology = build_router_topology(
                 self.graph, self.plan, rng=np.random.default_rng(_stream_seed(seed, "routers"))
             )
-        with _stage(timings, "cdn"):
+        with obs_trace.span("cdn"):
             self.cdn: CDNDeployment = deploy_cdn(
                 self.graph,
                 self.plan,
@@ -190,7 +177,7 @@ class MeasurementPlatform:
         # propagations instead of |ASes|^2.  Scoping is exact -- the
         # scoped table is the literal slice of the full one.
         measured_asns = sorted({server.asn for server in self.measurement_servers()})
-        with _stage(timings, "routing"):
+        with obs_trace.span("routing"):
             self.tables: Dict[IPVersion, RouteTable] = {
                 version: compute_route_table(
                     self.graph,
@@ -208,7 +195,7 @@ class MeasurementPlatform:
 
         duration = self.config.duration_hours
         as_pairs = self._measured_as_pairs()
-        with _stage(timings, "dynamics"):
+        with obs_trace.span("dynamics"):
             outages = sample_edge_outages(
                 self.graph,
                 duration,
@@ -232,7 +219,7 @@ class MeasurementPlatform:
         # AS-step expansions shared by every realization (see realize_path).
         self._steps: StepMemo = {}
 
-        with _stage(timings, "congestion"):
+        with obs_trace.span("congestion"):
             segments, crossings = self._collect_segments()
             self.congestion: CongestionSchedule = assign_congestion(
                 segments,

@@ -1,8 +1,8 @@
 """Hierarchical wall-time spans with Chrome trace-event export.
 
-Spans generalize the flat ``Timings`` table of PR 1: each span has an id,
-a parent (the span open when it started), attributes and a wall time, so
-a run decomposes as a tree::
+Spans are the pipeline's one stage-timing model: each span has an id, a
+parent (the span open when it started), attributes and a wall time, so a
+run decomposes as a tree::
 
     reproduce
     ├── topology … congestion     (platform build stages)
@@ -17,6 +17,8 @@ A :class:`Tracer` collects spans; the module keeps one *current* tracer
   writes for ``--trace-out``; drop the file on https://ui.perfetto.dev
   (or ``chrome://tracing``) for a flame view.
 - :meth:`Tracer.summary` -- per-name aggregates for the run manifest.
+- :meth:`Tracer.stage_seconds` -- the root's direct children, repeats
+  summed: the rows of the ``reproduce --timings`` table.
 
 Tracing is in-process: spans opened inside forked dataset workers stay in
 the worker.  ``fork_map`` instead reports aggregate worker wall time as
@@ -42,7 +44,6 @@ __all__ = [
     "set_tracer",
     "use_tracer",
     "span",
-    "stage",
 ]
 
 _LOG = get_logger("repro.obs.trace")
@@ -155,6 +156,21 @@ class Tracer:
             entry["seconds"] = round(entry["seconds"], 6)
         return merged
 
+    def stage_seconds(self) -> Dict[str, float]:
+        """Seconds per name of the root spans' direct children.
+
+        Repeats are summed and names keep their first-appearance order, so
+        the table reads in pipeline order: one row per build stage and per
+        experiment, with deeper spans (``fork_map:*``, self-checks) folded
+        into their stage.
+        """
+        root_ids = {item.span_id for item in self.roots()}
+        merged: Dict[str, float] = {}
+        for item in self.spans:
+            if item.parent_id in root_ids:
+                merged[item.name] = merged.get(item.name, 0.0) + item.duration_seconds
+        return merged
+
     def coverage(self) -> Optional[float]:
         """Fraction of root wall time covered by the roots' direct children.
 
@@ -162,16 +178,10 @@ class Tracer:
         means almost no un-attributed time under the run's root span.
         ``None`` when there are no closed root spans.
         """
-        root_ids = {item.span_id for item in self.roots()}
         total = self.total_seconds()
-        if not root_ids or total <= 0.0:
+        if total <= 0.0:
             return None
-        covered = sum(
-            item.duration_seconds
-            for item in self.spans
-            if item.parent_id in root_ids
-        )
-        return min(1.0, covered / total)
+        return min(1.0, sum(self.stage_seconds().values()) / total)
 
     def to_chrome_trace(self) -> Dict[str, object]:
         """The span tree as Chrome trace-event JSON (perfetto-compatible).
@@ -231,16 +241,3 @@ def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
 def span(name: str, **attrs: object):
     """A span on the current tracer (convenience for instrumentation)."""
     return get_tracer().span(name, **attrs)
-
-
-def stage(name: str, timings: Optional[object] = None):
-    """A pipeline-stage context: span *and* legacy timings in one call.
-
-    When ``timings`` (any object with a ``stage(name)`` context manager,
-    i.e. :class:`repro.harness.engine.Timings`) is given, delegate to it --
-    the shim opens the span itself, so the stage is recorded exactly once
-    in both systems.  Otherwise open a bare span on the current tracer.
-    """
-    if timings is not None:
-        return timings.stage(name)
-    return get_tracer().span(name)

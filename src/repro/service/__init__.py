@@ -5,7 +5,7 @@ traceroutes every 3 hours, pings every 15 minutes, continuously.  The
 paper's analyses run on the batch pipeline (``reproduce``); this
 package keeps the campaign's durable core, run over the synthetic
 million-pair mesh (:mod:`repro.stream.mesh`) by the benchmark's
-``service-mesh`` workload and ``benchmarks/bench_pipeline.py``:
+``service-mesh`` workload:
 
 - :mod:`repro.service.config` -- the declarative campaign shape
   (name, shard fan-out, cycle horizon).

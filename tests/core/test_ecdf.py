@@ -1,5 +1,7 @@
 """Tests for the ECDF helper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,3 +101,34 @@ class TestProperties:
         ecdf = ECDF(samples)
         assert ecdf.at(max(samples)) == pytest.approx(1.0)
         assert ecdf.tail_fraction(min(samples)) == pytest.approx(1.0)
+
+
+class TestQuantileByIndex:
+    """``quantile`` reads numpy's linear rule off the sorted sample."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5000),
+        st.one_of(st.sampled_from([0.0, 1.0, 0.8, 0.9]),
+                  st.floats(min_value=0.0, max_value=1.0)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    def test_bit_equal_to_np_quantile(self, size, q, seed, ties):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(50.0, rng.uniform(0.1, 500.0), size)
+        if ties:
+            values = np.round(values)
+        ecdf = ECDF(values)
+        want = np.quantile(ecdf.values, q)
+        assert np.float64(ecdf.quantile(q)).tobytes() == want.tobytes()
+
+    def test_quantile_copies_nothing(self):
+        ecdf = ECDF(np.random.default_rng(0).random(10**6))
+        tracemalloc.start()
+        try:
+            ecdf.quantile(0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.longterm import build_longterm_dataset
+from repro.datasets.longterm import LongTermDataset, build_longterm_dataset
 from repro.datasets.shortterm import (
     build_shortterm_ping_dataset,
     build_shortterm_trace_dataset,
@@ -20,10 +20,12 @@ from repro.datasets.timeline import (
     PingTimeline,
     TraceTimeline,
     compact_column,
+    stack_by_grid,
 )
 from repro.harness.experiments import run_all_experiments
 from repro.harness.scenarios import congested_pairs, get_scenario
 from repro.measurement.platform import MeasurementPlatform
+from repro.measurement.scheduler import CampaignGrid
 from repro.measurement.traceroute import TraceOutcome
 from repro.net.ip import IPVersion
 
@@ -219,6 +221,26 @@ class TestPickle:
         cold = pickle.dumps(ping, protocol=pickle.HIGHEST_PROTOCOL)
         ping.hour_groups()
         assert pickle.dumps(ping, protocol=pickle.HIGHEST_PROTOCOL) == cold
+
+    def test_timelines_compare_by_identity(self):
+        trace = _timeline([COMPLETE, LOOP, COMPLETE])
+        ping = PingTimeline(0, 1, IPVersion.V4, np.arange(3.0),
+                            np.ones(3, dtype=np.float32))
+        (stack,) = stack_by_grid([ping])
+        for item in (trace, ping, stack):
+            copy = pickle.loads(pickle.dumps(item))
+            assert item == item
+            assert (item == copy) is False
+            assert hash(item) == hash(item)
+            assert len({item, copy}) == 2
+
+    def test_datasets_holding_equal_copies_compare_without_raising(self):
+        timeline = _timeline([COMPLETE, COMPLETE])
+        grid = CampaignGrid(0.0, 3.0, 2)
+        first = LongTermDataset(grid, {(0, 1, IPVersion.V4): timeline})
+        second = LongTermDataset(grid, {(0, 1, IPVersion.V4): pickle.loads(pickle.dumps(timeline))})
+        assert first == first
+        assert (first == second) is False
 
     def test_restoring_writeable_arrays_freezes_them(self):
         # Entries pickled before timelines were frozen carry writeable arrays.

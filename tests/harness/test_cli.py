@@ -1,10 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import argparse
+import json
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.harness import experiments, scenarios
+from repro.harness.experiments import EXPERIMENTS, ExperimentResult
 
 
 class TestParser:
@@ -96,8 +99,10 @@ class TestCommands:
         assert "server ids" in capsys.readouterr().err
 
     def test_reproduce_unknown_experiment(self, capsys):
-        assert main(["reproduce", "--experiments", "nope"]) == 2
-        assert "unknown experiments" in capsys.readouterr().err
+        assert main(["reproduce", "--experiments", "table1,nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiments ['nope']" in err
+        assert "valid: " + ", ".join(EXPERIMENTS) in err
 
     def test_reproduce_single_experiment(self, capsys):
         assert main(
@@ -115,6 +120,79 @@ class TestCommands:
         assert "== stage timings ==" in out
         assert "experiment:table1" in out
         assert "total" in out
+
+
+def _timings_rows(out):
+    table = out.split("== stage timings ==\n", 1)[1].splitlines()
+    return [line.split()[0] for line in table[2:]]  # below header and rule
+
+
+def _trace_events(path):
+    with open(path) as handle:
+        return json.load(handle)["traceEvents"]
+
+
+def _root_children(events):
+    root = next(event for event in events if event["name"] == "reproduce")
+    names = []
+    for event in events:
+        if (event["args"].get("parent_id") == root["args"]["span_id"]
+                and event["name"] not in names):
+            names.append(event["name"])
+    return names
+
+
+@pytest.fixture
+def unbuilt_world():
+    """Drop the in-process scenario memo, so a run builds or loads its own."""
+    scenarios.clear_cache()
+    yield
+    scenarios.clear_cache()
+
+
+class TestReproduceRuns:
+    def test_timings_rows_are_the_root_spans_children(self, tmp_path, capsys,
+                                                      unbuilt_world):
+        argv = ["reproduce", "--scenario", "small", "--experiments", "fig3,table1",
+                "--cache-dir", str(tmp_path / "cache"), "--timings"]
+        rows = {}
+        for run in ("cold", "warm"):
+            scenarios.clear_cache()
+            trace_out = tmp_path / f"{run}.json"
+            assert main(argv + ["--trace-out", str(trace_out)]) == 0
+            rows[run] = _timings_rows(capsys.readouterr().out)
+            assert rows[run] == _root_children(_trace_events(trace_out)) + ["total"]
+        assert rows["cold"] == [
+            "platform-load", "topology", "addressing", "routers", "cdn", "routing",
+            "dynamics", "congestion", "platform-store",
+            "longterm-load", "longterm-build", "longterm-store",
+            "experiment:fig3", "experiment:table1", "total",
+        ]
+        assert rows["warm"] == [
+            "platform-load", "longterm-load", "experiment:fig3", "experiment:table1",
+            "total",
+        ]
+
+    def test_runs_the_given_order_and_builds_only_what_it_reads(
+        self, tmp_path, capsys, unbuilt_world
+    ):
+        trace_out = tmp_path / "trace.json"
+        assert main(["reproduce", "--scenario", "small", "--experiments", "fig3,table1",
+                     "--trace-out", str(trace_out)]) == 0
+        out = capsys.readouterr().out
+        assert out.index("== fig3:") < out.index("== table1:")
+        names = {event["name"] for event in _trace_events(trace_out)}
+        assert "longterm-build" in names
+        assert not names & {"ping-build", "shorttrace-build"}
+        assert not scenarios._ping_cache and not scenarios._trace_cache
+
+    def test_runs_the_rebound_driver(self, monkeypatch, capsys):
+        def patched_fig1(platform, dataset):
+            return ExperimentResult("fig1", "patched")
+
+        monkeypatch.setattr(experiments, "experiment_fig1", patched_fig1)
+        assert main(["reproduce", "--scenario", "small", "--experiments", "fig1"]) == 0
+        assert "== fig1: patched ==" in capsys.readouterr().out
 
 
 class TestStreamCommand:

@@ -1,4 +1,4 @@
-"""Tests for the artifact cache and stage-timing recorder."""
+"""Tests for the artifact cache and its cached builders."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.harness.engine import (
     ArtifactCache,
-    Timings,
     cached_longterm,
     cached_platform,
     config_fingerprint,
@@ -20,99 +19,7 @@ from repro.datasets.longterm import LongTermConfig
 from repro.harness.scenarios import get_scenario
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
 from repro.net.ip import IPVersion
-
-
-class TestTimings:
-    def test_stage_context_records(self):
-        timings = Timings()
-        with timings.stage("alpha"):
-            pass
-        assert len(timings.stages) == 1
-        assert timings.stages[0][0] == "alpha"
-        assert timings.stages[0][1] >= 0.0
-
-    def test_record_and_total(self):
-        timings = Timings()
-        timings.record("a", 1.5)
-        timings.record("b", 0.5)
-        assert timings.total() == pytest.approx(2.0)
-
-    def test_as_dict_sums_repeats(self):
-        timings = Timings()
-        timings.record("x", 1.0)
-        timings.record("y", 2.0)
-        timings.record("x", 3.0)
-        assert timings.as_dict() == {"x": 4.0, "y": 2.0}
-        # Insertion order of first appearance is preserved.
-        assert list(timings.as_dict()) == ["x", "y"]
-
-    def test_as_records_keeps_completion_order(self):
-        timings = Timings()
-        timings.record("x", 1.0)
-        timings.record("x", 2.0)
-        assert timings.as_records() == [
-            {"stage": "x", "seconds": 1.0},
-            {"stage": "x", "seconds": 2.0},
-        ]
-
-    def test_render_mentions_stages_and_total(self):
-        timings = Timings()
-        timings.record("topology", 0.25)
-        text = timings.render()
-        assert "topology" in text
-        assert "total" in text
-
-    def test_stage_records_on_exception(self):
-        timings = Timings()
-        with pytest.raises(RuntimeError):
-            with timings.stage("boom"):
-                raise RuntimeError("x")
-        assert [name for name, _ in timings.stages] == ["boom"]
-
-
-class TestTimingsSpanShim:
-    """Timings is a shim over tracing spans: same stages, both systems."""
-
-    def test_stage_also_opens_span(self):
-        from repro.obs.trace import Tracer, use_tracer
-
-        tracer = Tracer()
-        timings = Timings()
-        with use_tracer(tracer):
-            with timings.stage("topology"):
-                with timings.stage("routing"):
-                    pass
-        assert [name for name, _ in timings.stages] == ["routing", "topology"]
-        assert [span.name for span in tracer.spans] == ["topology", "routing"]
-        # The span tree nests; the flat table agrees on wall time.
-        topology, routing = tracer.spans
-        assert routing.parent_id == topology.span_id
-        by_name = dict(timings.stages)
-        assert by_name["topology"] == pytest.approx(
-            topology.duration_seconds, abs=0.05
-        )
-
-    def test_record_creates_no_span(self):
-        from repro.obs.trace import Tracer, use_tracer
-
-        tracer = Tracer()
-        timings = Timings()
-        with use_tracer(tracer):
-            timings.record("external", 1.25)
-        assert timings.as_dict() == {"external": 1.25}
-        assert tracer.spans == []
-
-    def test_stage_span_closes_on_exception(self):
-        from repro.obs.trace import Tracer, use_tracer
-
-        tracer = Tracer()
-        timings = Timings()
-        with use_tracer(tracer):
-            with pytest.raises(RuntimeError):
-                with timings.stage("boom"):
-                    raise RuntimeError("x")
-        assert tracer.spans[0].end is not None
-        assert tracer.current() is None
+from repro.obs.trace import Tracer, use_tracer
 
 
 class TestFingerprint:
@@ -203,17 +110,21 @@ def tiny_config():
 class TestCachedBuilders:
     def test_platform_miss_then_hit(self, tmp_path, tiny_config):
         cache = ArtifactCache(tmp_path)
-        timings = Timings()
-        built, hit = cached_platform(tiny_config, cache=cache, timings=timings)
-        assert hit is False
-        loaded, hit2 = cached_platform(tiny_config, cache=cache, timings=timings)
-        assert hit2 is True
+        miss, hit = Tracer(), Tracer()
+        with use_tracer(miss):
+            built, was_hit = cached_platform(tiny_config, cache=cache)
+        assert was_hit is False
+        with use_tracer(hit):
+            loaded, was_hit = cached_platform(tiny_config, cache=cache)
+        assert was_hit is True
         assert [s.server_id for s in loaded.measurement_servers()] == [
             s.server_id for s in built.measurement_servers()
         ]
-        stages = timings.as_dict()
-        assert "platform-store" in stages
-        assert "topology" in stages
+        assert [span.name for span in miss.roots()] == [
+            "platform-load", "topology", "addressing", "routers", "cdn",
+            "routing", "dynamics", "congestion", "platform-store",
+        ]
+        assert [span.name for span in hit.roots()] == ["platform-load"]
 
     def test_longterm_miss_then_hit_bit_identical(self, tmp_path, tiny_config):
         cache = ArtifactCache(tmp_path)

@@ -10,6 +10,8 @@ from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.datasets.shortterm import ShortTermTraceDataset
 from repro.harness import experiments
 from repro.harness.experiments import (
+    EXPERIMENTS,
+    ExperimentResult,
     experiment_congestion_norm,
     experiment_fig1,
     experiment_fig2,
@@ -101,6 +103,45 @@ class TestSubstance:
         result = experiment_congestion_norm(ping_dataset)
         congested = result.metric("pairs with strong diurnal + spread v4").measured
         assert congested < 30.0  # a small minority, as the paper concludes
+
+
+class TestExperimentTable:
+    def test_drivers_call_the_module_functions_with_their_declared_inputs(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def fake(attr):
+            def run(*args, **kwargs):
+                calls.append((attr, args, kwargs))
+                return ExperimentResult(attr, "fake")
+            return run
+
+        for attr in [name for name in vars(experiments) if name.startswith("experiment_")]:
+            monkeypatch.setattr(experiments, attr, fake(attr))
+        results = run_all_experiments("platform", "longterm", "pings", "traces", jobs=3)
+        assert [result.experiment_id for result in results] == [c[0] for c in calls]
+        assert calls == [
+            ("experiment_table1", ("longterm",), {}),
+            ("experiment_fig1", ("platform", "longterm"), {}),
+            ("experiment_fig2", ("longterm",), {}),
+            ("experiment_fig3", ("longterm",), {}),
+            ("experiment_fig4", ("longterm",), {}),
+            ("experiment_fig5", ("longterm",), {}),
+            ("experiment_fig6", ("longterm",), {}),
+            ("experiment_fig7", ("platform",), {"jobs": 3}),
+            ("experiment_congestion_norm", ("pings",), {}),
+            ("experiment_localization", ("traces", "platform"), {}),
+            ("experiment_link_classification", ("traces", "platform"), {}),
+            ("experiment_fig9", ("traces", "platform"), {}),
+            ("experiment_fig10a", ("longterm",), {}),
+            ("experiment_fig10b", ("longterm",), {}),
+            ("experiment_loss", ("pings",), {}),
+            ("experiment_sharedinfra", ("longterm",), {}),
+        ]
+        # Each row declares exactly the datasets its driver passes on.
+        for name, (_, args, _) in zip(EXPERIMENTS, calls):
+            assert set(EXPERIMENTS[name].inputs) == set(args) - {"platform"}
 
 
 class TestPickleLayout:

@@ -9,6 +9,7 @@ never bumped its version constant.
 
 import importlib
 import json
+from pathlib import Path
 
 from repro.lint import lint_paths, lint_source
 from repro.lint.analysis.schemas import current_schemas, write_snapshot
@@ -337,3 +338,8 @@ def test_sch010_snapshot_round_trips(tmp_path):
     tracked = payload["tracked"]["campaign-checkpoint"]
     assert tracked["version"] == 2
     assert tracked["fields"] == ["cycle", "operator", "schema"]
+
+
+def test_sch010_tracks_only_the_campaign_checkpoint():
+    src = Path(importlib.import_module("repro").__file__).resolve().parent.parent
+    assert set(current_schemas(load_project([src]))) == {"campaign-checkpoint"}

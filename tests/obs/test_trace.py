@@ -105,16 +105,25 @@ def test_use_tracer_swaps_and_restores():
     assert all(item.name != "inside" for item in original.spans)
 
 
-def test_stage_helper_delegates_to_timings():
-    from repro.harness.engine import Timings
-
+def test_stage_seconds_sum_root_children_in_first_seen_order():
     tracer = Tracer()
-    with use_tracer(tracer):
-        timings = Timings()
-        with trace.stage("build", timings):
-            pass
-        with trace.stage("bare"):
-            pass
-    # Exactly one span per stage: the Timings shim opened "build" itself.
-    assert [item.name for item in tracer.spans] == ["build", "bare"]
-    assert [name for name, _ in timings.stages] == ["build"]
+    with tracer.span("root"):
+        tracer.record_span("b", 1.0)
+        with tracer.span("a"):
+            tracer.record_span("nested", 5.0)
+        tracer.record_span("b", 3.0)
+    stages = tracer.stage_seconds()
+    # Repeats sum; deeper spans fold into their stage; no root row.
+    assert list(stages) == ["b", "a"]
+    assert stages["b"] == pytest.approx(4.0)
+
+
+def test_stage_seconds_keep_a_stage_that_raised():
+    tracer = Tracer()
+    with pytest.raises(RuntimeError):
+        with tracer.span("root"):
+            with tracer.span("boom"):
+                raise RuntimeError("x")
+    assert all(item.end is not None for item in tracer.spans)
+    assert tracer.current() is None
+    assert list(tracer.stage_seconds()) == ["boom"]
