@@ -101,6 +101,14 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def render_stage_timings(tracer: Tracer) -> str:
+    """The ``--timings`` table: one row per stage, then their total."""
+    stages = tracer.stage_seconds()
+    rows = [(name, f"{seconds:.3f}s") for name, seconds in stages.items()]
+    rows.append(("total", f"{sum(stages.values()):.3f}s"))
+    return "== stage timings ==\n" + render_table(("stage", "wall time"), rows)
+
+
 def _command_reproduce(args: argparse.Namespace) -> int:
     from repro.harness.engine import ArtifactCache
     from repro.harness.scenarios import get_scenario
@@ -164,11 +172,7 @@ def _command_reproduce(args: argparse.Namespace) -> int:
         print(result.render())
         print()
     if args.timings:
-        stages = tracer.stage_seconds()
-        rows = [(name, f"{seconds:.3f}s") for name, seconds in stages.items()]
-        rows.append(("total", f"{sum(stages.values()):.3f}s"))
-        print("== stage timings ==")
-        print(render_table(("stage", "wall time"), rows))
+        print(render_stage_timings(tracer))
 
     if args.trace_out:
         with open(args.trace_out, "w") as handle:

@@ -1,4 +1,4 @@
-"""Tests for the artifact cache and its cached builders."""
+"""Tests for the artifact cache, its cached builders and their stage timings."""
 
 from __future__ import annotations
 
@@ -20,6 +20,86 @@ from repro.harness.scenarios import get_scenario
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
 from repro.net.ip import IPVersion
 from repro.obs.trace import Tracer, use_tracer
+
+
+def _seeded_cache(tmp_path, config):
+    """A cache whose platform entry for ``config`` is a cheap stand-in."""
+    cache = ArtifactCache(tmp_path)
+    cache.store("platform", config_fingerprint("platform", config), "stand-in")
+    return cache
+
+
+class TestTimings:
+    """Stage timings are spans on the current tracer, read per root child."""
+
+    def test_stage_context_records(self, tmp_path):
+        config = PlatformConfig(seed=5)
+        cache = _seeded_cache(tmp_path, config)
+        tracer = Tracer()
+        with use_tracer(tracer), tracer.span("run"):
+            assert cached_platform(config, cache=cache) == ("stand-in", True)
+        stages = tracer.stage_seconds()
+        assert list(stages) == ["platform-load"]
+        assert stages["platform-load"] >= 0.0
+
+    def test_record_and_total(self):
+        from repro.__main__ import render_stage_timings
+
+        tracer = Tracer()
+        with tracer.span("run"):
+            tracer.record_span("a", 1.5)
+            tracer.record_span("b", 0.5)
+        assert sum(tracer.stage_seconds().values()) == pytest.approx(2.0)
+        assert render_stage_timings(tracer).splitlines()[-1].split() == [
+            "total", "2.000s"
+        ]
+
+    def test_as_dict_sums_repeats(self):
+        tracer = Tracer()
+        with tracer.span("run"):
+            tracer.record_span("x", 1.0)
+            tracer.record_span("y", 2.0)
+            tracer.record_span("x", 3.0)
+        stages = tracer.stage_seconds()
+        assert stages == pytest.approx({"x": 4.0, "y": 2.0})
+        # Insertion order of first appearance is preserved.
+        assert list(stages) == ["x", "y"]
+
+    def test_as_records_keeps_completion_order(self):
+        tracer = Tracer()
+        with tracer.span("run"):
+            tracer.record_span("x", 1.0)
+            tracer.record_span("x", 2.0)
+        repeats = [item for item in tracer.spans if item.name == "x"]
+        assert [item.duration_seconds for item in repeats] == pytest.approx([1.0, 2.0])
+        assert tracer.summary()["x"] == {"count": 2, "seconds": 3.0}
+
+    def test_render_mentions_stages_and_total(self):
+        from repro.__main__ import render_stage_timings
+
+        tracer = Tracer()
+        with tracer.span("reproduce"):
+            tracer.record_span("topology", 0.25)
+        lines = render_stage_timings(tracer).splitlines()
+        assert lines[0] == "== stage timings =="
+        rows = [line.split() for line in lines[3:]]  # below header and rule
+        assert rows == [["topology", "0.250s"], ["total", "0.250s"]]
+
+    def test_stage_records_on_exception(self, tmp_path, monkeypatch):
+        config = PlatformConfig(seed=5)
+        cache = _seeded_cache(tmp_path, config)
+
+        def broken_load(kind, fingerprint):
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(cache, "load", broken_load)
+        tracer = Tracer()
+        with use_tracer(tracer), tracer.span("run") as root:
+            with pytest.raises(RuntimeError):
+                cached_platform(config, cache=cache)
+            assert tracer.current() is root
+        assert all(item.end is not None for item in tracer.spans)
+        assert list(tracer.stage_seconds()) == ["platform-load"]
 
 
 class TestFingerprint:
