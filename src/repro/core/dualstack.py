@@ -7,10 +7,14 @@ traceroutes, and the subset whose observed AS paths agree across protocols
 +/-50 ms quantify how much a dual-stack deployment can save by switching
 protocols per destination.
 
-The two populations are ~1.4M and ~1.0M float64 values on the default
-scenario, two of the largest transients of a run.  So the comparison
-keeps only per-pair masks and medians, and each population is built,
-read and dropped in turn (:class:`DualStackComparison`).
+The two populations are ~1.4M and ~1.0M values on the default scenario,
+two of the largest transients of a run.  So the comparison keeps only
+the paired timelines and per-pair medians; each population is built,
+read and dropped in turn (:class:`DualStackComparison`), and a pair's
+round masks are recomputed for each population rather than held.  A
+population is a float32 buffer: the differences are float32 already,
+and an ECDF over a float32 buffer reads bit for bit as the float64
+ECDF of the widened values (:mod:`repro.core.ecdf`), at half the bytes.
 """
 
 from __future__ import annotations
@@ -28,32 +32,30 @@ from repro.net.ip import IPVersion
 __all__ = ["DualStackComparison", "paired_rtt_differences"]
 
 
-_PairRounds = Tuple[Tuple[int, int], TraceTimeline, TraceTimeline, np.ndarray, np.ndarray]
-"""One pair's paired rounds: ``(pair, v4, v6, paired-round mask, same-path
-mask over those rounds)``."""
+_Pair = Tuple[Tuple[int, int], TraceTimeline, TraceTimeline]
+"""One pair with paired rounds: ``(pair, v4, v6)``."""
 
 
 @dataclass(eq=False)
 class DualStackComparison:
     """The Figure 10a populations.
 
-    The comparison keeps each pair's paired-round masks, not the
-    populations: :attr:`all_diffs` and :attr:`same_path_diffs` build
-    their ECDF on every read (one float64 buffer, filled and sorted in
-    place) and do not cache it.  A caller that holds one population
-    while it needs it, and drops it before reading the other, never
-    holds both buffers at once.
+    The comparison keeps the paired timelines, not the populations nor
+    their round masks: :attr:`all_diffs` and :attr:`same_path_diffs`
+    build their ECDF on every read (one float32 buffer, filled and
+    sorted in place) and do not cache it.  A caller that holds one
+    population while it needs it, and drops it before reading the
+    other, never holds both buffers at once.
 
     Attributes:
-        pair_rounds: Per pair with paired rounds, in pair order: the pair,
-            its two timelines, the mask of its paired rounds and the
-            same-AS-path mask over those rounds.
+        pairs: Per pair with paired rounds, in pair order: the pair and
+            its two timelines.
         per_pair_median: Median difference per server pair, for per-pair
             tail statistics ("for 3.7% of the endpoint pairs ...").
         paired_samples / same_path_samples: Population sizes.
     """
 
-    pair_rounds: List[_PairRounds]
+    pairs: List[_Pair]
     per_pair_median: Dict[Tuple[int, int], float]
     paired_samples: int
     same_path_samples: int
@@ -71,13 +73,13 @@ class DualStackComparison:
 
     def _population(self, same_path: bool) -> ECDF:
         size = self.same_path_samples if same_path else self.paired_samples
-        values = np.empty(size)
+        values = np.empty(size, dtype=np.float32)
         end = 0
-        for _, v4, v6, both, same in self.pair_rounds:
-            # The float32 differences widen exactly into the float64 buffer.
+        for _, v4, v6 in self.pairs:
+            both = _paired_mask(v4, v6)
             diffs = _paired_diffs(v4, v6, both)
             if same_path:
-                diffs = diffs[same]
+                diffs = diffs[_same_path_mask(v4, v6, both)]
             start, end = end, end + diffs.size
             values[start:end] = diffs
         values.sort()
@@ -113,6 +115,16 @@ class DualStackComparison:
         return float(np.mean(values <= -threshold_ms))
 
 
+def _paired_mask(v4: TraceTimeline, v6: TraceTimeline) -> np.ndarray:
+    """The rounds both protocols measured usably, with a finite RTT."""
+    return (
+        v4.usable_mask()
+        & v6.usable_mask()
+        & np.isfinite(v4.rtt_ms)
+        & np.isfinite(v6.rtt_ms)
+    )
+
+
 def _paired_diffs(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.ndarray:
     """``RTTv4 - RTTv6`` over the paired rounds ``both``, in float32.
 
@@ -122,13 +134,21 @@ def _paired_diffs(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.
     return (v4.rtt_ms - v6.rtt_ms)[both]
 
 
-def _same_path_matrix(v4: TraceTimeline, v6: TraceTimeline) -> np.ndarray:
-    """``[i, j]`` is whether IPv4 path ``i`` equals IPv6 path ``j``."""
+def _same_path_mask(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.ndarray:
+    """Over the paired rounds ``both``: whether the observed AS paths match.
+
+    Raises:
+        ValueError: A paired round carries a negative path id.
+    """
+    v4_ids = v4.path_id[both]
+    v6_ids = v6.path_id[both]
+    if v4_ids.min() < 0 or v6_ids.min() < 0:
+        raise ValueError(f"usable sample without a path id for pair {v4.pair}")
     matrix = np.zeros((len(v4.paths), len(v6.paths)), dtype=bool)
     for i, path_v4 in enumerate(v4.paths):
         for j, path_v6 in enumerate(v6.paths):
             matrix[i, j] = path_v4 == path_v6
-    return matrix
+    return matrix[v4_ids, v6_ids]
 
 
 def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
@@ -143,7 +163,7 @@ def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
     Raises:
         ValueError: A usable sample carries a negative path id.
     """
-    pair_rounds: List[_PairRounds] = []
+    pairs: List[_Pair] = []
     per_pair: Dict[Tuple[int, int], float] = {}
     paired_count = 0
     same_count = 0
@@ -154,28 +174,18 @@ def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
             continue
         v4 = dataset.timelines[key_v4]
         v6 = dataset.timelines[key_v6]
-        both = (
-            v4.usable_mask()
-            & v6.usable_mask()
-            & np.isfinite(v4.rtt_ms)
-            & np.isfinite(v6.rtt_ms)
-        )
+        both = _paired_mask(v4, v6)
         if not both.any():
             continue
-        # Same-AS-path subset: compare observed paths per round.
-        v4_ids = v4.path_id[both]
-        v6_ids = v6.path_id[both]
-        if v4_ids.min() < 0 or v6_ids.min() < 0:
-            raise ValueError(f"usable sample without a path id for pair {(src, dst)}")
-        same = _same_path_matrix(v4, v6)[v4_ids, v6_ids]
-        pair_rounds.append(((src, dst), v4, v6, both, same))
+        same = _same_path_mask(v4, v6, both)
+        pairs.append(((src, dst), v4, v6))
         # The median of the widened differences, as in the populations.
         diffs = _paired_diffs(v4, v6, both).astype(np.float64)
         per_pair[(src, dst)] = float(np.median(diffs))
-        paired_count += v4_ids.size
+        paired_count += diffs.size
         same_count += int(np.count_nonzero(same))
     return DualStackComparison(
-        pair_rounds=pair_rounds,
+        pairs=pairs,
         per_pair_median=per_pair,
         paired_samples=paired_count,
         same_path_samples=same_count,

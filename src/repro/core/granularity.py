@@ -81,6 +81,7 @@ def subsample_timeline(timeline: TraceTimeline, min_gap_hours: float = 3.0) -> T
             keep.append(index)
             last = time
     mask = np.asarray(keep, dtype=int)
+    candidates = timeline.true_candidate
     return TraceTimeline(
         src_server_id=timeline.src_server_id,
         dst_server_id=timeline.dst_server_id,
@@ -90,9 +91,7 @@ def subsample_timeline(timeline: TraceTimeline, min_gap_hours: float = 3.0) -> T
         outcome=timeline.outcome[mask],
         path_id=timeline.path_id[mask],
         paths=timeline.paths,
-        true_candidate=timeline.true_candidate[mask]
-        if timeline.true_candidate.size == times.size
-        else timeline.true_candidate,
+        true_candidate=candidates[mask] if candidates.size == times.size else candidates,
     )
 
 

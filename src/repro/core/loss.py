@@ -74,7 +74,7 @@ def _hourly_profiles(stack: PingStack) -> _HourlyProfiles:
 
 def _single(timeline: PingTimeline) -> _HourlyProfiles:
     """The profiles of one timeline (a population of one)."""
-    return _hourly_profiles(stack_by_grid([timeline])[0])
+    return _hourly_profiles(next(stack_by_grid([timeline])))
 
 
 def hourly_loss_profile(timeline: PingTimeline) -> np.ndarray:

@@ -18,12 +18,14 @@ only on the way to the percentiles that are memoized instead.  The
 products live in a private memo that is never pickled, so a timeline
 pickles to the same bytes before and after any analysis.
 
-The long-term corpus is the largest thing a run holds, so its id
-columns are compact: path ids are int16 (:data:`PATH_ID_DTYPE`) and
-candidate indexes int8 (:data:`CANDIDATE_DTYPE`), 8 bytes per sample
-with the float32 RTT and the uint8 outcome.  :class:`PathTable` refuses
-a path table whose ids would not fit, and :func:`compact_column`
-narrows wider columns saved before the compact layout.
+The long-term corpus is the largest thing a run holds, so its columns
+are compact: path ids are int16 (:data:`PATH_ID_DTYPE`), 7 bytes per
+sample with the float32 RTT and the uint8 outcome.  The ground-truth
+candidate index is constant within each routing epoch, so it is stored
+as runs (int8 :data:`CANDIDATE_DTYPE` values) and its per-sample column
+is derived on each read.  :class:`PathTable` refuses a path table whose
+ids would not fit, and :func:`compact_column` narrows wider columns
+saved before the compact layout.
 
 Population analyses fill the memos of many timelines in one pass:
 :func:`population_products` hands a kernel only the timelines whose memo
@@ -34,7 +36,7 @@ share a time grid out as one matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -174,6 +176,45 @@ class _Memoized:
         self._freeze()
 
 
+_RUN_BOUNDS = "_candidate_bounds"
+_RUN_VALUES = "_candidate_values"
+
+
+def _runs(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``column`` as runs of equal values: ``(bounds, values)``.
+
+    Run ``k`` holds ``values[k]`` over ``column[bounds[k]:bounds[k + 1]]``;
+    ``bounds`` (int32) ends at the column's length, and an empty column
+    has no runs.  ``values`` keeps the column's dtype.
+    """
+    changes = np.flatnonzero(column[1:] != column[:-1]) + 1
+    bounds = np.concatenate(([0], changes, [column.size])) if column.size else np.zeros(1)
+    bounds = bounds.astype(np.int32)
+    return _read_only(bounds), _read_only(column[bounds[:-1]])
+
+
+class _CandidateRuns:
+    """:attr:`TraceTimeline.true_candidate`: a column kept as its runs.
+
+    A data descriptor, so the dataclass constructor's column goes to
+    :meth:`__set__`, which keeps only its runs; every read derives the
+    read-only per-sample column again.  The field's default, ``None``,
+    stands for an empty column.
+    """
+
+    def __get__(self, timeline: Any, owner: Any = None) -> Any:
+        if timeline is None:
+            return None
+        bounds, values = timeline.candidate_runs()
+        return _read_only(np.repeat(values, np.diff(bounds)))
+
+    def __set__(self, timeline: Any, column: Any) -> None:
+        if column is None:
+            column = np.empty(0, dtype=CANDIDATE_DTYPE)
+        bounds, values = _runs(np.asarray(column))
+        vars(timeline).update({_RUN_BOUNDS: bounds, _RUN_VALUES: values})
+
+
 # eq=False: identity equality and hash; a field-wise == over arrays raises.
 @dataclass(frozen=True, eq=False)
 class TraceTimeline(_Memoized):
@@ -194,13 +235,15 @@ class TraceTimeline(_Memoized):
             (int8 from the builders; ``-1`` when the destination was
             unreachable).  Simulator metadata -- not visible to the
             analysis pipeline.  Either empty or one entry per sample.
+            Held as runs (:meth:`candidate_runs`); each read derives a
+            fresh read-only column.
 
     The analyses accept id columns of any integer dtype; unpickling
     narrows wider ones (saved before the compact layout) to the
     builders' dtypes.
     """
 
-    _ARRAYS = ("times_hours", "rtt_ms", "outcome", "path_id", "true_candidate")
+    _ARRAYS = ("times_hours", "rtt_ms", "outcome", "path_id", _RUN_BOUNDS, _RUN_VALUES)
 
     src_server_id: int
     dst_server_id: int
@@ -210,16 +253,14 @@ class TraceTimeline(_Memoized):
     outcome: np.ndarray
     path_id: np.ndarray
     paths: List[Tuple[ASN, ...]] = field(default_factory=list)
-    true_candidate: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=CANDIDATE_DTYPE)
-    )
+    true_candidate: np.ndarray = _CandidateRuns()  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         count = self.times_hours.size
         for name in ("rtt_ms", "outcome", "path_id"):
             if getattr(self, name).size != count:
                 raise ValueError(f"{name} length does not match the time grid")
-        if self.true_candidate.size not in (0, count):
+        if self.candidate_runs()[0][-1] not in (0, count):
             raise ValueError("true_candidate length does not match the time grid")
         if count and (
             self.outcome.min() < _OUTCOME_RANGE[0] or self.outcome.max() > _OUTCOME_RANGE[1]
@@ -230,13 +271,25 @@ class TraceTimeline(_Memoized):
     def __setstate__(self, state: Dict[str, Any]) -> None:
         state = dict(state)
         state["path_id"] = compact_column(state["path_id"], PATH_ID_DTYPE, "path_id")
-        state["true_candidate"] = compact_column(
-            state["true_candidate"], CANDIDATE_DTYPE, "true_candidate"
+        if "true_candidate" in state:
+            # Pickled before the runs: a full per-sample column.
+            state[_RUN_BOUNDS], state[_RUN_VALUES] = _runs(state.pop("true_candidate"))
+        state[_RUN_VALUES] = compact_column(
+            state[_RUN_VALUES], CANDIDATE_DTYPE, "true_candidate"
         )
         super().__setstate__(state)
 
     def __len__(self) -> int:
         return int(self.times_hours.size)
+
+    def candidate_runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:attr:`true_candidate` as runs: ``(bounds, values)``, read-only.
+
+        Run ``k`` holds ``values[k]`` over samples ``bounds[k]`` up to
+        ``bounds[k + 1]``; adjacent runs differ.  No ground truth is one
+        bound, ``[0]``, and no values.
+        """
+        return self.__dict__[_RUN_BOUNDS], self.__dict__[_RUN_VALUES]
 
     @property
     def pair(self) -> Tuple[int, int]:
@@ -404,9 +457,9 @@ def population_products(
     return [timeline._memo()[key] for timeline in timelines]
 
 
-STACK_ROWS = 256
+STACK_ROWS = 64
 """Rows per :class:`PingStack`: on the 672-sample week grid one float64
-copy of a stack is 1.4 MB, so the population kernels stay small."""
+copy of a stack is 344 KB, so the population kernels stay small."""
 
 
 # eq=False: identity equality and hash; a field-wise == over arrays raises.
@@ -426,14 +479,15 @@ class PingStack:
     rtt_ms: np.ndarray
 
 
-def stack_by_grid(timelines: Sequence[PingTimeline]) -> List[PingStack]:
+def stack_by_grid(timelines: Sequence[PingTimeline]) -> Iterator[PingStack]:
     """Group ping timelines by time grid and RTT dtype; stack each group.
 
     Grids are compared by content, so timelines holding equal but
     distinct time arrays share a group.  A group larger than
     :data:`STACK_ROWS` is split into several stacks.
     Stacks come in order of their first timeline; rows keep the sequence
-    order.
+    order.  Each stack is built when the iteration reaches it, so a
+    caller that drops a stack before taking the next holds one at a time.
     """
     grid_keys: Dict[int, Tuple[str, bytes]] = {}
     groups: Dict[Tuple[str, bytes, str], List[int]] = {}
@@ -443,15 +497,11 @@ def stack_by_grid(timelines: Sequence[PingTimeline]) -> List[PingStack]:
         if grid_key is None:
             grid_key = grid_keys[id(times)] = (times.dtype.str, times.tobytes())
         groups.setdefault(grid_key + (timeline.rtt_ms.dtype.str,), []).append(index)
-    return [
-        PingStack(
-            indexes=rows,
-            grid=timelines[rows[0]],
-            rtt_ms=np.stack([timelines[index].rtt_ms for index in rows]),
-        )
-        for indexes in groups.values()
-        for rows in (
-            indexes[start:start + STACK_ROWS]
-            for start in range(0, len(indexes), STACK_ROWS)
-        )
-    ]
+    for indexes in groups.values():
+        for start in range(0, len(indexes), STACK_ROWS):
+            rows = indexes[start:start + STACK_ROWS]
+            yield PingStack(
+                indexes=rows,
+                grid=timelines[rows[0]],
+                rtt_ms=np.stack([timelines[index].rtt_ms for index in rows]),
+            )

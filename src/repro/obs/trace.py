@@ -112,23 +112,6 @@ class Tracer:
             seconds=round(opened.duration_seconds, 6), **opened.attrs
         )
 
-    def record_span(self, name: str, seconds: float, **attrs: object) -> Span:
-        """Append an already-measured span (ends now, started ``seconds`` ago)."""
-        now = time.perf_counter()
-        with self._lock:
-            parent = self._stack[-1].span_id if self._stack else None
-            recorded = Span(
-                name=name,
-                span_id=self._next_id,
-                parent_id=parent,
-                start=now - float(seconds),
-                end=now,
-                attrs=dict(attrs),
-            )
-            self._next_id += 1
-            self.spans.append(recorded)
-        return recorded
-
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""
         with self._lock:

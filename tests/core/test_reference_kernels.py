@@ -51,7 +51,7 @@ from repro.core.rttstats import (
 )
 from repro.core.sharedinfra import _change_rounds, _synchronized_fraction
 from repro.datasets.longterm import LongTermDataset
-from repro.datasets.timeline import PingTimeline, TraceTimeline
+from repro.datasets.timeline import PingTimeline, TraceTimeline, stack_by_grid
 from repro.measurement.scheduler import CampaignGrid
 from repro.net.ip import IPVersion
 from tests.datasets.test_timeline import (
@@ -482,6 +482,67 @@ class TestPingPopulation:
         want = reference_loss_summary(timelines, min_samples)
         assert got[0] == want[0] and got[2] == want[2]
         assert same_float(got[1], want[1]) and same_float(got[3], want[3])
+
+
+def _mixed_grid_population(rows=300, seed=0):
+    """``rows`` week-long ping timelines over two grids, interleaved.
+
+    Rows carry a diurnal signal, noise, ties, sparse or edge-gapped
+    samples, or come as float64; every timeline is new, so no verdict
+    is memoized yet.
+    """
+    grids = [0.25 * np.arange(672), 7.5 + 1.0 * np.arange(168)]
+    rng = np.random.default_rng(seed)
+    timelines = []
+    for row in range(rows):
+        times = grids[row % 3 == 0]
+        count = times.size
+        kind = ROW_KINDS[row % len(ROW_KINDS)]
+        if kind == "diurnal":
+            rtts = 50.0 + 25.0 * np.maximum(0.0, np.sin(2 * np.pi * times / 24.0))
+            rtts = (rtts + rng.normal(0.0, 1.0, count)).astype(np.float32)
+        elif kind == "ties":
+            rtts = rng.integers(10, 20, count).astype(np.float32)
+        else:
+            rtts = (10.0 + 300.0 * rng.random(count)).astype(np.float32)
+        if kind == "all-nan":
+            rtts[:] = np.nan
+        elif kind == "sparse":
+            rtts[rng.permutation(count)[rng.integers(0, 4):]] = np.nan
+        elif kind == "edge-gaps":
+            rtts[: count // 5] = np.nan
+            rtts[count - count // 7:] = np.nan
+        else:
+            rtts[rng.random(count) < 0.05] = np.nan
+        if kind == "float64":
+            rtts = rtts.astype(np.float64)
+        timelines.append(PingTimeline(0, 1, IPVersion.V4, times.copy(), rtts))
+    return timelines
+
+
+class TestStackRows:
+    """The population kernels give the same bits whatever the stack height."""
+
+    def test_verdicts_do_not_depend_on_stack_rows(self, monkeypatch):
+        verdicts, losses, stacks = {}, {}, {}
+        for rows in (1, 64, 256):
+            monkeypatch.setattr("repro.datasets.timeline.STACK_ROWS", rows)
+            population = _mixed_grid_population()
+            stacks[rows] = sum(1 for _ in stack_by_grid(population))
+            verdicts[rows] = np.array([
+                (verdict.spread_ms, verdict.power_ratio, verdict.spread_exceeds,
+                 verdict.diurnal)
+                for verdict in CongestionDetector().assess_all(population)
+            ]).tobytes()
+            losses[rows] = np.array([
+                (verdict.loss_rate, verdict.busy_hour_loss, verdict.quiet_hour_loss,
+                 verdict.loss_rtt_correlation)
+                for verdict in _assess_losses(population, correlate_all=True)
+            ]).tobytes()
+        # 300 rows: 100 on one grid, 200 on the other (float64 rows apart).
+        assert stacks[1] == 300 and stacks[64] > stacks[256] > 2
+        assert verdicts[1] == verdicts[64] == verdicts[256]
+        assert losses[1] == losses[64] == losses[256]
 
 
 class TestSortedPercentiles:

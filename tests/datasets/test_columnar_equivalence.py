@@ -56,6 +56,9 @@ def _assert_trace_timelines_equal(reference, candidate):
         assert actual.outcome.tobytes() == expected.outcome.tobytes()
         assert actual.path_id.tobytes() == expected.path_id.tobytes()
         assert actual.true_candidate.tobytes() == expected.true_candidate.tobytes()
+        for held, reference in zip(actual.candidate_runs(), expected.candidate_runs()):
+            assert held.dtype == reference.dtype
+            assert held.tobytes() == reference.tobytes()
         assert list(actual.paths) == list(expected.paths)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datasets.io import load_longterm, save_longterm
+from repro.datasets.io import _key_token, load_longterm, save_longterm
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 
 
@@ -75,6 +75,40 @@ class TestIterLongterm:
         first = next(iterator)
         assert first.rtt_ms.size == dataset.grid.rounds
         iterator.close()  # closing early must release the archive cleanly
+
+
+class TestCandidateColumns:
+    def test_cand_arrays_round_trip_byte_identical(self, platform, tmp_path):
+        from repro.datasets.io import iter_longterm
+
+        pairs = platform.server_pairs(dual_stack_only=True)[:2]
+        dataset = build_longterm_dataset(platform, LongTermConfig(days=10), pairs=pairs)
+        path = tmp_path / "longterm.npz"
+        save_longterm(dataset, path)
+        with np.load(path) as archive:
+            saved = {name: archive[name] for name in archive.files if name.startswith("cand_")}
+        assert len(saved) == len(dataset.timelines)
+        for key, timeline in dataset.timelines.items():
+            array = saved[f"cand_{_key_token(*key)}"]
+            assert array.dtype == np.int8
+            assert array.tobytes() == timeline.true_candidate.tobytes()
+
+        streamed = list(iter_longterm(path))
+        for timeline in streamed:
+            key = (timeline.src_server_id, timeline.dst_server_id, timeline.version)
+            fresh = dataset.timelines[key]
+            assert timeline.true_candidate.dtype == np.int8
+            assert timeline.true_candidate.tobytes() == fresh.true_candidate.tobytes()
+            assert not timeline.true_candidate.flags.writeable
+            for held, reference in zip(timeline.candidate_runs(), fresh.candidate_runs()):
+                assert held.tobytes() == reference.tobytes()
+
+        again = tmp_path / "again.npz"
+        save_longterm(load_longterm(path), again)
+        with np.load(again) as archive:
+            for name, array in saved.items():
+                assert archive[name].dtype == array.dtype
+                assert archive[name].tobytes() == array.tobytes()
 
 
 class TestOldLayout:

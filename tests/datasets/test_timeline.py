@@ -201,6 +201,16 @@ class TestImmutability:
             ping.rtt_ms[0] = 2.0
 
 
+class TestStackByGrid:
+    def test_stacks_are_built_per_step(self, monkeypatch):
+        monkeypatch.setattr("repro.datasets.timeline.STACK_ROWS", 2)
+        pings = [PingTimeline(0, 1, IPVersion.V4, np.arange(4.0),
+                              np.full(4, row, dtype=np.float32)) for row in range(5)]
+        stacks = stack_by_grid(pings)
+        assert iter(stacks) is stacks
+        assert [stack.indexes for stack in stacks] == [[0, 1], [2, 3], [4]]
+
+
 class TestPickle:
     def test_products_are_not_pickled(self):
         timeline = _timeline([COMPLETE, LOOP, COMPLETE], path_ids=[0, 0, 1],
@@ -250,6 +260,83 @@ class TestPickle:
         restored = TraceTimeline.__new__(TraceTimeline)
         restored.__setstate__(state)
         assert not restored.rtt_ms.flags.writeable
+
+
+def _with_candidates(column, dtype=np.int8):
+    count = len(column)
+    return TraceTimeline(
+        src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+        times_hours=3.0 * np.arange(count),
+        rtt_ms=np.full(count, 10.0, dtype=np.float32),
+        outcome=np.zeros(count, dtype=np.uint8),
+        path_id=np.zeros(count, dtype=np.int16),
+        paths=[(1, 2)],
+        true_candidate=np.asarray(column, dtype=dtype),
+    )
+
+
+class TestCandidateRuns:
+    """``true_candidate`` is held as runs and derived per read."""
+
+    def test_runs_of_a_known_column(self):
+        timeline = _with_candidates([-1, -1, 2, 2, 2, 0, -1])
+        bounds, values = timeline.candidate_runs()
+        assert bounds.dtype == np.int32 and values.dtype == np.int8
+        assert bounds.tolist() == [0, 2, 5, 6, 7]
+        assert values.tolist() == [-1, 2, 0, -1]
+        assert not bounds.flags.writeable and not values.flags.writeable
+        assert "true_candidate" not in vars(timeline)
+
+    def test_no_ground_truth_is_no_runs(self):
+        timeline = _with_candidates([])
+        assert [part.tolist() for part in timeline.candidate_runs()] == [[0], []]
+        assert timeline.true_candidate.dtype == np.int8
+        assert timeline.true_candidate.size == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-1, 5), max_size=40).flatmap(
+        lambda runs: st.tuples(st.just(runs), st.lists(
+            st.integers(1, 6), min_size=len(runs), max_size=len(runs)))),
+        st.sampled_from([np.int8, np.int16]))
+    def test_column_round_trips_through_construction_and_pickle(self, drawn, dtype):
+        values, lengths = drawn
+        column = np.repeat(np.asarray(values, dtype=dtype), lengths)
+        timeline = _with_candidates(column, dtype)
+        for held in (timeline, pickle.loads(pickle.dumps(timeline))):
+            read = held.true_candidate
+            assert read.tolist() == column.tolist()
+            assert not read.flags.writeable
+            assert read is not held.true_candidate
+            bounds, run_values = held.candidate_runs()
+            assert (np.diff(bounds) > 0).all()
+            assert (run_values[1:] != run_values[:-1]).all()
+        assert timeline.true_candidate.tobytes() == column.tobytes()
+        restored = pickle.loads(pickle.dumps(timeline))
+        assert restored.true_candidate.dtype == np.int8
+
+    def test_full_column_pickle_loads_as_runs(self, monkeypatch):
+        # Timelines pickled before the runs hold the per-sample column.
+        column = np.asarray([-1, 3, 3, 3, 0, 0], dtype=np.int16)
+        timeline = _with_candidates(column, np.int16)
+
+        def full_column_state(self):
+            state = {name: value for name, value in vars(self).items()
+                     if not name.startswith("_")}
+            state["true_candidate"] = column
+            return state
+
+        monkeypatch.setattr(TraceTimeline, "__getstate__", full_column_state)
+        payload = pickle.dumps(timeline, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        restored = pickle.loads(payload)
+        assert "true_candidate" not in vars(restored)
+        assert restored.true_candidate.dtype == np.int8
+        assert restored.true_candidate.tolist() == column.tolist()
+        assert not restored.true_candidate.flags.writeable
+        assert [part.tolist() for part in restored.candidate_runs()] == [
+            [0, 1, 4, 6], [-1, 3, 0]]
+        assert pickle.dumps(restored) == pickle.dumps(
+            _with_candidates(column.astype(np.int8)))
 
 
 class TestCompactLayout:
@@ -330,11 +417,21 @@ class TestUsableViewsAreDerived:
 class TestMemoryShape:
     """What a full run leaves resident, checked by shape rather than RSS."""
 
-    def test_long_term_columns_take_8_bytes_per_sample(self, small_run):
+    def test_long_term_columns_take_7_bytes_per_sample_plus_candidate_runs(self, small_run):
+        samples = run_bytes = 0
         for timeline in small_run.timelines.values():
-            columns = (timeline.rtt_ms, timeline.outcome, timeline.path_id,
-                       timeline.true_candidate)
-            assert sum(column.nbytes for column in columns) == 8 * len(timeline)
+            columns = (timeline.rtt_ms, timeline.outcome, timeline.path_id)
+            assert sum(column.nbytes for column in columns) == 7 * len(timeline)
+            held = [value for value in vars(timeline).values() if isinstance(value, np.ndarray)]
+            runs = timeline.candidate_runs()
+            assert sum(value.nbytes for value in held) == (
+                timeline.times_hours.nbytes + 7 * len(timeline)
+                + sum(part.nbytes for part in runs))
+            samples += len(timeline)
+            run_bytes += sum(part.nbytes for part in runs)
+        # One routing epoch spans many samples, so the runs are a small
+        # fraction of the 1 byte per sample the full column took.
+        assert run_bytes < samples / 4
 
     def test_memos_hold_counts_and_percentiles_only(self, small_run):
         percentile_keys = {("percentiles", 10.0), ("percentiles", 90.0)}

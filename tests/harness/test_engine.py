@@ -29,6 +29,13 @@ def _seeded_cache(tmp_path, config):
     return cache
 
 
+def _closed_span(tracer, name, seconds):
+    """A span under the current one, closed with a duration of ``seconds``."""
+    with tracer.span(name) as closed:
+        pass
+    closed.start = closed.end - seconds
+
+
 class TestTimings:
     """Stage timings are spans on the current tracer, read per root child."""
 
@@ -47,8 +54,8 @@ class TestTimings:
 
         tracer = Tracer()
         with tracer.span("run"):
-            tracer.record_span("a", 1.5)
-            tracer.record_span("b", 0.5)
+            _closed_span(tracer, "a", 1.5)
+            _closed_span(tracer, "b", 0.5)
         assert sum(tracer.stage_seconds().values()) == pytest.approx(2.0)
         assert render_stage_timings(tracer).splitlines()[-1].split() == [
             "total", "2.000s"
@@ -57,9 +64,9 @@ class TestTimings:
     def test_as_dict_sums_repeats(self):
         tracer = Tracer()
         with tracer.span("run"):
-            tracer.record_span("x", 1.0)
-            tracer.record_span("y", 2.0)
-            tracer.record_span("x", 3.0)
+            _closed_span(tracer, "x", 1.0)
+            _closed_span(tracer, "y", 2.0)
+            _closed_span(tracer, "x", 3.0)
         stages = tracer.stage_seconds()
         assert stages == pytest.approx({"x": 4.0, "y": 2.0})
         # Insertion order of first appearance is preserved.
@@ -68,8 +75,8 @@ class TestTimings:
     def test_as_records_keeps_completion_order(self):
         tracer = Tracer()
         with tracer.span("run"):
-            tracer.record_span("x", 1.0)
-            tracer.record_span("x", 2.0)
+            _closed_span(tracer, "x", 1.0)
+            _closed_span(tracer, "x", 2.0)
         repeats = [item for item in tracer.spans if item.name == "x"]
         assert [item.duration_seconds for item in repeats] == pytest.approx([1.0, 2.0])
         assert tracer.summary()["x"] == {"count": 2, "seconds": 3.0}
@@ -79,7 +86,7 @@ class TestTimings:
 
         tracer = Tracer()
         with tracer.span("reproduce"):
-            tracer.record_span("topology", 0.25)
+            _closed_span(tracer, "topology", 0.25)
         lines = render_stage_timings(tracer).splitlines()
         assert lines[0] == "== stage timings =="
         rows = [line.split() for line in lines[3:]]  # below header and rule

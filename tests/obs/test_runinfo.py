@@ -18,7 +18,8 @@ def test_build_manifest_contents():
     registry.counter("cache.miss").inc(1)
     tracer = Tracer()
     with tracer.span("reproduce"):
-        tracer.record_span("topology", 0.5)
+        with tracer.span("topology"):
+            pass
 
     platform_config = get_scenario("small").platform_config(7)
     manifest = runinfo.build_manifest(

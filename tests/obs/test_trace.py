@@ -30,20 +30,19 @@ def test_duration_zero_while_open():
     assert tracer.current() is None
 
 
-def test_record_span_attaches_under_current():
-    tracer = Tracer()
-    with tracer.span("parent") as parent:
-        recorded = tracer.record_span("child", 0.25, kind="load")
-    assert recorded.parent_id == parent.span_id
-    assert recorded.duration_seconds == pytest.approx(0.25)
-    assert recorded.attrs == {"kind": "load"}
+def _closed_span(tracer, name, seconds, **attrs):
+    """A span under the current one, closed with a duration of ``seconds``."""
+    with tracer.span(name, **attrs) as closed:
+        pass
+    closed.start = closed.end - seconds
+    return closed
 
 
 def test_summary_aggregates_by_name_in_first_seen_order():
     tracer = Tracer()
-    tracer.record_span("b", 1.0)
-    tracer.record_span("a", 2.0)
-    tracer.record_span("b", 3.0)
+    _closed_span(tracer, "b", 1.0)
+    _closed_span(tracer, "a", 2.0)
+    _closed_span(tracer, "b", 3.0)
     summary = tracer.summary()
     assert list(summary) == ["b", "a"]
     assert summary["b"] == {"count": 2, "seconds": 4.0}
@@ -108,10 +107,10 @@ def test_use_tracer_swaps_and_restores():
 def test_stage_seconds_sum_root_children_in_first_seen_order():
     tracer = Tracer()
     with tracer.span("root"):
-        tracer.record_span("b", 1.0)
+        _closed_span(tracer, "b", 1.0)
         with tracer.span("a"):
-            tracer.record_span("nested", 5.0)
-        tracer.record_span("b", 3.0)
+            _closed_span(tracer, "nested", 5.0)
+        _closed_span(tracer, "b", 3.0)
     stages = tracer.stage_seconds()
     # Repeats sum; deeper spans fold into their stage; no root row.
     assert list(stages) == ["b", "a"]
