@@ -114,7 +114,9 @@ def infer_ownership(
     """Run the six heuristics over a set of observed traceroute paths.
 
     Args:
-        paths: Hop sequences (responding hops only; callers should split
+        paths: Hop sequences, read once and in order, so a generator
+            that builds each one as it is asked for keeps one path alive
+            at a time (responding hops only; callers should split
             sequences at unresponsive hops *except* single missing hops,
             which are kept as mapping-less :class:`HopView` entries so the
             ``noip2as`` heuristic can see them -- here a hop with
@@ -133,10 +135,8 @@ def infer_ownership(
     predecessors: Dict[IPAddress, Set[IPAddress]] = defaultdict(set)
     mapping: Dict[IPAddress, Optional[ASN]] = {}
 
-    material = [list(path) for path in paths]
-
-    # Pass 1: the four sequence heuristics.
-    for hops in material:
+    # Pass 1: the four sequence heuristics, the only pass over the paths.
+    for hops in paths:
         for previous, current, nxt in _triples(hops):
             mapping.setdefault(current.address, current.asn)
             if previous is not None:

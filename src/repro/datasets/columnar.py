@@ -1,7 +1,8 @@
 """The columnar record plane: preallocated column buffers per campaign.
 
-The batch builders ultimately need, per (pair, version), four parallel arrays over the campaign grid -- RTT,
-outcome, path id, true candidate -- plus an interned path table.  The
+The batch builders ultimately need, per (pair, version), three parallel
+arrays over the campaign grid -- RTT, outcome, path id -- plus the true
+candidate's runs and an interned path table.  The
 object path reaches them through per-epoch calls into
 :mod:`repro.measurement.rttmodel` / :mod:`repro.measurement.traceroute`
 that recompute everything epoch-independent (segment stretch, baseline
@@ -42,11 +43,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.datasets.timeline import (
-    CANDIDATE_DTYPE,
     PATH_ID_DTYPE,
     PathTable,
     PingTimeline,
     TraceTimeline,
+    epoch_runs,
 )
 from repro.measurement.fastseed import RecycledGenerator, pcg64_states
 from repro.measurement.loss import LossModel
@@ -479,7 +480,7 @@ class CampaignKernels:
         rtt = np.full(count, np.nan, dtype=np.float32)
         outcome = np.full(count, int(TraceOutcome.INCOMPLETE), dtype=np.uint8)
         path_id = np.full(count, -1, dtype=PATH_ID_DTYPE)
-        true_candidate = np.full(count, -1, dtype=CANDIDATE_DTYPE)
+        epochs: List[Tuple[int, int, int]] = []
         table = PathTable((src.server_id, dst.server_id))
 
         paris_start = (
@@ -503,7 +504,7 @@ class CampaignKernels:
                 path_id,
                 table.intern,
             )
-            true_candidate[low:high] = candidate
+            epochs.append((low, high, candidate))
             sampled += high - low
         if sampled:
             self._samples_counter.inc(sampled)
@@ -517,7 +518,7 @@ class CampaignKernels:
             outcome=outcome,
             path_id=path_id,
             paths=table.paths,
-            true_candidate=true_candidate,
+            true_candidate=epoch_runs(count, epochs),
         )
 
     def build_ping_timeline(

@@ -26,7 +26,6 @@ from repro.datasets.longterm import LongTermDataset
 from repro.datasets.shortterm import ShortTermPingDataset
 from repro.datasets.timeline import (
     CANDIDATE_DTYPE,
-    PATH_ID_DTYPE,
     PingTimeline,
     TraceTimeline,
     compact_column,
@@ -98,8 +97,9 @@ def _archive_timelines(archive, meta, times: np.ndarray) -> Iterator[TraceTimeli
     """The archive's timelines, with the builders' compact id columns.
 
     Archives saved before the compact layout hold wider id columns
-    (int32 path ids, int16 candidates); they are narrowed here, so a
-    replayed timeline has the layout of a freshly built one.
+    (int32 or int16 path ids, int16 candidates).  The timeline narrows
+    path ids to its table's width itself; candidates are narrowed here,
+    so a replayed timeline has the layout of a freshly built one.
     """
     for entry in meta["timelines"]:
         src, dst = int(entry["src"]), int(entry["dst"])
@@ -113,7 +113,7 @@ def _archive_timelines(archive, meta, times: np.ndarray) -> Iterator[TraceTimeli
             times_hours=times,
             rtt_ms=archive[f"rtt_{token}"],
             outcome=archive[f"outcome_{token}"],
-            path_id=compact_column(archive[f"pathid_{token}"], PATH_ID_DTYPE, "path_id"),
+            path_id=archive[f"pathid_{token}"],
             paths=paths,
             true_candidate=compact_column(
                 archive[f"cand_{token}"], CANDIDATE_DTYPE, "true_candidate"

@@ -17,12 +17,7 @@ import numpy as np
 from repro.datasets.columnar import CampaignKernels
 from repro.datasets.mutation import KeyOrderCached, VersionedDict, dict_version
 from repro.datasets.parallel import fork_map
-from repro.datasets.timeline import (
-    CANDIDATE_DTYPE,
-    PATH_ID_DTYPE,
-    PathTable,
-    TraceTimeline,
-)
+from repro.datasets.timeline import PATH_ID_DTYPE, PathTable, TraceTimeline, epoch_runs
 from repro.obs import metrics as obs_metrics
 from repro.measurement.platform import MeasurementPlatform
 from repro.measurement.scheduler import LONG_TERM_PERIOD_HOURS, CampaignGrid
@@ -122,7 +117,7 @@ def _build_timeline(
     rtt = np.full(count, np.nan, dtype=np.float32)
     outcome = np.full(count, int(TraceOutcome.INCOMPLETE), dtype=np.uint8)
     path_id = np.full(count, -1, dtype=PATH_ID_DTYPE)
-    true_candidate = np.full(count, -1, dtype=CANDIDATE_DTYPE)
+    sampled: List[Tuple[int, int, int]] = []
     table = PathTable((src.server_id, dst.server_id))
 
     paris_start = platform.config.paris_start_hour if version is IPVersion.V4 else None
@@ -146,7 +141,7 @@ def _build_timeline(
         obs_metrics.counter("traceroute.samples").inc(high - low)
         rtt[low:high] = series.rtt_ms
         outcome[low:high] = series.outcome
-        true_candidate[low:high] = epoch.candidate_index
+        sampled.append((low, high, epoch.candidate_index))
         remap = np.array(
             [table.intern(variant) for variant in series.variants], dtype=PATH_ID_DTYPE
         )
@@ -163,7 +158,7 @@ def _build_timeline(
         outcome=outcome,
         path_id=path_id,
         paths=table.paths,
-        true_candidate=true_candidate,
+        true_candidate=epoch_runs(count, sampled),
     )
 
 

@@ -19,13 +19,18 @@ products live in a private memo that is never pickled, so a timeline
 pickles to the same bytes before and after any analysis.
 
 The long-term corpus is the largest thing a run holds, so its columns
-are compact: path ids are int16 (:data:`PATH_ID_DTYPE`), 7 bytes per
-sample with the float32 RTT and the uint8 outcome.  The ground-truth
-candidate index is constant within each routing epoch, so it is stored
-as runs (int8 :data:`CANDIDATE_DTYPE` values) and its per-sample column
-is derived on each read.  :class:`PathTable` refuses a path table whose
-ids would not fit, and :func:`compact_column` narrows wider columns
-saved before the compact layout.
+are compact.  A timeline stores its path ids in the narrowest signed
+dtype that holds them (:func:`path_id_dtype`): int8 for a table of at
+most 128 paths, which is every timeline the scenarios build, so a
+sample takes 6 bytes with the float32 RTT and the uint8 outcome.  The
+constructor and unpickling both apply that rule, so builders, archives
+and old pickles all end in the same layout.  The ground-truth candidate
+index is constant within each routing epoch, so it is stored as runs
+(int8 :data:`CANDIDATE_DTYPE` values) and its per-sample column is
+derived on each read; the builders hand over the runs of their sampled
+epochs (:func:`epoch_runs`).  :class:`PathTable` refuses a path table
+whose ids would not fit :data:`PATH_ID_DTYPE`, and :func:`compact_column`
+narrows columns to a dtype after checking that they fit.
 
 Population analyses fill the memos of many timelines in one pass:
 :func:`population_products` hands a kernel only the timelines whose memo
@@ -36,7 +41,19 @@ share a time grid out as one matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -50,7 +67,10 @@ __all__ = [
     "CANDIDATE_DTYPE",
     "MAX_PATHS",
     "PathTable",
+    "path_id_dtype",
     "compact_column",
+    "CandidateRuns",
+    "epoch_runs",
     "TraceTimeline",
     "PingTimeline",
     "PingStack",
@@ -69,12 +89,23 @@ _PRODUCTS = "_products"
 
 
 PATH_ID_DTYPE = np.dtype(np.int16)
-"""Dtype of :attr:`TraceTimeline.path_id`; :data:`CANDIDATE_DTYPE` (from
+"""Widest dtype of :attr:`TraceTimeline.path_id` (and that of the
+builders' working columns); :data:`CANDIDATE_DTYPE` (from
 :mod:`repro.measurement.platform`, whose config keeps ``max_alternatives``
 within it) is that of :attr:`TraceTimeline.true_candidate`."""
 
 MAX_PATHS = int(np.iinfo(PATH_ID_DTYPE).max)
 """Most distinct AS paths one timeline's path table may hold."""
+
+
+def path_id_dtype(path_count: int) -> np.dtype:
+    """The dtype a timeline stores path ids in, for a ``path_count``-path table.
+
+    The narrowest signed dtype holding ids ``-1`` up to ``path_count - 1``:
+    int8 for at most 128 paths, else :data:`PATH_ID_DTYPE`.
+    """
+    narrow = np.dtype(np.int8)
+    return narrow if path_count <= np.iinfo(narrow).max + 1 else PATH_ID_DTYPE
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -85,15 +116,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def compact_column(array: np.ndarray, dtype: np.dtype, name: str) -> np.ndarray:
     """``array`` as ``dtype``, after checking that every value fits.
 
-    Returns ``array`` itself when it already has ``dtype``; an integer
-    column in another dtype is copied narrowed.
+    Returns ``array`` itself when it already has ``dtype``, as a view
+    when its dtype is an equal but distinct object (as after unpickling,
+    so a re-pickled column shares the dtype in the pickle's memo like a
+    fresh one); an integer column in another dtype is copied narrowed.
 
     Raises:
         ValueError: ``array`` is not an integer column, or holds a value
             outside ``dtype``'s range.
     """
     if array.dtype == dtype:
-        return array
+        return array if array.dtype is dtype else array.view(dtype)
     if array.dtype.kind not in "iu":
         raise ValueError(f"{name} must be an integer column, got {array.dtype}")
     info = np.iinfo(dtype)
@@ -180,24 +213,63 @@ _RUN_BOUNDS = "_candidate_bounds"
 _RUN_VALUES = "_candidate_values"
 
 
-def _runs(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``column`` as runs of equal values: ``(bounds, values)``.
+class CandidateRuns(NamedTuple):
+    """A column as runs of equal values.
 
-    Run ``k`` holds ``values[k]`` over ``column[bounds[k]:bounds[k + 1]]``;
-    ``bounds`` (int32) ends at the column's length, and an empty column
-    has no runs.  ``values`` keeps the column's dtype.
+    Run ``k`` holds ``values[k]`` over samples ``bounds[k]`` up to
+    ``bounds[k + 1]``; adjacent runs differ.  ``bounds`` (int32) ends at
+    the column's length, and an empty column is one bound, ``[0]``, and
+    no values.
     """
+
+    bounds: np.ndarray
+    values: np.ndarray
+
+
+def _runs(column: np.ndarray) -> CandidateRuns:
+    """``column`` as runs; ``values`` keeps the column's dtype."""
     changes = np.flatnonzero(column[1:] != column[:-1]) + 1
     bounds = np.concatenate(([0], changes, [column.size])) if column.size else np.zeros(1)
     bounds = bounds.astype(np.int32)
-    return _read_only(bounds), _read_only(column[bounds[:-1]])
+    return CandidateRuns(_read_only(bounds), _read_only(column[bounds[:-1]]))
 
 
-class _CandidateRuns:
+def epoch_runs(count: int, epochs: Iterable[Tuple[int, int, int]]) -> CandidateRuns:
+    """The candidate column of a built timeline, as runs.
+
+    ``epochs`` lists the sampled routing epochs as ``(low, high,
+    candidate)``, ascending and disjoint: the column holds ``candidate``
+    over samples ``low`` up to ``high`` and ``-1`` everywhere else, over
+    ``count`` samples.  Equal to the runs of that column, without it.
+    """
+    bounds = [0]
+    values: List[int] = []
+
+    def extend(end: int, value: int) -> None:
+        if end <= bounds[-1]:
+            return
+        if values and values[-1] == value:
+            bounds[-1] = end
+        else:
+            bounds.append(end)
+            values.append(value)
+
+    for low, high, candidate in epochs:
+        extend(low, -1)
+        extend(high, candidate)
+    extend(count, -1)
+    return CandidateRuns(
+        _read_only(np.asarray(bounds, dtype=np.int32)),
+        _read_only(np.asarray(values, dtype=CANDIDATE_DTYPE)),
+    )
+
+
+class _CandidateColumn:
     """:attr:`TraceTimeline.true_candidate`: a column kept as its runs.
 
-    A data descriptor, so the dataclass constructor's column goes to
-    :meth:`__set__`, which keeps only its runs; every read derives the
+    A data descriptor, so the dataclass constructor's value goes to
+    :meth:`__set__`: a per-sample column is reduced to its runs, and
+    :class:`CandidateRuns` are kept as given.  Every read derives the
     read-only per-sample column again.  The field's default, ``None``,
     stands for an empty column.
     """
@@ -211,8 +283,13 @@ class _CandidateRuns:
     def __set__(self, timeline: Any, column: Any) -> None:
         if column is None:
             column = np.empty(0, dtype=CANDIDATE_DTYPE)
-        bounds, values = _runs(np.asarray(column))
-        vars(timeline).update({_RUN_BOUNDS: bounds, _RUN_VALUES: values})
+        runs = column if isinstance(column, CandidateRuns) else _runs(np.asarray(column))
+        vars(timeline).update({_RUN_BOUNDS: runs.bounds, _RUN_VALUES: runs.values})
+
+
+def _stored_path_ids(path_id: np.ndarray, paths: Sequence[Any]) -> np.ndarray:
+    """``path_id`` in :func:`path_id_dtype` of the table size (checked)."""
+    return compact_column(path_id, path_id_dtype(len(paths)), "path_id")
 
 
 # eq=False: identity equality and hash; a field-wise == over arrays raises.
@@ -229,18 +306,26 @@ class TraceTimeline(_Memoized):
         outcome: :class:`~repro.measurement.traceroute.TraceOutcome` per
             sample (uint8).
         path_id: Index into :attr:`paths` of the observed AS path per sample
-            (int16 from the builders; ``-1`` for incomplete samples).
+            (``-1`` for incomplete samples).  Any integer column is
+            accepted and stored as :func:`path_id_dtype` of the table
+            size, so int8 for at most 128 paths.
         paths: Distinct observed AS paths for this timeline.
         true_candidate: Ground-truth candidate-route index per sample
             (int8 from the builders; ``-1`` when the destination was
             unreachable).  Simulator metadata -- not visible to the
-            analysis pipeline.  Either empty or one entry per sample.
-            Held as runs (:meth:`candidate_runs`); each read derives a
-            fresh read-only column.
+            analysis pipeline.  Either empty or one entry per sample;
+            the builders pass :class:`CandidateRuns` instead.  Held as
+            runs (:meth:`candidate_runs`); each read derives a fresh
+            read-only column.
 
-    The analyses accept id columns of any integer dtype; unpickling
-    narrows wider ones (saved before the compact layout) to the
-    builders' dtypes.
+    Unpickling applies the same path-id rule, and narrows wider
+    candidate values (saved before the compact layout) to
+    :data:`CANDIDATE_DTYPE`.
+
+    Raises:
+        ValueError: A column's length does not match the time grid, an
+            outcome is outside :class:`TraceOutcome`, or a path id does
+            not fit the table size's dtype.
     """
 
     _ARRAYS = ("times_hours", "rtt_ms", "outcome", "path_id", _RUN_BOUNDS, _RUN_VALUES)
@@ -253,7 +338,7 @@ class TraceTimeline(_Memoized):
     outcome: np.ndarray
     path_id: np.ndarray
     paths: List[Tuple[ASN, ...]] = field(default_factory=list)
-    true_candidate: np.ndarray = _CandidateRuns()  # type: ignore[assignment]
+    true_candidate: np.ndarray = _CandidateColumn()  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         count = self.times_hours.size
@@ -266,11 +351,12 @@ class TraceTimeline(_Memoized):
             self.outcome.min() < _OUTCOME_RANGE[0] or self.outcome.max() > _OUTCOME_RANGE[1]
         ):
             raise ValueError("outcome holds a code outside TraceOutcome")
+        object.__setattr__(self, "path_id", _stored_path_ids(self.path_id, self.paths))
         self._freeze()
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         state = dict(state)
-        state["path_id"] = compact_column(state["path_id"], PATH_ID_DTYPE, "path_id")
+        state["path_id"] = _stored_path_ids(state["path_id"], state["paths"])
         if "true_candidate" in state:
             # Pickled before the runs: a full per-sample column.
             state[_RUN_BOUNDS], state[_RUN_VALUES] = _runs(state.pop("true_candidate"))
@@ -282,14 +368,12 @@ class TraceTimeline(_Memoized):
     def __len__(self) -> int:
         return int(self.times_hours.size)
 
-    def candidate_runs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:attr:`true_candidate` as runs: ``(bounds, values)``, read-only.
+    def candidate_runs(self) -> CandidateRuns:
+        """:attr:`true_candidate` as read-only :class:`CandidateRuns`.
 
-        Run ``k`` holds ``values[k]`` over samples ``bounds[k]`` up to
-        ``bounds[k + 1]``; adjacent runs differ.  No ground truth is one
-        bound, ``[0]``, and no values.
+        No ground truth is one bound, ``[0]``, and no values.
         """
-        return self.__dict__[_RUN_BOUNDS], self.__dict__[_RUN_VALUES]
+        return CandidateRuns(self.__dict__[_RUN_BOUNDS], self.__dict__[_RUN_VALUES])
 
     @property
     def pair(self) -> Tuple[int, int]:

@@ -12,7 +12,7 @@ and ``python -m repro reproduce`` run through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -514,13 +514,20 @@ def _build_ownership(
 
     The paper "processed all traceroute paths as a set" -- the label graph
     is built from every measured path, not only the congested pairs'.
+    The paths stream into the inference one at a time.
     """
-    paths = []
+    return infer_ownership(
+        _ownership_paths(traces, platform), platform.graph.relationships, passes=3
+    )
+
+
+def _ownership_paths(
+    traces: ShortTermTraceDataset, platform: MeasurementPlatform
+) -> Iterator[List[HopView]]:
+    """Every path of the ownership corpus, built as it is asked for."""
     for entry in traces.entries.values():
-        paths.append(
-            [HopView(address=address, asn=asn)
-             for address, asn in zip(entry.hop_addresses, entry.hop_mapped_asn)]
-        )
+        yield [HopView(address=address, asn=asn)
+               for address, asn in zip(entry.hop_addresses, entry.hop_mapped_asn)]
     for src, dst in platform.server_pairs():
         for version in (IPVersion.V4, IPVersion.V6):
             # Both the steady-state path and the first alternate: routing
@@ -530,11 +537,8 @@ def _build_ownership(
                 realization = platform.realization(src, dst, version, candidate)
                 if realization is None:
                     continue
-                paths.append(
-                    [HopView(address=hop.address, asn=hop.mapped_asn)
-                     for hop in realization.hops]
-                )
-    return infer_ownership(paths, platform.graph.relationships, passes=3)
+                yield [HopView(address=hop.address, asn=hop.mapped_asn)
+                       for hop in realization.hops]
 
 
 def experiment_link_classification(

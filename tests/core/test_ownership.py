@@ -161,3 +161,19 @@ class TestSimulatedAccuracy:
             1 for address in seen if inference.owner(address) is not None
         )
         assert resolved / len(seen) > 0.5
+
+    def test_a_one_pass_generator_infers_what_a_list_does(self, platform):
+        def paths():
+            for src, dst in platform.server_pairs():
+                for candidate in (0, 1):
+                    realization = platform.realization(src, dst, IPVersion.V4, candidate)
+                    if realization is not None:
+                        yield [HopView(hop.address, hop.mapped_asn)
+                               for hop in realization.hops]
+
+        relationships = platform.graph.relationships
+        from_list = infer_ownership(list(paths()), relationships, passes=3)
+        from_generator = infer_ownership(paths(), relationships, passes=3)
+        assert from_generator.owners == from_list.owners
+        assert from_generator.labels == from_list.labels
+        assert list(from_generator.labels) == list(from_list.labels)

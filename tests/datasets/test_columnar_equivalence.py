@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.datasets.shortterm import ShortTermConfig, build_shortterm_ping_dataset
-from repro.datasets.timeline import CANDIDATE_DTYPE, PATH_ID_DTYPE
+from repro.datasets.timeline import CANDIDATE_DTYPE, path_id_dtype
 from repro.harness.experiments import (
     experiment_congestion_norm,
     experiment_fig3,
@@ -49,7 +50,7 @@ def _assert_trace_timelines_equal(reference, candidate):
         actual = candidate.timelines[key]
         for name in ("times_hours", "rtt_ms", "outcome", "path_id", "true_candidate"):
             assert getattr(actual, name).dtype == getattr(expected, name).dtype, name
-        assert actual.path_id.dtype == PATH_ID_DTYPE
+        assert actual.path_id.dtype == path_id_dtype(len(actual.paths))
         assert actual.true_candidate.dtype == CANDIDATE_DTYPE
         assert actual.times_hours.tobytes() == expected.times_hours.tobytes()
         assert actual.rtt_ms.tobytes() == expected.rtt_ms.tobytes()
@@ -118,6 +119,28 @@ class TestTimelineEquivalence:
             seeded_platform, LONGTERM, jobs=jobs, columnar=True
         )
         _assert_trace_timelines_equal(reference, candidate)
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_candidate_runs_are_those_of_the_sampled_epochs(self, seeded_platform, columnar):
+        # The builders hand over runs instead of filling the per-sample
+        # column; the column they would have filled is rebuilt here.
+        dataset = build_longterm_dataset(seeded_platform, LONGTERM, columnar=columnar)
+        times = LONGTERM.grid().times()
+        for (src_id, dst_id, version), timeline in dataset.timelines.items():
+            src, dst = dataset.servers[src_id], dataset.servers[dst_id]
+            column = np.full(times.size, -1, dtype=CANDIDATE_DTYPE)
+            for epoch in seeded_platform.epochs(src, dst, version):
+                low = int(times.searchsorted(epoch.start_hour, side="left"))
+                high = int(times.searchsorted(epoch.end_hour, side="left"))
+                if high <= low or epoch.candidate_index < 0:
+                    continue
+                if seeded_platform.realization(src, dst, version, epoch.candidate_index):
+                    column[low:high] = epoch.candidate_index
+            assert timeline.true_candidate.tobytes() == column.tobytes()
+            bounds, values = timeline.candidate_runs()
+            assert bounds.dtype == np.int32 and values.dtype == CANDIDATE_DTYPE
+            assert (np.diff(bounds) > 0).all()
+            assert (values[1:] != values[:-1]).all()
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_ping_columnar_matches_object(self, seeded_platform, jobs):

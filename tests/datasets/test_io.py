@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.datasets.io import _key_token, load_longterm, save_longterm
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
@@ -112,7 +113,8 @@ class TestCandidateColumns:
 
 
 class TestOldLayout:
-    def test_archive_with_wide_id_columns_loads_compact(self, platform, tmp_path):
+    @pytest.mark.parametrize("wide", [np.int16, np.int32])
+    def test_archive_with_wide_id_columns_loads_compact(self, platform, tmp_path, wide):
         from repro.datasets.io import iter_longterm
 
         pairs = platform.server_pairs(dual_stack_only=True)[:2]
@@ -120,12 +122,14 @@ class TestOldLayout:
         path = tmp_path / "longterm.npz"
         save_longterm(dataset, path)
         # Rewrite the archive in the layout saved before the compact
-        # columns: int32 path ids, int16 candidates.
+        # columns (int32 path ids) or before the width rule (int16 path
+        # ids), with int16 candidates.
         with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files}
         for name in arrays:
             if name.startswith("pathid_"):
-                arrays[name] = arrays[name].astype(np.int32)
+                assert arrays[name].dtype == np.int8
+                arrays[name] = arrays[name].astype(wide)
             elif name.startswith("cand_"):
                 arrays[name] = arrays[name].astype(np.int16)
         old = tmp_path / "old.npz"
@@ -137,7 +141,7 @@ class TestOldLayout:
         for timeline in list(loaded.timelines.values()) + streamed:
             key = (timeline.src_server_id, timeline.dst_server_id, timeline.version)
             fresh = dataset.timelines[key]
-            assert timeline.path_id.dtype == np.int16
+            assert timeline.path_id.dtype == np.int8
             assert timeline.true_candidate.dtype == np.int8
             assert timeline.path_id.tobytes() == fresh.path_id.tobytes()
             assert timeline.true_candidate.tobytes() == fresh.true_candidate.tobytes()

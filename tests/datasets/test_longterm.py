@@ -69,13 +69,16 @@ class TestBuild:
 
 
 class TestCompactColumns:
-    def test_builders_emit_8_bytes_per_sample(self, longterm):
+    def test_builders_emit_7_bytes_per_sample(self, longterm):
+        # float32 RTT, uint8 outcome, int8 path id (tables of at most 128
+        # paths) and the int8 candidate column read off its runs.
         for timeline in longterm.timelines.values():
-            assert timeline.path_id.dtype == np.int16
+            assert len(timeline.paths) <= 128
+            assert timeline.path_id.dtype == np.int8
             assert timeline.true_candidate.dtype == np.int8
             columns = (timeline.rtt_ms, timeline.outcome, timeline.path_id,
                        timeline.true_candidate)
-            assert sum(column.nbytes for column in columns) == 8 * len(timeline)
+            assert sum(column.nbytes for column in columns) == 7 * len(timeline)
 
     @pytest.mark.parametrize("columnar", [True, False])
     def test_a_path_table_past_its_limit_raises_naming_the_pair(

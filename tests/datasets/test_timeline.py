@@ -16,10 +16,13 @@ from repro.datasets.shortterm import (
 from repro.core.dualstack import paired_rtt_differences
 from repro.datasets.timeline import (
     MAX_PATHS,
+    CandidateRuns,
     PathTable,
     PingTimeline,
     TraceTimeline,
     compact_column,
+    epoch_runs,
+    path_id_dtype,
     stack_by_grid,
 )
 from repro.harness.experiments import run_all_experiments
@@ -368,25 +371,133 @@ class TestCompactLayout:
         with pytest.raises(ValueError, match="integer"):
             compact_column(np.zeros(2), np.dtype(np.int16), "path_id")
 
-    def test_pickle_with_wide_id_columns_loads_compact(self):
+    def test_compact_column_gives_an_unpickled_dtype_the_canonical_object(self):
+        column = np.asarray([0, 1], dtype=np.int8)
+        unpickled = pickle.loads(pickle.dumps(column))
+        assert unpickled.dtype is not column.dtype
+        canonical = compact_column(unpickled, np.dtype(np.int8), "path_id")
+        assert canonical.dtype is np.dtype(np.int8)
+        assert canonical.base is unpickled
+
+    @staticmethod
+    def _legacy_pickle(monkeypatch, timeline, **columns):
+        """``timeline`` pickled with ``columns`` in place of its own."""
+        def legacy_state(self):
+            return {**vars(self), **columns}
+
+        monkeypatch.setattr(TraceTimeline, "__getstate__", legacy_state)
+        payload = pickle.dumps(timeline, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        return payload
+
+    @pytest.mark.parametrize("wide", [np.int16, np.int32])
+    def test_pickle_with_wide_id_columns_loads_compact(self, monkeypatch, wide):
         # Artifact caches written before the compact layout hold int32
-        # path ids and int16 candidates.
-        wide = _timeline([COMPLETE, MISSING_IP, INCOMPLETE], path_ids=[0, 1, -1],
-                         paths=[(1, 2), (1, 3)])
-        assert wide.path_id.dtype == np.int32
-        assert wide.true_candidate.dtype == np.int16
-        restored = pickle.loads(pickle.dumps(wide, protocol=pickle.HIGHEST_PROTOCOL))
-        assert restored.path_id.dtype == np.int16
+        # path ids; those written before the width rule hold int16.
+        timeline = _timeline([COMPLETE, MISSING_IP, INCOMPLETE], path_ids=[0, 1, -1],
+                             paths=[(1, 2), (1, 3)])
+        payload = self._legacy_pickle(
+            monkeypatch, timeline, path_id=np.asarray([0, 1, -1], dtype=wide))
+        restored = pickle.loads(payload)
+        assert restored.path_id.dtype == np.int8
         assert restored.true_candidate.dtype == np.int8
-        assert restored.path_id.tolist() == wide.path_id.tolist()
-        assert restored.true_candidate.tolist() == wide.true_candidate.tolist()
+        assert restored.path_id.tolist() == [0, 1, -1]
+        assert restored.true_candidate.tolist() == timeline.true_candidate.tolist()
         assert not restored.path_id.flags.writeable
         assert not restored.true_candidate.flags.writeable
 
-    def test_pickle_with_ids_past_the_compact_range_fails_loudly(self):
-        wide = _timeline([COMPLETE, COMPLETE], path_ids=[0, 70000])
+    def test_ids_past_the_table_width_fail_loudly(self, monkeypatch):
+        with pytest.raises(ValueError, match="path_id holds values outside int8"):
+            _timeline([COMPLETE, COMPLETE], path_ids=[0, 128])
+        with pytest.raises(ValueError, match="path_id holds values outside int16"):
+            _timeline([COMPLETE, COMPLETE], path_ids=[0, 70000],
+                      paths=[(path,) for path in range(129)])
+        payload = self._legacy_pickle(
+            monkeypatch, _timeline([COMPLETE, COMPLETE]),
+            path_id=np.asarray([0, 300], dtype=np.int16))
         with pytest.raises(ValueError, match="path_id"):
-            pickle.loads(pickle.dumps(wide))
+            pickle.loads(payload)
+
+
+class TestPathIdWidth:
+    """A timeline stores path ids in the narrowest dtype its table needs."""
+
+    @pytest.mark.parametrize("count, dtype", [
+        (0, np.int8), (1, np.int8), (128, np.int8), (129, np.int16), (MAX_PATHS, np.int16),
+    ])
+    def test_width_rule(self, count, dtype):
+        assert path_id_dtype(count) == dtype
+
+    @pytest.mark.parametrize("count, dtype", [(128, np.int8), (129, np.int16)])
+    def test_table_size_boundary(self, count, dtype):
+        ids = list(range(-1, count))
+        timeline = _timeline([COMPLETE] * len(ids), path_ids=ids,
+                             paths=[(path,) for path in range(count)])
+        assert timeline.path_id.dtype == dtype
+        assert timeline.path_id.tolist() == ids
+        assert timeline.path_sample_counts() == {path: 1 for path in range(count)}
+        assert timeline.usable_rtts_by_path().keys() == set(range(count))
+        restored = pickle.loads(pickle.dumps(timeline))
+        assert restored.path_id.dtype == dtype
+        assert restored.path_id.tobytes() == timeline.path_id.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda count: st.tuples(
+               st.just(count), st.lists(st.integers(-1, count - 1), max_size=50))),
+           st.sampled_from([np.int16, np.int32, np.int64]))
+    def test_ids_round_trip_through_construction_and_pickle(self, drawn, given_dtype):
+        count, ids = drawn
+        timeline = _timeline([COMPLETE] * len(ids), path_ids=ids,
+                             paths=[(path,) for path in range(count)])
+        restored = pickle.loads(pickle.dumps(timeline))
+        for held in (timeline, restored):
+            assert held.path_id.dtype == path_id_dtype(count)
+            assert held.path_id.tolist() == ids
+            assert not held.path_id.flags.writeable
+        wide = TraceTimeline(
+            src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+            times_hours=timeline.times_hours, rtt_ms=timeline.rtt_ms,
+            outcome=timeline.outcome, path_id=np.asarray(ids, dtype=given_dtype),
+            paths=timeline.paths,
+        )
+        assert wide.path_id.dtype == path_id_dtype(count)
+        assert wide.path_id.tobytes() == timeline.path_id.tobytes()
+
+
+class TestEpochRuns:
+    """The builders' runs equal those of the column they no longer fill."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 2)),
+                    max_size=12),
+           st.integers(0, 3))
+    def test_equal_to_the_runs_of_the_filled_column(self, steps, tail):
+        # Ascending, disjoint epochs: a gap, then an epoch of some length.
+        epochs, position = [], 0
+        for gap, length, candidate in steps:
+            low = position + gap
+            epochs.append((low, low + length, candidate))
+            position = low + length
+        count = position + tail
+        column = np.full(count, -1, dtype=np.int8)
+        for low, high, candidate in epochs:
+            column[low:high] = candidate
+        runs = epoch_runs(count, epochs)
+        assert isinstance(runs, CandidateRuns)
+        expected = _with_candidates(column).candidate_runs()
+        for held, want in zip(runs, expected):
+            assert held.dtype == want.dtype
+            assert held.tobytes() == want.tobytes()
+        timeline = TraceTimeline(
+            src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+            times_hours=3.0 * np.arange(count),
+            rtt_ms=np.full(count, 10.0, dtype=np.float32),
+            outcome=np.zeros(count, dtype=np.uint8),
+            path_id=np.zeros(count, dtype=np.int8),
+            true_candidate=runs,
+        )
+        assert timeline.true_candidate.tobytes() == column.tobytes()
+        assert timeline.candidate_runs().bounds is runs.bounds
 
 
 @pytest.fixture(scope="module")
@@ -417,15 +528,16 @@ class TestUsableViewsAreDerived:
 class TestMemoryShape:
     """What a full run leaves resident, checked by shape rather than RSS."""
 
-    def test_long_term_columns_take_7_bytes_per_sample_plus_candidate_runs(self, small_run):
+    def test_long_term_columns_take_6_bytes_per_sample_plus_candidate_runs(self, small_run):
         samples = run_bytes = 0
         for timeline in small_run.timelines.values():
+            assert timeline.path_id.dtype == np.int8
             columns = (timeline.rtt_ms, timeline.outcome, timeline.path_id)
-            assert sum(column.nbytes for column in columns) == 7 * len(timeline)
+            assert sum(column.nbytes for column in columns) == 6 * len(timeline)
             held = [value for value in vars(timeline).values() if isinstance(value, np.ndarray)]
             runs = timeline.candidate_runs()
             assert sum(value.nbytes for value in held) == (
-                timeline.times_hours.nbytes + 7 * len(timeline)
+                timeline.times_hours.nbytes + 6 * len(timeline)
                 + sum(part.nbytes for part in runs))
             samples += len(timeline)
             run_bytes += sum(part.nbytes for part in runs)

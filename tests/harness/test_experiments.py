@@ -1,6 +1,7 @@
 """Tests for the per-figure experiment drivers on the session platform."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,34 @@ class TestOwnershipCache:
         assert traces.corpus_product(first, lambda: "b") == "a"
         assert traces.corpus_product(second, lambda: "c") == "c"
         assert traces.corpus_product(first, lambda: "d") == "d"
+
+    def test_the_corpus_streams_into_the_inference(self, platform, traces, monkeypatch):
+        # What building the ownership input holds at its peak, with the
+        # inference replaced by a consumer that only walks the paths:
+        # streamed, one path at a time; held, the whole corpus.
+        def input_peak(consume):
+            monkeypatch.setattr(
+                experiments, "infer_ownership", lambda paths, *args, **kwargs: consume(paths))
+            experiments._build_ownership(traces, platform)  # warms the platform's caches
+            tracemalloc.start()
+            try:
+                experiments._build_ownership(traces, platform)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak
+
+        hops = [0]
+
+        def walk(paths):
+            for path in paths:
+                hops[0] += len(path)
+
+        held = []
+        streamed = input_peak(walk)
+        whole = input_peak(lambda paths: held.append(list(paths)))
+        assert hops[0] > 1000  # a corpus large enough for the ratio to mean something
+        assert streamed < whole / 10
 
     def test_cache_is_not_pickled(self, platform, traces, calls):
         cold = pickle.dumps(traces, protocol=pickle.HIGHEST_PROTOCOL)
