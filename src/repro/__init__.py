@@ -12,7 +12,7 @@ paper's analysis pipeline on top:
   :mod:`repro.measurement` (RTT model, congestion processes, traceroute
   and ping engines, the platform façade).
 - **Datasets** -- :mod:`repro.datasets` (trace/ping timelines, the
-  long-term and short-term campaign builders, persistence).
+  long-term and short-term campaign builders).
 - **The paper's analyses** -- :mod:`repro.core` (routing-change, congestion
   detection/localization, router ownership, dual-stack and inflation
   studies).

@@ -9,7 +9,6 @@
   dataset builder (Section 2.1), scaled.
 - :mod:`repro.datasets.shortterm` -- the short-term ping and traceroute
   campaign builders (Section 2.2).
-- :mod:`repro.datasets.io` -- persistence (NPZ).
 - :mod:`repro.datasets.parallel` -- the fork-based worker pool the
   builders use for ``jobs > 1``.
 """

@@ -194,7 +194,6 @@ def cached_platform(
     config: Optional[PlatformConfig] = None,
     cache: Optional[ArtifactCache] = None,
     jobs: int = 1,
-    refresh: bool = False,
 ) -> Tuple[MeasurementPlatform, bool]:
     """A measurement platform for ``config``, loaded from disk when possible.
 
@@ -202,7 +201,6 @@ def cached_platform(
         config: Platform construction parameters.
         cache: Artifact store (the default cache directory otherwise).
         jobs: Workers for route computation on a miss.
-        refresh: Force a rebuild even when a cached entry exists.
 
     Returns:
         ``(platform, cache_hit)``.
@@ -210,11 +208,10 @@ def cached_platform(
     config = config or PlatformConfig()
     cache = cache or ArtifactCache()
     fingerprint = config_fingerprint("platform", config)
-    if not refresh:
-        with obs_trace.span("platform-load"):
-            artifact = cache.load("platform", fingerprint)
-        if artifact is not None:
-            return artifact, True
+    with obs_trace.span("platform-load"):
+        artifact = cache.load("platform", fingerprint)
+    if artifact is not None:
+        return artifact, True
     _LOG.info("platform.build", fingerprint=fingerprint, jobs=jobs,
               clusters=config.cluster_count, seed=config.seed)
     platform = MeasurementPlatform(config, jobs=jobs)
@@ -229,7 +226,6 @@ def cached_longterm(
     platform: Optional[MeasurementPlatform] = None,
     cache: Optional[ArtifactCache] = None,
     jobs: int = 1,
-    refresh: bool = False,
 ) -> Tuple[LongTermDataset, bool]:
     """The long-term dataset for a (platform, campaign) config pair.
 
@@ -244,11 +240,10 @@ def cached_longterm(
     longterm_config = longterm_config or LongTermConfig()
     cache = cache or ArtifactCache()
     fingerprint = config_fingerprint("longterm", platform_config, longterm_config)
-    if not refresh:
-        with obs_trace.span("longterm-load"):
-            artifact = cache.load("longterm", fingerprint)
-        if artifact is not None:
-            return artifact, True
+    with obs_trace.span("longterm-load"):
+        artifact = cache.load("longterm", fingerprint)
+    if artifact is not None:
+        return artifact, True
     if platform is None:
         platform, _ = cached_platform(platform_config, cache=cache, jobs=jobs)
     _LOG.info("longterm.build", fingerprint=fingerprint, jobs=jobs,

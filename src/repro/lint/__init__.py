@@ -4,12 +4,12 @@ Off-the-shelf linters check style; this package checks the invariants
 the reproduction's correctness rests on -- determinism (DET001/DET002),
 fork-safe parallelism (FRK001), telemetry hygiene (OBS001), public API
 annotations (API001), and cache-fingerprint coverage (CCH001) -- plus
-whole-program rules (DET010/FRK010/SCH010) over every file's summary.
+whole-program rules (DET010/SCH010) over every file's summary.
 Each run is one serial pass: per-file rules first, then project rules.
 See ``RULES.md`` next to this file for one paragraph per rule, and run::
 
-    python -m repro.lint src            # human output
-    python -m repro.lint src --json     # machine output (CI artifact)
+    python -m repro.lint src                 # human output
+    python -m repro.lint src --format json   # machine output (CI artifact)
 
 Suppressions are ``# repro: noqa[RULE]`` comments backed by the
 documented allowlist in :mod:`repro.lint.allowlist`; an undocumented

@@ -63,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Whole-program invariant linter: determinism taint, "
-        "fork/thread lock order, schema compatibility, telemetry hygiene, "
+        "fork-safe workers, schema compatibility, telemetry hygiene, "
         "cache-fingerprint coverage.",
         epilog="exit codes: 0 no errors (warnings pass without --strict); "
         "1 errors, or warnings with --strict; 2 usage error",
@@ -75,9 +75,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--format", choices=("human", "json", "sarif"), default="human",
         help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="shorthand for --format json"
     )
     parser.add_argument(
         "--select", metavar="CODES", help="comma-separated rule codes to run exclusively"
@@ -133,10 +130,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    output_format = "json" if args.json else args.format
-    if output_format == "json":
+    if args.format == "json":
         sys.stdout.write(render_json(report))
-    elif output_format == "sarif":
+    elif args.format == "sarif":
         sys.stdout.write(
             render_sarif(report, all_rules(_codes(args.select), _codes(args.ignore)))
         )

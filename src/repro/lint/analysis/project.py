@@ -1,7 +1,7 @@
 """Project assembly: compose module summaries into a whole-program view.
 
 The :class:`Project` is built from the module summaries on every run --
-it is cheap, deterministic, and holds the three things the
+it is cheap, deterministic, and holds the two things the
 interprocedural engines need:
 
 - a **symbol table** mapping dotted names to function and class records
@@ -9,36 +9,15 @@ interprocedural engines need:
 - **call resolution**: a call record's callee descriptor (dotted name,
   ``self.method``, typed-receiver method, constructor) resolved to the
   global function it lands on, using parameter/return annotations and
-  constructor-call bindings collected per module;
-- the **fork-reachability fixpoint**: the set of functions from which a
-  process fork (``os.fork``, ``fork_map``, ``Pool``/``Process``,
-  ``ShardedSource``) is reachable through resolved calls.
+  constructor-call bindings collected per module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Project", "FuncView", "FORK_CALLABLES"]
-
-# Direct fork actions.  Constructing a worker container (Pool, Process,
-# ShardedSource) counts: construction is where worker wiring happens and
-# the spawn follows immediately in every idiom this codebase uses.
-FORK_CALLABLES = frozenset(
-    {
-        "os.fork",
-        "os.forkpty",
-        "repro.datasets.parallel.fork_map",
-        "repro.stream.source.ShardedSource",
-        "multiprocessing.Pool",
-        "multiprocessing.Process",
-        "multiprocessing.pool.Pool",
-        "multiprocessing.context.Process",
-    }
-)
-
-_FORK_ATTRS = frozenset({"Pool", "Process"})
+__all__ = ["Project", "FuncView"]
 
 
 @dataclass
@@ -53,19 +32,11 @@ class FuncView:
 
     @property
     def calls(self) -> List[Dict[str, object]]:
-        return [c for c in self.info.get("calls", ()) if "callee" in c]
-
-    @property
-    def acquires(self) -> List[Dict[str, object]]:
-        return [c for c in self.info.get("calls", ()) if "acquire" in c]
+        return list(self.info.get("calls", ()))
 
     @property
     def params(self) -> List[str]:
         return list(self.info.get("params", ()))
-
-    @property
-    def thread_starts(self) -> List[Dict[str, object]]:
-        return list(self.info.get("thread_starts", ()))
 
 
 class Project:
@@ -87,7 +58,6 @@ class Project:
                 self.functions[view.name] = view
             for class_name, class_info in summary.get("classes", {}).items():
                 self.classes[f"{module}.{class_name}"] = class_info
-        self._forks: Optional[Set[str]] = None
 
     # -- symbol table ----------------------------------------------------
 
@@ -239,47 +209,3 @@ class Project:
         if owner is None or owner not in self.classes:
             return None
         return owner, rest[0]
-
-    # -- fork reachability -----------------------------------------------
-
-    @staticmethod
-    def is_direct_fork(desc: Dict[str, object]) -> bool:
-        dotted = desc.get("dotted")
-        if dotted in FORK_CALLABLES:
-            return True
-        # multiprocessing contexts: ctx.Process(...), context.Pool(...)
-        if dotted is None and desc.get("attr") in _FORK_ATTRS:
-            return True
-        if isinstance(dotted, str) and dotted.rsplit(".", 1)[-1] in _FORK_ATTRS:
-            return dotted.split(".", 1)[0] == "multiprocessing"
-        return False
-
-    @property
-    def forking_functions(self) -> Set[str]:
-        """Functions from which a fork action is reachable (fixpoint)."""
-        if self._forks is not None:
-            return self._forks
-        forks: Set[str] = set()
-        for name, view in self.functions.items():
-            for record in view.calls:
-                if self.is_direct_fork(record["callee"]):
-                    forks.add(name)
-                    break
-        changed = True
-        while changed:
-            changed = False
-            for name, view in self.functions.items():
-                if name in forks:
-                    continue
-                for record in view.calls:
-                    callee = self.resolve_callee(view, record["callee"])
-                    if callee is not None and callee.name in forks:
-                        forks.add(name)
-                        changed = True
-                        break
-        self._forks = forks
-        return forks
-
-    @property
-    def has_fork_actions(self) -> bool:
-        return bool(self.forking_functions)

@@ -6,14 +6,12 @@ into a plain dict of facts the project layer composes later:
 - every function/method with its parameters, defaults, resolved
   annotations, local variable bindings, and one record per call --
   carrying the *taint atoms* of each argument (int literals, wall-clock
-  reads, dataclass-attribute reads, parameter mentions) plus the lock
-  and fork-guard context the call sits in;
+  reads, dataclass-attribute reads, parameter mentions);
 - every class with its methods, ``self.*`` attribute types (inferred
-  from annotated parameters and constructor calls), declared lock
-  attributes, and dataclass fields;
-- module-level facts: int constants, module-level locks, thread starts,
-  fork actions, and the shape of every dict literal serialized with a
-  ``"schema"`` key.
+  from annotated parameters and constructor calls), and dataclass
+  fields;
+- module-level facts: int constants, and the shape of every dict
+  literal serialized with a ``"schema"`` key.
 
 Everything is plain data that depends only on the file's source bytes;
 the project phase reads the summaries, never the ASTs.
@@ -38,17 +36,6 @@ WALL_CLOCK = frozenset(
         "datetime.datetime.today", "datetime.date.today",
     }
 )
-
-_LOCK_CONSTRUCTORS = frozenset(
-    {"threading.Lock", "threading.RLock", "threading.Condition",
-     "multiprocessing.Lock", "multiprocessing.RLock"}
-)
-
-# The one lock that is *supposed* to be held around telemetry reads so
-# forks cannot inherit it mid-flight (see repro.obs.metrics.fork_guard).
-GUARD_CALLABLE = "repro.obs.metrics.fork_guard"
-GUARD_LOCK = "repro.obs.metrics._fork_lock"
-GUARD_TOKEN = "guard"
 
 _FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -160,7 +147,7 @@ def _attr_chain(node: ast.AST) -> Optional[List[str]]:
 
 
 class _FunctionExtractor:
-    """One pass over a function body collecting calls, atoms, and events."""
+    """One pass over a function body collecting calls and taint atoms."""
 
     def __init__(
         self,
@@ -169,20 +156,14 @@ class _FunctionExtractor:
         qualname: str,
         class_name: Optional[str],
         local_defs: Dict[str, str],
-        module_locks: Sequence[str],
-        class_lock_attrs: Sequence[str],
     ) -> None:
         self.ctx = ctx
         self.function = function
         self.qualname = qualname
         self.class_name = class_name
         self.local_defs = local_defs
-        self.module_locks = set(module_locks)
-        self.class_lock_attrs = set(class_lock_attrs)
         self.calls: List[Dict[str, object]] = []
-        self.thread_starts: List[Dict[str, object]] = []
         self.schema_dicts: List[Dict[str, object]] = []
-        self.local_lock_names: set = set()
         self.params = self._params()
         self.derivation: Dict[str, List[Tuple]] = {}
         self.var_bindings: Dict[str, Dict[str, object]] = {}
@@ -313,13 +294,6 @@ class _FunctionExtractor:
             for target in targets:
                 if isinstance(target, ast.Name) and candidates:
                     self.var_bindings.setdefault(target.id, candidates[0])
-            # Local lock variables: lock = threading.Lock()
-            if isinstance(value, ast.Call):
-                canonical = self.ctx.resolve_imported(value.func)
-                if canonical in _LOCK_CONSTRUCTORS:
-                    for target in targets:
-                        if isinstance(target, ast.Name):
-                            self.local_lock_names.add(target.id)
 
     def _own_nodes(self, body: Sequence[ast.AST]) -> Iterator[ast.AST]:
         """Nodes of this function excluding nested function/class bodies."""
@@ -331,42 +305,13 @@ class _FunctionExtractor:
                 continue
             stack.extend(ast.iter_child_nodes(node))
 
-    # -- lock tokens -----------------------------------------------------
-
-    def _lock_token(self, expr: ast.AST) -> Optional[str]:
-        """Classify a with-item / acquire receiver as a lock, if it is one."""
-        if isinstance(expr, ast.Call):
-            canonical = self.ctx.resolve_imported(expr.func)
-            if canonical is None and isinstance(expr.func, ast.Name):
-                # The guard used from its own defining module is a local
-                # name, not an import.
-                canonical = f"{self.ctx.module}.{expr.func.id}"
-            if canonical == GUARD_CALLABLE:
-                return GUARD_TOKEN
-            return None
-        canonical = self.ctx.resolve_imported(expr)
-        if canonical == GUARD_LOCK:
-            return GUARD_TOKEN
-        if isinstance(expr, ast.Name):
-            if f"{self.ctx.module}.{expr.id}" == GUARD_LOCK:
-                return GUARD_TOKEN
-            if expr.id in self.module_locks:
-                return f"{self.ctx.module}.{expr.id}"
-            if expr.id in self.local_lock_names:
-                return f"local:{expr.id}"
-            return None
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            if expr.value.id == "self" and expr.attr in self.class_lock_attrs:
-                return f"{self.ctx.module}.{self.class_name}.{expr.attr}"
-        return None
-
     # -- the walk --------------------------------------------------------
 
     def run(self) -> Dict[str, object]:
         body = self.function.body
         self._collect_bindings(body)
         self._settle_derivation(body)
-        self._walk(body, guard=False, locks=())
+        self._walk(body)
         info = self.signature()
         info.update(
             {
@@ -374,33 +319,19 @@ class _FunctionExtractor:
                 "col": self.function.col_offset,
                 "class": self.class_name,
                 "calls": self.calls,
-                "thread_starts": self.thread_starts,
                 "schema_dicts": self.schema_dicts,
                 "var_bindings": self.var_bindings,
             }
         )
         return info
 
-    def _walk(self, body: Sequence[ast.AST], guard: bool, locks: Tuple[str, ...]) -> None:
+    def _walk(self, body: Sequence[ast.AST]) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                inner_guard, inner_locks = guard, locks
-                for item in node.items:
-                    token = self._lock_token(item.context_expr)
-                    self._visit_expressions(item.context_expr, guard, locks)
-                    if token == GUARD_TOKEN:
-                        inner_guard = True
-                        inner_locks = inner_locks + (GUARD_TOKEN,)
-                    elif token is not None:
-                        inner_locks = inner_locks + (token,)
-                        self._record_acquire(token, item.context_expr, guard)
-                self._walk(node.body, inner_guard, inner_locks)
-                continue
-            self._visit_expressions(node, guard, locks)
+            self._visit_expressions(node)
             for child_body in self._child_bodies(node):
-                self._walk(child_body, guard, locks)
+                self._walk(child_body)
 
     @staticmethod
     def _child_bodies(node: ast.AST) -> List[Sequence[ast.AST]]:
@@ -413,7 +344,7 @@ class _FunctionExtractor:
             bodies.append(handler.body)
         return bodies
 
-    def _visit_expressions(self, node: ast.AST, guard: bool, locks: Tuple[str, ...]) -> None:
+    def _visit_expressions(self, node: ast.AST) -> None:
         """Record every call in this statement (excluding nested bodies)."""
         stack: List[ast.AST] = [node]
         while stack:
@@ -423,7 +354,7 @@ class _FunctionExtractor:
             if isinstance(current, ast.stmt) and current is not node:
                 continue  # nested statements are walked by _walk
             if isinstance(current, ast.Call):
-                self._record_call(current, guard, locks)
+                self._record_call(current)
             stack.extend(ast.iter_child_nodes(current))
         if isinstance(node, ast.Assign):
             if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
@@ -432,23 +363,8 @@ class _FunctionExtractor:
             if isinstance(node.target, ast.Name):
                 self._record_schema_dict(node.target.id, node.value)
 
-    def _record_acquire(self, token: str, node: ast.AST, guard: bool) -> None:
-        self.calls.append(
-            {
-                "acquire": token,
-                "line": getattr(node, "lineno", 0),
-                "col": getattr(node, "col_offset", 0),
-                "guard": guard,
-            }
-        )
-
-    def _record_call(self, node: ast.Call, guard: bool, locks: Tuple[str, ...]) -> None:
+    def _record_call(self, node: ast.Call) -> None:
         desc = _callee_descriptor(node.func, self.ctx, self.local_defs)
-        # lock.acquire() outside a with-statement counts as an acquire.
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "acquire":
-            token = self._lock_token(node.func.value)
-            if token is not None and token != GUARD_TOKEN:
-                self._record_acquire(token, node, guard)
         if desc is None:
             return
         args: List[Dict[str, object]] = []
@@ -474,37 +390,10 @@ class _FunctionExtractor:
             "callee": desc,
             "line": node.lineno,
             "col": node.col_offset,
-            "guard": guard,
-            "locks": [token for token in locks if token != GUARD_TOKEN],
         }
         if args:
             record["args"] = args
         self.calls.append(record)
-        self._maybe_thread_start(node, desc)
-
-    def _maybe_thread_start(self, node: ast.Call, desc: Dict[str, object]) -> None:
-        dotted = desc.get("dotted")
-        is_thread = dotted == "threading.Thread" or (
-            dotted is None and desc.get("attr") == "Thread"
-        )
-        if not is_thread:
-            return
-        target: Optional[ast.AST] = None
-        for keyword in node.keywords:
-            if keyword.arg == "target":
-                target = keyword.value
-        if target is None and node.args:
-            target = node.args[1] if len(node.args) > 1 else None
-        if target is None:
-            return
-        target_desc = _callee_descriptor(target, self.ctx, self.local_defs)
-        self.thread_starts.append(
-            {
-                "target": target_desc,
-                "line": node.lineno,
-                "col": node.col_offset,
-            }
-        )
 
     def _record_schema_dict(self, var: str, value: ast.AST) -> None:
         """A dict literal with a ``"schema"`` key: a serialized record shape."""
@@ -560,12 +449,10 @@ def _extract_class(
     ctx: FileContext,
     node: ast.ClassDef,
     local_defs: Dict[str, str],
-    module_locks: Sequence[str],
 ) -> Tuple[Dict[str, object], List[Tuple[str, _FuncDef]]]:
     fields: Dict[str, Dict[str, object]] = {}
     methods: List[Tuple[str, _FuncDef]] = []
     attr_types: Dict[str, str] = {}
-    lock_attrs: List[str] = []
     for statement in node.body:
         if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
             default = statement.value
@@ -577,7 +464,7 @@ def _extract_class(
             }
         elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods.append((statement.name, statement))
-    # self.* attribute types and lock attributes, from every method body.
+    # self.* attribute types, from every method body.
     for _, method in methods:
         param_annotations: Dict[str, Optional[str]] = {}
         args = method.args
@@ -593,12 +480,6 @@ def _extract_class(
                     and target.value.id == "self"
                 ):
                     continue
-                if isinstance(sub.value, ast.Call):
-                    canonical = ctx.resolve_imported(sub.value.func)
-                    if canonical in _LOCK_CONSTRUCTORS:
-                        if target.attr not in lock_attrs:
-                            lock_attrs.append(target.attr)
-                        continue
                 for candidate in _binding_candidates(sub.value, ctx, local_defs):
                     if "class" in candidate:
                         attr_types.setdefault(target.attr, str(candidate["class"]))
@@ -614,7 +495,6 @@ def _extract_class(
         "fields": fields,
         "methods": [name for name, _ in methods],
         "attr_types": attr_types,
-        "lock_attrs": lock_attrs,
     }
     return info, methods
 
@@ -623,7 +503,6 @@ def build_summary(ctx: FileContext) -> Dict[str, object]:
     """Distill one parsed file into its whole-program summary dict."""
     module = ctx.module
     local_defs: Dict[str, str] = {}
-    module_locks: List[str] = []
     int_constants: Dict[str, Dict[str, object]] = {}
     for node in ctx.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -638,29 +517,22 @@ def build_summary(ctx: FileContext) -> Dict[str, object]:
                     int_constants[target.id] = {
                         "value": literal, "line": node.lineno, "col": node.col_offset,
                     }
-                elif isinstance(node.value, ast.Call):
-                    canonical = ctx.resolve_imported(node.value.func)
-                    if canonical in _LOCK_CONSTRUCTORS:
-                        module_locks.append(target.id)
 
     functions: Dict[str, Dict[str, object]] = {}
     classes: Dict[str, Dict[str, object]] = {}
 
-    def extract(function: _FuncDef, qualname: str, class_name: Optional[str],
-                lock_attrs: Sequence[str]) -> None:
-        extractor = _FunctionExtractor(
-            ctx, function, qualname, class_name, local_defs, module_locks, lock_attrs
-        )
+    def extract(function: _FuncDef, qualname: str, class_name: Optional[str]) -> None:
+        extractor = _FunctionExtractor(ctx, function, qualname, class_name, local_defs)
         functions[qualname] = extractor.run()
 
     for node in ctx.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            extract(node, node.name, None, ())
+            extract(node, node.name, None)
         elif isinstance(node, ast.ClassDef):
-            info, methods = _extract_class(ctx, node, local_defs, module_locks)
+            info, methods = _extract_class(ctx, node, local_defs)
             classes[node.name] = info
             for name, method in methods:
-                extract(method, f"{node.name}.{name}", node.name, info["lock_attrs"])
+                extract(method, f"{node.name}.{name}", node.name)
 
     return {
         "module": module,
@@ -668,5 +540,4 @@ def build_summary(ctx: FileContext) -> Dict[str, object]:
         "functions": functions,
         "classes": classes,
         "int_constants": int_constants,
-        "module_locks": module_locks,
     }

@@ -4,7 +4,6 @@ from repro.lint.rules import (
     api,
     cache,
     determinism,
-    forklocks,
     forksafety,
     interdet,
     meta,
@@ -16,7 +15,6 @@ __all__ = [
     "api",
     "cache",
     "determinism",
-    "forklocks",
     "forksafety",
     "interdet",
     "meta",

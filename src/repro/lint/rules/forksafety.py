@@ -22,21 +22,11 @@ workers directly, so the rule also resolves callables passed as the
 calls and holds them to the identical contract -- results travel through
 the queue, side effects through registry snapshot deltas.
 
-``threading.Thread(target=...)`` workers get the *global-rebinding*
-half of the same check: threads share memory, so container mutation is
-visible -- but ``global`` name rebinding from a worker races every
-reader with no lock discipline the linter can see, and the repo's
-contract is that background threads only touch state through the
-lock-guarded registry objects.  The rule
-resolves ``Thread`` targets exactly like ``Process`` targets, including
-``self._method`` references to a method defined in the same file.
-
-Scope and limits: the rule resolves the callable passed to ``fork_map``,
-``Process``, or ``Thread`` when it is a lambda, a ``def`` in the same
-file (including closures), or a ``self``-attribute naming a method
-defined in the same file, and inspects that one function body; it does
-not chase calls into other functions.  Cross-function and cross-module
-paths belong to FRK010's whole-program analysis.
+Scope and limits: the rule resolves the callable passed to ``fork_map``
+or ``Process`` when it is a lambda, a ``def`` in the same file
+(including closures), or a ``self``-attribute naming a method defined in
+the same file, and inspects that one function body; it does not chase
+calls into other functions.
 """
 
 from __future__ import annotations
@@ -115,16 +105,14 @@ class ForkUnsafeMutation(Rule):
             worker = None
             if func_name == "fork_map" and node.args:
                 worker = node.args[0]
-            elif func_name in ("Process", "Thread"):
-                # multiprocessing.Process / ctx.Process / threading.Thread:
-                # the worker is the target= keyword (or, rarely for Process,
-                # the first positional arg; Thread's first positional is
-                # ``group``, so positional targets are keyword-only there).
+            elif func_name == "Process":
+                # multiprocessing.Process / ctx.Process: the worker is the
+                # target= keyword (or, rarely, the first positional arg).
                 for keyword in node.keywords:
                     if keyword.arg == "target":
                         worker = keyword.value
                         break
-                if worker is None and func_name == "Process" and node.args:
+                if worker is None and node.args:
                     worker = node.args[0]
             if worker is None:
                 continue
@@ -138,19 +126,14 @@ class ForkUnsafeMutation(Rule):
                 and isinstance(worker.value, ast.Name)
                 and worker.value.id == "self"
             ):
-                # self._loop style thread/process targets: resolve to the
+                # self._loop style process targets: resolve to the
                 # same-file method of that name.
                 workers = defs.get(worker.attr, [])
             for candidate in workers:
                 if id(candidate) in seen:
                     continue
                 seen.add(id(candidate))
-                yield from self._check_worker(
-                    ctx, candidate, module_names, func_name,
-                    # Threads share memory, so container mutation is
-                    # visible; only unsynchronized global rebinding races.
-                    mutators=(func_name != "Thread"),
-                )
+                yield from self._check_worker(ctx, candidate, module_names, func_name)
 
     def _check_worker(
         self,
@@ -158,25 +141,17 @@ class ForkUnsafeMutation(Rule):
         worker: _Worker,
         module_names: Set[str],
         via: str,
-        mutators: bool = True,
     ) -> Iterator[Finding]:
         for node in ast.walk(worker):
             if isinstance(node, ast.Global):
                 shared = sorted(set(node.names) & module_names)
                 if shared:
-                    what = (
-                        "races every reader of that name with no visible "
-                        "lock discipline"
-                        if via == "Thread"
-                        else "never reaches the parent process"
-                    )
                     yield self.finding(
                         ctx, node,
                         f"{via} worker declares global {', '.join(shared)}; "
-                        f"rebinding module state in a worker {what}",
+                        "rebinding module state in a worker never reaches "
+                        "the parent process",
                     )
-            elif not mutators:
-                continue
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 if (
                     node.func.attr in _MUTATORS

@@ -9,7 +9,7 @@ One serial pass in two phases:
    run continues; a rule that crashes on a file produces LNT002.
 2. **Project**: the summaries are assembled into a
    :class:`repro.lint.analysis.project.Project` and the project-scoped
-   rules (DET010/FRK010/SCH010) run over it.  Their findings honor the
+   rules (DET010/SCH010) run over it.  Their findings honor the
    same noqa suppressions, kept from the per-file phase.
 
 Orchestration only -- rules live in :mod:`repro.lint.rules`, policy data

@@ -28,9 +28,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
-    "fork_guard",
     "get_registry",
-    "registry_lock",
     "counter",
     "gauge",
     "histogram",
@@ -258,54 +256,16 @@ class MetricsRegistry:
 _REGISTRY = MetricsRegistry()
 
 
-def registry_lock() -> "threading.Lock":
-    """The default registry's instrument lock, for at-fork serialization.
-
-    A thread may be mid-increment at the instant another thread forks a
-    worker pool; the at-fork hook below acquires this lock (after the
-    fork guard) around the clone so children never inherit it held.
-    The lock object is stable for the life of the process --
-    :meth:`MetricsRegistry.reset` clears instruments, not the lock.
-    """
-    return _REGISTRY._lock
-
-
-# The pipeline forks worker processes (dataset builders, stream shards).
-# A child forked while another thread holds the registry lock inherits
-# that lock held forever -- so a background thread wraps its registry
-# work in this guard, and fork itself takes the guard around the clone.
-_fork_lock = threading.Lock()
-
-
-def fork_guard() -> threading.Lock:
-    """Lock that serializes background threads against ``os.fork``.
-
-    A background thread about to read or write the metrics registry
-    holds this for the whole operation (``with fork_guard():``);
-    :func:`os.register_at_fork` acquires it before every fork so
-    children never inherit the registry lock mid-flight.
-    """
-    return _fork_lock
-
-
 def _fork_acquire() -> None:
-    """Quiesce the registry before a fork: the guard, then its lock.
-
-    One ordered hook instead of two independent ones:
-    ``os.register_at_fork`` runs ``before`` callbacks in reverse
-    registration order, so split hooks could invert this order against
-    a thread that nests the guard around registry work, and deadlock.
-    """
-    _fork_lock.acquire()
-    registry_lock().acquire()
+    """Take the registry lock before a fork, so no child inherits it held."""
+    _REGISTRY._lock.acquire()
 
 
 def _fork_release() -> None:
-    for lock in (registry_lock(), _fork_lock):
-        try:
-            lock.release()
-        except RuntimeError:  # pragma: no cover - already free
-            pass
+    try:
+        _REGISTRY._lock.release()
+    except RuntimeError:  # pragma: no cover - already free
+        pass
 
 
 os.register_at_fork(

@@ -230,6 +230,38 @@ class TestCachedBuilders:
             assert np.array_equal(expected.path_id, actual.path_id)
             assert expected.paths == actual.paths
 
+    @pytest.fixture
+    def longterm_built_and_loaded(self, tmp_path, tiny_config):
+        cache = ArtifactCache(tmp_path)
+        platform, _ = cached_platform(tiny_config, cache=cache)
+        config = LongTermConfig(days=1.0)
+        built, _ = cached_longterm(tiny_config, config, platform=platform, cache=cache)
+        loaded, hit = cached_longterm(tiny_config, config, cache=cache)
+        assert hit is True
+        return built, loaded
+
+    def test_longterm_hit_keeps_grid_outcomes_and_candidate_runs(
+        self, longterm_built_and_loaded
+    ):
+        # The cache's pickle is the one on-disk form of a dataset, so it
+        # must carry every column an analysis reads, byte for byte.
+        built, loaded = longterm_built_and_loaded
+        assert loaded.grid == built.grid
+        for key, expected in built.timelines.items():
+            actual = loaded.timelines[key]
+            assert actual.outcome.tobytes() == expected.outcome.tobytes()
+            assert actual.path_id.dtype == expected.path_id.dtype
+            for held, reference in zip(actual.candidate_runs(), expected.candidate_runs()):
+                assert held.tobytes() == reference.tobytes()
+
+    def test_longterm_hit_analyzes_like_the_build(self, longterm_built_and_loaded):
+        from repro.core.routechange import analyze_timeline
+
+        built, loaded = longterm_built_and_loaded
+        assert built.timelines
+        for key, expected in built.timelines.items():
+            assert analyze_timeline(loaded.timelines[key]) == analyze_timeline(expected)
+
     def test_unpickled_platform_realizes_every_candidate_identically(self, tmp_path):
         config = get_scenario("default").platform_config(0)
         cache = ArtifactCache(tmp_path)
@@ -264,8 +296,10 @@ class TestCachedBuilders:
                         built.realization(src, dst, version, index))
         assert loaded._steps
 
-    def test_refresh_forces_rebuild(self, tmp_path, tiny_config):
+    def test_clear_forces_rebuild(self, tmp_path, tiny_config):
+        # The --refresh-cache path: clear the store, then the next call misses.
         cache = ArtifactCache(tmp_path)
         cached_platform(tiny_config, cache=cache)
-        _, hit = cached_platform(tiny_config, cache=cache, refresh=True)
+        assert cache.clear() == 1
+        _, hit = cached_platform(tiny_config, cache=cache)
         assert hit is False

@@ -72,7 +72,7 @@ def test_dirty_tree_exits_one_with_human_finding(dirty_tree):
 
 
 def test_json_mode_emits_schema_document(dirty_tree):
-    result = run_cli(str(dirty_tree), "--json")
+    result = run_cli(str(dirty_tree), "--format", "json")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["schema"] == 3
@@ -115,6 +115,18 @@ def test_explain_unknown_rule_is_usage_error():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args", [["--explain", "FRK010"], [str(SRC), "--select", "FRK010"]],
+    ids=["explain", "select"],
+)
+def test_retired_lock_order_rule_is_unknown(args):
+    # FRK010 left with the last thread; naming it is a usage error, not a
+    # silently empty selection.
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "FRK010" in result.stderr
+
+
 def test_sarif_format_emits_valid_document(dirty_tree):
     result = run_cli(str(dirty_tree), "--format", "sarif")
     assert result.returncode == 1  # exit code still reflects findings
@@ -127,8 +139,8 @@ def test_sarif_format_emits_valid_document(dirty_tree):
 
 def test_warm_cache_run_matches_cold_byte_for_byte(dirty_tree):
     # The report is a pure function of the tree: two runs, same bytes.
-    first = run_cli(str(dirty_tree), "--json")
-    second = run_cli(str(dirty_tree), "--json")
+    first = run_cli(str(dirty_tree), "--format", "json")
+    second = run_cli(str(dirty_tree), "--format", "json")
     assert first.returncode == second.returncode == 1
     assert first.stdout == second.stdout
 
@@ -137,6 +149,7 @@ def test_warm_cache_run_matches_cold_byte_for_byte(dirty_tree):
     "flag",
     [
         ["--jobs", "2"],
+        ["--json"],
         ["--no-cache"],
         ["--refresh-cache"],
         ["--cache-dir", "lint-cache"],

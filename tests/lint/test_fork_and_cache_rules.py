@@ -111,6 +111,25 @@ def test_frk001_flags_process_target_keyword():
     assert "Process worker" in report.findings[0].message
 
 
+def test_frk001_resolves_process_target_self_method():
+    report = lint_source(
+        "import multiprocessing\n"
+        "MODE = 'idle'\n"
+        "class Shard:\n"
+        "    def _loop(self):\n"
+        "        global MODE\n"
+        "        MODE = 'running'\n"
+        "    def start(self):\n"
+        "        self._proc = multiprocessing.Process(target=self._loop)\n"
+        "        self._proc.start()\n",
+        path="src/repro/stream/example.py",
+        select=["FRK001"],
+    )
+    assert codes(report) == ["FRK001"]
+    assert "MODE" in report.findings[0].message
+    assert "never reaches the parent process" in report.findings[0].message
+
+
 def test_frk001_clean_process_worker_with_registry_delta():
     report = lint_source(
         "import multiprocessing\n"
@@ -123,6 +142,74 @@ def test_frk001_clean_process_worker_with_registry_delta():
         "    context = multiprocessing.get_context('fork')\n"
         "    return context.Process(target=_worker, args=(source, queue))\n",
         path="src/repro/stream/example.py",
+        select=["FRK001"],
+    )
+    assert codes(report) == []
+
+
+def test_frk001_flags_process_target_global_rebinding():
+    report = lint_source(
+        "import multiprocessing\n"
+        "STARTED = 0\n"
+        "def _worker(queue):\n"
+        "    global STARTED\n"
+        "    STARTED += 1\n"
+        "    queue.put(STARTED)\n"
+        "def spawn(queue):\n"
+        "    return multiprocessing.Process(target=_worker, args=(queue,))\n",
+        path="src/repro/stream/example.py",
+        select=["FRK001"],
+    )
+    assert codes(report) == ["FRK001"]
+    assert "Process worker declares global STARTED" in report.findings[0].message
+
+
+def test_frk001_flags_numpy_in_place_write_to_module_buffer():
+    report = lint_source(
+        "import numpy as np\n"
+        "from repro.datasets.parallel import fork_map\n"
+        "BUFFER = np.zeros(8)\n"
+        "def worker(item):\n"
+        "    BUFFER.fill(item)\n"
+        "    return item\n"
+        "def build(items):\n"
+        "    return fork_map(worker, items)\n",
+        path="src/repro/datasets/example.py",
+        select=["FRK001"],
+    )
+    assert codes(report) == ["FRK001"]
+    assert "'BUFFER'" in report.findings[0].message
+
+
+def test_frk001_flags_attribute_store_on_module_object():
+    report = lint_source(
+        "import types\n"
+        "from repro.datasets.parallel import fork_map\n"
+        "STATE = types.SimpleNamespace(done=0)\n"
+        "def worker(item):\n"
+        "    STATE.done += 1\n"
+        "    return item\n"
+        "def build(items):\n"
+        "    return fork_map(worker, items)\n",
+        path="src/repro/datasets/example.py",
+        select=["FRK001"],
+    )
+    assert codes(report) == ["FRK001"]
+    assert "'STATE'" in report.findings[0].message
+
+
+def test_frk001_plain_rebinding_without_global_is_clean():
+    # Without `global`, `RESULTS = ...` binds a local: the module list is
+    # untouched, so nothing is lost when the worker exits.
+    report = lint_source(
+        "from repro.datasets.parallel import fork_map\n"
+        "RESULTS = []\n"
+        "def worker(item):\n"
+        "    RESULTS = [item]\n"
+        "    return RESULTS\n"
+        "def build(items):\n"
+        "    return fork_map(worker, items)\n",
+        path="src/repro/datasets/example.py",
         select=["FRK001"],
     )
     assert codes(report) == []
@@ -213,58 +300,3 @@ def test_cch001_suppressed():
     )
     assert codes(report) == []
     assert report.suppressed == 1
-
-
-def test_frk001_flags_thread_target_global_rebinding():
-    report = lint_source(
-        "import threading\n"
-        "COUNT = 0\n"
-        "def worker():\n"
-        "    global COUNT\n"
-        "    COUNT += 1\n"
-        "def start():\n"
-        "    thread = threading.Thread(target=worker)\n"
-        "    thread.start()\n"
-        "    return thread\n",
-        path="src/repro/obs/example.py",
-        select=["FRK001"],
-    )
-    assert codes(report) == ["FRK001"]
-    # Threads share memory, so the message is about racing readers, not
-    # about state evaporating in a child process.
-    assert "races every reader" in report.findings[0].message
-
-
-def test_frk001_resolves_thread_target_self_method():
-    report = lint_source(
-        "import threading\n"
-        "MODE = 'idle'\n"
-        "class Sampler:\n"
-        "    def _loop(self):\n"
-        "        global MODE\n"
-        "        MODE = 'running'\n"
-        "    def start(self):\n"
-        "        self._thread = threading.Thread(target=self._loop, daemon=True)\n"
-        "        self._thread.start()\n",
-        path="src/repro/obs/example.py",
-        select=["FRK001"],
-    )
-    assert codes(report) == ["FRK001"]
-    assert "MODE" in report.findings[0].message
-
-
-def test_frk001_thread_container_mutation_is_clean():
-    # In-place container mutation is visible across threads (one address
-    # space); only the fork-based workers lose it.  Thread workers are
-    # checked solely for unsynchronized global rebinding.
-    report = lint_source(
-        "import threading\n"
-        "SAMPLES = []\n"
-        "def worker():\n"
-        "    SAMPLES.append(1)\n"
-        "def start():\n"
-        "    threading.Thread(target=worker).start()\n",
-        path="src/repro/obs/example.py",
-        select=["FRK001"],
-    )
-    assert codes(report) == []

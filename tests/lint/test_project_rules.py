@@ -1,10 +1,9 @@
-"""Whole-program rule fixtures: DET010, FRK010, SCH010.
+"""Whole-program rule fixtures: DET010, SCH010.
 
 These rules run over the project layer (``repro.lint.analysis``) rather
 than one AST at a time, so the positive fixtures exercise flows that the
 per-file rules are structurally unable to see: a literal seed crossing a
-call boundary, a lock held at a transitive fork, a schema edit that
-never bumped its version constant.
+call boundary, a schema edit that never bumped its version constant.
 """
 
 import importlib
@@ -126,133 +125,12 @@ def test_det010_suppressed_by_noqa():
     assert report.suppressed == 1
 
 
-# -- FRK010: fork/thread lock order ----------------------------------------
-
-
-def test_frk010_flags_fork_while_holding_lock():
-    report = lint_source(
-        "import threading\n"
-        "from repro.datasets.parallel import fork_map\n"
-        "_STATE_LOCK = threading.Lock()\n"
-        "def build(items):\n"
-        "    with _STATE_LOCK:\n"
-        "        return fork_map(str, items, jobs=2)\n",
-        path="src/repro/datasets/fork_lock.py",
-        select=["FRK010"],
-    )
-    assert codes(report) == ["FRK010"]
-    finding = report.findings[0]
-    assert "fork_map" in finding.message
-    assert "_STATE_LOCK" in finding.message
-
-
-def test_frk010_flags_transitive_fork_under_lock():
-    report = lint_source(
-        "import threading\n"
-        "from repro.datasets.parallel import fork_map\n"
-        "_LOCK = threading.Lock()\n"
-        "def fan_out(items):\n"
-        "    return fork_map(str, items)\n"
-        "def build(items):\n"
-        "    with _LOCK:\n"
-        "        return fan_out(items)\n",
-        path="src/repro/datasets/fork_lock2.py",
-        select=["FRK010"],
-    )
-    assert codes(report) == ["FRK010"]
-    assert "fan_out" in report.findings[0].message
-
-
-def test_frk010_local_lock_is_exempt():
-    # A function-local lock cannot be the one a forked child would
-    # inherit in a held state from another thread.
-    report = lint_source(
-        "import threading\n"
-        "from repro.datasets.parallel import fork_map\n"
-        "def build(items):\n"
-        "    gate = threading.Lock()\n"
-        "    with gate:\n"
-        "        return fork_map(str, items)\n",
-        path="src/repro/datasets/fork_local.py",
-        select=["FRK010"],
-    )
-    assert codes(report) == []
-
-
-def test_frk010_flags_unguarded_thread_lock_when_project_forks():
-    report = lint_source(
-        "import threading\n"
-        "from repro.datasets.parallel import fork_map\n"
-        "_LOCK = threading.Lock()\n"
-        "def _loop():\n"
-        "    with _LOCK:\n"
-        "        pass\n"
-        "def start():\n"
-        "    threading.Thread(target=_loop, daemon=True).start()\n"
-        "def build(items):\n"
-        "    return fork_map(str, items)\n",
-        path="src/repro/obs/thread_lock.py",
-        select=["FRK010"],
-    )
-    assert codes(report) == ["FRK010"]
-    finding = report.findings[0]
-    assert finding.line == 8  # reported at the thread start
-    assert "_loop" in finding.message
-
-
-def test_frk010_fork_guard_routing_is_clean():
-    report = lint_source(
-        "import threading\n"
-        "from repro.datasets.parallel import fork_map\n"
-        "from repro.obs.metrics import fork_guard\n"
-        "_LOCK = threading.Lock()\n"
-        "def _loop():\n"
-        "    with fork_guard():\n"
-        "        with _LOCK:\n"
-        "            pass\n"
-        "def start():\n"
-        "    threading.Thread(target=_loop, daemon=True).start()\n"
-        "def build(items):\n"
-        "    return fork_map(str, items)\n",
-        path="src/repro/obs/thread_guarded.py",
-        select=["FRK010"],
-    )
-    assert codes(report) == []
-
-
-def test_fork_guard_names_resolve_to_the_metrics_guard():
-    from repro.lint.analysis.summary import GUARD_CALLABLE, GUARD_LOCK
-
-    def resolve(dotted):
-        module, name = dotted.rsplit(".", 1)
-        return getattr(importlib.import_module(module), name)
-
-    assert resolve(GUARD_CALLABLE)() is resolve(GUARD_LOCK)
-
-
 def test_tracked_schemas_name_integer_version_constants():
     from repro.lint.analysis.schemas import TRACKED_SCHEMAS
 
     assert sorted(TRACKED_SCHEMAS) == ["campaign-checkpoint"]
     for module, constant in TRACKED_SCHEMAS.values():
         assert isinstance(getattr(importlib.import_module(module), constant), int)
-
-
-def test_frk010_thread_check_silent_without_fork_actions():
-    # No fork anywhere in the project: a thread taking a module lock is
-    # ordinary synchronization, not a fork-ordering hazard.
-    report = lint_source(
-        "import threading\n"
-        "_LOCK = threading.Lock()\n"
-        "def _loop():\n"
-        "    with _LOCK:\n"
-        "        pass\n"
-        "def start():\n"
-        "    threading.Thread(target=_loop, daemon=True).start()\n",
-        path="src/repro/obs/thread_only.py",
-        select=["FRK010"],
-    )
-    assert codes(report) == []
 
 
 # -- SCH010: schema/version compatibility ----------------------------------

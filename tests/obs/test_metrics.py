@@ -1,4 +1,4 @@
-"""Metrics registry: instrument semantics, snapshots, fork-delta merging."""
+"""Metrics registry: instrument semantics, snapshots, fork-delta merging, the at-fork hook."""
 
 import os
 import threading
@@ -131,51 +131,55 @@ def test_reset_empties_registry():
     }
 
 
-def test_fork_guard_is_one_lock_for_the_process():
-    assert metrics.fork_guard() is metrics.fork_guard()
-    assert metrics.fork_guard() is metrics._fork_lock
+def _metrics_lock():
+    return metrics.get_registry()._lock
 
 
-def test_registry_lock_outlives_reset():
-    lock = metrics.registry_lock()
+def test_metrics_lock_outlives_reset():
+    lock = _metrics_lock()
     metrics.get_registry().reset()
-    assert metrics.registry_lock() is lock
-    assert metrics.registry_lock() is metrics.get_registry()._lock
+    assert _metrics_lock() is lock
 
 
-def test_fork_hooks_take_the_guard_and_the_registry_lock_then_free_both():
+def test_fork_hooks_take_the_metrics_lock_then_free_it():
     metrics._fork_acquire()
     try:
-        assert metrics.fork_guard().locked()
-        assert metrics.registry_lock().locked()
+        assert _metrics_lock().locked()
     finally:
         metrics._fork_release()
-    assert not metrics.fork_guard().locked()
-    assert not metrics.registry_lock().locked()
-    metrics._fork_release()  # releasing free locks is harmless
-    assert not metrics.fork_guard().locked()
+    assert not _metrics_lock().locked()
+    metrics._fork_release()  # releasing a free lock is harmless
+    assert not _metrics_lock().locked()
 
 
-def _fork_child_sees_free_locks() -> bool:
+def _fork_child_sees_free_lock() -> bool:
     pid = os.fork()
     if pid == 0:  # child: report and leave without running pytest's exit
-        free = not (metrics.fork_guard().locked() or metrics.registry_lock().locked())
-        os._exit(0 if free else 1)
+        os._exit(1 if _metrics_lock().locked() else 0)
     _, status = os.waitpid(pid, 0)
     return os.waitstatus_to_exitcode(status) == 0
 
 
-def test_forked_child_inherits_both_locks_free():
-    assert _fork_child_sees_free_locks()
+def test_forked_child_inherits_the_metrics_lock_free():
+    assert _fork_child_sees_free_lock()
 
 
-@pytest.mark.parametrize("lock", ["fork_guard", "registry_lock"])
-def test_fork_waits_for_a_thread_holding_a_lock(lock):
+def test_fork_leaves_the_parent_free_to_record():
+    # The after-fork hook frees the lock in the parent too, so the
+    # parent keeps recording once the child is cloned.
+    assert _fork_child_sees_free_lock()
+    assert not _metrics_lock().locked()
+    registry = metrics.get_registry()
+    registry.counter("after-fork").inc()
+    assert registry.snapshot()["counters"]["after-fork"] == 1
+
+
+def test_fork_waits_for_a_thread_holding_the_metrics_lock():
     held = threading.Event()
     released = []
 
     def hold():
-        with getattr(metrics, lock)():
+        with _metrics_lock():
             held.set()
             time.sleep(0.1)
             released.append(True)
@@ -186,7 +190,7 @@ def test_fork_waits_for_a_thread_holding_a_lock(lock):
     try:
         # The before-fork hook blocks on the held lock, so the clone
         # happens only after the thread let go -- never with it held.
-        assert _fork_child_sees_free_locks()
+        assert _fork_child_sees_free_lock()
         assert released == [True]
     finally:
         thread.join()
