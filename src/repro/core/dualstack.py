@@ -131,7 +131,7 @@ def _paired_diffs(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.
     One subtraction over the whole grid and one selection cost less than
     selecting each column first, and give the same values.
     """
-    return (v4.rtt_ms - v6.rtt_ms)[both]
+    return (v4.rtt_ms - v6.rtt_ms).compress(both)
 
 
 def _same_path_mask(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.ndarray:
@@ -140,15 +140,18 @@ def _same_path_mask(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> n
     Raises:
         ValueError: A paired round carries a negative path id.
     """
-    v4_ids = v4.path_id[both]
-    v6_ids = v6.path_id[both]
+    v4_ids = v4.path_id.compress(both)
+    v6_ids = v6.path_id.compress(both)
     if v4_ids.min() < 0 or v6_ids.min() < 0:
         raise ValueError(f"usable sample without a path id for pair {v4.pair}")
-    matrix = np.zeros((len(v4.paths), len(v6.paths)), dtype=bool)
-    for i, path_v4 in enumerate(v4.paths):
-        for j, path_v6 in enumerate(v6.paths):
-            matrix[i, j] = path_v4 == path_v6
-    return matrix[v4_ids, v6_ids]
+    # Name each path by its first v6 id (-1: no v6 path equals it), so
+    # the rounds compare ids instead of paths.
+    first_v6: Dict[Tuple[int, ...], int] = {}
+    for index, path in enumerate(v6.paths):
+        first_v6.setdefault(path, index)
+    v4_names = np.array([first_v6.get(path, -1) for path in v4.paths], dtype=np.intp)
+    v6_names = np.array([first_v6[path] for path in v6.paths], dtype=np.intp)
+    return v4_names.take(v4_ids) == v6_names.take(v6_ids)
 
 
 def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:

@@ -62,7 +62,14 @@ class PathStats:
 
 
 def change_count(timeline: TraceTimeline) -> int:
-    """Number of AS-path changes between consecutive usable traceroutes."""
+    """Number of AS-path changes between consecutive usable traceroutes.
+
+    Memoized on the timeline: several experiments analyze each one.
+    """
+    return timeline.product(("change_count",), lambda: _count_changes(timeline))
+
+
+def _count_changes(timeline: TraceTimeline) -> int:
     ids = timeline.usable_path_ids()
     if ids.size < 2:
         return 0
@@ -148,6 +155,11 @@ def analyze_timeline(timeline: TraceTimeline) -> PathStats:
     )
 
 
+_MAX_PAIR_FLAGS = 1 << 20
+"""Largest id-pair flag array :func:`as_path_pair_count` allocates; wider
+path tables sort the pairs instead."""
+
+
 def as_path_pair_count(forward: TraceTimeline, reverse: TraceTimeline) -> int:
     """Unique (forward, reverse) AS-path pairs for a server pair (Fig 2b).
 
@@ -161,5 +173,15 @@ def as_path_pair_count(forward: TraceTimeline, reverse: TraceTimeline) -> int:
     rev_ids = reverse.path_id[both]
     if fwd_ids.size == 0:
         return 0
-    combined = fwd_ids.astype(np.int64) * (max(len(reverse.paths), 1) + 1) + rev_ids
-    return int(np.unique(combined).size)
+    fwd = fwd_ids.astype(np.intp) - int(fwd_ids.min())
+    rev = rev_ids.astype(np.intp) - int(rev_ids.min())
+    width = int(rev.max()) + 1
+    combined = fwd * width + rev
+    flags = (int(fwd.max()) + 1) * width
+    if flags > _MAX_PAIR_FLAGS:
+        return int(np.unique(combined).size)
+    # Path ids span a small range, so one flag per possible (forward,
+    # reverse) id pair counts the distinct pairs without sorting them.
+    seen = np.zeros(flags, dtype=bool)
+    seen[combined] = True
+    return int(np.count_nonzero(seen))

@@ -62,6 +62,9 @@ class VersionSummary:
         return self.fraction_of_reached(self.loops)
 
 
+_OUTCOME_CODES = int(max(TraceOutcome)) + 1
+
+
 def dataset_summary(dataset: LongTermDataset) -> Dict[IPVersion, VersionSummary]:
     """Tally Table 1's rows over a long-term dataset."""
     summaries: Dict[IPVersion, VersionSummary] = {}
@@ -70,16 +73,16 @@ def dataset_summary(dataset: LongTermDataset) -> Dict[IPVersion, VersionSummary]
         for timeline in dataset.by_version(version):
             outcomes = timeline.outcome
             collected += outcomes.size
-            counts = {
-                int(value): int(count)
-                for value, count in zip(*np.unique(outcomes, return_counts=True))
-            }
-            incomplete = counts.get(int(TraceOutcome.INCOMPLETE), 0)
-            reached += outcomes.size - incomplete
-            complete += counts.get(int(TraceOutcome.COMPLETE), 0)
-            missing_as += counts.get(int(TraceOutcome.MISSING_AS), 0)
-            missing_ip += counts.get(int(TraceOutcome.MISSING_IP), 0)
-            loops += counts.get(int(TraceOutcome.LOOP), 0)
+            # Construction keeps every code within TraceOutcome, so one
+            # bincount over the small codes tallies them.
+            counts = np.bincount(
+                outcomes.astype(np.intp, copy=False), minlength=_OUTCOME_CODES
+            ).tolist()
+            reached += outcomes.size - counts[int(TraceOutcome.INCOMPLETE)]
+            complete += counts[int(TraceOutcome.COMPLETE)]
+            missing_as += counts[int(TraceOutcome.MISSING_AS)]
+            missing_ip += counts[int(TraceOutcome.MISSING_IP)]
+            loops += counts[int(TraceOutcome.LOOP)]
         summaries[version] = VersionSummary(
             collected=collected,
             reached=reached,

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.datasets.columnar import CampaignKernels
+from repro.datasets.columnar import CampaignKernels, task_blocks
 from repro.datasets.mutation import KeyOrderCached, VersionedDict, dict_version
 from repro.datasets.parallel import fork_map
 from repro.datasets.timeline import PATH_ID_DTYPE, PathTable, TraceTimeline, epoch_runs
@@ -216,19 +216,18 @@ def build_longterm_dataset(
     if columnar:
         kernels = CampaignKernels(platform, grid)
         kernels.plan_streams("longterm", tasks)
-
-        def run_task(task: Tuple[Server, Server, IPVersion]) -> TraceTimeline:
-            src, dst, version = task
-            return kernels.build_trace_timeline(src, dst, version)
-
+        run_block = kernels.build_trace_timelines
     else:
 
-        def run_task(task: Tuple[Server, Server, IPVersion]) -> TraceTimeline:
-            src, dst, version = task
-            return _build_timeline(platform, src, dst, version, grid)
+        def run_block(block: List[Tuple[Server, Server, IPVersion]]) -> List[TraceTimeline]:
+            return [
+                _build_timeline(platform, src, dst, version, grid)
+                for src, dst, version in block
+            ]
 
+    built = fork_map(run_block, task_blocks(tasks), jobs, label="longterm")
     for (src, dst, version), timeline in zip(
-        tasks, fork_map(run_task, tasks, jobs, label="longterm")
+        tasks, (timeline for block in built for timeline in block)
     ):
         dataset.timelines[(src.server_id, dst.server_id, version)] = timeline
     return dataset

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from repro.datasets.columnar import CampaignKernels
+from repro.datasets.columnar import CampaignKernels, task_blocks
 from repro.datasets.mutation import KeyOrderCached, VersionedDict, dict_version
 from repro.datasets.parallel import fork_map
 from repro.datasets.timeline import PingTimeline
@@ -304,20 +304,20 @@ def build_shortterm_ping_dataset(
         kernels = CampaignKernels(platform, grid)
         kernels.plan_streams("ping", tasks)
 
-        def run_task(task: Tuple[Server, Server, IPVersion]) -> PingTimeline:
-            src, dst, version = task
-            return kernels.build_ping_timeline(
-                src, dst, version, config.congestion_coupled_loss
-            )
+        def run_block(block: List[Tuple[Server, Server, IPVersion]]) -> List[PingTimeline]:
+            return kernels.build_ping_timelines(block, config.congestion_coupled_loss)
 
     else:
 
-        def run_task(task: Tuple[Server, Server, IPVersion]) -> PingTimeline:
-            src, dst, version = task
-            return _build_ping_timeline(platform, src, dst, version, times, config)
+        def run_block(block: List[Tuple[Server, Server, IPVersion]]) -> List[PingTimeline]:
+            return [
+                _build_ping_timeline(platform, src, dst, version, times, config)
+                for src, dst, version in block
+            ]
 
+    built = fork_map(run_block, task_blocks(tasks), jobs, label="ping")
     for (src, dst, version), timeline in zip(
-        tasks, fork_map(run_task, tasks, jobs, label="ping")
+        tasks, (timeline for block in built for timeline in block)
     ):
         dataset.timelines[(src.server_id, dst.server_id, version)] = timeline
     return dataset

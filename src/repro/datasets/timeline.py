@@ -398,7 +398,7 @@ class TraceTimeline(_Memoized):
 
     def usable_path_ids(self) -> np.ndarray:
         """Path ids of usable samples, in time order (per call)."""
-        return _read_only(self.path_id[self.usable_mask()])
+        return _read_only(self.path_id.compress(self.usable_mask()))
 
     def observed_paths(self) -> List[Tuple[ASN, ...]]:
         """Distinct AS paths among usable samples, in first-seen order."""
@@ -409,10 +409,16 @@ class TraceTimeline(_Memoized):
         return dict(self.product("path_sample_counts", self._compute_counts))
 
     def _compute_counts(self) -> Dict[int, int]:
-        path_ids, counts = np.unique(self.usable_path_ids(), return_counts=True)
+        ids = self.usable_path_ids()
+        if ids.size == 0:
+            return {}
+        # Path ids span a small range: one bincount instead of a sort.
+        low = int(ids.min())
+        counts = np.bincount(ids.astype(np.intp) - low)
+        present = np.flatnonzero(counts)
         return {
             path_id: count
-            for path_id, count in zip(path_ids.tolist(), counts.tolist())
+            for path_id, count in zip((present + low).tolist(), counts[present].tolist())
             if path_id >= 0
         }
 
@@ -426,12 +432,13 @@ class TraceTimeline(_Memoized):
         # One stable sort groups the usable samples by path id, keeping each
         # group in time order; the group boundaries split it into buckets
         # (read-only views of one array).
-        ids = self.usable_path_ids()
-        if ids.size == 0:
+        index = np.flatnonzero(self.usable_mask())
+        if index.size == 0:
             return {}
+        ids = self.path_id[index]
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
-        rtts = _read_only(self.rtt_ms[self.usable_index()[order]])
+        rtts = _read_only(self.rtt_ms[index[order]])
         starts = np.flatnonzero(np.diff(sorted_ids)) + 1
         bounds = np.concatenate(([0], starts, [sorted_ids.size])).tolist()
         return {

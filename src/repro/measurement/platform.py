@@ -216,6 +216,8 @@ class MeasurementPlatform:
 
         self.delay_model = DelayModel(self.config.delay)
         self._realizations: Dict[Tuple[int, int, IPVersion, int], Optional[PathRealization]] = {}
+        # Baseline RTT per realized candidate, same keys (see base_rtt).
+        self._base_rtts: Dict[Tuple[int, int, IPVersion, int], float] = {}
         # AS-step expansions shared by every realization (see realize_path).
         self._steps: StepMemo = {}
 
@@ -323,13 +325,32 @@ class MeasurementPlatform:
         self._realizations[key] = result
         return result
 
+    def base_rtt(
+        self, src: Server, dst: Server, version: IPVersion, candidate_index: int
+    ) -> Optional[float]:
+        """Baseline end-to-end RTT of one candidate's realization (cached).
+
+        Every campaign that samples the candidate -- long-term traces,
+        pings -- starts from this value, so it is derived once per
+        realization.  ``None`` when :meth:`realization` is ``None``.
+        """
+        key = (src.server_id, dst.server_id, version, candidate_index)
+        cached = self._base_rtts.get(key)
+        if cached is None:
+            realization = self.realization(src, dst, version, candidate_index)
+            if realization is None:
+                return None
+            cached = self._base_rtts[key] = self.delay_model.base_rtt(realization)
+        return cached
+
     def __setstate__(self, state: Dict[str, object]) -> None:
-        # Artifact-cache entries pickled before the AS-step memo existed
-        # carry no ``_steps``; they load with an empty memo.  (Bumping
+        # Artifact-cache entries pickled before the AS-step or base-RTT
+        # memo existed lack it; they load with an empty one.  (Bumping
         # CACHE_SCHEMA_VERSION instead would change every config
         # fingerprint, campaign checkpoints' included.)
         self.__dict__.update(state)
         self.__dict__.setdefault("_steps", {})
+        self.__dict__.setdefault("_base_rtts", {})
 
     def _collect_segments(self) -> Tuple[Dict[SegmentKey, SegmentGeo], Dict[SegmentKey, int]]:
         """Geography and crossing counts of all primary-path segments."""

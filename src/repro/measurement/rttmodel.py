@@ -106,8 +106,28 @@ class DelayModel:
         return 2.0 * np.cumsum(one_way) + self.params.per_hop_processing_ms * hop_indices
 
     def base_rtt(self, realization: PathRealization) -> float:
-        """Baseline end-to-end RTT (ms)."""
-        return float(self.base_rtt_to_hops(realization)[-1])
+        """Baseline end-to-end RTT (ms): ``base_rtt_to_hops(...)[-1]``.
+
+        Computed in scalar floats with the array path's operations and
+        association (the cumulative sum adds left to right), so the value
+        is bitwise the same without building the per-hop arrays.
+        """
+        params = self.params
+        speed = SPEED_OF_LIGHT_KM_PER_MS * FIBER_REFRACTION_FACTOR
+        hops = realization.hops
+        if not hops:
+            raise ValueError("a realization has at least one hop")
+        total = 0.0
+        for index, hop in enumerate(hops):
+            if hop.distance_km < 0.0:
+                raise ValueError("distance must be non-negative")
+            stretch = self._stretch(realization, index)
+            # ``0.0 + d == d`` for the first delay: it is never ``-0.0``.
+            total += max(
+                params.min_segment_one_way_ms,
+                0.5 * (2.0 * hop.distance_km * stretch / speed),
+            )
+        return 2.0 * total + params.per_hop_processing_ms * len(hops)
 
     def noise_series(
         self, rng: np.random.Generator, count: int, version: IPVersion

@@ -22,6 +22,7 @@ spread in per-timeline change counts.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -243,6 +244,44 @@ def _select_candidate(
     return first_usable
 
 
+class _ActiveSet:
+    """The ``[start, end)`` intervals that hold a point moving rightwards.
+
+    Each interval carries a key; after :meth:`advance`, :attr:`keys`
+    counts the intervals holding the point, per key.  The point must
+    never move left: an interval whose end the point has passed is
+    dropped for good.
+    """
+
+    def __init__(self, intervals: Sequence[Tuple[float, float, object]]) -> None:
+        self._pending = sorted(intervals, key=lambda interval: interval[0])
+        self._next = 0
+        self._ends: List[Tuple[float, int, object]] = []
+        self.keys: Dict[object, int] = {}
+
+    def advance(self, point: float) -> bool:
+        """Move to ``point``; whether the set of keys changed."""
+        changed = False
+        pending = self._pending
+        while self._next < len(pending) and pending[self._next][0] <= point:
+            _, end, key = pending[self._next]
+            self._next += 1
+            if end > point:
+                heapq.heappush(self._ends, (end, self._next, key))
+                count = self.keys.get(key, 0)
+                changed = changed or count == 0
+                self.keys[key] = count + 1
+        while self._ends and self._ends[0][0] <= point:
+            _, _, key = heapq.heappop(self._ends)
+            count = self.keys[key] - 1
+            if count:
+                self.keys[key] = count
+            else:
+                del self.keys[key]
+                changed = True
+        return changed
+
+
 def build_routing_schedule(
     table: RouteTable,
     pairs: Sequence[_Pair],
@@ -251,6 +290,12 @@ def build_routing_schedule(
     flaps: Sequence[PairFlap] = (),
 ) -> RoutingSchedule:
     """Evaluate path selection over time for each requested AS pair.
+
+    Each pair's window is cut at the boundaries of the outages on its
+    candidates' edges and of its flaps; each piece routes as at its
+    midpoint.  The midpoints ascend, so one sweep per pair keeps the
+    outages and flaps in effect (:class:`_ActiveSet`) and selects a
+    candidate again only where they change.
 
     Args:
         table: Candidate routes per pair (one protocol).
@@ -267,6 +312,9 @@ def build_routing_schedule(
     flaps_by_pair: Dict[_Pair, List[PairFlap]] = {}
     for flap in flaps:
         flaps_by_pair.setdefault(flap.pair, []).append(flap)
+    outages_by_edge: Dict[_Edge, List[EdgeOutage]] = {}
+    for outage in outages:
+        outages_by_edge.setdefault(outage.edge, []).append(outage)
 
     schedule = RoutingSchedule(
         duration_hours=duration_hours,
@@ -280,36 +328,47 @@ def build_routing_schedule(
             continue
         all_edges = frozenset().union(*(candidate.edges for candidate in candidates))
 
-        relevant_outages = [outage for outage in outages if outage.edge in all_edges]
+        relevant_outages = [
+            outage
+            for edge in sorted(all_edges & outages_by_edge.keys())
+            for outage in outages_by_edge[edge]
+        ]
         relevant_flaps = flaps_by_pair.get(pair, ())
 
         boundaries = {0.0, duration_hours}
-        for outage in relevant_outages:
-            if outage.start_hour < duration_hours:
-                boundaries.add(max(0.0, outage.start_hour))
-                boundaries.add(min(duration_hours, outage.end_hour))
-        for flap in relevant_flaps:
-            if flap.start_hour < duration_hours:
-                boundaries.add(max(0.0, flap.start_hour))
-                boundaries.add(min(duration_hours, flap.end_hour))
+        for event in (*relevant_outages, *relevant_flaps):
+            if event.start_hour < duration_hours:
+                boundaries.add(max(0.0, event.start_hour))
+                boundaries.add(min(duration_hours, event.end_hour))
         ordered = sorted(boundaries)
 
+        down = _ActiveSet(
+            [(outage.start_hour, outage.end_hour, outage.edge) for outage in relevant_outages]
+        )
+        flapping = _ActiveSet(
+            [(flap.start_hour, flap.end_hour, None) for flap in relevant_flaps]
+        )
+        # The selection depends only on the blocked edges and the flap
+        # state, and outages come and go, so states recur.
+        choices: Dict[Tuple[FrozenSet[_Edge], bool], int] = {}
         epochs: List[PathEpoch] = []
+        run_start = 0.0
+        selected: Optional[int] = None
         for start, end in zip(ordered, ordered[1:]):
             midpoint = 0.5 * (start + end)
-            blocked = frozenset(
-                outage.edge
-                for outage in relevant_outages
-                if outage.start_hour <= midpoint < outage.end_hour
-            )
-            demoted = any(
-                flap.start_hour <= midpoint < flap.end_hour for flap in relevant_flaps
-            )
-            selected = _select_candidate(candidates, blocked, demoted)
-            if epochs and epochs[-1].candidate_index == selected:
-                epochs[-1] = PathEpoch(epochs[-1].start_hour, end, selected)
-            else:
-                epochs.append(PathEpoch(start, end, selected))
+            # Advance both sweeps (no short circuit): either may move.
+            moved = down.advance(midpoint)
+            moved = flapping.advance(midpoint) or moved
+            if moved or selected is None:
+                state = (frozenset(down.keys), bool(flapping.keys))
+                choice = choices.get(state)
+                if choice is None:
+                    choice = choices[state] = _select_candidate(candidates, *state)
+                if choice != selected:
+                    if selected is not None:
+                        epochs.append(PathEpoch(run_start, start, selected))
+                    run_start, selected = start, choice
+        epochs.append(PathEpoch(run_start, ordered[-1], selected))
         schedule.timelines[pair] = tuple(epochs)
 
     return schedule

@@ -13,6 +13,11 @@ outcome arrays that are not ``uint8``.
 The ping population kernels (congestion verdicts, loss summaries) are
 checked against the per-series detector and the per-timeline loss
 references on populations that mix grids, dtypes and degenerate rows.
+
+The routing schedule's sweep is checked against the scan it replaced
+(every outage per pair, every relevant outage per interval) on random
+outage and flap sets: overlapping, zero-length, inverted, touching 0 or
+the window's end, and split by adjacent floats.
 """
 
 import math
@@ -36,6 +41,7 @@ from repro.core.loss import (
 )
 from repro.core.routechange import (
     analyze_timeline,
+    as_path_pair_count,
     change_events,
     path_lifetimes,
     path_prevalence,
@@ -54,6 +60,16 @@ from repro.datasets.longterm import LongTermDataset
 from repro.datasets.timeline import PingTimeline, TraceTimeline, stack_by_grid
 from repro.measurement.scheduler import CampaignGrid
 from repro.net.ip import IPVersion
+from repro.routing.dynamics import (
+    EdgeOutage,
+    PairFlap,
+    PathEpoch,
+    RoutingSchedule,
+    _select_candidate,
+    build_routing_schedule,
+)
+from repro.routing.policy import RouteClass
+from repro.routing.table import CandidateRoute, RouteTable
 from tests.datasets.test_timeline import (
     COMPLETE,
     assert_same_mapping,
@@ -245,6 +261,54 @@ def reference_synchronized(v4, v6, slack_rounds=1):
         1 for r in changes_v4 if np.min(np.abs(changes_v6 - r)) <= slack_rounds
     )
     return matched / changes_v4.size
+
+
+def reference_pair_count(forward, reverse):
+    both = reference_usable_mask(forward) & reference_usable_mask(reverse)
+    pairs = zip(forward.path_id[both].tolist(), reverse.path_id[both].tolist())
+    return len(set(pairs))
+
+
+def reference_routing_schedule(table, pairs, duration_hours, outages, flaps=()):
+    """``build_routing_schedule`` as a scan: every outage per pair, every
+    relevant outage and flap per interval."""
+    flaps_by_pair = {}
+    for flap in flaps:
+        flaps_by_pair.setdefault(flap.pair, []).append(flap)
+    schedule = RoutingSchedule(
+        duration_hours=duration_hours, outages=tuple(outages), flaps=tuple(flaps)
+    )
+    for pair in pairs:
+        candidates = table.routes(*pair)
+        if not candidates:
+            continue
+        all_edges = frozenset().union(*(candidate.edges for candidate in candidates))
+        relevant_outages = [outage for outage in outages if outage.edge in all_edges]
+        relevant_flaps = flaps_by_pair.get(pair, ())
+        boundaries = {0.0, duration_hours}
+        for event in relevant_outages + list(relevant_flaps):
+            if event.start_hour < duration_hours:
+                boundaries.add(max(0.0, event.start_hour))
+                boundaries.add(min(duration_hours, event.end_hour))
+        ordered = sorted(boundaries)
+        epochs = []
+        for start, end in zip(ordered, ordered[1:]):
+            midpoint = 0.5 * (start + end)
+            blocked = frozenset(
+                outage.edge
+                for outage in relevant_outages
+                if outage.start_hour <= midpoint < outage.end_hour
+            )
+            demoted = any(
+                flap.start_hour <= midpoint < flap.end_hour for flap in relevant_flaps
+            )
+            selected = _select_candidate(candidates, blocked, demoted)
+            if epochs and epochs[-1].candidate_index == selected:
+                epochs[-1] = PathEpoch(epochs[-1].start_hour, end, selected)
+            else:
+                epochs.append(PathEpoch(start, end, selected))
+        schedule.timelines[pair] = tuple(epochs)
+    return schedule
 
 
 # ----------------------------------------------------------------------
@@ -677,3 +741,83 @@ class TestDualStackAndSharing:
                 np.nonzero(np.diff(v4.path_id[reference_usable_mask(v4)]) != 0)[0] + 1
             ]
         ]
+
+
+class TestAsPathPairs:
+    @EXAMPLES
+    @given(dual_stack_pairs())
+    def test_pair_count(self, pair):
+        forward, reverse = pair
+        assert as_path_pair_count(forward, reverse) == reference_pair_count(forward, reverse)
+
+
+_ASES = (1, 2, 3, 4, 5)
+_DURATIONS = (10.0, 24.0 * 7.3)
+
+
+@st.composite
+def _hours(draw, duration):
+    """A time near the window: its ends, beyond them, or adjacent floats."""
+    anchors = [0.0, duration, 0.5 * duration, 1.0, duration - 1.0]
+    base = draw(st.one_of(
+        st.sampled_from(anchors),
+        st.floats(-2.0, duration + 2.0, allow_nan=False),
+    ))
+    steps = draw(st.integers(-1, 1))
+    for _ in range(abs(steps)):
+        base = float(np.nextafter(base, np.inf if steps > 0 else -np.inf))
+    return base
+
+
+@st.composite
+def _events(draw, duration):
+    """``(start, end)``: zero-length, inverted and reaching past the window."""
+    start = draw(_hours(duration))
+    shape = draw(st.sampled_from(["span", "span", "zero", "inverted", "to_end"]))
+    if shape == "zero":
+        return start, start
+    if shape == "inverted":
+        return start, start - draw(st.floats(0.0, 3.0))
+    if shape == "to_end":
+        return start, duration + draw(st.sampled_from([0.0, 1.0]))
+    return start, draw(_hours(duration))
+
+
+@st.composite
+def routing_inputs(draw):
+    duration = draw(st.sampled_from(_DURATIONS))
+    table = RouteTable(version=IPVersion.V4)
+    pairs = []
+    for src in (1, 2):
+        dst = 5
+        paths = draw(st.lists(
+            st.lists(st.sampled_from((3, 4)), min_size=0, max_size=2, unique=True),
+            min_size=0, max_size=4,
+        ))
+        tiers = draw(st.lists(st.integers(0, 1), min_size=len(paths), max_size=len(paths)))
+        table.candidates[(src, dst)] = tuple(
+            CandidateRoute.make((src, *middle, dst), RouteClass.CUSTOMER, rank, tier)
+            for rank, (middle, tier) in enumerate(zip(paths, tiers))
+        )
+        pairs.append((src, dst))
+    edges = sorted({(a, b) for a in _ASES for b in _ASES if a < b})
+    outages = [
+        EdgeOutage(edge=draw(st.sampled_from(edges)), start_hour=start, end_hour=end)
+        for start, end in draw(st.lists(_events(duration), max_size=12))
+    ]
+    flaps = [
+        PairFlap(pair=draw(st.sampled_from(pairs)), start_hour=start, end_hour=end)
+        for start, end in draw(st.lists(_events(duration), max_size=4))
+    ]
+    return table, pairs, duration, outages, flaps
+
+
+class TestRoutingSchedule:
+    @settings(max_examples=300, deadline=None)
+    @given(routing_inputs())
+    def test_sweep_matches_the_scan(self, inputs):
+        table, pairs, duration, outages, flaps = inputs
+        got = build_routing_schedule(table, pairs, duration, outages, flaps)
+        want = reference_routing_schedule(table, pairs, duration, outages, flaps)
+        assert got.timelines == want.timelines
+        assert (got.outages, got.flaps) == (want.outages, want.flaps)

@@ -140,3 +140,10 @@ class TestPathPairs:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
             as_path_pair_count(make_timeline([0]), make_timeline([0, 0]))
+
+    def test_wide_path_tables_count_by_sorting(self):
+        # Ids spanning 0..1500 on both sides would need 2.25 M flags, past
+        # the flag array's cap; the count is the same either way.
+        forward = make_timeline([0, 1500, 1500, 7, 0])
+        reverse = make_timeline([1500, 0, 0, 7, 1500])
+        assert as_path_pair_count(forward, reverse) == 3

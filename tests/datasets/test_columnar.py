@@ -61,7 +61,7 @@ class TestKernelLifetime:
         tasks = _tasks(small_platform, LONGTERM)[:12]
         kernels = CampaignKernels(small_platform, LONGTERM.grid())
         kernels.plan_streams("longterm", tasks)
-        timelines = [kernels.build_trace_timeline(*task) for task in tasks]
+        timelines = kernels.build_trace_timelines(tasks)
         assert any(timeline.paths for timeline in timelines)
         assert not any(isinstance(value, RealizationKernel) for value in vars(kernels).values())
         assert _live_kernels() == []
@@ -69,9 +69,7 @@ class TestKernelLifetime:
     def test_ping_build_leaves_no_kernel(self, small_platform):
         tasks = _tasks(small_platform, SHORTTERM)[:12]
         kernels = CampaignKernels(small_platform, SHORTTERM.ping_grid())
-        timelines = [
-            kernels.build_ping_timeline(src, dst, version, True) for src, dst, version in tasks
-        ]
+        timelines = kernels.build_ping_timelines(tasks, True)
         assert any(timeline.valid_count() for timeline in timelines)
         assert _live_kernels() == []
 
@@ -97,8 +95,8 @@ class TestStreamPlanning:
         planned.plan_streams("longterm", tasks)
         unplanned = CampaignKernels(small_platform, LONGTERM.grid())
         for task in tasks:
-            left = planned.build_trace_timeline(*task)
-            right = unplanned.build_trace_timeline(*task)
+            (left,) = planned.build_trace_timelines([task])
+            (right,) = unplanned.build_trace_timelines([task])
             assert left.rtt_ms.tobytes() == right.rtt_ms.tobytes()
             assert left.path_id.tobytes() == right.path_id.tobytes()
             assert left.paths == right.paths
@@ -153,3 +151,54 @@ def test_congestion_window_sums_in_path_order():
     assert kernel.congestion_window(0, 2).tolist() == [0.0, 1.0]
     kernel.congestion = ()
     assert kernel.congestion_window(0, 2) is None
+
+
+class TestDrawIdentities:
+    """The numpy identities the packed samplers rest on, bit for bit.
+
+    The samplers draw each epoch into slices of shared buffers and apply
+    the noise scale once per block.  If a numpy release breaks one of
+    these, this fails instead of a figure changing quietly.
+    """
+
+    SEEDS = [0, 1, 7, 2**31 + 5]
+    SIZES = [0, 1, 2, 9, 118, 1000]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("shape, scale", [(2.0, 1.4), (2.0, 1.4 * 1.1), (0.5, 3.0)])
+    def test_gamma_is_standard_gamma_times_scale(self, seed, size, shape, scale):
+        reference = np.random.default_rng(seed)
+        packed = np.random.default_rng(seed)
+        expected = reference.gamma(shape, scale, size=size)
+        buffer = np.full(size + 3, -1.0)
+        packed.standard_gamma(shape, out=buffer[2:2 + size])
+        got = buffer[2:2 + size] * scale
+        assert got.tobytes() == expected.tobytes()
+        # Both streams stand at the same place afterwards.
+        assert packed.random() == reference.random()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_random_into_a_slice_is_random_n(self, seed, size):
+        reference = np.random.default_rng(seed)
+        packed = np.random.default_rng(seed)
+        expected = reference.random(size)
+        buffer = np.full(size + 5, -1.0)
+        packed.random(out=buffer[3:3 + size])
+        assert buffer[3:3 + size].tobytes() == expected.tobytes()
+        assert buffer[:3].tolist() == [-1.0] * 3 and buffer[3 + size:].tolist() == [-1.0] * 2
+        assert packed.random() == reference.random()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_one_double_draw_is_two_halves(self, seed, size):
+        reference = np.random.default_rng(seed)
+        first, second = reference.random(size), reference.random(size)
+        both = np.random.default_rng(seed).random(2 * size)
+        assert both.tobytes() == np.concatenate([first, second]).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_never_reach_one(self, seed):
+        # A miss needs ``random() >= p_all_respond``; at 1.0 none can.
+        assert np.random.default_rng(seed).random(100_000).max() < 1.0

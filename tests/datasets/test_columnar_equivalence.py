@@ -15,7 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
+import repro.datasets.columnar as columnar_module
+import repro.measurement.traceroute as traceroute_module
+from repro.datasets.columnar import CampaignKernels
+from repro.datasets.longterm import LongTermConfig, _build_timeline, build_longterm_dataset
 from repro.datasets.shortterm import ShortTermConfig, build_shortterm_ping_dataset
 from repro.datasets.timeline import CANDIDATE_DTYPE, path_id_dtype
 from repro.harness.experiments import (
@@ -24,7 +27,9 @@ from repro.harness.experiments import (
     experiment_fig6,
 )
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
+from repro.measurement.traceroute import ArtifactParams, TraceOutcome
 from repro.net.ip import IPVersion
+from repro.routing.dynamics import RoutingDynamicsConfig
 
 SEEDS = [0, 7]
 JOBS = [1, 2]
@@ -194,3 +199,111 @@ class TestFigureEquivalence:
             _assert_metrics_equal(
                 _metric_pairs(reference), _metric_pairs(candidate)
             )
+
+
+def _trace_tasks(platform: MeasurementPlatform):
+    for src, dst in platform.server_pairs(dual_stack_only=LONGTERM.dual_stack_only):
+        for version in LONGTERM.versions:
+            if src.address(version) is not None and dst.address(version) is not None:
+                yield src, dst, version
+
+
+def _task_epochs(platform: MeasurementPlatform, task):
+    """``(realization, low, high)`` of each epoch the LONGTERM grid samples for ``task``."""
+    src, dst, version = task
+    times = LONGTERM.grid().times()
+    for epoch in platform.epochs(src, dst, version):
+        low = int(times.searchsorted(epoch.start_hour, side="left"))
+        high = int(times.searchsorted(epoch.end_hour, side="left"))
+        if high <= low or epoch.candidate_index < 0:
+            continue
+        realization = platform.realization(src, dst, version, epoch.candidate_index)
+        if realization is not None:
+            yield realization, low, high
+
+
+def _assert_task_equivalent(platform: MeasurementPlatform, task):
+    """One task's columnar timeline, planned and unplanned, against the object path."""
+    reference = _build_timeline(platform, *task, LONGTERM.grid())
+    planned = CampaignKernels(platform, LONGTERM.grid())
+    planned.plan_streams("longterm", [task])
+    unplanned = CampaignKernels(platform, LONGTERM.grid())
+    for kernels in (planned, unplanned):
+        (candidate,) = kernels.build_trace_timelines([task])
+        for name in ("rtt_ms", "outcome", "path_id", "true_candidate"):
+            assert getattr(candidate, name).dtype == getattr(reference, name).dtype, name
+            assert getattr(candidate, name).tobytes() == getattr(reference, name).tobytes(), name
+        assert candidate.paths == reference.paths
+    return reference
+
+
+def _answers_at_every_hop(realization) -> bool:
+    return float(np.prod([hop.respond_probability for hop in realization.hops])) == 1.0
+
+
+class TestTargetedEpochs:
+    """Timelines picked for the sampler's conditional draws."""
+
+    def test_all_responding_realization(self, seeded_platform):
+        # Such an epoch skips the miss draw, the last of its stream; a
+        # timeline that also has a lossy epoch mixes both kinds.
+        for task in _trace_tasks(seeded_platform):
+            answers = {
+                _answers_at_every_hop(realization)
+                for realization, _, _ in _task_epochs(seeded_platform, task)
+            }
+            if answers == {True, False}:
+                break
+        else:
+            pytest.fail("no timeline mixes all-responding and lossy epochs")
+        _assert_task_equivalent(seeded_platform, task)
+
+    def test_epoch_with_loops_and_misses(self, seeded_platform):
+        for task in _trace_tasks(seeded_platform):
+            reference = _build_timeline(seeded_platform, *task, LONGTERM.grid())
+            both = any(
+                {int(TraceOutcome.LOOP), int(TraceOutcome.MISSING_IP)}
+                <= set(reference.outcome[low:high].tolist())
+                for _, low, high in _task_epochs(seeded_platform, task)
+            )
+            if both:
+                break
+        else:
+            pytest.fail("no epoch has both a loop and a miss")
+        _assert_task_equivalent(seeded_platform, task)
+
+
+WIDE = LongTermConfig(days=10, period_hours=0.5)
+
+
+def _unique_loop(path, rng):
+    """A fresh AS path per looped epoch, from the same kind of stream draw."""
+    return path + (int(rng.integers(1_000_000, 2**40)),)
+
+
+def test_path_table_past_128_paths_keeps_int16_ids(monkeypatch):
+    # Short flaps make hundreds of routing epochs; every sample that is
+    # not incomplete loops, and each looped epoch reports its own path.
+    monkeypatch.setattr(traceroute_module, "_loop_variant", _unique_loop)
+    monkeypatch.setattr(columnar_module, "_loop_variant", _unique_loop)
+    platform = MeasurementPlatform(
+        PlatformConfig(
+            seed=3,
+            cluster_count=4,
+            duration_hours=12 * 24.0,
+            dynamics=RoutingDynamicsConfig(
+                flaps_per_pair_per_month=900.0, flap_duration_median_hours=0.25
+            ),
+            artifacts=ArtifactParams(
+                loop_probability_classic=1.0,
+                loop_probability_classic_lb=1.0,
+                loop_probability_classic_lb_v6=1.0,
+                loop_probability_paris=1.0,
+            ),
+        )
+    )
+    reference = build_longterm_dataset(platform, WIDE, columnar=False)
+    candidate = build_longterm_dataset(platform, WIDE, columnar=True)
+    _assert_trace_timelines_equal(reference, candidate)
+    wide = [timeline for timeline in candidate.timelines.values() if len(timeline.paths) > 128]
+    assert wide and all(timeline.path_id.dtype == np.int16 for timeline in wide)

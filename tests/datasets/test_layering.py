@@ -16,6 +16,6 @@ class TestLayering:
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert result.stdout.strip() == "[]"

@@ -547,15 +547,19 @@ class TestMemoryShape:
 
     def test_memos_hold_counts_and_percentiles_only(self, small_run):
         percentile_keys = {("percentiles", 10.0), ("percentiles", 90.0)}
+        change_key = ("change_count",)
         seen = set()
         for timeline in small_run.timelines.values():
             memo = vars(timeline).get("_products", {})
-            assert set(memo) <= {"path_sample_counts"} | percentile_keys
-            for value in memo.values():
+            assert set(memo) <= {"path_sample_counts", change_key} | percentile_keys
+            for key, value in memo.items():
+                if key == change_key:
+                    assert type(value) is int
+                    continue
                 assert isinstance(value, dict)
                 assert not any(isinstance(item, np.ndarray) for item in value.values())
             seen.update(memo)
-        assert seen == {"path_sample_counts"} | percentile_keys
+        assert seen == {"path_sample_counts", change_key} | percentile_keys
 
     def test_dual_stack_populations_are_built_per_read(self, small_run):
         comparison = paired_rtt_differences(small_run)

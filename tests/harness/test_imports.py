@@ -40,7 +40,7 @@ def _loaded_after_import(modules, forbidden):
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return result.stdout.strip()
 

@@ -19,7 +19,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd or REPO,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
     )
 
 
@@ -58,7 +58,7 @@ def test_lint_runs_without_numpy(tmp_path):
         capture_output=True,
         text=True,
         cwd=REPO,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "0 finding(s)" in result.stdout
