@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.datasets.columnar import CampaignKernels, task_blocks
-from repro.datasets.mutation import KeyOrderCached, VersionedDict, dict_version
 from repro.datasets.parallel import fork_map
 from repro.datasets.timeline import PATH_ID_DTYPE, PathTable, TraceTimeline, epoch_runs
 from repro.obs import metrics as obs_metrics
@@ -43,38 +42,20 @@ class LongTermConfig:
 
 
 @dataclass
-class LongTermDataset(KeyOrderCached):
-    """All long-term trace timelines, keyed by (src, dst, version)."""
+class LongTermDataset:
+    """All long-term trace timelines, keyed by (src, dst, version).
 
-    _KEY_CACHE = "_ordered_key_cache"
+    Built once by :func:`build_longterm_dataset` and then only read:
+    nothing mutates ``timelines`` or ``servers`` after the build.
+    """
 
     grid: CampaignGrid
-    timelines: Dict[Tuple[int, int, IPVersion], TraceTimeline] = field(
-        default_factory=VersionedDict
-    )
+    timelines: Dict[Tuple[int, int, IPVersion], TraceTimeline] = field(default_factory=dict)
     servers: Dict[int, Server] = field(default_factory=dict)
-    _ordered_key_cache: Optional[Tuple[int, List[Tuple[int, int, IPVersion]]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.timelines, VersionedDict):
-            self.timelines = VersionedDict(self.timelines)
 
     def _ordered_keys(self) -> List[Tuple[int, int, IPVersion]]:
-        """Timeline keys in pair order, cached until the dict mutates.
-
-        ``by_version`` and ``pairs`` are called per experiment (16 of
-        them); re-sorting the full key set every time is quadratic noise
-        at scale.  The cache keys on the dict's mutation counter (not its
-        length, which misses same-size key replacement) so any insert,
-        replacement, or delete invalidates it.
-        """
-        version = dict_version(self.timelines)
-        if self._ordered_key_cache is None or self._ordered_key_cache[0] != version:
-            ordered = sorted(self.timelines, key=lambda k: (k[0], k[1], int(k[2])))
-            self._ordered_key_cache = (version, ordered)
-        return self._ordered_key_cache[1]
+        """Timeline keys in pair order (sorted per call: well under 1 ms)."""
+        return sorted(self.timelines, key=lambda k: (k[0], k[1], int(k[2])))
 
     def timeline(self, src_id: int, dst_id: int, version: IPVersion) -> TraceTimeline:
         """The timeline for one directed pair and protocol."""

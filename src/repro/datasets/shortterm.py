@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from repro.datasets.columnar import CampaignKernels, task_blocks
-from repro.datasets.mutation import KeyOrderCached, VersionedDict, dict_version
 from repro.datasets.parallel import fork_map
 from repro.datasets.timeline import PingTimeline
 from repro.obs import metrics as obs_metrics
@@ -70,41 +69,26 @@ class ShortTermConfig:
 
 def _ordered_keys(
     entries: Dict[Tuple[int, int, IPVersion], object],
-    cache: Optional[Tuple[int, List[Tuple[int, int, IPVersion]]]],
-) -> Tuple[Tuple[int, int, IPVersion], ...]:
-    """Sorted key order, recomputed whenever the dict has mutated.
-
-    Keys on the dict's mutation counter (see
-    :class:`repro.datasets.mutation.VersionedDict`), not its length: a
-    same-size key replacement must invalidate the cached order too.
-    """
-    version = dict_version(entries)
-    if cache is None or cache[0] != version:
-        cache = (version, sorted(entries, key=lambda k: (k[0], k[1], int(k[2]))))
-    return cache
+) -> List[Tuple[int, int, IPVersion]]:
+    """The keys of ``entries`` in pair order (sorted per call)."""
+    return sorted(entries, key=lambda k: (k[0], k[1], int(k[2])))
 
 
 @dataclass
-class ShortTermPingDataset(KeyOrderCached):
-    """Ping timelines keyed by (src, dst, version)."""
+class ShortTermPingDataset:
+    """Ping timelines keyed by (src, dst, version).
+
+    Built once by :func:`build_shortterm_ping_dataset` and then only
+    read: nothing mutates ``timelines`` after the build.
+    """
 
     grid: CampaignGrid
-    timelines: Dict[Tuple[int, int, IPVersion], PingTimeline] = field(
-        default_factory=VersionedDict
-    )
-    _key_cache: Optional[Tuple[int, List[Tuple[int, int, IPVersion]]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.timelines, VersionedDict):
-            self.timelines = VersionedDict(self.timelines)
+    timelines: Dict[Tuple[int, int, IPVersion], PingTimeline] = field(default_factory=dict)
 
     def by_version(self, version: IPVersion) -> List[PingTimeline]:
         """All timelines of one protocol, in pair order."""
-        self._key_cache = _ordered_keys(self.timelines, self._key_cache)
         return [
-            self.timelines[key] for key in self._key_cache[1] if key[2] is version
+            self.timelines[key] for key in _ordered_keys(self.timelines) if key[2] is version
         ]
 
 
@@ -154,44 +138,41 @@ _R = TypeVar("_R")
 
 
 @dataclass
-class ShortTermTraceDataset(KeyOrderCached):
-    """Segment series keyed by (src, dst, version)."""
+class ShortTermTraceDataset:
+    """Segment series keyed by (src, dst, version).
 
-    _DERIVED_CACHES = ("_corpus_cache",)
+    Built once by :func:`build_shortterm_trace_dataset` and then only
+    read: nothing mutates ``entries`` after the build, so a product
+    derived from the whole corpus stays valid for the dataset's life.
+    """
 
     grid: CampaignGrid
-    entries: Dict[Tuple[int, int, IPVersion], SegmentSeries] = field(
-        default_factory=VersionedDict
-    )
-    _key_cache: Optional[Tuple[int, List[Tuple[int, int, IPVersion]]]] = field(
+    entries: Dict[Tuple[int, int, IPVersion], SegmentSeries] = field(default_factory=dict)
+    _corpus_cache: Optional[Tuple[object, Any]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _corpus_cache: Optional[Tuple[object, int, Any]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, VersionedDict):
-            self.entries = VersionedDict(self.entries)
 
     def by_version(self, version: IPVersion) -> List[SegmentSeries]:
         """All entries of one protocol, in pair order."""
-        self._key_cache = _ordered_keys(self.entries, self._key_cache)
-        return [self.entries[key] for key in self._key_cache[1] if key[2] is version]
+        return [self.entries[key] for key in _ordered_keys(self.entries) if key[2] is version]
 
     def corpus_product(self, platform: object, compute: Callable[[], _R]) -> _R:
-        """``compute()`` over the whole corpus, once per ``platform`` and corpus state.
+        """``compute()`` over the whole corpus, once per ``platform`` object.
 
         The dataset holds one such result (the experiments' ownership
-        inference).  It is rebuilt when ``entries`` mutates (its mutation
-        counter moves, as for the key-order cache) or another platform
-        object asks, and it is never pickled.
+        inference); another platform object replaces it.  It is never
+        pickled.
         """
-        version = dict_version(self.entries)
         cache = self._corpus_cache
-        if cache is None or cache[0] is not platform or cache[1] != version:
-            cache = self._corpus_cache = (platform, version, compute())
-        return cache[2]
+        if cache is None or cache[0] is not platform:
+            cache = self._corpus_cache = (platform, compute())
+        return cache[1]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The pickle must not depend on whether an analysis ran first.
+        state = dict(self.__dict__)
+        state.pop("_corpus_cache", None)
+        return state
 
 
 def _check_window(platform: MeasurementPlatform, grid: CampaignGrid) -> None:

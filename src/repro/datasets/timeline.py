@@ -23,8 +23,8 @@ are compact.  A timeline stores its path ids in the narrowest signed
 dtype that holds them (:func:`path_id_dtype`): int8 for a table of at
 most 128 paths, which is every timeline the scenarios build, so a
 sample takes 6 bytes with the float32 RTT and the uint8 outcome.  The
-constructor and unpickling both apply that rule, so builders, archives
-and old pickles all end in the same layout.  The ground-truth candidate
+constructor applies that rule, so every builder ends in the same layout,
+and a pickle holds it as built.  The ground-truth candidate
 index is constant within each routing epoch, so it is stored as runs
 (int8 :data:`CANDIDATE_DTYPE` values) and its per-sample column is
 derived on each read; the builders hand over the runs of their sampled
@@ -269,9 +269,10 @@ class _CandidateColumn:
 
     A data descriptor, so the dataclass constructor's value goes to
     :meth:`__set__`: a per-sample column is reduced to its runs, and
-    :class:`CandidateRuns` are kept as given.  Every read derives the
-    read-only per-sample column again.  The field's default, ``None``,
-    stands for an empty column.
+    :class:`CandidateRuns` are kept as given, their values narrowed to
+    :data:`CANDIDATE_DTYPE`.  Every read derives the read-only
+    per-sample column again.  The field's default, ``None``, stands for
+    an empty column.
     """
 
     def __get__(self, timeline: Any, owner: Any = None) -> Any:
@@ -284,7 +285,8 @@ class _CandidateColumn:
         if column is None:
             column = np.empty(0, dtype=CANDIDATE_DTYPE)
         runs = column if isinstance(column, CandidateRuns) else _runs(np.asarray(column))
-        vars(timeline).update({_RUN_BOUNDS: runs.bounds, _RUN_VALUES: runs.values})
+        values = compact_column(runs.values, CANDIDATE_DTYPE, "true_candidate")
+        vars(timeline).update({_RUN_BOUNDS: runs.bounds, _RUN_VALUES: _read_only(values)})
 
 
 def _stored_path_ids(path_id: np.ndarray, paths: Sequence[Any]) -> np.ndarray:
@@ -311,16 +313,12 @@ class TraceTimeline(_Memoized):
             size, so int8 for at most 128 paths.
         paths: Distinct observed AS paths for this timeline.
         true_candidate: Ground-truth candidate-route index per sample
-            (int8 from the builders; ``-1`` when the destination was
-            unreachable).  Simulator metadata -- not visible to the
-            analysis pipeline.  Either empty or one entry per sample;
-            the builders pass :class:`CandidateRuns` instead.  Held as
-            runs (:meth:`candidate_runs`); each read derives a fresh
-            read-only column.
-
-    Unpickling applies the same path-id rule, and narrows wider
-    candidate values (saved before the compact layout) to
-    :data:`CANDIDATE_DTYPE`.
+            (held as int8, :data:`CANDIDATE_DTYPE`; ``-1`` when the
+            destination was unreachable).  Simulator metadata -- not
+            visible to the analysis pipeline.  Either empty or one entry
+            per sample; the builders pass :class:`CandidateRuns`
+            instead.  Held as runs (:meth:`candidate_runs`); each read
+            derives a fresh read-only column.
 
     Raises:
         ValueError: A column's length does not match the time grid, an
@@ -353,17 +351,6 @@ class TraceTimeline(_Memoized):
             raise ValueError("outcome holds a code outside TraceOutcome")
         object.__setattr__(self, "path_id", _stored_path_ids(self.path_id, self.paths))
         self._freeze()
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        state = dict(state)
-        state["path_id"] = _stored_path_ids(state["path_id"], state["paths"])
-        if "true_candidate" in state:
-            # Pickled before the runs: a full per-sample column.
-            state[_RUN_BOUNDS], state[_RUN_VALUES] = _runs(state.pop("true_candidate"))
-        state[_RUN_VALUES] = compact_column(
-            state[_RUN_VALUES], CANDIDATE_DTYPE, "true_candidate"
-        )
-        super().__setstate__(state)
 
     def __len__(self) -> int:
         return int(self.times_hours.size)

@@ -9,7 +9,9 @@
 - :mod:`repro.harness.report` -- plain-text tables, ECDF series and decile
   heatmaps in the style the paper prints them.
 - :mod:`repro.harness.engine` -- the on-disk artifact cache behind
-  ``reproduce --cache``.
+  ``reproduce --cache``: :class:`ArtifactCache`, whose ``load_or_build``
+  the scenario builders call when given one, and the config fingerprint
+  that keys its entries (and campaign checkpoints).
 
 Stage timing is the tracer's (:mod:`repro.obs.trace`): every build stage
 and experiment opens a span, and ``reproduce --timings`` prints the run's
@@ -18,8 +20,6 @@ top-level spans.
 
 from repro.harness.engine import (
     ArtifactCache,
-    cached_longterm,
-    cached_platform,
     config_fingerprint,
     default_cache_dir,
 )
@@ -54,6 +54,4 @@ __all__ = [
     "ArtifactCache",
     "config_fingerprint",
     "default_cache_dir",
-    "cached_platform",
-    "cached_longterm",
 ]

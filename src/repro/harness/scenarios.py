@@ -10,7 +10,9 @@ The paper's campaigns are petabyte-scale; these scenarios reproduce their
 
 Builders are memoized per (scenario, seed) so a pytest-benchmark session
 constructs each platform and dataset once, however many bench modules use
-it.
+it.  Given an :class:`~repro.harness.engine.ArtifactCache`, the platform
+and long-term builders load from and store to disk through its one
+build-or-load path.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.datasets.shortterm import (
     build_shortterm_trace_dataset,
 )
 from repro.core.congestion import CongestionDetector
+from repro.harness.engine import ArtifactCache
 from repro.measurement.congestionmodel import CongestionConfig
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
 from repro.obs.log import get_logger
@@ -140,28 +143,27 @@ def scenario_platform(
     name: str = "default",
     seed: int = 0,
     jobs: int = 1,
-    cache: Optional[object] = None,
+    cache: Optional[ArtifactCache] = None,
 ) -> MeasurementPlatform:
     """The (memoized) platform of a scenario.
 
     Args:
         name / seed: Scenario scale and world seed.
         jobs: Worker processes for route computation on a build.
-        cache: Optional :class:`repro.harness.engine.ArtifactCache`; when
-            given, the platform is loaded from / stored to disk.
+        cache: When given, the platform is loaded from / stored to disk.
     """
     key = (name, seed)
     if key not in _platform_cache:
         config = get_scenario(name).platform_config(seed)
         _LOG.info("scenario.platform", scenario=name, seed=seed, jobs=jobs,
                   cached=cache is not None)
-        if cache is not None:
-            from repro.harness.engine import cached_platform
 
-            platform, _ = cached_platform(config, cache=cache, jobs=jobs)
-        else:
-            platform = MeasurementPlatform(config, jobs=jobs)
-        _platform_cache[key] = platform
+        def build() -> MeasurementPlatform:
+            return MeasurementPlatform(config, jobs=jobs)
+
+        _platform_cache[key] = (
+            build() if cache is None else cache.load_or_build("platform", (config,), build)
+        )
     return _platform_cache[key]
 
 
@@ -169,30 +171,29 @@ def scenario_longterm(
     name: str = "default",
     seed: int = 0,
     jobs: int = 1,
-    cache: Optional[object] = None,
+    cache: Optional[ArtifactCache] = None,
 ) -> LongTermDataset:
-    """The (memoized) long-term dataset of a scenario."""
+    """The (memoized) long-term dataset of a scenario.
+
+    With a ``cache``, a hit needs no platform; a build resolves it
+    through :func:`scenario_platform` with the same cache.  Any ``jobs``
+    value yields the same bits, so it is not part of the cache key.
+    """
     key = (name, seed)
     if key not in _longterm_cache:
         scenario = get_scenario(name)
-        if cache is not None:
-            from repro.harness.engine import cached_longterm
+        config = scenario.longterm_config()
 
-            dataset, _ = cached_longterm(
-                scenario.platform_config(seed),
-                scenario.longterm_config(),
-                platform=scenario_platform(name, seed, jobs=jobs, cache=cache),
-                cache=cache,
-                jobs=jobs,
-            )
-        else:
-            platform = scenario_platform(name, seed, jobs=jobs)
+        def build() -> LongTermDataset:
+            platform = scenario_platform(name, seed, jobs=jobs, cache=cache)
             _LOG.info("scenario.longterm", scenario=name, seed=seed, jobs=jobs)
             with obs_trace.span("longterm-build"):
-                dataset = build_longterm_dataset(
-                    platform, scenario.longterm_config(), jobs=jobs
-                )
-        _longterm_cache[key] = dataset
+                return build_longterm_dataset(platform, config, jobs=jobs)
+
+        _longterm_cache[key] = (
+            build() if cache is None else cache.load_or_build(
+                "longterm", (scenario.platform_config(seed), config), build)
+        )
     return _longterm_cache[key]
 
 
@@ -238,20 +239,20 @@ def congested_pairs(
 def scenario_traces(
     name: str = "default",
     seed: int = 0,
-    detector: Optional[CongestionDetector] = None,
     jobs: int = 1,
 ) -> ShortTermTraceDataset:
     """The (memoized) short-term traceroute dataset of a scenario.
 
     As in the paper, the traceroute campaign targets the pairs the ping
-    analysis flagged as congested (Section 5.2), so this builder depends on
-    the ping dataset.
+    analysis flagged as congested (Section 5.2) with the default
+    :class:`~repro.core.congestion.CongestionDetector`, so this builder
+    depends on the ping dataset.
     """
     key = (name, seed)
     if key not in _trace_cache:
         platform = scenario_platform(name, seed, jobs=jobs)
         pings = scenario_ping(name, seed, jobs=jobs)
-        pairs = congested_pairs(platform, pings, detector)
+        pairs = congested_pairs(platform, pings)
         _LOG.info("scenario.traces", scenario=name, seed=seed, jobs=jobs,
                   congested_pairs=len(pairs))
         with obs_trace.span("shorttrace-build"):

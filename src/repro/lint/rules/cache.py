@@ -11,7 +11,11 @@ artifact built under the old value, which is the worst failure mode a
 reproduction can have (wrong results that look cached-fast and healthy).
 
 Leading-underscore attributes are exempt: they are derived/private state
-by convention, not knobs.
+by convention, not knobs.  The fingerprint holds only the configs and the
+package version; the cache's layout version (``CACHE_SCHEMA_VERSION``)
+names the entry's directory, not its key, so a layout bump leaves the
+campaign checkpoints (:func:`repro.service.checkpoint.campaign_fingerprint`,
+same function) as they were.
 """
 
 from __future__ import annotations

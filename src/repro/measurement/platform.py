@@ -343,15 +343,6 @@ class MeasurementPlatform:
             cached = self._base_rtts[key] = self.delay_model.base_rtt(realization)
         return cached
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Artifact-cache entries pickled before the AS-step or base-RTT
-        # memo existed lack it; they load with an empty one.  (Bumping
-        # CACHE_SCHEMA_VERSION instead would change every config
-        # fingerprint, campaign checkpoints' included.)
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_steps", {})
-        self.__dict__.setdefault("_base_rtts", {})
-
     def _collect_segments(self) -> Tuple[Dict[SegmentKey, SegmentGeo], Dict[SegmentKey, int]]:
         """Geography and crossing counts of all primary-path segments."""
         from repro.net.asn import ASRelationship

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import timeline as timeline_module
-from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
+from repro.datasets.longterm import LongTermConfig, LongTermDataset, build_longterm_dataset
 from repro.measurement.traceroute import TraceOutcome
 from repro.net.ip import IPVersion
 
@@ -105,3 +105,17 @@ class TestDeterminism:
             assert np.allclose(timeline.rtt_ms, other.rtt_ms, equal_nan=True)
             assert np.array_equal(timeline.path_id, other.path_id)
             assert timeline.paths == other.paths
+
+
+class TestPairOrder:
+    def test_keys_read_in_pair_order_whatever_the_insertion_order(self, longterm):
+        keys = list(longterm.timelines)
+        reversed_dataset = LongTermDataset(
+            longterm.grid, {key: longterm.timelines[key] for key in reversed(keys)},
+            longterm.servers,
+        )
+        assert reversed_dataset.pairs() == longterm.pairs() == sorted(longterm.pairs())
+        for version in IPVersion:
+            pairs = [timeline.pair for timeline in reversed_dataset.by_version(version)]
+            assert pairs == sorted(pairs)
+            assert pairs == [timeline.pair for timeline in longterm.by_version(version)]

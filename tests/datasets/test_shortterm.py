@@ -85,3 +85,18 @@ class TestTraceDataset:
             build_shortterm_trace_dataset(
                 platform, [], ShortTermConfig(trace_days=10_000)
             )
+
+
+@pytest.mark.parametrize("name, field", [
+    ("ping_dataset", "timelines"), ("trace_dataset", "entries"),
+])
+def test_keys_read_in_pair_order_whatever_the_insertion_order(request, name, field):
+    dataset = request.getfixturevalue(name)
+    held = getattr(dataset, field)
+    assert held
+    reversed_dataset = type(dataset)(
+        dataset.grid, {key: held[key] for key in reversed(list(held))})
+    for version in IPVersion:
+        pairs = [entry.pair for entry in reversed_dataset.by_version(version)]
+        assert pairs == sorted(pairs)
+        assert pairs == [entry.pair for entry in dataset.by_version(version)]

@@ -256,7 +256,7 @@ class TestPickle:
         assert (first == second) is False
 
     def test_restoring_writeable_arrays_freezes_them(self):
-        # Entries pickled before timelines were frozen carry writeable arrays.
+        # Numpy unpickles every array writeable; restoring freezes them again.
         timeline = _timeline([COMPLETE, COMPLETE])
         state = {**timeline.__getstate__(), "rtt_ms": timeline.rtt_ms.copy()}
         assert state["rtt_ms"].flags.writeable
@@ -290,6 +290,13 @@ class TestCandidateRuns:
         assert not bounds.flags.writeable and not values.flags.writeable
         assert "true_candidate" not in vars(timeline)
 
+    def test_wider_columns_are_narrowed_and_checked(self):
+        timeline = _with_candidates([-1, 3, 3], np.int32)
+        assert timeline.candidate_runs().values.dtype == np.int8
+        assert timeline.true_candidate.tolist() == [-1, 3, 3]
+        with pytest.raises(ValueError, match="true_candidate holds values outside int8"):
+            _with_candidates([0, 200], np.int16)
+
     def test_no_ground_truth_is_no_runs(self):
         timeline = _with_candidates([])
         assert [part.tolist() for part in timeline.candidate_runs()] == [[0], []]
@@ -313,33 +320,9 @@ class TestCandidateRuns:
             bounds, run_values = held.candidate_runs()
             assert (np.diff(bounds) > 0).all()
             assert (run_values[1:] != run_values[:-1]).all()
-        assert timeline.true_candidate.tobytes() == column.tobytes()
+        assert timeline.true_candidate.tobytes() == column.astype(np.int8).tobytes()
         restored = pickle.loads(pickle.dumps(timeline))
         assert restored.true_candidate.dtype == np.int8
-
-    def test_full_column_pickle_loads_as_runs(self, monkeypatch):
-        # Timelines pickled before the runs hold the per-sample column.
-        column = np.asarray([-1, 3, 3, 3, 0, 0], dtype=np.int16)
-        timeline = _with_candidates(column, np.int16)
-
-        def full_column_state(self):
-            state = {name: value for name, value in vars(self).items()
-                     if not name.startswith("_")}
-            state["true_candidate"] = column
-            return state
-
-        monkeypatch.setattr(TraceTimeline, "__getstate__", full_column_state)
-        payload = pickle.dumps(timeline, protocol=pickle.HIGHEST_PROTOCOL)
-        monkeypatch.undo()
-        restored = pickle.loads(payload)
-        assert "true_candidate" not in vars(restored)
-        assert restored.true_candidate.dtype == np.int8
-        assert restored.true_candidate.tolist() == column.tolist()
-        assert not restored.true_candidate.flags.writeable
-        assert [part.tolist() for part in restored.candidate_runs()] == [
-            [0, 1, 4, 6], [-1, 3, 0]]
-        assert pickle.dumps(restored) == pickle.dumps(
-            _with_candidates(column.astype(np.int8)))
 
 
 class TestCompactLayout:
@@ -379,44 +362,12 @@ class TestCompactLayout:
         assert canonical.dtype is np.dtype(np.int8)
         assert canonical.base is unpickled
 
-    @staticmethod
-    def _legacy_pickle(monkeypatch, timeline, **columns):
-        """``timeline`` pickled with ``columns`` in place of its own."""
-        def legacy_state(self):
-            return {**vars(self), **columns}
-
-        monkeypatch.setattr(TraceTimeline, "__getstate__", legacy_state)
-        payload = pickle.dumps(timeline, protocol=pickle.HIGHEST_PROTOCOL)
-        monkeypatch.undo()
-        return payload
-
-    @pytest.mark.parametrize("wide", [np.int16, np.int32])
-    def test_pickle_with_wide_id_columns_loads_compact(self, monkeypatch, wide):
-        # Artifact caches written before the compact layout hold int32
-        # path ids; those written before the width rule hold int16.
-        timeline = _timeline([COMPLETE, MISSING_IP, INCOMPLETE], path_ids=[0, 1, -1],
-                             paths=[(1, 2), (1, 3)])
-        payload = self._legacy_pickle(
-            monkeypatch, timeline, path_id=np.asarray([0, 1, -1], dtype=wide))
-        restored = pickle.loads(payload)
-        assert restored.path_id.dtype == np.int8
-        assert restored.true_candidate.dtype == np.int8
-        assert restored.path_id.tolist() == [0, 1, -1]
-        assert restored.true_candidate.tolist() == timeline.true_candidate.tolist()
-        assert not restored.path_id.flags.writeable
-        assert not restored.true_candidate.flags.writeable
-
-    def test_ids_past_the_table_width_fail_loudly(self, monkeypatch):
+    def test_ids_past_the_table_width_fail_loudly(self):
         with pytest.raises(ValueError, match="path_id holds values outside int8"):
             _timeline([COMPLETE, COMPLETE], path_ids=[0, 128])
         with pytest.raises(ValueError, match="path_id holds values outside int16"):
             _timeline([COMPLETE, COMPLETE], path_ids=[0, 70000],
                       paths=[(path,) for path in range(129)])
-        payload = self._legacy_pickle(
-            monkeypatch, _timeline([COMPLETE, COMPLETE]),
-            path_id=np.asarray([0, 300], dtype=np.int16))
-        with pytest.raises(ValueError, match="path_id"):
-            pickle.loads(payload)
 
 
 class TestPathIdWidth:

@@ -1,25 +1,23 @@
-"""Tests for the artifact cache, its cached builders and their stage timings."""
+"""Tests for the artifact cache, its build-or-load path and its stage timings."""
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.harness.engine import (
-    ArtifactCache,
-    cached_longterm,
-    cached_platform,
-    config_fingerprint,
-    default_cache_dir,
-)
-from repro.datasets.longterm import LongTermConfig
+from repro.harness import engine
+from repro.harness.engine import ArtifactCache, config_fingerprint, default_cache_dir
+from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.harness.scenarios import get_scenario
 from repro.measurement.platform import MeasurementPlatform, PlatformConfig
 from repro.net.ip import IPVersion
 from repro.obs.trace import Tracer, use_tracer
+from repro.service.checkpoint import campaign_fingerprint
+from repro.service.config import CampaignConfig
 
 
 def _seeded_cache(tmp_path, config):
@@ -27,6 +25,21 @@ def _seeded_cache(tmp_path, config):
     cache = ArtifactCache(tmp_path)
     cache.store("platform", config_fingerprint("platform", config), "stand-in")
     return cache
+
+
+def _platform(cache, config):
+    """The platform of ``config`` through the cache's build-or-load path."""
+    return cache.load_or_build("platform", (config,), lambda: MeasurementPlatform(config))
+
+
+def _longterm(cache, platform_config, config, builds=None):
+    """The long-term dataset through the cache; each build appends to ``builds``."""
+    def build():
+        if builds is not None:
+            builds.append(1)
+        return build_longterm_dataset(_platform(cache, platform_config), config)
+
+    return cache.load_or_build("longterm", (platform_config, config), build)
 
 
 def _closed_span(tracer, name, seconds):
@@ -44,7 +57,7 @@ class TestTimings:
         cache = _seeded_cache(tmp_path, config)
         tracer = Tracer()
         with use_tracer(tracer), tracer.span("run"):
-            assert cached_platform(config, cache=cache) == ("stand-in", True)
+            assert _platform(cache, config) == "stand-in"
         stages = tracer.stage_seconds()
         assert list(stages) == ["platform-load"]
         assert stages["platform-load"] >= 0.0
@@ -103,7 +116,7 @@ class TestTimings:
         tracer = Tracer()
         with use_tracer(tracer), tracer.span("run") as root:
             with pytest.raises(RuntimeError):
-                cached_platform(config, cache=cache)
+                _platform(cache, config)
             assert tracer.current() is root
         assert all(item.end is not None for item in tracer.spans)
         assert list(tracer.stage_seconds()) == ["platform-load"]
@@ -165,6 +178,50 @@ class TestArtifactCache:
         assert cache.clear() == 2
         assert cache.load("demo", "one") is None
 
+    def test_clear_removes_entries_of_every_layout_version(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "CACHE_SCHEMA_VERSION", 1)
+            old = cache.store("demo", "one", 1)
+        current = cache.store("demo", "one", 1)
+        # The cache directory may be shared: only v<N>/ directories are its own.
+        foreign = tmp_path / "vendor" / "x.pkl"
+        foreign.parent.mkdir()
+        foreign.write_bytes(b"not ours")
+        assert old.parent.name == "v1" and current.parent.name != "v1"
+        assert cache.clear() == 2
+        assert not old.exists() and not current.exists()
+        assert foreign.read_bytes() == b"not ours"
+
+    def test_layout_version_moves_the_path_not_the_fingerprints(self, tmp_path, monkeypatch):
+        # The layout version names the directory only: a bump orphans
+        # cache entries but leaves every fingerprint, and with it every
+        # campaign checkpoint, as it was.
+        config = PlatformConfig(seed=3)
+        cache = ArtifactCache(tmp_path)
+
+        def keys():
+            return (config_fingerprint("platform", config),
+                    campaign_fingerprint(CampaignConfig(name="m")),
+                    cache.path("platform", "abc"))
+
+        fingerprint, campaign, path = keys()
+        cache.store("platform", fingerprint, "old layout")
+        monkeypatch.setattr(engine, "CACHE_SCHEMA_VERSION", engine.CACHE_SCHEMA_VERSION + 1)
+        bumped_fingerprint, bumped_campaign, bumped_path = keys()
+        assert (bumped_fingerprint, bumped_campaign) == (fingerprint, campaign)
+        assert bumped_path != path and bumped_path.name == path.name
+        assert cache.load("platform", fingerprint) is None
+        assert cache.load_or_build("platform", (config,), lambda: "rebuilt") == "rebuilt"
+
+    def test_corrupt_entry_is_rebuilt_and_stored_again(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        path = cache.path("demo", config_fingerprint("demo", 7))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"garbage")
+        assert cache.load_or_build("demo", (7,), lambda: "rebuilt") == "rebuilt"
+        assert cache.load_or_build("demo", (7,), lambda: "not again") == "rebuilt"
+
     def test_default_cache_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"
@@ -194,16 +251,15 @@ def tiny_config():
     return PlatformConfig(seed=21, cluster_count=6, duration_hours=24.0)
 
 
-class TestCachedBuilders:
+class TestLoadOrBuild:
     def test_platform_miss_then_hit(self, tmp_path, tiny_config):
         cache = ArtifactCache(tmp_path)
         miss, hit = Tracer(), Tracer()
         with use_tracer(miss):
-            built, was_hit = cached_platform(tiny_config, cache=cache)
-        assert was_hit is False
+            built = _platform(cache, tiny_config)
         with use_tracer(hit):
-            loaded, was_hit = cached_platform(tiny_config, cache=cache)
-        assert was_hit is True
+            loaded = _platform(cache, tiny_config)
+        assert loaded is not built
         assert [s.server_id for s in loaded.measurement_servers()] == [
             s.server_id for s in built.measurement_servers()
         ]
@@ -215,14 +271,11 @@ class TestCachedBuilders:
 
     def test_longterm_miss_then_hit_bit_identical(self, tmp_path, tiny_config):
         cache = ArtifactCache(tmp_path)
-        platform, _ = cached_platform(tiny_config, cache=cache)
         config = LongTermConfig(days=1.0)
-        built, hit = cached_longterm(
-            tiny_config, config, platform=platform, cache=cache
-        )
-        assert hit is False
-        loaded, hit2 = cached_longterm(tiny_config, config, cache=cache)
-        assert hit2 is True
+        builds = []
+        built = _longterm(cache, tiny_config, config, builds)
+        loaded = _longterm(cache, tiny_config, config, builds)
+        assert len(builds) == 1
         assert list(built.timelines) == list(loaded.timelines)
         for key, expected in built.timelines.items():
             actual = loaded.timelines[key]
@@ -233,11 +286,11 @@ class TestCachedBuilders:
     @pytest.fixture
     def longterm_built_and_loaded(self, tmp_path, tiny_config):
         cache = ArtifactCache(tmp_path)
-        platform, _ = cached_platform(tiny_config, cache=cache)
         config = LongTermConfig(days=1.0)
-        built, _ = cached_longterm(tiny_config, config, platform=platform, cache=cache)
-        loaded, hit = cached_longterm(tiny_config, config, cache=cache)
-        assert hit is True
+        builds = []
+        built = _longterm(cache, tiny_config, config, builds)
+        loaded = _longterm(cache, tiny_config, config, builds)
+        assert len(builds) == 1
         return built, loaded
 
     def test_longterm_hit_keeps_grid_outcomes_and_candidate_runs(
@@ -265,9 +318,11 @@ class TestCachedBuilders:
     def test_unpickled_platform_realizes_every_candidate_identically(self, tmp_path):
         config = get_scenario("default").platform_config(0)
         cache = ArtifactCache(tmp_path)
-        built, _ = cached_platform(config, cache=cache)
-        loaded, hit = cached_platform(config, cache=cache)
-        assert hit is True
+        built = _platform(cache, config)
+        loaded = cache.load_or_build(
+            "platform", (config,), lambda: pytest.fail("expected a cache hit")
+        )
+        assert loaded is not built
         # The pickle carries the AS-step memo the build filled.
         assert loaded._steps.keys() == built._steps.keys()
         realized = 0
@@ -279,27 +334,183 @@ class TestCachedBuilders:
                     realized += want is not None
         assert realized > 1000
 
-    def test_platform_pickled_without_step_memo_loads_with_an_empty_one(
-        self, tiny_config
-    ):
-        built = MeasurementPlatform(tiny_config)
-        old_layout = object.__new__(MeasurementPlatform)
-        old_layout.__dict__.update(
-            {name: value for name, value in vars(built).items() if name != "_steps"}
-        )
-        loaded = pickle.loads(pickle.dumps(old_layout))
-        assert loaded._steps == {}
-        for src, dst in built.server_pairs():
-            for version in (IPVersion.V4, IPVersion.V6):
-                for index in range(len(built.candidates(src.asn, dst.asn, version))):
-                    assert loaded.realization(src, dst, version, index) == (
-                        built.realization(src, dst, version, index))
-        assert loaded._steps
-
     def test_clear_forces_rebuild(self, tmp_path, tiny_config):
         # The --refresh-cache path: clear the store, then the next call misses.
         cache = ArtifactCache(tmp_path)
-        cached_platform(tiny_config, cache=cache)
+        _platform(cache, tiny_config)
         assert cache.clear() == 1
-        _, hit = cached_platform(tiny_config, cache=cache)
-        assert hit is False
+        tracer = Tracer()
+        with use_tracer(tracer):
+            _platform(cache, tiny_config)
+        assert [span.name for span in tracer.roots()][-1] == "platform-store"
+
+
+def _pickled_layout(*roots):
+    """Every package class reachable from ``roots``'s pickles, with the names it pickles."""
+    layout = {}
+    seen = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+            continue
+        if isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+            continue
+        if not type(obj).__module__.startswith("repro.") or isinstance(obj, enum.Enum):
+            continue
+        state = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        parts = state if isinstance(state, tuple) else (state,)
+        fields = {}
+        for part in parts:
+            fields.update(part or {})
+        name = f"{type(obj).__module__}.{type(obj).__qualname__}"
+        layout.setdefault(name, set()).update(fields)
+        stack.extend(fields.values())
+    return {name: tuple(sorted(fields)) for name, fields in sorted(layout.items())}
+
+
+# What the cached artifacts pickle, class by class, at this layout version.
+# A change to any of it must bump CACHE_SCHEMA_VERSION: unpickling has no
+# compatibility branch, so an older entry read under the same version
+# would load into a half-filled object instead of reading as a miss.
+PICKLED_LAYOUT_VERSION = 2
+PICKLED_LAYOUT = {
+    "repro.datasets.longterm.LongTermDataset": ("grid", "servers", "timelines"),
+    "repro.datasets.timeline.TraceTimeline": (
+        "_candidate_bounds", "_candidate_values", "dst_server_id", "outcome", "path_id",
+        "paths", "rtt_ms", "src_server_id", "times_hours", "version",
+    ),
+    "repro.measurement.congestionmodel.CongestionConfig": (
+        "anchor_fraction", "anchor_min_duration_days", "anchor_popularity_halflife",
+        "anchor_start_range_hours", "episode_duration_median_days",
+        "episode_duration_sigma", "episodes_range", "fraction_inter_congested",
+        "fraction_intra_congested", "peak_local_hour_range", "peer_weight_multiplier",
+        "popularity_bias_inter", "regional_amplitude_median",
+        "regional_amplitude_sigma", "transcontinental_amplitude_median",
+        "transcontinental_amplitude_sigma", "transcontinental_km",
+        "transcontinental_weight", "us_amplitude_median", "us_amplitude_sigma",
+        "width_hours_range",
+    ),
+    "repro.measurement.congestionmodel.CongestionEvent": (
+        "amplitude_ms", "end_hour", "longitude", "peak_local_hour", "start_hour",
+        "width_hours",
+    ),
+    "repro.measurement.congestionmodel.CongestionSchedule": ("events",),
+    "repro.measurement.platform.MeasurementPlatform": (
+        "_base_rtts", "_measured_as_pairs_cache", "_realizations",
+        "_server_pairs_cache", "_steps", "cdn", "config", "congestion", "delay_model",
+        "engine", "graph", "plan", "schedules", "tables", "topology",
+    ),
+    "repro.measurement.platform.PlatformConfig": (
+        "addressing", "artifacts", "cluster_count", "congestion", "delay",
+        "dual_stack_fraction", "duration_hours", "dynamics", "max_alternatives",
+        "paris_adoption_fraction", "seed", "servers_per_cluster", "topology",
+    ),
+    "repro.measurement.realization.HopSpec": (
+        "address", "city", "distance_km", "is_destination", "mapped_asn", "owner",
+        "respond_probability", "segment_key",
+    ),
+    "repro.measurement.realization.PathRealization": (
+        "as_path", "dst_server_id", "hops", "load_balanced", "observed_path_complete",
+        "src_server_id", "version",
+    ),
+    "repro.measurement.rttmodel.DelayModel": ("_stretch_cache", "params"),
+    "repro.measurement.rttmodel.DelayParams": (
+        "ipv6_noise_factor", "min_segment_one_way_ms", "noise_scale_ms", "noise_shape",
+        "per_hop_processing_ms", "spike_mean_ms", "spike_probability", "stretch_max",
+        "stretch_min",
+    ),
+    "repro.measurement.scheduler.CampaignGrid": (
+        "period_hours", "rounds", "start_hour",
+    ),
+    "repro.measurement.traceroute.ArtifactParams": (
+        "incomplete_probability", "loop_probability_classic",
+        "loop_probability_classic_lb", "loop_probability_classic_lb_v6",
+        "loop_probability_paris",
+    ),
+    "repro.measurement.traceroute.TracerouteEngine": (
+        "artifacts", "congestion", "delay_model",
+    ),
+    "repro.net.asn.RelationshipTable": ("_neighbors", "_relations"),
+    "repro.net.geo.GeoLocation": (
+        "city", "continent", "country", "latitude", "longitude",
+    ),
+    "repro.net.ip.IPAddress": ("value", "version"),
+    "repro.net.prefix.Prefix": ("length", "network", "version"),
+    "repro.net.prefix.PrefixTrie": ("_root", "_size", "version"),
+    "repro.net.prefix._Node": ("children", "has_payload", "payload"),
+    "repro.routing.dynamics.EdgeOutage": ("edge", "end_hour", "start_hour"),
+    "repro.routing.dynamics.PairFlap": ("end_hour", "pair", "start_hour"),
+    "repro.routing.dynamics.PathEpoch": ("candidate_index", "end_hour", "start_hour"),
+    "repro.routing.dynamics.RoutingDynamicsConfig": (
+        "duration_mixture", "edge_rate_sigma", "flap_duration_median_hours",
+        "flap_duration_sigma", "flaps_per_pair_per_month",
+        "mean_outages_per_edge_per_month",
+    ),
+    "repro.routing.dynamics.RoutingSchedule": (
+        "duration_hours", "flaps", "outages", "timelines",
+    ),
+    "repro.routing.table.CandidateRoute": (
+        "edges", "path", "rank", "route_class", "tier", "via",
+    ),
+    "repro.routing.table.RouteTable": ("candidates", "version"),
+    "repro.topology.addressing.ASAddressing": (
+        "announced_v4", "announced_v6", "asn", "infra_v4", "infra_v6",
+    ),
+    "repro.topology.addressing.AddressPlan": (
+        "_host_counters", "_link_counters", "_origin_cache", "bgp_v4", "bgp_v6",
+        "config", "ixp_lan_announced", "ixp_lan_v4", "ixp_lan_v6", "per_as",
+    ),
+    "repro.topology.addressing.AddressingConfig": (
+        "ixp_lan_announced_probability", "link_unannounced_probability_v4",
+        "link_unannounced_probability_v6",
+    ),
+    "repro.topology.cdn.CDNDeployment": ("_by_address", "clusters", "servers"),
+    "repro.topology.cdn.Cluster": ("asn", "city", "cluster_id", "servers"),
+    "repro.topology.cdn.Server": (
+        "asn", "city", "cluster_id", "ipv4", "ipv6", "server_id",
+    ),
+    "repro.topology.generator.ASGraph": (
+        "ases", "edge_ipv6", "edge_ixp", "edge_media", "ixps", "relationships",
+    ),
+    "repro.topology.generator.AutonomousSystem": (
+        "asn", "cities", "ipv6_capable", "tier",
+    ),
+    "repro.topology.generator.IXPDescriptor": ("city", "ixp_id", "members"),
+    "repro.topology.generator.TopologyConfig": (
+        "edge_ipv6_probability", "first_asn", "ipv6_capable_probability", "ixp_count",
+        "ixp_member_probability", "ixp_public_peer_probability", "n_stub", "n_tier1",
+        "n_transit", "stub_cities", "stub_peer_probability", "stub_providers",
+        "tier1_cities", "transit_cities", "transit_peer_probability",
+        "transit_providers",
+    ),
+    "repro.topology.routers.InterdomainLink": (
+        "asn_a", "asn_b", "interface_a_v4", "interface_a_v6", "interface_b_v4",
+        "interface_b_v6", "link_id", "medium", "router_a", "router_b", "subnet_owner",
+        "subnet_v4", "subnet_v6",
+    ),
+    "repro.topology.routers.Interface": ("address", "owner", "router_id"),
+    "repro.topology.routers.Router": (
+        "city", "owner", "respond_probability", "router_id",
+    ),
+    "repro.topology.routers.RouterTopology": (
+        "border", "core", "interfaces", "internal_v4", "internal_v6", "links",
+        "routers",
+    ),
+}
+
+
+def test_pickled_layout_is_pinned_to_the_layout_version(tiny_config):
+    platform = MeasurementPlatform(tiny_config)
+    dataset = build_longterm_dataset(platform, LongTermConfig(days=1.0))
+    layout = _pickled_layout(platform, dataset)
+    assert (engine.CACHE_SCHEMA_VERSION, layout) == (PICKLED_LAYOUT_VERSION, PICKLED_LAYOUT), (
+        "a cached class changed what it pickles: bump CACHE_SCHEMA_VERSION "
+        "and re-pin PICKLED_LAYOUT_VERSION and PICKLED_LAYOUT"
+    )

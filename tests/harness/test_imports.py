@@ -1,5 +1,6 @@
 """The batch path imports none of the campaign, stream or HTTP machinery."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -24,6 +25,7 @@ RETIRED_MODULES = (
     "repro.obs.top",
     "repro.service.supervisor",
     "repro.service.api",
+    "repro.datasets.mutation",
 )
 
 
@@ -64,3 +66,17 @@ def test_mesh_campaign_core_loads_no_http_server():
 @pytest.mark.parametrize("module", RETIRED_MODULES)
 def test_retired_module_is_gone(module):
     assert importlib.util.find_spec(module) is None
+
+
+def test_artifact_cache_imports_nothing_it_stores():
+    # The cache pickles whatever a builder hands it; it needs neither
+    # the dataset nor the measurement layer.
+    source = Path(__file__).resolve().parents[2] / "src" / "repro" / "harness" / "engine.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported
+                if name.startswith(("repro.datasets", "repro.measurement"))]

@@ -229,16 +229,16 @@ PIN_MESH = MeshConfig(pairs=5000, block_pairs=128, rounds_per_cycle=8, seed=3)
 
 
 class TestBitIdentityPins:
-    """sha256 of checkpoint and results bytes, recorded before the
-    mesh fold moved into the shards and the shard wire was batched:
-    where a block is folded and how units travel must not change a bit
-    of either."""
+    """sha256 of checkpoint and results bytes: where a block is folded
+    and how units travel must not change a bit of either.  A checkpoint
+    also holds its campaign fingerprint, so its pin moves with the
+    fingerprint formula and with nothing else."""
 
     @pytest.mark.parametrize(
         "shards, checkpoint_sha",
         [
-            (1, "0b6c089a045192f81a2874482c68d05bd80db2060c4787da9a571e0ef492c8b0"),
-            (2, "a1e0d134299b8ef83885acdfe1655a9ab23e9ae1510db70725da0b73cb06d9aa"),
+            (1, "282dc91d92801546d3395b983ab56675658ec151aac90fc8a666406cc79bdf40"),
+            (2, "b0aff6c9aef5b049431118ba619b56db468f22d6a122b391610f268d5b3c6b0c"),
         ],
     )
     def test_checkpoint_and_results_bytes(self, tmp_path, shards, checkpoint_sha):
