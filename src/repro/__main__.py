@@ -135,7 +135,7 @@ def _command_reproduce(args: argparse.Namespace) -> int:
 
     tracer = Tracer()
     cache = None
-    if args.cache or args.cache_dir:
+    if args.cache or args.cache_dir or args.refresh_cache:
         cache = ArtifactCache(args.cache_dir)
         if args.refresh_cache:
             cache.clear()
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument(
         "--refresh-cache", action="store_true",
-        help="with --cache: drop existing entries and rebuild",
+        help="drop existing cache entries and rebuild; implies --cache",
     )
     reproduce.add_argument(
         "--trace-out", default=None, metavar="FILE",

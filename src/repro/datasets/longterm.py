@@ -148,9 +148,13 @@ def build_longterm_dataset(
     config: Optional[LongTermConfig] = None,
     pairs: Optional[Iterable[Tuple[Server, Server]]] = None,
     jobs: int = 1,
-    columnar: bool = True,
 ) -> LongTermDataset:
     """Build the long-term full-mesh dataset.
+
+    Timelines are sampled by the per-realization kernels of
+    :mod:`repro.datasets.columnar`; they replay the draw sequence of the
+    per-epoch object builder :func:`_build_timeline`, which stays as the
+    reference implementation the equivalence tests compare against.
 
     Args:
         platform: The assembled measurement platform; its configured
@@ -162,10 +166,6 @@ def build_longterm_dataset(
             serial; ``0``/``None`` all cores).  Every timeline draws from
             its own named RNG stream and interns paths locally, so the
             parallel dataset is bit-identical to the serial one.
-        columnar: Sample through the per-realization kernels of
-            :mod:`repro.datasets.columnar` (the fast path) instead of the
-            per-epoch object path.  Both produce bit-identical datasets;
-            the object path is kept as the reference implementation.
 
     Raises:
         ValueError: If the campaign extends past the platform's window.
@@ -194,19 +194,11 @@ def build_longterm_dataset(
     obs_metrics.counter("dataset.longterm.pairs").inc(len(pairs))
     obs_metrics.counter("dataset.longterm.timelines").inc(len(tasks))
 
-    if columnar:
-        kernels = CampaignKernels(platform, grid)
-        kernels.plan_streams("longterm", tasks)
-        run_block = kernels.build_trace_timelines
-    else:
-
-        def run_block(block: List[Tuple[Server, Server, IPVersion]]) -> List[TraceTimeline]:
-            return [
-                _build_timeline(platform, src, dst, version, grid)
-                for src, dst, version in block
-            ]
-
-    built = fork_map(run_block, task_blocks(tasks), jobs, label="longterm")
+    kernels = CampaignKernels(platform, grid)
+    kernels.plan_streams("longterm", tasks)
+    built = fork_map(
+        kernels.build_trace_timelines, task_blocks(tasks), jobs, label="longterm"
+    )
     for (src, dst, version), timeline in zip(
         tasks, (timeline for block in built for timeline in block)
     ):

@@ -251,7 +251,6 @@ def build_shortterm_ping_dataset(
     config: Optional[ShortTermConfig] = None,
     pairs: Optional[Iterable[Tuple[Server, Server]]] = None,
     jobs: int = 1,
-    columnar: bool = True,
 ) -> ShortTermPingDataset:
     """Build the one-week 15-minute ping dataset.
 
@@ -260,9 +259,10 @@ def build_shortterm_ping_dataset(
     from routing changes appear in pings exactly as they would in reality.
     Every series draws from its own named RNG stream, so sharding the
     pair list across ``jobs`` workers is bit-identical to serial.
-    ``columnar`` selects the kernel-based fast path of
-    :mod:`repro.datasets.columnar` (bit-identical to the object path,
-    which stays as the reference implementation).
+    Series are sampled by the kernels of :mod:`repro.datasets.columnar`,
+    bit-identical to the per-epoch object builder
+    :func:`_build_ping_timeline`, which stays as the reference
+    implementation.
     """
     config = config or ShortTermConfig()
     grid = config.ping_grid()
@@ -271,7 +271,6 @@ def build_shortterm_ping_dataset(
         pairs = platform.server_pairs(dual_stack_only=False)
 
     dataset = ShortTermPingDataset(grid=grid)
-    times = grid.times()
     tasks = [
         (src, dst, version)
         for src, dst in pairs
@@ -281,20 +280,11 @@ def build_shortterm_ping_dataset(
 
     obs_metrics.counter("dataset.ping.timelines").inc(len(tasks))
 
-    if columnar:
-        kernels = CampaignKernels(platform, grid)
-        kernels.plan_streams("ping", tasks)
+    kernels = CampaignKernels(platform, grid)
+    kernels.plan_streams("ping", tasks)
 
-        def run_block(block: List[Tuple[Server, Server, IPVersion]]) -> List[PingTimeline]:
-            return kernels.build_ping_timelines(block, config.congestion_coupled_loss)
-
-    else:
-
-        def run_block(block: List[Tuple[Server, Server, IPVersion]]) -> List[PingTimeline]:
-            return [
-                _build_ping_timeline(platform, src, dst, version, times, config)
-                for src, dst, version in block
-            ]
+    def run_block(block: List[Tuple[Server, Server, IPVersion]]) -> List[PingTimeline]:
+        return kernels.build_ping_timelines(block, config.congestion_coupled_loss)
 
     built = fork_map(run_block, task_blocks(tasks), jobs, label="ping")
     for (src, dst, version), timeline in zip(

@@ -16,42 +16,8 @@
 Stage timing is the tracer's (:mod:`repro.obs.trace`): every build stage
 and experiment opens a span, and ``reproduce --timings`` prints the run's
 top-level spans.
+
+The package re-exports nothing: callers import the submodule they use,
+so importing :mod:`repro.harness.engine` (as the campaign checkpoint
+does for its fingerprint) loads no analysis code.
 """
-
-from repro.harness.engine import (
-    ArtifactCache,
-    config_fingerprint,
-    default_cache_dir,
-)
-from repro.harness.experiments import (
-    ExperimentResult,
-    run_all_experiments,
-)
-from repro.harness.report import (
-    format_duration,
-    render_ecdf,
-    render_heatmap,
-    render_table,
-)
-from repro.harness.scenarios import (
-    Scenario,
-    congested_pairs,
-    get_scenario,
-    scenario_platform,
-)
-
-__all__ = [
-    "Scenario",
-    "get_scenario",
-    "scenario_platform",
-    "congested_pairs",
-    "ExperimentResult",
-    "run_all_experiments",
-    "render_table",
-    "render_ecdf",
-    "render_heatmap",
-    "format_duration",
-    "ArtifactCache",
-    "config_fingerprint",
-    "default_cache_dir",
-]

@@ -4,7 +4,7 @@ Off-the-shelf linters check style; this package checks the invariants
 the reproduction's correctness rests on -- determinism (DET001/DET002),
 fork-safe parallelism (FRK001), telemetry hygiene (OBS001), public API
 annotations (API001), and cache-fingerprint coverage (CCH001) -- plus
-whole-program rules (DET010/SCH010) over every file's summary.
+a whole-program rule (DET010) over every file's summary.
 Each run is one serial pass: per-file rules first, then project rules.
 See ``RULES.md`` next to this file for one paragraph per rule, and run::
 

@@ -17,14 +17,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.analysis.schemas import (
-    current_schemas,
-    default_snapshot_path,
-    write_snapshot,
-)
 from repro.lint.findings import render_human, render_json
 from repro.lint.registry import all_rules
-from repro.lint.runner import Linter, ProjectOptions, load_project
+from repro.lint.runner import Linter
 from repro.lint.sarif import render_sarif
 from repro.obs import log
 
@@ -63,8 +58,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Whole-program invariant linter: determinism taint, "
-        "fork-safe workers, schema compatibility, telemetry hygiene, "
-        "cache-fingerprint coverage.",
+        "fork-safe workers, telemetry hygiene, cache-fingerprint coverage.",
         epilog="exit codes: 0 no errors (warnings pass without --strict); "
         "1 errors, or warnings with --strict; 2 usage error",
     )
@@ -85,15 +79,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--strict", action="store_true",
         help="warnings also fail the run (CI mode); errors fail regardless",
-    )
-    parser.add_argument(
-        "--schema-snapshot", metavar="FILE", type=Path,
-        help="SCH010 snapshot to diff against (default: the committed "
-        "repro/lint/schema_snapshot.json)",
-    )
-    parser.add_argument(
-        "--update-schema-snapshot", action="store_true",
-        help="rewrite the SCH010 schema snapshot from the current tree and exit",
     )
     parser.add_argument(
         "--explain", metavar="RULE",
@@ -119,12 +104,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
     try:
-        if args.update_schema_snapshot:
-            return _update_snapshot(paths, args.schema_snapshot)
         report = Linter(
-            select=_codes(args.select),
-            ignore=_codes(args.ignore),
-            options=ProjectOptions(schema_snapshot=args.schema_snapshot),
+            select=_codes(args.select), ignore=_codes(args.ignore)
         ).lint_paths(paths)
     except (KeyError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -139,18 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         sys.stdout.write(render_human(report))
     return report.exit_code(strict=args.strict)
-
-
-def _update_snapshot(paths: List[str], override: Optional[Path]) -> int:
-    """Rebuild the SCH010 snapshot from the current tree and write it."""
-    tracked = current_schemas(load_project(paths))
-    target = override if override is not None else default_snapshot_path()
-    write_snapshot(target, tracked)
-    print(
-        f"wrote schema snapshot ({len(tracked)} tracked) to {target}",
-        file=sys.stderr,
-    )
-    return 0
 
 
 if __name__ == "__main__":

@@ -9,9 +9,7 @@ into a plain dict of facts the project layer composes later:
   reads, dataclass-attribute reads, parameter mentions);
 - every class with its methods, ``self.*`` attribute types (inferred
   from annotated parameters and constructor calls), and dataclass
-  fields;
-- module-level facts: int constants, and the shape of every dict
-  literal serialized with a ``"schema"`` key.
+  fields.
 
 Everything is plain data that depends only on the file's source bytes;
 the project phase reads the summaries, never the ASTs.
@@ -153,17 +151,14 @@ class _FunctionExtractor:
         self,
         ctx: FileContext,
         function: _FuncDef,
-        qualname: str,
         class_name: Optional[str],
         local_defs: Dict[str, str],
     ) -> None:
         self.ctx = ctx
         self.function = function
-        self.qualname = qualname
         self.class_name = class_name
         self.local_defs = local_defs
         self.calls: List[Dict[str, object]] = []
-        self.schema_dicts: List[Dict[str, object]] = []
         self.params = self._params()
         self.derivation: Dict[str, List[Tuple]] = {}
         self.var_bindings: Dict[str, Dict[str, object]] = {}
@@ -319,7 +314,6 @@ class _FunctionExtractor:
                 "col": self.function.col_offset,
                 "class": self.class_name,
                 "calls": self.calls,
-                "schema_dicts": self.schema_dicts,
                 "var_bindings": self.var_bindings,
             }
         )
@@ -356,12 +350,6 @@ class _FunctionExtractor:
             if isinstance(current, ast.Call):
                 self._record_call(current)
             stack.extend(ast.iter_child_nodes(current))
-        if isinstance(node, ast.Assign):
-            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                self._record_schema_dict(node.targets[0].id, node.value)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                self._record_schema_dict(node.target.id, node.value)
 
     def _record_call(self, node: ast.Call) -> None:
         desc = _callee_descriptor(node.func, self.ctx, self.local_defs)
@@ -394,46 +382,6 @@ class _FunctionExtractor:
         if args:
             record["args"] = args
         self.calls.append(record)
-
-    def _record_schema_dict(self, var: str, value: ast.AST) -> None:
-        """A dict literal with a ``"schema"`` key: a serialized record shape."""
-        if not isinstance(value, ast.Dict):
-            return
-        keys: List[str] = []
-        version_name: Optional[str] = None
-        for key, item in zip(value.keys, value.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                return
-            keys.append(key.value)
-            if key.value == "schema":
-                resolved = self.ctx.resolve_imported(item)
-                if resolved is not None:
-                    version_name = resolved.rsplit(".", 1)[-1]
-                elif isinstance(item, ast.Name):
-                    version_name = item.id
-        if "schema" not in keys:
-            return
-        extra: List[str] = []
-        for other in self._own_nodes(self.function.body):
-            if (
-                isinstance(other, ast.Assign)
-                and len(other.targets) == 1
-                and isinstance(other.targets[0], ast.Subscript)
-                and isinstance(other.targets[0].value, ast.Name)
-                and other.targets[0].value.id == var
-            ):
-                index = other.targets[0].slice
-                if isinstance(index, ast.Constant) and isinstance(index.value, str):
-                    extra.append(index.value)
-        self.schema_dicts.append(
-            {
-                "var": var,
-                "function": self.qualname,
-                "version_name": version_name,
-                "keys": sorted(set(keys) | set(extra)),
-                "line": value.lineno,
-            }
-        )
 
 
 def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
@@ -502,27 +450,17 @@ def _extract_class(
 def build_summary(ctx: FileContext) -> Dict[str, object]:
     """Distill one parsed file into its whole-program summary dict."""
     module = ctx.module
-    local_defs: Dict[str, str] = {}
-    int_constants: Dict[str, Dict[str, object]] = {}
-    for node in ctx.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            local_defs[node.name] = f"{module}.{node.name}"
-        elif isinstance(node, ast.ClassDef):
-            local_defs[node.name] = f"{module}.{node.name}"
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                literal = _int_literal(node.value)
-                if literal is not None:
-                    int_constants[target.id] = {
-                        "value": literal, "line": node.lineno, "col": node.col_offset,
-                    }
+    local_defs: Dict[str, str] = {
+        node.name: f"{module}.{node.name}"
+        for node in ctx.tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
 
     functions: Dict[str, Dict[str, object]] = {}
     classes: Dict[str, Dict[str, object]] = {}
 
     def extract(function: _FuncDef, qualname: str, class_name: Optional[str]) -> None:
-        extractor = _FunctionExtractor(ctx, function, qualname, class_name, local_defs)
+        extractor = _FunctionExtractor(ctx, function, class_name, local_defs)
         functions[qualname] = extractor.run()
 
     for node in ctx.tree.body:
@@ -539,5 +477,4 @@ def build_summary(ctx: FileContext) -> Dict[str, object]:
         "path": ctx.path.as_posix(),
         "functions": functions,
         "classes": classes,
-        "int_constants": int_constants,
     }

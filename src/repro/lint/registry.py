@@ -1,8 +1,10 @@
 """The rule registry: base class, registration decorator, lookup.
 
 Rules self-register at import time (``repro.lint.rules`` imports every
-rule module), so the runner, the CLI's ``--list-rules``, and the docs
-all see the same set without a hand-maintained table.
+rule module), so the runner and the CLI's ``--list-rules`` see the same
+set without a hand-maintained table.  The two hand-written inventories,
+RULES.md's sections and the README's rule table, are held to the
+registry's codes by ``tests/lint/test_rule_docs.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "register",
     "get_rule",
     "all_rules",
-    "project_rules",
     "rule_codes",
 ]
 
@@ -85,12 +86,10 @@ class ProjectRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(())
 
-    def check_project(self, project, options) -> Iterator[Finding]:
+    def check_project(self, project) -> Iterator[Finding]:
         """Yield findings over the whole program.
 
-        ``project`` is a :class:`repro.lint.analysis.project.Project`;
-        ``options`` is the runner's :class:`ProjectOptions` (snapshot
-        path overrides and friends).
+        ``project`` is a :class:`repro.lint.analysis.project.Project`.
         """
         raise NotImplementedError
 
@@ -137,13 +136,6 @@ def all_rules(
         for code, rule in sorted(_REGISTRY.items())
         if (selected is None or code in selected) and code not in ignored
     ]
-
-
-def project_rules(
-    select: Optional[Iterable[str]] = None, ignore: Optional[Iterable[str]] = None
-) -> List[Rule]:
-    """The project-scoped subset of :func:`all_rules`, same filtering."""
-    return [rule for rule in all_rules(select, ignore) if rule.project_scope]
 
 
 def rule_codes() -> List[str]:

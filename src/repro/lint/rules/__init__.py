@@ -7,7 +7,6 @@ from repro.lint.rules import (
     forksafety,
     interdet,
     meta,
-    schemacompat,
     telemetry,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "forksafety",
     "interdet",
     "meta",
-    "schemacompat",
     "telemetry",
 ]

@@ -32,6 +32,6 @@ class InterproceduralSeedTaint(ProjectRule):
         "places are gone."
     )
 
-    def check_project(self, project, options) -> Iterator[Finding]:
+    def check_project(self, project) -> Iterator[Finding]:
         for payload in analyze_seed_taint(project):
             yield self.finding_dict(payload)

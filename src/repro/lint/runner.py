@@ -9,14 +9,13 @@ One serial pass in two phases:
    run continues; a rule that crashes on a file produces LNT002.
 2. **Project**: the summaries are assembled into a
    :class:`repro.lint.analysis.project.Project` and the project-scoped
-   rules (DET010/SCH010) run over it.  Their findings honor the
-   same noqa suppressions, kept from the per-file phase.
+   rule (DET010) runs over it.  Its findings honor the same noqa
+   suppressions, kept from the per-file phase.
 
 Orchestration only -- rules live in :mod:`repro.lint.rules`, policy data
 in :mod:`repro.lint.allowlist`.  The public entry points are
-:func:`lint_paths` (what the CLI and CI call), :func:`lint_source`
-(what rule tests call with fixture snippets) and :func:`load_project`
-(the whole-program view ``--update-schema-snapshot`` writes from).
+:func:`lint_paths` (what the CLI and CI call) and :func:`lint_source`
+(what rule tests call with fixture snippets).
 """
 
 from __future__ import annotations
@@ -38,23 +37,14 @@ import repro.lint.rules  # noqa: F401  (registration import)
 
 __all__ = [
     "Linter",
-    "ProjectOptions",
     "lint_paths",
     "lint_source",
-    "load_project",
     "iter_python_files",
 ]
 
 _PathLike = Union[str, Path]
 
 _LOG = get_logger("repro.lint")
-
-
-@dataclass
-class ProjectOptions:
-    """Knobs the project-scoped rules read (path overrides for tests/CLI)."""
-
-    schema_snapshot: Optional[Path] = None
 
 
 def iter_python_files(paths: Iterable[_PathLike]) -> Iterator[Path]:
@@ -94,7 +84,6 @@ class Linter:
             :data:`repro.lint.allowlist.SUPPRESSION_ALLOWLIST` or the
             runner emits LNT000 at the comment.  Rule tests disable this
             to exercise fixtures with undocumented suppressions.
-        options: Path overrides handed to project-scoped rules.
     """
 
     def __init__(
@@ -102,7 +91,6 @@ class Linter:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
         enforce_allowlist: bool = True,
-        options: Optional[ProjectOptions] = None,
     ) -> None:
         enabled = all_rules(select, ignore)
         self.rules: List[Rule] = [
@@ -110,7 +98,6 @@ class Linter:
         ]
         self.project_rules: List[Rule] = [r for r in enabled if r.project_scope]
         self.enforce_allowlist = enforce_allowlist
-        self.options = options if options is not None else ProjectOptions()
         enabled_codes = {r.code for r in enabled}
         self._emit_lnt000 = "LNT000" in enabled_codes
         self._emit_lnt001 = "LNT001" in enabled_codes
@@ -228,7 +215,7 @@ class Linter:
         project = Project([result.summary for result in results])
         for rule in self.project_rules:
             try:
-                rule_findings = list(rule.check_project(project, self.options))
+                rule_findings = list(rule.check_project(project))
             except Exception as error:  # noqa: BLE001 -- any crash becomes LNT002
                 if self._emit_lnt002:
                     crash = get_rule("LNT002")
@@ -270,10 +257,9 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     enforce_allowlist: bool = True,
-    options: Optional[ProjectOptions] = None,
 ) -> LintReport:
     """Lint files/directories with the given rule selection; see :class:`Linter`."""
-    return Linter(select, ignore, enforce_allowlist, options=options).lint_paths(paths)
+    return Linter(select, ignore, enforce_allowlist).lint_paths(paths)
 
 
 def lint_source(
@@ -282,15 +268,6 @@ def lint_source(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     enforce_allowlist: bool = False,
-    options: Optional[ProjectOptions] = None,
 ) -> LintReport:
     """Lint an in-memory snippet (fixture tests); allowlist off by default."""
-    return Linter(
-        select, ignore, enforce_allowlist, options=options
-    ).lint_source(source, path)
-
-
-def load_project(paths: Iterable[_PathLike]) -> Project:
-    """The whole-program view of ``paths``: every parseable file's summary."""
-    linter = Linter(select=[], enforce_allowlist=False)
-    return Project([r.summary for r in linter._check_paths(paths, LintReport())])
+    return Linter(select, ignore, enforce_allowlist).lint_source(source, path)

@@ -16,7 +16,8 @@ million-pair mesh (:mod:`repro.stream.mesh`) by the benchmark's
 - :mod:`repro.service.completeness` -- the delivered/missing accounting
   every finished campaign reports.
 - :mod:`repro.service.checkpoint` -- fingerprint-keyed atomic campaign
-  snapshots (schema-versioned, SCH010-guarded).
+  snapshots (schema-versioned; a tier-1 test pins what they pickle to
+  the version).
 
 A caller drives a campaign with ``Campaign.restore()`` and
 ``Campaign.run_cycle()``; no command runs it.

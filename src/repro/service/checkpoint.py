@@ -11,7 +11,9 @@ wholesale.
 The fingerprint covers the :class:`~repro.service.config.CampaignConfig`
 together with :data:`CAMPAIGN_CHECKPOINT_SCHEMA`; any config or layout
 change turns old snapshots into clean misses, never wrong resumes.
-SCH010 pins the payload's field set against ``schema_snapshot.json``.
+A tier-1 test (``tests/service/test_checkpoint.py``) pins what a real
+snapshot pickles -- the payload's keys, the completeness state's keys
+and the operator's fields -- to :data:`CAMPAIGN_CHECKPOINT_SCHEMA`.
 """
 
 from __future__ import annotations

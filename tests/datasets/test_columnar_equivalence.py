@@ -30,6 +30,7 @@ from repro.measurement.platform import MeasurementPlatform, PlatformConfig
 from repro.measurement.traceroute import ArtifactParams, TraceOutcome
 from repro.net.ip import IPVersion
 from repro.routing.dynamics import RoutingDynamicsConfig
+from tests.datasets.reference import reference_longterm_dataset, reference_ping_dataset
 
 SEEDS = [0, 7]
 JOBS = [1, 2]
@@ -117,19 +118,15 @@ class TestFixtureCoverage:
 class TestTimelineEquivalence:
     @pytest.mark.parametrize("jobs", JOBS)
     def test_longterm_columnar_matches_object(self, seeded_platform, jobs):
-        reference = build_longterm_dataset(
-            seeded_platform, LONGTERM, jobs=1, columnar=False
-        )
-        candidate = build_longterm_dataset(
-            seeded_platform, LONGTERM, jobs=jobs, columnar=True
-        )
+        reference = reference_longterm_dataset(seeded_platform, LONGTERM)
+        candidate = build_longterm_dataset(seeded_platform, LONGTERM, jobs=jobs)
         _assert_trace_timelines_equal(reference, candidate)
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_candidate_runs_are_those_of_the_sampled_epochs(self, seeded_platform, columnar):
+    @pytest.mark.parametrize("build", [build_longterm_dataset, reference_longterm_dataset])
+    def test_candidate_runs_are_those_of_the_sampled_epochs(self, seeded_platform, build):
         # The builders hand over runs instead of filling the per-sample
         # column; the column they would have filled is rebuilt here.
-        dataset = build_longterm_dataset(seeded_platform, LONGTERM, columnar=columnar)
+        dataset = build(seeded_platform, LONGTERM)
         times = LONGTERM.grid().times()
         for (src_id, dst_id, version), timeline in dataset.timelines.items():
             src, dst = dataset.servers[src_id], dataset.servers[dst_id]
@@ -149,12 +146,8 @@ class TestTimelineEquivalence:
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_ping_columnar_matches_object(self, seeded_platform, jobs):
-        reference = build_shortterm_ping_dataset(
-            seeded_platform, SHORTTERM, jobs=1, columnar=False
-        )
-        candidate = build_shortterm_ping_dataset(
-            seeded_platform, SHORTTERM, jobs=jobs, columnar=True
-        )
+        reference = reference_ping_dataset(seeded_platform, SHORTTERM)
+        candidate = build_shortterm_ping_dataset(seeded_platform, SHORTTERM, jobs=jobs)
         _assert_ping_timelines_equal(reference, candidate)
 
 
@@ -176,18 +169,10 @@ def _assert_metrics_equal(left, right):
 
 class TestFigureEquivalence:
     def test_figures_identical_across_paths(self, seeded_platform):
-        object_longterm = build_longterm_dataset(
-            seeded_platform, LONGTERM, columnar=False
-        )
-        columnar_longterm = build_longterm_dataset(
-            seeded_platform, LONGTERM, columnar=True
-        )
-        object_pings = build_shortterm_ping_dataset(
-            seeded_platform, SHORTTERM, columnar=False
-        )
-        columnar_pings = build_shortterm_ping_dataset(
-            seeded_platform, SHORTTERM, columnar=True
-        )
+        object_longterm = reference_longterm_dataset(seeded_platform, LONGTERM)
+        columnar_longterm = build_longterm_dataset(seeded_platform, LONGTERM)
+        object_pings = reference_ping_dataset(seeded_platform, SHORTTERM)
+        columnar_pings = build_shortterm_ping_dataset(seeded_platform, SHORTTERM)
         for experiment, object_data, columnar_data in [
             (experiment_fig3, object_longterm, columnar_longterm),
             (experiment_fig6, object_longterm, columnar_longterm),
@@ -302,8 +287,8 @@ def test_path_table_past_128_paths_keeps_int16_ids(monkeypatch):
             ),
         )
     )
-    reference = build_longterm_dataset(platform, WIDE, columnar=False)
-    candidate = build_longterm_dataset(platform, WIDE, columnar=True)
+    reference = reference_longterm_dataset(platform, WIDE)
+    candidate = build_longterm_dataset(platform, WIDE)
     _assert_trace_timelines_equal(reference, candidate)
     wide = [timeline for timeline in candidate.timelines.values() if len(timeline.paths) > 128]
     assert wide and all(timeline.path_id.dtype == np.int16 for timeline in wide)

@@ -7,6 +7,7 @@ from repro.datasets import timeline as timeline_module
 from repro.datasets.longterm import LongTermConfig, LongTermDataset, build_longterm_dataset
 from repro.measurement.traceroute import TraceOutcome
 from repro.net.ip import IPVersion
+from tests.datasets.reference import reference_longterm_dataset
 
 
 class TestBuild:
@@ -80,18 +81,16 @@ class TestCompactColumns:
                        timeline.true_candidate)
             assert sum(column.nbytes for column in columns) == 7 * len(timeline)
 
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("build", [build_longterm_dataset, reference_longterm_dataset])
     def test_a_path_table_past_its_limit_raises_naming_the_pair(
-        self, platform, monkeypatch, columnar
+        self, platform, monkeypatch, build
     ):
         # With no room in the table, the first path either builder
         # interns passes the limit.
         monkeypatch.setattr(timeline_module, "MAX_PATHS", 0)
         src, dst = platform.server_pairs(dual_stack_only=True)[0]
         with pytest.raises(ValueError, match=rf"pair \({src.server_id}, {dst.server_id}\)"):
-            build_longterm_dataset(
-                platform, LongTermConfig(days=10), pairs=[(src, dst)], columnar=columnar
-            )
+            build(platform, LongTermConfig(days=10), pairs=[(src, dst)])
 
 
 class TestDeterminism:

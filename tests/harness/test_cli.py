@@ -186,6 +186,22 @@ class TestReproduceRuns:
         assert not names & {"ping-build", "shorttrace-build"}
         assert not scenarios._ping_cache and not scenarios._trace_cache
 
+    def test_refresh_cache_alone_opens_and_clears_the_cache(
+        self, tmp_path, monkeypatch, capsys, unbuilt_world
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        stale = [tmp_path / "v1" / "platform-old.pkl", tmp_path / "v2" / "platform-old.pkl"]
+        for entry in stale:
+            entry.parent.mkdir(exist_ok=True)
+            entry.write_bytes(b"stale")
+        assert main(["reproduce", "--scenario", "small", "--experiments", "table1",
+                     "--refresh-cache"]) == 0
+        assert "Traceroute completeness summary" in capsys.readouterr().out
+        assert not any(entry.exists() for entry in stale)
+        assert sorted(entry.name.split("-")[0] for entry in tmp_path.glob("v*/*.pkl")) == [
+            "longterm", "platform",
+        ]
+
     def test_runs_the_rebound_driver(self, monkeypatch, capsys):
         def patched_fig1(platform, dataset):
             return ExperimentResult("fig1", "patched")

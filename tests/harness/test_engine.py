@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import enum
-import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +16,7 @@ from repro.net.ip import IPVersion
 from repro.obs.trace import Tracer, use_tracer
 from repro.service.checkpoint import campaign_fingerprint
 from repro.service.config import CampaignConfig
+from tests.pickled_layout import pickled_layout
 
 
 def _seeded_cache(tmp_path, config):
@@ -345,36 +344,6 @@ class TestLoadOrBuild:
         assert [span.name for span in tracer.roots()][-1] == "platform-store"
 
 
-def _pickled_layout(*roots):
-    """Every package class reachable from ``roots``'s pickles, with the names it pickles."""
-    layout = {}
-    seen = set()
-    stack = list(roots)
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-            continue
-        if isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend(obj)
-            continue
-        if not type(obj).__module__.startswith("repro.") or isinstance(obj, enum.Enum):
-            continue
-        state = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
-        parts = state if isinstance(state, tuple) else (state,)
-        fields = {}
-        for part in parts:
-            fields.update(part or {})
-        name = f"{type(obj).__module__}.{type(obj).__qualname__}"
-        layout.setdefault(name, set()).update(fields)
-        stack.extend(fields.values())
-    return {name: tuple(sorted(fields)) for name, fields in sorted(layout.items())}
-
-
 # What the cached artifacts pickle, class by class, at this layout version.
 # A change to any of it must bump CACHE_SCHEMA_VERSION: unpickling has no
 # compatibility branch, so an older entry read under the same version
@@ -509,7 +478,7 @@ PICKLED_LAYOUT = {
 def test_pickled_layout_is_pinned_to_the_layout_version(tiny_config):
     platform = MeasurementPlatform(tiny_config)
     dataset = build_longterm_dataset(platform, LongTermConfig(days=1.0))
-    layout = _pickled_layout(platform, dataset)
+    layout = pickled_layout(platform, dataset)
     assert (engine.CACHE_SCHEMA_VERSION, layout) == (PICKLED_LAYOUT_VERSION, PICKLED_LAYOUT), (
         "a cached class changed what it pickles: bump CACHE_SCHEMA_VERSION "
         "and re-pin PICKLED_LAYOUT_VERSION and PICKLED_LAYOUT"

@@ -63,6 +63,16 @@ def test_mesh_campaign_core_loads_no_http_server():
     assert loaded == "[]"
 
 
+def test_mesh_campaign_core_loads_no_analysis_module():
+    # The checkpoint fingerprint comes from repro.harness.engine; the
+    # package around it must not drag in the batch pipeline.
+    analysis = (
+        "repro.core", "repro.datasets", "repro.measurement", "repro.routing",
+        "repro.topology", "repro.harness.experiments", "repro.harness.scenarios",
+    )
+    assert _loaded_after_import(["repro.service.campaign"], analysis) == "[]"
+
+
 @pytest.mark.parametrize("module", RETIRED_MODULES)
 def test_retired_module_is_gone(module):
     assert importlib.util.find_spec(module) is None

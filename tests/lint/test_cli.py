@@ -115,16 +115,16 @@ def test_explain_unknown_rule_is_usage_error():
     assert result.returncode == 2
 
 
-@pytest.mark.parametrize(
-    "args", [["--explain", "FRK010"], [str(SRC), "--select", "FRK010"]],
-    ids=["explain", "select"],
-)
-def test_retired_lock_order_rule_is_unknown(args):
-    # FRK010 left with the last thread; naming it is a usage error, not a
-    # silently empty selection.
+@pytest.mark.parametrize("code", ["FRK010", "SCH010"])
+@pytest.mark.parametrize("mode", ["explain", "select"])
+def test_retired_rule_is_unknown(code, mode):
+    # FRK010 left with the last thread and SCH010 with the schema
+    # snapshot; naming either is a usage error, not a silently empty
+    # selection.
+    args = ["--explain", code] if mode == "explain" else [str(SRC), "--select", code]
     result = run_cli(*args)
     assert result.returncode == 2
-    assert "FRK010" in result.stderr
+    assert code in result.stderr
 
 
 def test_sarif_format_emits_valid_document(dirty_tree):
@@ -156,6 +156,8 @@ def test_warm_cache_run_matches_cold_byte_for_byte(dirty_tree):
         ["--baseline", "lint-baseline.json"],
         ["--write-baseline", "lint-baseline.json"],
         ["--no-allowlist"],
+        ["--schema-snapshot", "schema_snapshot.json"],
+        ["--update-schema-snapshot"],
     ],
     ids=lambda flag: flag[0],
 )
@@ -164,13 +166,3 @@ def test_removed_flags_are_usage_errors(flag, dirty_tree, capsys):
         lint_main([str(dirty_tree), *flag])
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_update_schema_snapshot_reproduces_committed_snapshot(tmp_path):
-    snapshot = tmp_path / "schema_snapshot.json"
-    result = run_cli(
-        str(SRC), "--update-schema-snapshot", "--schema-snapshot", str(snapshot)
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    committed = SRC / "repro" / "lint" / "schema_snapshot.json"
-    assert snapshot.read_bytes() == committed.read_bytes()

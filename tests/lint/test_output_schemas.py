@@ -75,7 +75,7 @@ def test_sarif_golden_shape():
     assert driver["name"] == "repro.lint"
     rule_ids = [rule["id"] for rule in driver["rules"]]
     assert rule_ids == sorted(rule_ids)
-    assert {"DET001", "DET010", "SCH010"} <= set(rule_ids)
+    assert {"DET001", "DET010"} <= set(rule_ids)
     assert [r["ruleId"] for r in run["results"]] == ["DET001", "DET002"]
     region = run["results"][0]["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] >= 1 and region["startColumn"] >= 1

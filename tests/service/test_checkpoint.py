@@ -13,7 +13,9 @@ from repro.service.checkpoint import (
     CampaignCheckpointStore,
     campaign_fingerprint,
 )
+from repro.service.campaign import Campaign, driver_for
 from repro.service.config import CampaignConfig
+from tests.pickled_layout import pickled_layout
 
 # One changed value for every config field the fingerprint must cover;
 # ``kind`` and ``retry`` each have a single legal value.
@@ -180,3 +182,54 @@ class TestCampaignCheckpointStore:
         first.clear()
         assert first.load() is None
         assert second.load()["cycle"] == 3
+
+
+# What a campaign checkpoint pickles at this layout version: the payload's
+# keys, the keys of its completeness state and, class by class, what the
+# operator it carries whole pickles.  A change to any of it must bump
+# CAMPAIGN_CHECKPOINT_SCHEMA: a resume has no compatibility branch, so an
+# older snapshot read under the same version would load into a
+# half-filled operator instead of reading as a miss.
+CHECKPOINT_LAYOUT_VERSION = 2
+CHECKPOINT_PAYLOAD = (
+    "campaign", "completeness", "cycle", "fingerprint", "operator", "results",
+    "schema", "units_done",
+)
+CHECKPOINT_COMPLETENESS = ("delivered", "missing")
+CHECKPOINT_CLASSES = {
+    "repro.stream.mesh.MeshStatsOperator": (
+        "lost", "pair_rows", "rtt_max", "rtt_min", "rtt_sq_sum", "rtt_sum", "samples",
+        "spread_bin_ms", "spread_counts", "spread_exceeds", "spread_max_ms",
+        "spread_threshold_ms",
+    ),
+}
+
+
+def test_checkpoint_layout_is_pinned_to_the_schema_version(tmp_path):
+    config = CampaignConfig(
+        name="layout", cycles=2, rounds_per_cycle=8,
+        mesh=MeshConfig(pairs=256, block_pairs=128),
+    )
+    campaign = Campaign(config, driver_for(config), tmp_path)
+    assert campaign.run_cycle() == "completed"
+    payload = campaign.store.load()
+    layout = (
+        CAMPAIGN_CHECKPOINT_SCHEMA,
+        tuple(sorted(payload)),
+        tuple(sorted(payload["completeness"])),
+        pickled_layout(payload),
+    )
+    assert layout == (
+        CHECKPOINT_LAYOUT_VERSION, CHECKPOINT_PAYLOAD, CHECKPOINT_COMPLETENESS,
+        CHECKPOINT_CLASSES,
+    ), (
+        "a campaign checkpoint changed what it pickles: bump "
+        "CAMPAIGN_CHECKPOINT_SCHEMA and re-pin CHECKPOINT_LAYOUT_VERSION, "
+        "CHECKPOINT_PAYLOAD, CHECKPOINT_COMPLETENESS and CHECKPOINT_CLASSES"
+    )
+    # The accountant is checkpointed through its state dict, so every
+    # field it holds must be one of the dict's pinned keys.
+    held = tuple(sorted(name.lstrip("_") for name in vars(campaign.completeness)))
+    assert held == CHECKPOINT_COMPLETENESS, (
+        "DataCompleteness holds a field its checkpoint state leaves out"
+    )
