@@ -11,10 +11,10 @@ The two populations are ~1.4M and ~1.0M values on the default scenario,
 two of the largest transients of a run.  So the comparison keeps only
 the paired timelines and per-pair medians; each population is built,
 read and dropped in turn (:class:`DualStackComparison`), and a pair's
-round masks are recomputed for each population rather than held.  A
-population is a float32 buffer: the differences are float32 already,
-and an ECDF over a float32 buffer reads bit for bit as the float64
-ECDF of the widened values (:mod:`repro.core.ecdf`), at half the bytes.
+round masks are derived once per read rather than held.  A population
+is a float32 buffer: the differences are float32 already, and an ECDF
+over a float32 buffer reads bit for bit as the float64 ECDF of the
+widened values (:mod:`repro.core.ecdf`), at half the bytes.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ecdf import ECDF
+from repro.core.ecdf import ECDF, partition_median
 from repro.datasets.longterm import LongTermDataset
 from repro.datasets.timeline import TraceTimeline
 from repro.net.ip import IPVersion
 
-__all__ = ["DualStackComparison", "paired_rtt_differences"]
+__all__ = ["DualStackComparison", "paired_mask", "paired_rtt_differences"]
 
 
 _Pair = Tuple[Tuple[int, int], TraceTimeline, TraceTimeline]
@@ -76,10 +76,10 @@ class DualStackComparison:
         values = np.empty(size, dtype=np.float32)
         end = 0
         for _, v4, v6 in self.pairs:
-            both = _paired_mask(v4, v6)
-            diffs = _paired_diffs(v4, v6, both)
+            rounds = paired_mask(v4, v6)
             if same_path:
-                diffs = diffs[_same_path_mask(v4, v6, both)]
+                rounds = _same_path_rounds(v4, v6, rounds)
+            diffs = (v4.rtt_ms - v6.rtt_ms).compress(rounds)
             start, end = end, end + diffs.size
             values[start:end] = diffs
         values.sort()
@@ -115,43 +115,39 @@ class DualStackComparison:
         return float(np.mean(values <= -threshold_ms))
 
 
-def _paired_mask(v4: TraceTimeline, v6: TraceTimeline) -> np.ndarray:
+def paired_mask(v4: TraceTimeline, v6: TraceTimeline) -> np.ndarray:
     """The rounds both protocols measured usably, with a finite RTT."""
-    return (
-        v4.usable_mask()
-        & v6.usable_mask()
-        & np.isfinite(v4.rtt_ms)
-        & np.isfinite(v6.rtt_ms)
-    )
+    both = v4.usable_rtt_mask()
+    both &= v6.usable_rtt_mask()
+    return both
 
 
-def _paired_diffs(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.ndarray:
-    """``RTTv4 - RTTv6`` over the paired rounds ``both``, in float32.
+def _same_path_rounds(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.ndarray:
+    """The paired rounds ``both`` whose observed AS paths match.
 
-    One subtraction over the whole grid and one selection cost less than
-    selecting each column first, and give the same values.
+    Every paired round carries a path id; :func:`paired_rtt_differences`
+    checks that once per pair.
     """
-    return (v4.rtt_ms - v6.rtt_ms).compress(both)
-
-
-def _same_path_mask(v4: TraceTimeline, v6: TraceTimeline, both: np.ndarray) -> np.ndarray:
-    """Over the paired rounds ``both``: whether the observed AS paths match.
-
-    Raises:
-        ValueError: A paired round carries a negative path id.
-    """
-    v4_ids = v4.path_id.compress(both)
-    v6_ids = v6.path_id.compress(both)
-    if v4_ids.min() < 0 or v6_ids.min() < 0:
-        raise ValueError(f"usable sample without a path id for pair {v4.pair}")
     # Name each path by its first v6 id (-1: no v6 path equals it), so
     # the rounds compare ids instead of paths.
     first_v6: Dict[Tuple[int, ...], int] = {}
     for index, path in enumerate(v6.paths):
         first_v6.setdefault(path, index)
-    v4_names = np.array([first_v6.get(path, -1) for path in v4.paths], dtype=np.intp)
-    v6_names = np.array([first_v6[path] for path in v6.paths], dtype=np.intp)
-    return v4_names.take(v4_ids) == v6_names.take(v6_ids)
+    v4_names = [first_v6.get(path, -1) for path in v4.paths]
+    v6_names = [first_v6[path] for path in v6.paths]
+    same = _named(v4, v4_names) == _named(v6, v6_names)
+    same &= both
+    return same
+
+
+def _named(timeline: TraceTimeline, names: List[int]) -> np.ndarray:
+    """Each round's path name; the ids themselves when they are the names.
+
+    Rounds outside the paired ones may hold any id, so the lookup clips.
+    """
+    if names == list(range(len(names))):
+        return timeline.path_id
+    return np.asarray(names, dtype=np.intp).take(timeline.path_id, mode="clip")
 
 
 def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
@@ -177,14 +173,16 @@ def paired_rtt_differences(dataset: LongTermDataset) -> DualStackComparison:
             continue
         v4 = dataset.timelines[key_v4]
         v6 = dataset.timelines[key_v6]
-        both = _paired_mask(v4, v6)
-        if not both.any():
+        both = paired_mask(v4, v6)
+        diffs = (v4.rtt_ms - v6.rtt_ms).compress(both)
+        if diffs.size == 0:
             continue
-        same = _same_path_mask(v4, v6, both)
+        if (both & (np.minimum(v4.path_id, v6.path_id) < 0)).any():
+            raise ValueError(f"usable sample without a path id for pair {v4.pair}")
+        same = _same_path_rounds(v4, v6, both)
         pairs.append(((src, dst), v4, v6))
         # The median of the widened differences, as in the populations.
-        diffs = _paired_diffs(v4, v6, both).astype(np.float64)
-        per_pair[(src, dst)] = float(np.median(diffs))
+        per_pair[(src, dst)] = partition_median(diffs.astype(np.float64))
         paired_count += diffs.size
         same_count += int(np.count_nonzero(same))
     return DualStackComparison(

@@ -17,28 +17,29 @@ fixed order, and a quantile must not depend on it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["ECDF", "sorted_quantiles"]
+__all__ = ["ECDF", "partition_median", "sorted_quantiles"]
 
 
 def sorted_quantiles(
     values: np.ndarray,
     starts: np.ndarray,
     counts: np.ndarray,
-    fraction: float,
+    fraction: Union[float, np.ndarray],
     dtype: Optional[np.dtype] = None,
 ) -> np.ndarray:
     """The ``fraction``-quantile of many sorted float segments at once.
 
     Segment ``k`` is ``values[starts[k]:starts[k] + counts[k]]``, sorted
     ascending; each quantile is read off it by index, so nothing is
-    copied or sorted.  ``0 <= fraction <= 1``.  Each result is bit for
-    bit ``np.quantile(segment, fraction)`` with numpy's ``linear`` rule
-    and a Python-float ``fraction``: the weight is a Python float there,
-    so numpy interpolates in the values' dtype (float32 segments in
+    copied or sorted.  ``0 <= fraction <= 1``, one for all segments or
+    a float64 array of one per segment.  Each result is bit for bit
+    ``np.quantile(segment, fraction)`` with numpy's ``linear`` rule and
+    a Python-float ``fraction``: the weight is a Python float there, so
+    numpy interpolates in the values' dtype (float32 segments in
     float32).  Empty segments give NaN.
 
     ``dtype`` interpolates in another float dtype instead: the order
@@ -52,6 +53,8 @@ def sorted_quantiles(
     if not filled.any():
         return result
     starts, counts = np.asarray(starts)[filled], counts[filled]
+    if np.ndim(fraction):
+        fraction = np.asarray(fraction)[filled]
     virtual = (counts - 1) * fraction
     previous = np.floor(virtual)
     low = starts + np.minimum(previous, counts - 1).astype(np.intp)
@@ -64,6 +67,24 @@ def sorted_quantiles(
     lerp[upper] = (above - step * (1 - weight).astype(dtype))[upper]
     result[filled] = lerp
     return result
+
+
+def partition_median(values: np.ndarray) -> float:
+    """``np.median(values)``, bit for bit, partitioning ``values`` in place.
+
+    ``values`` is a non-empty 1-D float array without NaN, which the
+    caller hands over.  One partition around the upper middle places it;
+    the lower middle, for an even size, is the largest value below it.
+    numpy's median is the mean of the middle element or pair: their sum
+    from ``+0.0`` (so a zero median is ``+0.0``) in the array's dtype,
+    over their count, and halving is exact.
+    """
+    half = values.size // 2
+    values.partition(half)
+    upper = values[half]
+    if values.size % 2:
+        return float(upper + 0.0)
+    return float((values[:half].max() + upper + 0.0) / 2)
 
 
 def _unsigned_zeros(values: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Iterable, List
 import numpy as np
 
 from repro.core.ecdf import ECDF
-from repro.core.rttstats import rtt_increase_from_best
+from repro.core.rttstats import memoize_percentiles, rtt_increase_from_best
 from repro.datasets.timeline import TraceTimeline
 
 __all__ = ["GranularityComparison", "subsample_timeline", "compare_granularity"]
@@ -106,13 +106,15 @@ def compare_granularity(
     a path whose subsampled bucket is too small to yield a percentile says
     nothing about cadence distortion, only about sample counts.
     """
+    timelines = list(timelines)
+    subsamples = [subsample_timeline(timeline, min_gap_hours) for timeline in timelines]
+    memoize_percentiles(timelines, q)
+    memoize_percentiles(subsamples, q)
     all_values: List[float] = []
     sub_values: List[float] = []
-    for timeline in timelines:
+    for timeline, subsample in zip(timelines, subsamples):
         full = rtt_increase_from_best(timeline, q=q)
-        subsampled = rtt_increase_from_best(
-            subsample_timeline(timeline, min_gap_hours), q=q
-        )
+        subsampled = rtt_increase_from_best(subsample, q=q)
         common = sorted(set(full) & set(subsampled))
         all_values.extend(full[path_id] for path_id in common)
         sub_values.extend(subsampled[path_id] for path_id in common)

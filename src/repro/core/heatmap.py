@@ -16,7 +16,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.routechange import path_lifetimes
-from repro.core.rttstats import rtt_increase_from_best
+from repro.core.rttstats import memoize_percentiles, rtt_increase_from_best
 from repro.datasets.timeline import TraceTimeline
 
 __all__ = ["DecileHeatmap", "collect_lifetime_increase_points", "build_heatmap"]
@@ -58,6 +58,8 @@ def collect_lifetime_increase_points(
     One point per sub-optimal AS path per timeline; timelines with a single
     path contribute nothing (there is no sub-optimal path to speak of).
     """
+    timelines = list(timelines)
+    memoize_percentiles(timelines, q)
     points: List[Tuple[float, float]] = []
     for timeline in timelines:
         increases = rtt_increase_from_best(timeline, q=q)

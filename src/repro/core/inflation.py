@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ecdf import ECDF
+from repro.core.ecdf import ECDF, partition_median
 from repro.datasets.longterm import LongTermDataset
 from repro.net.geo import crtt_ms
 from repro.net.ip import IPVersion
@@ -92,10 +92,10 @@ def pair_inflation(dataset: LongTermDataset) -> InflationStudy:
         if key not in cache:
             cache[key] = crtt_ms(src.city, dst.city)
         crtt = cache[key]
-        usable = timeline.usable_mask() & np.isfinite(timeline.rtt_ms)
-        if not usable.any():
+        rtts = timeline.rtt_ms.compress(timeline.usable_rtt_mask())
+        if rtts.size == 0:
             continue
-        median_rtt = float(np.median(timeline.rtt_ms[usable]))
+        median_rtt = partition_median(rtts)
         ratio = inflation_ratio(median_rtt, crtt)
         if ratio is None:
             continue

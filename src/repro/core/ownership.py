@@ -29,14 +29,23 @@ observed interface with candidate owner ASes using six heuristics (Figure
 Resolution: a single candidate wins outright; with multiple candidates the
 most frequent label wins only if it came from the ``first`` heuristic;
 otherwise the interface stays unresolved (the paper: "our method annotates
-the likely owner of most, but not all interfaces").
+the likely owner of most, but not all interfaces").  Ties go to the label
+recorded first, as with ``Counter.most_common``.
+
+The corpus is ~46k hops on the default scenario, so the inference keys
+its working state on each address's ``(version, value)`` -- the fields
+an :class:`~repro.net.ip.IPAddress` hashes, hashed in C -- and asks the
+relationship table about each AS pair once.  A key hashes as its address
+does, so every set and dict holds and visits its entries in the order it
+would with the addresses themselves; the result maps the addresses.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.net.asn import ASN, RelationshipTable
 from repro.net.ip import IPAddress
@@ -44,11 +53,14 @@ from repro.net.ip import IPAddress
 __all__ = ["HopView", "OwnershipInference", "infer_ownership"]
 
 _Label = Tuple[ASN, str]  # (candidate owner, heuristic name)
+_Labels = Dict[_Label, int]  # label -> count, in first-recorded order
 
 
-@dataclass(frozen=True)
-class HopView:
-    """One responding hop as the analysis sees it: address + BGP mapping."""
+class HopView(NamedTuple):
+    """One responding hop as the analysis sees it: address + BGP mapping.
+
+    Any ``(address, asn)`` pair serves wherever a hop is read.
+    """
 
     address: IPAddress
     asn: Optional[ASN]
@@ -56,14 +68,14 @@ class HopView:
 
 @dataclass
 class OwnershipInference:
-    """Candidate labels and resolved owners per interface address."""
+    """Candidate labels and resolved owners per interface address.
 
-    labels: Dict[IPAddress, Counter] = field(default_factory=lambda: defaultdict(Counter))
+    ``labels`` maps each address to its label counts, in the order the
+    labels were first recorded.
+    """
+
+    labels: Dict[IPAddress, _Labels] = field(default_factory=dict)
     owners: Dict[IPAddress, Optional[ASN]] = field(default_factory=dict)
-
-    def add_label(self, address: IPAddress, asn: ASN, heuristic: str) -> None:
-        """Record one candidate label."""
-        self.labels[address][(asn, heuristic)] += 1
 
     def candidates(self, address: IPAddress) -> Dict[ASN, int]:
         """Total label count per candidate AS for one address."""
@@ -81,46 +93,43 @@ class OwnershipInference:
         return sorted(self.labels, key=lambda address: (int(address.version), address.value))
 
     def resolve(self) -> None:
-        """Turn candidate labels into owners (see module docstring)."""
-        for address, counter in self.labels.items():
-            distinct = {asn for asn, _ in counter}
-            if not distinct:
-                self.owners[address] = None
-                continue
-            if len(distinct) == 1:
-                # Singleton set: same element whatever the iteration order.
-                self.owners[address] = next(iter(distinct))  # repro: noqa[DET002]
-                continue
-            (top_asn, top_heuristic), _count = counter.most_common(1)[0]
-            if top_heuristic == "first":
-                self.owners[address] = top_asn
-            else:
-                self.owners[address] = None
+        """Turn the candidate labels into owners (see the module docstring)."""
+        _resolve(self.labels, self.owners)
 
 
-def _triples(hops: Sequence[HopView]) -> Iterable[Tuple[Optional[HopView], HopView, Optional[HopView]]]:
-    """(previous, current, next) windows over a hop sequence."""
-    for index, current in enumerate(hops):
-        previous = hops[index - 1] if index > 0 else None
-        nxt = hops[index + 1] if index + 1 < len(hops) else None
-        yield previous, current, nxt
+def _resolve(labels: Dict[Hashable, _Labels], owners: Dict[Hashable, Optional[ASN]]) -> None:
+    """Turn candidate labels into owners (see the module docstring), in
+    ``labels`` order."""
+    for key, counts in labels.items():
+        distinct = {asn for asn, _ in counts}
+        if not distinct:
+            owners[key] = None
+            continue
+        if len(distinct) == 1:
+            # Singleton set: same element whatever the iteration order.
+            owners[key] = next(iter(distinct))  # repro: noqa[DET002]
+            continue
+        # max keeps the first of equal counts, as Counter.most_common does.
+        (top_asn, top_heuristic), _count = max(counts.items(), key=itemgetter(1))
+        owners[key] = top_asn if top_heuristic == "first" else None
 
 
 def infer_ownership(
-    paths: Iterable[Sequence[HopView]],
+    paths: Iterable[Sequence[Tuple[IPAddress, Optional[ASN]]]],
     relationships: RelationshipTable,
     passes: int = 2,
 ) -> OwnershipInference:
     """Run the six heuristics over a set of observed traceroute paths.
 
     Args:
-        paths: Hop sequences, read once and in order, so a generator
+        paths: Hop sequences of ``(address, asn)`` pairs (such as
+            :class:`HopView`), read once and in order, so a generator
             that builds each one as it is asked for keeps one path alive
             at a time (responding hops only; callers should split
             sequences at unresponsive hops *except* single missing hops,
-            which are kept as mapping-less :class:`HopView` entries so the
-            ``noip2as`` heuristic can see them -- here a hop with
-            ``asn=None`` covers both cases).
+            which are kept as mapping-less entries so the ``noip2as``
+            heuristic can see them -- here a hop with ``asn=None``
+            covers both cases).
         relationships: AS relationship data (CAIDA-style; ground truth in
             the simulator).
         passes: Iterations of the graph heuristics (``back``/``forward``),
@@ -129,100 +138,114 @@ def infer_ownership(
     Returns:
         The inference with owners resolved.
     """
-    inference = OwnershipInference()
+    # Working state per address key (see the module docstring).
+    addresses: Dict[Hashable, IPAddress] = {}
+    mapping: Dict[Hashable, Optional[ASN]] = {}
+    labels: Dict[Hashable, _Labels] = {}
     # Observed adjacencies for the graph heuristics: neighbor sets per hop.
-    successors: Dict[IPAddress, Set[IPAddress]] = defaultdict(set)
-    predecessors: Dict[IPAddress, Set[IPAddress]] = defaultdict(set)
-    mapping: Dict[IPAddress, Optional[ASN]] = {}
+    successors: Dict[Hashable, Set[Hashable]] = defaultdict(set)
+    predecessors: Dict[Hashable, Set[Hashable]] = defaultdict(set)
+    customer_of: Dict[Tuple[ASN, ASN], bool] = {}
+
+    def is_customer_of(customer: ASN, provider: ASN) -> bool:
+        related = customer_of.get((customer, provider))
+        if related is None:
+            related = customer_of[(customer, provider)] = relationships.is_customer_of(
+                customer, provider)
+        return related
+
+    def add_label(key: Hashable, label: _Label) -> None:
+        counts = labels.get(key)
+        if counts is None:
+            counts = labels[key] = {}
+        counts[label] = counts.get(label, 0) + 1
 
     # Pass 1: the four sequence heuristics, the only pass over the paths.
     for hops in paths:
-        for previous, current, nxt in _triples(hops):
-            mapping.setdefault(current.address, current.asn)
-            if previous is not None:
-                predecessors[current.address].add(previous.address)
-                successors[previous.address].add(current.address)
+        keys: List[Hashable] = []
+        asns: List[Optional[ASN]] = []
+        for address, asn in hops:
+            key = (address.version, address.value)
+            if key not in mapping:
+                mapping[key] = asn
+                addresses[key] = address
+            keys.append(key)
+            asns.append(asn)
+        last = len(keys) - 1
+        for index, key in enumerate(keys):
+            asn = asns[index]
+            previous_asn = next_asn = None
+            if index:
+                previous = keys[index - 1]
+                previous_asn = asns[index - 1]
+                predecessors[key].add(previous)
+                successors[previous].add(key)
+            if index < last:
+                next_asn = asns[index + 1]
+            if asn is None:
+                # noip2as: unmapped hop between two hops of the same AS.
+                if index and index < last and previous_asn is not None \
+                        and previous_asn == next_asn:
+                    add_label(key, (previous_asn, "noip2as"))
+                continue
 
             # first: current and next announced by the same AS.
-            if nxt is not None and current.asn is not None and current.asn == nxt.asn:
-                inference.add_label(current.address, current.asn, "first")
+            if next_asn == asn:
+                add_label(key, (asn, "first"))
 
-            # noip2as: unmapped hop between two hops of the same AS.
-            if (
-                current.asn is None
-                and previous is not None
-                and nxt is not None
-                and previous.asn is not None
-                and previous.asn == nxt.asn
-            ):
-                inference.add_label(current.address, previous.asn, "noip2as")
-
-            # customer: provider-assigned interconnect address on the
-            # customer's router.
-            if (
-                previous is not None
-                and nxt is not None
-                and previous.asn is not None
-                and current.asn is not None
-                and nxt.asn is not None
-                and previous.asn == current.asn
-                and nxt.asn != current.asn
-                and relationships.is_customer_of(nxt.asn, current.asn)
-            ):
-                inference.add_label(current.address, nxt.asn, "customer")
-
-            # provider: the provider-side interface facing its customer.
-            if (
-                previous is not None
-                and previous.asn is not None
-                and current.asn is not None
-                and previous.asn != current.asn
-                and relationships.is_customer_of(previous.asn, current.asn)
-            ):
-                inference.add_label(current.address, current.asn, "provider")
+            if previous_asn is None:
+                continue
+            if previous_asn != asn:
+                # provider: the provider-side interface facing its customer.
+                if is_customer_of(previous_asn, asn):
+                    add_label(key, (asn, "provider"))
+            elif next_asn is not None and next_asn != asn and is_customer_of(next_asn, asn):
+                # customer: provider-assigned interconnect address on the
+                # customer's router.
+                add_label(key, (next_asn, "customer"))
 
     # Passes 2+: the graph heuristics, which feed on existing labels.
+    owners: Dict[Hashable, Optional[ASN]] = {}
     for _ in range(max(0, passes - 1)):
-        inference.resolve()
-        new_labels: List[Tuple[IPAddress, ASN, str]] = []
+        _resolve(labels, owners)
+        new_labels: List[Tuple[Hashable, ASN, str]] = []
 
         # back: several labeled predecessors of the same owner.
-        for address, owner in list(inference.owners.items()):
+        for key, owner in list(owners.items()):
             if owner is None:
                 continue
-            for follower in successors.get(address, ()):
+            for follower in successors.get(key, ()):
                 siblings = predecessors.get(follower, set())
-                labeled_same = [
-                    sibling
-                    for sibling in siblings
-                    if inference.owner(sibling) == owner
-                ]
+                labeled_same = [sibling for sibling in siblings if owners.get(sibling) == owner]
                 if len(labeled_same) < 2:
                     continue
                 for sibling in siblings:
-                    if sibling in inference.owners and inference.owners[sibling] is not None:
+                    if owners.get(sibling) is not None:
                         continue
                     if mapping.get(sibling) == owner:
                         new_labels.append((sibling, owner, "back"))
 
         # forward: all observed next hops announced by one labeled AS.
-        for address in list(successors):
-            if inference.owner(address) is not None or inference.labels.get(address):
+        for key in list(successors):
+            if owners.get(key) is not None or labels.get(key):
                 continue
-            nexts = successors[address]
+            nexts = successors[key]
             next_asns = {mapping.get(nxt) for nxt in nexts}
             if len(nexts) < 2 or len(next_asns) != 1:
                 continue
             (next_asn,) = next_asns
             if next_asn is None:
                 continue
-            if all(inference.owner(nxt) is not None for nxt in nexts):
-                new_labels.append((address, next_asn, "forward"))
+            if all(owners.get(nxt) is not None for nxt in nexts):
+                new_labels.append((key, next_asn, "forward"))
 
         if not new_labels:
             break
-        for address, asn, heuristic in new_labels:
-            inference.add_label(address, asn, heuristic)
+        for key, asn, heuristic in new_labels:
+            add_label(key, (asn, heuristic))
 
-    inference.resolve()
-    return inference
+    _resolve(labels, owners)
+    return OwnershipInference(
+        labels={addresses[key]: counts for key, counts in labels.items()},
+        owners={addresses[key]: owner for key, owner in owners.items()},
+    )

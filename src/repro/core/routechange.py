@@ -64,16 +64,11 @@ class PathStats:
 def change_count(timeline: TraceTimeline) -> int:
     """Number of AS-path changes between consecutive usable traceroutes.
 
-    Memoized on the timeline: several experiments analyze each one.
+    Memoized on the timeline (:meth:`TraceTimeline.path_change_count`,
+    filled with the per-path sample counts): several experiments
+    analyze each one.
     """
-    return timeline.product(("change_count",), lambda: _count_changes(timeline))
-
-
-def _count_changes(timeline: TraceTimeline) -> int:
-    ids = timeline.usable_path_ids()
-    if ids.size < 2:
-        return 0
-    return int(np.count_nonzero(ids[1:] != ids[:-1]))
+    return timeline.path_change_count()
 
 
 def change_events(timeline: TraceTimeline) -> List[ChangeEvent]:

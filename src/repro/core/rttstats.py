@@ -14,6 +14,11 @@ call on a timeline reads every percentile in :data:`MEMO_PERCENTILES`
 (the only two the experiments ask for) off one sort and memoizes each
 per ``q``; any other ``q`` sorts again and is not memoized.  So no sorted
 bucket outlives the call, and no timeline is sorted twice.
+
+A population analysis fills the memo of all its timelines first
+(:func:`memoize_percentiles`): each timeline is still selected and
+sorted on its own, and the percentiles of :data:`PERCENTILE_ROWS`
+timelines' buckets are read in one pass.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.ecdf import sorted_quantiles
-from repro.datasets.timeline import TraceTimeline
+from repro.datasets.timeline import TraceTimeline, population_products
 
 __all__ = [
     "MEMO_PERCENTILES",
+    "memoize_percentiles",
     "sorted_percentiles",
     "path_percentiles",
     "best_path_id",
@@ -39,6 +45,11 @@ MIN_BUCKET_SAMPLES = 3
 
 MEMO_PERCENTILES = (10.0, 90.0)
 """Percentiles memoized per timeline: the baseline and the spike-inclusive one."""
+
+PERCENTILE_ROWS = 8
+"""Timelines whose buckets :func:`memoize_percentiles` reads in one pass:
+their sorted RTTs are ~90 KB on the default scenario, and do not grow
+the heap."""
 
 
 def sorted_percentiles(
@@ -64,29 +75,75 @@ def path_percentiles(timeline: TraceTimeline, q: float) -> Dict[int, float]:
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
     if q not in MEMO_PERCENTILES:
-        return _percentiles(timeline, (q,))[0]
-    return dict(timeline.product(("percentiles", q), lambda: _memoize_all(timeline, q)))
+        return _percentiles([timeline], (q,))[0][0]
+    return dict(timeline.product(("percentiles", q), lambda: _fill([timeline], q)[0]))
 
 
-def _memoize_all(timeline: TraceTimeline, q: float) -> Dict[int, float]:
-    """Every memoized percentile off one sort; memoizes the others, returns ``q``'s."""
-    results = _percentiles(timeline, MEMO_PERCENTILES)
-    for other, result in zip(MEMO_PERCENTILES, results):
-        if other != q:
-            timeline.product(("percentiles", other), lambda result=result: result)
-    return results[MEMO_PERCENTILES.index(q)]
+def memoize_percentiles(timelines: Sequence[TraceTimeline], q: float) -> None:
+    """Memoize what :func:`path_percentiles` would for ``q``, for a whole
+    population; nothing for a ``q`` outside :data:`MEMO_PERCENTILES`.
+
+    Timelines that hold the percentiles already are skipped, and the
+    others' buckets are read :data:`PERCENTILE_ROWS` timelines at a time.
+    """
+    if q in MEMO_PERCENTILES:
+        population_products(list(timelines), ("percentiles", q), lambda rows: _fill(rows, q))
 
 
-def _percentiles(timeline: TraceTimeline, qs: Sequence[float]) -> List[Dict[int, float]]:
-    """The ``qs`` percentiles of each bucket, read off one transient sort."""
-    path_ids, values, bounds = timeline.sorted_buckets(MIN_BUCKET_SAMPLES)
-    if not path_ids:
-        return [{} for _ in qs]
-    starts, counts = bounds[:-1], np.diff(bounds)
-    return [
-        dict(zip(path_ids, sorted_percentiles(values, starts, counts, q).tolist()))
-        for q in qs
-    ]
+def _fill(timelines: List[TraceTimeline], q: float) -> List[Dict[int, float]]:
+    """Each timeline's ``q``-th percentiles; memoizes the other memoized ones.
+
+    Every percentile of :data:`MEMO_PERCENTILES` is read off the same
+    sort of a timeline's buckets.
+    """
+    wanted: List[Dict[int, float]] = []
+    for start in range(0, len(timelines), PERCENTILE_ROWS):
+        rows = timelines[start:start + PERCENTILE_ROWS]
+        for timeline, results in zip(rows, _percentiles(rows, MEMO_PERCENTILES)):
+            for other, result in zip(MEMO_PERCENTILES, results):
+                if other != q:
+                    timeline.product(("percentiles", other), lambda result=result: result)
+            wanted.append(results[MEMO_PERCENTILES.index(q)])
+    return wanted
+
+
+def _percentiles(
+    timelines: Sequence[TraceTimeline], qs: Sequence[float]
+) -> List[List[Dict[int, float]]]:
+    """The ``qs`` percentiles of each timeline's buckets, per timeline.
+
+    Each timeline's buckets are sorted on their own
+    (:meth:`~repro.datasets.timeline.TraceTimeline.sorted_buckets`);
+    one :func:`~repro.core.ecdf.sorted_quantiles` call reads every
+    bucket of every timeline at every ``q``, in float32.
+    """
+    buckets = [timeline.sorted_buckets(MIN_BUCKET_SAMPLES) for timeline in timelines]
+    starts: List[int] = []
+    counts: List[int] = []
+    offset = 0
+    for _, values, bounds in buckets:
+        for low, high in zip(bounds[:-1], bounds[1:]):
+            starts.append(offset + low)
+            counts.append(high - low)
+        offset += values.size
+    total = len(starts)
+    read: List[float] = []
+    if total:
+        values = np.concatenate([values for _, values, _ in buckets])
+        fractions = np.repeat(np.asarray([q / 100 for q in qs]), total)
+        read = sorted_quantiles(
+            values, np.tile(starts, len(qs)), np.tile(counts, len(qs)), fractions
+        ).tolist()
+    results: List[List[Dict[int, float]]] = []
+    position = 0
+    for path_ids, _, _ in buckets:
+        end = position + len(path_ids)
+        results.append([
+            dict(zip(path_ids, read[index * total + position:index * total + end]))
+            for index in range(len(qs))
+        ])
+        position = end
+    return results
 
 
 def path_rtt_std(timeline: TraceTimeline) -> Dict[int, float]:

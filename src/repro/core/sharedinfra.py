@@ -21,12 +21,14 @@ long-term dataset alone (no ground truth):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.routechange import popular_path
+from repro.core.dualstack import paired_mask
+from repro.core.routechange import change_count, popular_path
 from repro.datasets.longterm import LongTermDataset
 from repro.datasets.timeline import TraceTimeline
 from repro.net.ip import IPVersion
@@ -51,21 +53,20 @@ class PairSharingSignal:
 
 def _change_rounds(timeline: TraceTimeline) -> np.ndarray:
     """Indexes of usable rounds whose path differs from the previous one."""
-    ids = timeline.usable_path_ids()
-    if ids.size < 2:
-        return np.empty(0, dtype=int)
-    changed = np.nonzero(ids[1:] != ids[:-1])[0] + 1
-    return timeline.usable_index()[changed]
+    index = timeline.usable_mask().nonzero()[0]
+    ids = timeline.path_id.take(index)
+    return index.take((ids[1:] != ids[:-1]).nonzero()[0] + 1)
 
 
 def _synchronized_fraction(
     v4: TraceTimeline, v6: TraceTimeline, slack_rounds: int = 1
 ) -> float:
     """Fraction of IPv4 change rounds matched by an IPv6 change nearby."""
+    # The memoized change counts say when there is nothing to match.
+    if change_count(v4) == 0 or change_count(v6) == 0:
+        return float("nan")
     changes_v4 = _change_rounds(v4)
     changes_v6 = _change_rounds(v6)
-    if changes_v4.size == 0 or changes_v6.size == 0:
-        return float("nan")
     # Both are ascending: the nearest IPv6 change to each IPv4 change is
     # one of the two neighbours of its insertion point.
     position = np.searchsorted(changes_v6, changes_v4)
@@ -76,18 +77,35 @@ def _synchronized_fraction(
     return matched / changes_v4.size
 
 
+MIN_CORRELATION_ROUNDS = 30
+"""Paired rounds below which the RTT correlation is not computed (NaN)."""
+
+
 def _rtt_correlation(v4: TraceTimeline, v6: TraceTimeline) -> float:
-    both = (
-        v4.usable_mask() & v6.usable_mask()
-        & np.isfinite(v4.rtt_ms) & np.isfinite(v6.rtt_ms)
-    )
-    if both.sum() < 30:
+    """Pearson correlation of the paired rounds' RTTs: ``np.corrcoef``'s steps.
+
+    Bit for bit ``np.corrcoef(a, b)[0, 1]`` of the widened series, NaN
+    below :data:`MIN_CORRELATION_ROUNDS` rounds or when a series is
+    constant.  corrcoef centres one 2 x n buffer on its row means, takes
+    ``dot(X, X.T)`` and scales it by ``1 / (n - 1)``; here the
+    normalisation of the one coefficient follows in Python floats, the
+    same IEEE operations.  A series is constant when its centred row
+    holds no nonzero value, which is where ``std() <= 0``.
+    """
+    both = paired_mask(v4, v6)
+    count = int(np.count_nonzero(both))
+    if count < MIN_CORRELATION_ROUNDS:
         return float("nan")
-    a = v4.rtt_ms[both].astype(float)
-    b = v6.rtt_ms[both].astype(float)
-    if a.std() <= 0 or b.std() <= 0:
+    rows = np.empty((2, count))
+    rows[0] = v4.rtt_ms.compress(both)
+    rows[1] = v6.rtt_ms.compress(both)
+    rows -= rows.mean(axis=1)[:, None]
+    if not rows.any(axis=1).all():
         return float("nan")
-    return float(np.corrcoef(a, b)[0, 1])
+    (var_v4, cov), (_, var_v6) = np.dot(rows, rows.T).tolist()
+    scale = 1 / (count - 1)
+    correlation = cov * scale / math.sqrt(var_v4 * scale) / math.sqrt(var_v6 * scale)
+    return min(max(correlation, -1.0), 1.0)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.core.ecdf import ECDF
 from repro.core.routechange import path_prevalence
-from repro.core.rttstats import rtt_increase_from_best
+from repro.core.rttstats import memoize_percentiles, rtt_increase_from_best
 from repro.datasets.timeline import TraceTimeline
 
 __all__ = ["timeline_suboptimal_prevalence", "suboptimal_prevalence"]
@@ -47,6 +47,8 @@ def suboptimal_prevalence(
     q: float = 10.0,
 ) -> Dict[float, ECDF]:
     """The Figure 6 ECDFs: per-timeline prevalence sums, per threshold."""
+    timelines = list(timelines)
+    memoize_percentiles(timelines, q)
     collected: Dict[float, list] = {threshold: [] for threshold in thresholds_ms}
     for timeline in timelines:
         per_threshold = timeline_suboptimal_prevalence(timeline, thresholds_ms, q=q)

@@ -148,7 +148,7 @@ class ShortTermTraceDataset:
 
     grid: CampaignGrid
     entries: Dict[Tuple[int, int, IPVersion], SegmentSeries] = field(default_factory=dict)
-    _corpus_cache: Optional[Tuple[object, Any]] = field(
+    _corpus_cache: Optional[Dict[str, Tuple[object, Any]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -156,17 +156,19 @@ class ShortTermTraceDataset:
         """All entries of one protocol, in pair order."""
         return [self.entries[key] for key in _ordered_keys(self.entries) if key[2] is version]
 
-    def corpus_product(self, platform: object, compute: Callable[[], _R]) -> _R:
+    def corpus_product(self, name: str, platform: object, compute: Callable[[], _R]) -> _R:
         """``compute()`` over the whole corpus, once per ``platform`` object.
 
-        The dataset holds one such result (the experiments' ownership
-        inference); another platform object replaces it.  It is never
-        pickled.
+        The dataset holds one result per ``name`` (the experiments'
+        ownership inference and congestion localizations); another
+        platform object replaces it.  None is ever pickled.
         """
-        cache = self._corpus_cache
-        if cache is None or cache[0] is not platform:
-            cache = self._corpus_cache = (platform, compute())
-        return cache[1]
+        if self._corpus_cache is None:
+            self._corpus_cache = {}
+        cached = self._corpus_cache.get(name)
+        if cached is None or cached[0] is not platform:
+            cached = self._corpus_cache[name] = (platform, compute())
+        return cached[1]
 
     def __getstate__(self) -> Dict[str, Any]:
         # The pickle must not depend on whether an analysis ran first.

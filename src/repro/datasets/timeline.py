@@ -9,14 +9,15 @@ and ablations use it; the analysis pipeline never does).
 
 Timelines are immutable once built: the dataclasses are frozen and their
 arrays read-only.  That makes it safe for each timeline to compute its
-derived products -- per-path sample counts, hour-of-day groups -- once,
-on first use, and hand the same read-only values to every analysis that
-asks.  The usable-sample views (mask, indexes, path ids) and the sorted
-AS-path buckets are cheaper to derive than to hold: the views cost one
-comparison over the outcome codes per call, and the buckets are sorted
-only on the way to the percentiles that are memoized instead.  The
-products live in a private memo that is never pickled, so a timeline
-pickles to the same bytes before and after any analysis.
+derived products -- per-path sample counts and the route-change count,
+hour-of-day groups -- once, on first use, and hand the same read-only
+values to every analysis that asks.  The usable-sample views (mask,
+indexes, path ids) and the sorted AS-path buckets are cheaper to derive
+than to hold: the views cost one comparison over the outcome codes per
+call, and the buckets are sorted only on the way to the percentiles that
+are memoized instead.  The products live in a private memo that is never
+pickled, so a timeline pickles to the same bytes before and after any
+analysis.
 
 The long-term corpus is the largest thing a run holds, so its columns
 are compact.  A timeline stores its path ids in the narrowest signed
@@ -83,6 +84,9 @@ _LAST_USABLE = int(TraceOutcome.MISSING_IP)
 _OUTCOME_RANGE = (int(min(TraceOutcome)), int(max(TraceOutcome)))
 
 HOURS_PER_DAY = 24
+
+_SIGN_BIT = 0x80000000
+"""The sign bit of a float32's bits."""
 
 _PRODUCTS = "_products"
 """Instance attribute holding the memo of derived products (not pickled)."""
@@ -303,8 +307,8 @@ class TraceTimeline(_Memoized):
         src_server_id / dst_server_id: Endpoints.
         version: IP version of the probes.
         times_hours: Shared measurement grid.
-        rtt_ms: End-to-end RTT per sample (float32; NaN when the destination
-            was not reached).
+        rtt_ms: End-to-end RTT per sample (float32, checked; NaN when the
+            destination was not reached).
         outcome: :class:`~repro.measurement.traceroute.TraceOutcome` per
             sample (uint8).
         path_id: Index into :attr:`paths` of the observed AS path per sample
@@ -321,9 +325,10 @@ class TraceTimeline(_Memoized):
             derives a fresh read-only column.
 
     Raises:
-        ValueError: A column's length does not match the time grid, an
-            outcome is outside :class:`TraceOutcome`, or a path id does
-            not fit the table size's dtype.
+        ValueError: A column's length does not match the time grid, the
+            RTT column is not float32, an outcome is outside
+            :class:`TraceOutcome`, or a path id does not fit the table
+            size's dtype.
     """
 
     _ARRAYS = ("times_hours", "rtt_ms", "outcome", "path_id", _RUN_BOUNDS, _RUN_VALUES)
@@ -343,6 +348,8 @@ class TraceTimeline(_Memoized):
         for name in ("rtt_ms", "outcome", "path_id"):
             if getattr(self, name).size != count:
                 raise ValueError(f"{name} length does not match the time grid")
+        if self.rtt_ms.dtype != np.float32:
+            raise ValueError(f"rtt_ms must be float32, got {self.rtt_ms.dtype}")
         if self.candidate_runs()[0][-1] not in (0, count):
             raise ValueError("true_candidate length does not match the time grid")
         if count and (
@@ -375,6 +382,16 @@ class TraceTimeline(_Memoized):
         """
         return _read_only(self.outcome <= _LAST_USABLE)
 
+    def usable_rtt_mask(self) -> np.ndarray:
+        """Usable samples with a finite RTT: the samples RTT analyses read.
+
+        Derived per call, like :meth:`usable_mask`, but writable: the
+        callers narrow it in place.
+        """
+        mask = self.outcome <= _LAST_USABLE
+        mask &= np.isfinite(self.rtt_ms)
+        return mask
+
     def complete_mask(self) -> np.ndarray:
         """Samples that reached the destination (paper's "complete")."""
         return self.outcome != int(TraceOutcome.INCOMPLETE)
@@ -393,10 +410,21 @@ class TraceTimeline(_Memoized):
 
     def path_sample_counts(self) -> Dict[int, int]:
         """Usable samples per path id, ascending by id (ids ``< 0`` skipped)."""
-        return dict(self.product("path_sample_counts", self._compute_counts))
+        return dict(self.product("path_sample_counts", self._compute_path_products))
 
-    def _compute_counts(self) -> Dict[int, int]:
-        ids = self.usable_path_ids()
+    def path_change_count(self) -> int:
+        """Path-id changes between consecutive usable samples.
+
+        Memoized under ``("change_count",)``, and filled by the same
+        selection of the usable path ids as :meth:`path_sample_counts`.
+        """
+        self.product("path_sample_counts", self._compute_path_products)
+        return self._memo()[_CHANGE_COUNT]
+
+    def _compute_path_products(self) -> Dict[int, int]:
+        """Both path products off one selection; memoizes the change count."""
+        ids = self.path_id.compress(self.outcome <= _LAST_USABLE)
+        self._memo()[_CHANGE_COUNT] = int(np.count_nonzero(ids[1:] != ids[:-1]))
         if ids.size == 0:
             return {}
         # Path ids span a small range: one bincount instead of a sort.
@@ -434,25 +462,74 @@ class TraceTimeline(_Memoized):
             if sorted_ids[low] >= 0
         }
 
-    def sorted_buckets(self, min_samples: int) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
+    def sorted_buckets(self, min_samples: int) -> Tuple[Tuple[int, ...], np.ndarray, Tuple[int, ...]]:
         """Each bucket's finite RTTs, sorted: ``(path_ids, values, bounds)``.
 
         Only buckets with at least ``min_samples`` finite RTTs are kept,
         ascending by path id.  Bucket ``k`` (path ``path_ids[k]``) is
-        ``values[bounds[k]:bounds[k + 1]]``, ascending, in the RTT dtype.
-        Sorted per call and not memoized: the callers memoize what they
-        read off the sorted values (:mod:`repro.core.rttstats`).
+        ``values[bounds[k]:bounds[k + 1]]``, ascending, in float32;
+        ``bounds`` are Python ints.  One selection
+        (:meth:`usable_rtt_mask`) and one sort by (path id, RTT) serve
+        every bucket.  Sorted per call and not memoized: the callers
+        memoize what they read off the sorted values
+        (:mod:`repro.core.rttstats`).
         """
-        path_ids: List[int] = []
-        pieces: List[np.ndarray] = []
-        for path_id, rtts in self.usable_rtts_by_path().items():
-            finite = rtts[np.isfinite(rtts)]
-            if finite.size >= min_samples:
-                path_ids.append(path_id)
-                pieces.append(np.sort(finite))
-        values = np.concatenate(pieces) if pieces else self.rtt_ms[:0].copy()
-        bounds = np.cumsum([0] + [piece.size for piece in pieces])
-        return tuple(path_ids), _read_only(values), _read_only(bounds)
+        groups, values = _sort_by_path(self.path_id, self.rtt_ms, self.usable_rtt_mask())
+        found: List[Tuple[int, int, int]] = []
+        if values.size:
+            edges = ((groups[1:] != groups[:-1]).nonzero()[0] + 1).tolist()
+            found = list(zip(groups[[0, *edges]].tolist(), [0, *edges], [*edges, values.size]))
+        kept = [
+            (path_id, low, high) for path_id, low, high in found
+            if 0 <= path_id <= MAX_PATHS and high - low >= min_samples
+        ]
+        if min_samples <= 0:
+            # A usable path without a finite RTT has an empty bucket.
+            finite = {path_id for path_id, _, _ in kept}
+            kept = sorted(kept + [(path_id, 0, 0) for path_id in self.path_sample_counts()
+                                  if path_id not in finite])
+        bounds = [0]
+        for _, low, high in kept:
+            bounds.append(bounds[-1] + high - low)
+        if kept != found:
+            values = np.concatenate([values[low:high] for _, low, high in kept] or [values[:0]])
+        return tuple(path_id for path_id, _, _ in kept), _read_only(values), tuple(bounds)
+
+
+_CHANGE_COUNT = ("change_count",)
+"""Memo key of :meth:`TraceTimeline.path_change_count`."""
+
+
+def _sort_by_path(
+    path_id: np.ndarray, rtt_ms: np.ndarray, keep: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``keep`` samples ordered by path id, then RTT: ``(groups, values)``.
+
+    ``values`` holds the RTTs; ``groups`` the path ids, where a negative
+    id may read as a large unsigned value (beyond :data:`MAX_PATHS`).
+    The float32 column sorts as one uint64 key per sample -- the path id
+    in the high word, the RTT's bits in the low word, with the sign
+    handled so that the unsigned order is the float order -- so one
+    sort of the selection groups and orders it.  Equal RTTs have equal
+    keys, so the values are those of any stable order; of ``-0.0`` and
+    ``0.0``, which compare equal as floats, the negative one comes first.
+    """
+    bits = rtt_ms.view(np.uint32)
+    signed = bool(bits.size) and int(bits.max()) >= _SIGN_BIT
+    if signed:
+        # Negative floats reverse their bits' order: flip them whole, and
+        # lift the non-negative ones above them.
+        bits = bits ^ np.where(bits >= _SIGN_BIT, np.uint32(0xFFFFFFFF), np.uint32(_SIGN_BIT))
+    keys = path_id.astype(np.uint64)  # a negative id wraps to the top
+    keys <<= 32
+    keys |= bits
+    keys = keys.compress(keep)
+    keys.sort()
+    low = keys.astype(np.uint32)
+    if signed:
+        low ^= np.where(low >= _SIGN_BIT, np.uint32(_SIGN_BIT), np.uint32(0xFFFFFFFF))
+    keys >>= 32
+    return keys, low.view(np.float32)
 
 
 # eq=False: identity equality and hash; a field-wise == over arrays raises.

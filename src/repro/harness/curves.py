@@ -117,7 +117,7 @@ def plot_timeline(
     from the previous column's get a ``|`` marker on the top row -- the
     level-shift view of the paper's Figure 1a.
     """
-    usable = timeline.usable_mask() & np.isfinite(timeline.rtt_ms)
+    usable = timeline.usable_rtt_mask()
     if not usable.any():
         return "(no usable samples)"
     times = timeline.times_hours

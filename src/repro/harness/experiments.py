@@ -23,20 +23,21 @@ from repro.core.granularity import compare_granularity
 from repro.core.heatmap import build_heatmap, collect_lifetime_increase_points
 from repro.core.inflation import pair_inflation
 from repro.core.linkclass import LinkClass, LinkClassifier, LinkMediumClass
-from repro.core.localization import localize_congestion
+from repro.core.localization import LocalizationResult, localize_congestion
 from repro.core.loss import loss_population_summary
 from repro.core.sharedinfra import shared_infrastructure_study
 from repro.core.overhead import congestion_overhead
-from repro.core.ownership import HopView, OwnershipInference, infer_ownership
+from repro.core.ownership import OwnershipInference, infer_ownership
 from repro.core.routechange import analyze_timeline, as_path_pair_count
-from repro.core.rttstats import path_percentiles
+from repro.core.rttstats import memoize_percentiles, path_percentiles
 from repro.core.suboptimal import suboptimal_prevalence
 from repro.core.summary import dataset_summary
 from repro.datasets.longterm import LongTermConfig, LongTermDataset, build_longterm_dataset
-from repro.datasets.shortterm import ShortTermPingDataset, ShortTermTraceDataset
+from repro.datasets.shortterm import SegmentSeries, ShortTermPingDataset, ShortTermTraceDataset
 from repro.harness.report import render_ecdf, render_heatmap, render_table
 from repro.measurement.platform import MeasurementPlatform
-from repro.net.ip import IPVersion
+from repro.net.asn import ASN
+from repro.net.ip import IPAddress, IPVersion
 from repro.obs import trace as obs_trace
 
 __all__ = [
@@ -166,6 +167,7 @@ def experiment_fig1(
     """
     best_key = None
     best_shift = -1.0
+    memoize_percentiles(dataset.by_version(IPVersion.V4), 10.0)
     for (src, dst, version), timeline in dataset.timelines.items():
         if version is not IPVersion.V4:
             continue
@@ -465,11 +467,8 @@ def experiment_localization(
 ) -> ExperimentResult:
     """Section 5.2: locate the congested segment; score against ground truth."""
     located = persistent = attempted = correct = 0
-    for entry in traces.entries.values():
-        if not entry.static_path:
-            continue
+    for entry, result in _localizations(traces, platform):
         attempted += 1
-        result = localize_congestion(entry)
         if result.end_to_end_diurnal:
             persistent += 1
         if not result.located:
@@ -500,11 +499,24 @@ def experiment_localization(
                             metrics, report)
 
 
+def _localizations(
+    traces: ShortTermTraceDataset, platform: MeasurementPlatform
+) -> List[Tuple[SegmentSeries, LocalizationResult]]:
+    """Each static-path entry with its localization, once per (corpus,
+    platform) pair: Sections 5.2 and 5.3 and Figure 9 all read them."""
+    return traces.corpus_product("localization", platform, lambda: [
+        (entry, localize_congestion(entry))
+        for entry in traces.entries.values()
+        if entry.static_path
+    ])
+
+
 def _corpus_ownership(
     traces: ShortTermTraceDataset, platform: MeasurementPlatform
 ) -> OwnershipInference:
     """Ownership inference over the corpus, once per (corpus, platform) pair."""
-    return traces.corpus_product(platform, lambda: _build_ownership(traces, platform))
+    return traces.corpus_product(
+        "ownership", platform, lambda: _build_ownership(traces, platform))
 
 
 def _build_ownership(
@@ -523,11 +535,11 @@ def _build_ownership(
 
 def _ownership_paths(
     traces: ShortTermTraceDataset, platform: MeasurementPlatform
-) -> Iterator[List[HopView]]:
-    """Every path of the ownership corpus, built as it is asked for."""
+) -> Iterator[List[Tuple[IPAddress, Optional[ASN]]]]:
+    """Every path of the ownership corpus as ``(address, asn)`` hops,
+    built as it is asked for."""
     for entry in traces.entries.values():
-        yield [HopView(address=address, asn=asn)
-               for address, asn in zip(entry.hop_addresses, entry.hop_mapped_asn)]
+        yield list(zip(entry.hop_addresses, entry.hop_mapped_asn))
     for src, dst in platform.server_pairs():
         for version in (IPVersion.V4, IPVersion.V6):
             # Both the steady-state path and the first alternate: routing
@@ -537,8 +549,7 @@ def _ownership_paths(
                 realization = platform.realization(src, dst, version, candidate)
                 if realization is None:
                     continue
-                yield [HopView(address=hop.address, asn=hop.mapped_asn)
-                       for hop in realization.hops]
+                yield [(hop.address, hop.mapped_asn) for hop in realization.hops]
 
 
 def experiment_link_classification(
@@ -554,10 +565,7 @@ def experiment_link_classification(
         ownership=ownership,
         ixp_prefixes=ixp_prefixes,
     )
-    for entry in traces.entries.values():
-        if not entry.static_path:
-            continue
-        result = localize_congestion(entry)
+    for _, result in _localizations(traces, platform):
         if result.located and result.link is not None:
             classifier.add(*result.link)
 
@@ -625,10 +633,7 @@ def experiment_fig9(
         "transcontinental": [],
     }
     servers = {server.server_id: server for server in platform.measurement_servers()}
-    for entry in traces.entries.values():
-        if not entry.static_path:
-            continue
-        result = localize_congestion(entry)
+    for entry, result in _localizations(traces, platform):
         if not result.located or result.link is None:
             continue
         overhead = congestion_overhead(entry.times_hours, entry.rtt_ms)

@@ -34,7 +34,7 @@ SUPPRESSION_ALLOWLIST: Tuple[Allowance, ...] = (
         path="repro/core/ownership.py",
         rule="DET002",
         reason=(
-            "resolve() extracts the sole element of a len()==1 set with "
+            "_resolve() extracts the sole element of a len()==1 set with "
             "next(iter(...)); a singleton has one iteration order, so the "
             "result cannot depend on hashing or insertion history."
         ),

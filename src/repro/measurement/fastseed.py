@@ -11,8 +11,11 @@ This module replays SeedSequence's entropy-pool mixing (Blackman &
 Vigna's splitmix-style hash, unchanged in numpy since 1.17) as a
 vectorized numpy computation over *all* streams at once, then derives
 each stream's 128-bit PCG64 ``(state, inc)`` directly from the mixed
-words.  One recycled ``PCG64`` + ``Generator`` pair is re-stated per
-stream instead of constructing fresh objects.
+words, in numpy too: a 128-bit value is a pair of uint64 columns (high
+and low words), and the one 128-bit product is carried through 32-bit
+halves.  Only the finished states become Python ints.  One recycled
+``PCG64`` + ``Generator`` pair is re-stated per stream instead of
+constructing fresh objects.
 
 Bit-identity is non-negotiable, so the replication is **checked, not
 trusted**: the first call to :func:`pcg64_states` verifies the whole
@@ -54,12 +57,16 @@ _U64_M32 = np.uint64(_M32)
 _U64_MIX_L = np.uint64(_MIX_L)
 _U64_MIX_R = np.uint64(_MIX_R)
 _XSHIFT = np.uint64(16)
+_HALF = np.uint64(32)
+_ONE = np.uint64(1)
+_TOP_SHIFT = np.uint64(63)
 
 # PCG64's LCG multiplier and seeding recipe: numpy feeds
 # ``generate_state(4, uint64)`` into pcg64_srandom_r, which folds the
 # four words into (initstate, initseq) and advances once.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
+_PCG_MULT_HIGH = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LOW = np.uint64(_PCG_MULT & (2**64 - 1))
 
 _replication_checked: Optional[bool] = None
 
@@ -130,19 +137,63 @@ def _mix_batch(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pcg_state(state_words: Sequence[int]) -> Tuple[int, int]:
-    """``(state, inc)`` from one row of eight uint32 state words."""
-    initstate = (
-        state_words[1] << 96 | state_words[0] << 64
-        | state_words[3] << 32 | state_words[2]
-    )
-    initseq = (
-        state_words[5] << 96 | state_words[4] << 64
-        | state_words[7] << 32 | state_words[6]
-    )
-    inc = ((initseq << 1) | 1) & _M128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _M128
-    return state, inc
+def _join(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Two columns of 32-bit words as one column of 64-bit words."""
+    return (high << _HALF) | low
+
+
+def _add128(
+    a_high: np.ndarray, a_low: np.ndarray, b_high: np.ndarray, b_low: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``a + b`` mod 2**128 over (high, low) uint64 columns."""
+    low = a_low + b_low
+    return a_high + b_high + (low < a_low), low
+
+
+def _mul128(
+    high: np.ndarray, low: np.ndarray, factor_high: np.uint64, factor_low: np.uint64
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(high, low) * factor`` mod 2**128 over uint64 columns.
+
+    uint64 products wrap mod 2**64, which gives every term but the high
+    word of ``low * factor_low``; that one is summed from 32-bit halves,
+    whose products fit.
+    """
+    low0, low1 = low & _U64_M32, low >> _HALF
+    factor0, factor1 = factor_low & _U64_M32, factor_low >> _HALF
+    p00, p01 = low0 * factor0, low0 * factor1
+    p10, p11 = low1 * factor0, low1 * factor1
+    middle = (p00 >> _HALF) + (p01 & _U64_M32) + (p10 & _U64_M32)
+    carry = p11 + (p01 >> _HALF) + (p10 >> _HALF) + (middle >> _HALF)
+    return carry + low * factor_high + high * factor_low, low * factor_low
+
+
+def _pcg_states(state_words: np.ndarray) -> List[Tuple[int, int]]:
+    """``(state, inc)`` per row of eight uint32 state words (``(n, 8)``).
+
+    PCG64's seeding: ``initstate`` and ``initseq`` are the rows' two
+    128-bit halves, ``inc = initseq << 1 | 1`` and ``state = (inc +
+    initstate) * MULT + inc``, all mod 2**128.
+    """
+    words = state_words.T
+    init_high, init_low = _join(words[1], words[0]), _join(words[3], words[2])
+    seq_high, seq_low = _join(words[5], words[4]), _join(words[7], words[6])
+    inc_high = (seq_high << _ONE) | (seq_low >> _TOP_SHIFT)
+    inc_low = (seq_low << _ONE) | _ONE
+    state = _mul128(*_add128(inc_high, inc_low, init_high, init_low),
+                    _PCG_MULT_HIGH, _PCG_MULT_LOW)
+    state_high, state_low = _add128(*state, inc_high, inc_low)
+    # Each row's two values as 16 little-endian bytes, read into Python
+    # ints row by row: no column of transient ints is left to fragment
+    # the heap between the lasting ones.
+    rows = np.empty((state_low.size, 4), dtype="<u8")
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = state_low, state_high, inc_low, inc_high
+    raw = memoryview(rows.tobytes())
+    return [
+        (int.from_bytes(raw[start:start + 16], "little"),
+         int.from_bytes(raw[start + 16:start + 32], "little"))
+        for start in range(0, len(raw), 32)
+    ]
 
 
 def _reference_state(entropy: Sequence[int]) -> Tuple[int, int]:
@@ -160,8 +211,23 @@ def _batch_states(entropies: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
     ]
     width = len(rows[0])
     assert all(len(row) == width for row in rows)
-    mixed = _mix_batch(np.array(rows, dtype=np.uint64))
-    return [_pcg_state(row) for row in mixed.tolist()]
+    return _pcg_states(_mix_batch(np.array(rows, dtype=np.uint64)))
+
+
+def _digest_states(base_seed: int, digests: Sequence[int]) -> List[Tuple[int, int]]:
+    """Batched ``(state, inc)`` of ``[base_seed, digest]`` for 64-bit
+    digests with a nonzero high word.
+
+    Every row is the base seed's entropy words, then the digest's two,
+    split in numpy.
+    """
+    base_words = _entropy_words(base_seed)
+    values = np.array(digests, dtype=np.uint64)
+    words = np.empty((values.size, len(base_words) + 2), dtype=np.uint64)
+    words[:, :len(base_words)] = base_words
+    words[:, -2] = values & _U64_M32
+    words[:, -1] = values >> _HALF
+    return _pcg_states(_mix_batch(words))
 
 
 def replication_ok() -> bool:
@@ -169,8 +235,9 @@ def replication_ok() -> bool:
 
     Vectors are derived from the mixing constants themselves (no ad-hoc
     seed literals) and cover one-, two- and many-word entropies plus the
-    zero word.  A single mismatch disables the fast path for the life of
-    the process.
+    zero word; the ``[base_seed, digest]`` one also goes through the
+    digest path :func:`pcg64_states` batches.  A single mismatch
+    disables the fast path for the life of the process.
     """
     global _replication_checked
     if _replication_checked is not None:
@@ -188,7 +255,7 @@ def replication_ok() -> bool:
             ok = all(
                 _batch_states([entropy]) == [_reference_state(entropy)]
                 for entropy in vectors
-            )
+            ) and _digest_states(vectors[3][0], vectors[3][1:]) == [_reference_state(vectors[3])]
         except Exception:  # pragma: no cover - any surprise means "don't trust it"
             ok = False
     _replication_checked = ok
@@ -220,7 +287,6 @@ def pcg64_states(base_seed: int, digests: Sequence[int]) -> List[Tuple[int, int]
     if base_seed < 0 or not replication_ok():
         obs_metrics.counter("fastseed.streams.reference").inc(len(digests))
         return [_reference_state([base_seed, digest]) for digest in digests]
-    width = len(_entropy_words(base_seed)) + 2
     batched: List[int] = []
     states: List[Optional[Tuple[int, int]]] = [None] * len(digests)
     for index, digest in enumerate(digests):
@@ -229,7 +295,7 @@ def pcg64_states(base_seed: int, digests: Sequence[int]) -> List[Tuple[int, int]
         else:
             states[index] = _reference_state([base_seed, digest])
     if batched:
-        resolved = _batch_states([[base_seed, digests[index]] for index in batched])
+        resolved = _digest_states(base_seed, [digests[index] for index in batched])
         for index, state in zip(batched, resolved):
             states[index] = state
     obs_metrics.counter("fastseed.streams.batched").inc(len(batched))

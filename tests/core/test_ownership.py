@@ -115,6 +115,23 @@ class TestResolution:
         inference = infer_ownership([], relationships)
         assert inference.owner(addr(99)) is None
 
+    def test_resolve_after_dropping_labels(self, relationships):
+        # What the drop-one ablation does: filter the labels, re-resolve.
+        path = [HopView(addr(1), 10), HopView(addr(2), 10), HopView(addr(3), 20)]
+        inference = infer_ownership([path], relationships)
+        assert inference.owner(addr(1)) == 10
+        for address in list(inference.labels):
+            inference.labels[address] = {
+                label: count for label, count in inference.labels[address].items()
+                if label[1] != "first"
+            }
+        inference.owners.clear()
+        inference.resolve()
+        # addr(1) kept no label: unresolved, not an error.
+        assert inference.labels[addr(1)] == {}
+        assert inference.owner(addr(1)) is None
+        assert inference.owner(addr(2)) == 20
+
 
 class TestSimulatedAccuracy:
     def test_accuracy_against_ground_truth(self, platform):

@@ -18,9 +18,19 @@ The routing schedule's sweep is checked against the scan it replaced
 (every outage per pair, every relevant outage per interval) on random
 outage and flap sets: overlapping, zero-length, inverted, touching 0 or
 the window's end, and split by adjacent floats.
+
+The one-selection analysis kernels are checked bit for bit against
+the code they replaced: the per-bucket sorts, ``np.median``,
+``np.corrcoef`` behind two ``std`` tests, the ``IPAddress``-keyed
+ownership inference with ``Counter`` labels, and numpy's own seeding.
+Their inputs add NaN RTTs, path ids past 128, negative and signed-zero
+RTTs, constant series, tied RTTs, fewer than 30 paired
+rounds and label-count ties.
 """
 
+import dataclasses
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -29,6 +39,8 @@ from hypothesis import strategies as st
 
 from repro.core.congestion import CongestionDetector, congestion_population_stats
 from repro.core.dualstack import paired_rtt_differences
+from repro.core.ecdf import partition_median, sorted_quantiles
+from repro.core.inflation import pair_inflation
 from repro.core.loss import (
     BUSY_HOURS,
     LossVerdict,
@@ -47,19 +59,24 @@ from repro.core.routechange import (
     path_prevalence,
     popular_path,
 )
+from repro.core.ownership import HopView, infer_ownership
 from repro.core.rttstats import (
     MIN_BUCKET_SAMPLES,
+    PERCENTILE_ROWS,
+    memoize_percentiles,
     best_path_id,
     path_percentiles,
     path_rtt_std,
     rtt_increase_from_best,
     sorted_percentiles,
 )
-from repro.core.sharedinfra import _change_rounds, _synchronized_fraction
+from repro.core.sharedinfra import _change_rounds, _rtt_correlation, _synchronized_fraction
 from repro.datasets.longterm import LongTermDataset
 from repro.datasets.timeline import PingTimeline, TraceTimeline, stack_by_grid
+from repro.measurement.fastseed import pcg64_states
 from repro.measurement.scheduler import CampaignGrid
-from repro.net.ip import IPVersion
+from repro.net.asn import ASRelationship, RelationshipTable
+from repro.net.ip import IPAddress, IPVersion
 from repro.routing.dynamics import (
     EdgeOutage,
     PairFlap,
@@ -625,18 +642,25 @@ class TestSortedPercentiles:
             rtts = rng.integers(10, 14, count).astype(dtype)
         else:
             rtts = (5.0 + 300.0 * rng.random(count)).astype(dtype)
-        timeline = TraceTimeline(
+        for q in (0.0, 10.0, 50.0, 90.0, 100.0):
+            want = float(np.percentile(rtts, q))
+            segment = np.sort(rtts)
+            got = sorted_percentiles(segment, np.array([0]), np.array([count]), q)
+            assert got.dtype == dtype and got[0] == want
+        columns = dict(
             src_server_id=0, dst_server_id=1, version=IPVersion.V4,
             times_hours=np.arange(float(count)), rtt_ms=rtts,
             outcome=np.full(count, COMPLETE, dtype=np.uint8),
             path_id=np.zeros(count, dtype=np.int32), paths=[(1, 2)],
         )
+        if dtype is not np.float32:
+            # A trace timeline holds float32 RTTs only.
+            with pytest.raises(ValueError, match="float32"):
+                TraceTimeline(**columns)
+            return
+        timeline = TraceTimeline(**columns)
         for q in (0.0, 10.0, 50.0, 90.0, 100.0):
-            want = float(np.percentile(rtts, q))
-            assert path_percentiles(timeline, q)[0] == want
-            segment = np.sort(rtts)
-            got = sorted_percentiles(segment, np.array([0]), np.array([count]), q)
-            assert got.dtype == dtype and got[0] == want
+            assert path_percentiles(timeline, q)[0] == float(np.percentile(rtts, q))
 
     def test_three_samples_with_ties(self):
         for dtype in (np.float32, np.float64):
@@ -821,3 +845,404 @@ class TestRoutingSchedule:
         want = reference_routing_schedule(table, pairs, duration, outages, flaps)
         assert got.timelines == want.timelines
         assert (got.outages, got.flaps) == (want.outages, want.flaps)
+
+
+# ----------------------------------------------------------------------
+# The one-selection analysis kernels, against the code they replaced
+# (kept here as references)
+# ----------------------------------------------------------------------
+
+def reference_sorted_buckets(timeline, min_samples):
+    """``TraceTimeline.sorted_buckets`` as it was: a stable argsort of the
+    usable samples' path ids, then a finite mask and a sort per bucket."""
+    path_ids, pieces = [], []
+    for path_id, rtts in timeline.usable_rtts_by_path().items():
+        finite = rtts[np.isfinite(rtts)]
+        if finite.size >= min_samples:
+            path_ids.append(path_id)
+            pieces.append(np.sort(finite))
+    values = np.concatenate(pieces) if pieces else timeline.rtt_ms[:0].copy()
+    bounds = np.cumsum([0] + [piece.size for piece in pieces])
+    return tuple(path_ids), values, tuple(bounds.tolist())
+
+
+def reference_inflation_medians(dataset):
+    """``pair_inflation``'s per-timeline medians as they were: ``np.median``."""
+    medians = {}
+    for key, timeline in dataset.timelines.items():
+        usable = reference_usable_mask(timeline) & np.isfinite(timeline.rtt_ms)
+        if usable.any():
+            medians[key] = float(np.median(timeline.rtt_ms[usable]))
+    return medians
+
+
+def reference_rtt_correlation(v4, v6):
+    """``sharedinfra._rtt_correlation`` as it was: two ``std`` tests, then
+    ``np.corrcoef``."""
+    both = (
+        reference_usable_mask(v4) & reference_usable_mask(v6)
+        & np.isfinite(v4.rtt_ms) & np.isfinite(v6.rtt_ms)
+    )
+    if both.sum() < 30:
+        return float("nan")
+    a = v4.rtt_ms[both].astype(float)
+    b = v6.rtt_ms[both].astype(float)
+    if a.std() <= 0 or b.std() <= 0:
+        return float("nan")
+    return float(np.corrcoef(a, b)[0, 1])
+
+
+def reference_infer_ownership(paths, relationships, passes=2):
+    """``infer_ownership`` as it was: ``IPAddress`` keys, ``Counter``
+    labels and one relationship lookup per triple.  Returns
+    ``(labels, owners)`` in the order the inference filled them."""
+    labels = defaultdict(Counter)
+    owners = {}
+    successors = defaultdict(set)
+    predecessors = defaultdict(set)
+    mapping = {}
+
+    def resolve():
+        for address, counter in labels.items():
+            distinct = {asn for asn, _ in counter}
+            if len(distinct) == 1:
+                owners[address] = next(iter(distinct))
+                continue
+            (top_asn, top_heuristic), _ = counter.most_common(1)[0]
+            owners[address] = top_asn if top_heuristic == "first" else None
+
+    for hops in paths:
+        for index, (address, asn) in enumerate(hops):
+            previous = hops[index - 1] if index > 0 else None
+            nxt = hops[index + 1] if index + 1 < len(hops) else None
+            mapping.setdefault(address, asn)
+            if previous is not None:
+                predecessors[address].add(previous[0])
+                successors[previous[0]].add(address)
+            if nxt is not None and asn is not None and asn == nxt[1]:
+                labels[address][(asn, "first")] += 1
+            if (asn is None and previous is not None and nxt is not None
+                    and previous[1] is not None and previous[1] == nxt[1]):
+                labels[address][(previous[1], "noip2as")] += 1
+            if (previous is not None and nxt is not None and previous[1] is not None
+                    and asn is not None and nxt[1] is not None and previous[1] == asn
+                    and nxt[1] != asn and relationships.is_customer_of(nxt[1], asn)):
+                labels[address][(nxt[1], "customer")] += 1
+            if (previous is not None and previous[1] is not None and asn is not None
+                    and previous[1] != asn and relationships.is_customer_of(previous[1], asn)):
+                labels[address][(asn, "provider")] += 1
+
+    for _ in range(max(0, passes - 1)):
+        resolve()
+        new_labels = []
+        for address, owner in list(owners.items()):
+            if owner is None:
+                continue
+            for follower in successors.get(address, ()):
+                siblings = predecessors.get(follower, set())
+                if len([s for s in siblings if owners.get(s) == owner]) < 2:
+                    continue
+                for sibling in siblings:
+                    if owners.get(sibling) is not None:
+                        continue
+                    if mapping.get(sibling) == owner:
+                        new_labels.append((sibling, owner, "back"))
+        for address in list(successors):
+            if owners.get(address) is not None or labels.get(address):
+                continue
+            nexts = successors[address]
+            next_asns = {mapping.get(nxt) for nxt in nexts}
+            if len(nexts) < 2 or len(next_asns) != 1:
+                continue
+            (next_asn,) = next_asns
+            if next_asn is not None and all(owners.get(nxt) is not None for nxt in nexts):
+                new_labels.append((address, next_asn, "forward"))
+        if not new_labels:
+            break
+        for address, asn, heuristic in new_labels:
+            labels[address][(asn, heuristic)] += 1
+    resolve()
+    return labels, owners
+
+
+def same_bits(got, want):
+    """Equal as float64 bit patterns (NaN equal to NaN)."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@st.composite
+def varied_trace_timelines(draw, count=None):
+    """``trace_timelines`` plus the shapes the sort keys must survive:
+    path tables past 128 (int16 ids), negative RTTs and both zeros, and
+    constant series."""
+    timeline = draw(trace_timelines(count=count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rtts = timeline.rtt_ms.copy()
+    shape = draw(st.sampled_from(["as drawn", "signed", "constant"]))
+    if shape == "signed":
+        signs = rng.choice(np.asarray([-1.0, 1.0, 0.0, -0.0], dtype=np.float32), rtts.size)
+        rtts = np.where(np.abs(signs) > 0, rtts * signs, signs).astype(np.float32)
+    elif shape == "constant":
+        rtts = np.where(np.isnan(rtts), rtts, np.float32(17.25))
+    path_id = timeline.path_id.astype(np.int32)
+    paths = list(timeline.paths)
+    if draw(st.booleans()):
+        # A wide table: the drawn paths move to ids past 128.
+        offset = draw(st.integers(129, 300))
+        filler = [(9, 9, index) for index in range(offset)]
+        path_id = np.where(path_id >= 0, path_id + offset, path_id)
+        paths = filler + paths
+    return dataclasses.replace(
+        timeline, rtt_ms=rtts, path_id=path_id, paths=paths,
+        true_candidate=None,
+    )
+
+
+class TestSortedBuckets:
+    @settings(max_examples=300, deadline=None)
+    @given(varied_trace_timelines(), st.sampled_from([0, 1, 3]))
+    def test_one_sort_matches_the_per_bucket_sorts(self, timeline, min_samples):
+        path_ids, values, bounds = timeline.sorted_buckets(min_samples)
+        want_ids, want_values, want_bounds = reference_sorted_buckets(timeline, min_samples)
+        assert (path_ids, bounds) == (want_ids, want_bounds)
+        assert values.dtype == want_values.dtype
+        # Equal as floats: the order of -0.0 and 0.0 within a bucket is
+        # free, as in any sort.
+        assert np.array_equal(values, want_values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(varied_trace_timelines(), min_size=0, max_size=20))
+    def test_population_fill_matches_np_percentile(self, timelines):
+        memoize_percentiles(timelines, 10.0)
+        for timeline in timelines:
+            for q in (10.0, 90.0):
+                assert ("percentiles", q) in vars(timeline)["_products"]
+                assert_same_mapping(path_percentiles(timeline, q),
+                                    reference_percentiles(timeline, q))
+
+    def test_rows_cross_population_passes(self):
+        # More timelines than one pass reads; each keeps its own buckets.
+        rng = np.random.default_rng(5)
+        timelines = [
+            TraceTimeline(
+                src_server_id=0, dst_server_id=index, version=IPVersion.V4,
+                times_hours=np.arange(12.0),
+                rtt_ms=rng.integers(10, 15, 12).astype(np.float32),
+                outcome=np.full(12, COMPLETE, dtype=np.uint8),
+                path_id=rng.integers(0, 3, 12).astype(np.int8),
+                paths=[(1, 2), (1, 3), (1, 4)],
+            )
+            for index in range(3 * PERCENTILE_ROWS + 1)
+        ]
+        memoize_percentiles(timelines, 90.0)
+        for timeline in timelines:
+            assert_same_mapping(path_percentiles(timeline, 90.0),
+                                reference_percentiles(timeline, 90.0))
+
+    def test_an_unmemoized_percentile_fills_nothing(self):
+        timeline = TraceTimeline(
+            src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+            times_hours=np.arange(4.0),
+            rtt_ms=np.asarray([12.0, 13.0, 11.0, 14.0], dtype=np.float32),
+            outcome=np.full(4, COMPLETE, dtype=np.uint8),
+            path_id=np.zeros(4, dtype=np.int8), paths=[(1, 2)],
+        )
+        memoize_percentiles([timeline], 50.0)
+        assert not vars(timeline).get("_products")
+
+    def test_all_nan_bucket_is_empty_only_without_a_floor(self):
+        timeline = TraceTimeline(
+            src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+            times_hours=np.arange(5.0),
+            rtt_ms=np.asarray([np.nan, np.nan, 12.0, 13.0, 11.0], dtype=np.float32),
+            outcome=np.full(5, COMPLETE, dtype=np.uint8),
+            path_id=np.asarray([0, 0, 1, 1, 1], dtype=np.int8),
+            paths=[(1, 2), (1, 3)],
+        )
+        assert timeline.sorted_buckets(0)[0] == (0, 1)
+        assert timeline.sorted_buckets(0)[2] == (0, 0, 3)
+        assert timeline.sorted_buckets(1)[0] == (1,)
+
+
+class TestPathProducts:
+    @EXAMPLES
+    @given(varied_trace_timelines())
+    def test_counts_and_changes_off_one_selection(self, timeline):
+        assert_same_mapping(timeline.path_sample_counts(), reference_counts(timeline))
+        assert timeline.path_change_count() == reference_changes(timeline)
+
+    @EXAMPLES
+    @given(varied_trace_timelines(count=25), varied_trace_timelines(count=25))
+    def test_pair_count_past_128_paths(self, forward, reverse):
+        assert as_path_pair_count(forward, reverse) == reference_pair_count(forward, reverse)
+
+
+class TestMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(1, 60),
+        st.sampled_from(["ties", "spread", "zeros"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_partition_median_is_np_median(self, dtype, count, shape, seed):
+        rng = np.random.default_rng(seed)
+        if shape == "ties":
+            values = rng.integers(-3, 4, count).astype(dtype)
+        elif shape == "zeros":
+            values = rng.choice(np.asarray([0.0, -0.0, 1.5, -2.5]), count).astype(dtype)
+        else:
+            values = (300.0 * rng.standard_normal(count)).astype(dtype)
+        want = float(np.median(values))
+        assert same_bits(partition_median(values.copy()), want)
+
+    @EXAMPLES
+    @given(varied_trace_timelines())
+    def test_median_of_a_timeline_selection(self, timeline):
+        usable = reference_usable_mask(timeline) & np.isfinite(timeline.rtt_ms)
+        if usable.any():
+            want = float(np.median(timeline.rtt_ms[usable]))
+            got = partition_median(timeline.rtt_ms.compress(timeline.usable_rtt_mask()))
+            assert same_bits(got, want)
+
+    def test_inflation_medians(self, longterm):
+        want = reference_inflation_medians(longterm)
+        study = pair_inflation(longterm)
+        assert study.pairs
+        for pair in study.pairs:
+            key = (pair.src_server_id, pair.dst_server_id, pair.version)
+            assert same_bits(pair.median_rtt_ms, want[key])
+
+
+@st.composite
+def correlation_pairs(draw):
+    """Dual-stack pairs around the 30-round floor, with ties and constants."""
+    count = draw(st.integers(0, 90))
+    return (draw(varied_trace_timelines(count=count)),
+            draw(varied_trace_timelines(count=count)))
+
+
+class TestRttCorrelation:
+    @settings(max_examples=300, deadline=None)
+    @given(correlation_pairs())
+    def test_corrcoef_steps_are_np_corrcoef(self, pair):
+        v4, v6 = pair
+        assert same_bits(_rtt_correlation(v4, v6), reference_rtt_correlation(v4, v6))
+
+    def test_floor_and_constant_series(self):
+        def timeline(rtts):
+            count = len(rtts)
+            return TraceTimeline(
+                src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+                times_hours=np.arange(float(count)),
+                rtt_ms=np.asarray(rtts, dtype=np.float32),
+                outcome=np.full(count, COMPLETE, dtype=np.uint8),
+                path_id=np.zeros(count, dtype=np.int8), paths=[(1, 2)],
+            )
+
+        ramp = list(np.linspace(10.0, 40.0, 30))
+        assert math.isnan(_rtt_correlation(timeline(ramp[:29]), timeline(ramp[:29])))
+        assert _rtt_correlation(timeline(ramp), timeline(ramp)) == 1.0
+        assert math.isnan(_rtt_correlation(timeline(ramp), timeline([12.5] * 30)))
+        # 0.1 thirty times does not sum to 3.0: the mean is off the value,
+        # so the centred row is not zero and neither test rejects it.
+        tenths = timeline([0.1] * 30)
+        assert same_bits(_rtt_correlation(tenths, timeline(ramp)),
+                         reference_rtt_correlation(tenths, timeline(ramp)))
+
+
+_ADDRESSES = [IPAddress.v4(value) for value in range(1, 7)] + [
+    IPAddress.v6(value) for value in range(1, 5)]
+
+
+@st.composite
+def ownership_corpora(draw):
+    """Small corpora over few addresses and ASes, so labels collide and
+    counts tie; relationships drawn over the same ASes."""
+    asns = [10, 20, 30, 40]
+    relationships = RelationshipTable()
+    for a in asns:
+        for b in asns:
+            if a < b:
+                kind = draw(st.sampled_from([None, *ASRelationship]))
+                if kind is not None:
+                    relationships.add(a, b, kind)
+    hop = st.tuples(st.sampled_from(_ADDRESSES), st.sampled_from([*asns, None]))
+    paths = draw(st.lists(st.lists(hop, min_size=1, max_size=7), max_size=12))
+    return paths, relationships, draw(st.integers(1, 4))
+
+
+def assert_same_inference(got, want_labels, want_owners):
+    assert list(got.owners.items()) == list(want_owners.items())
+    assert list(got.labels) == list(want_labels)
+    for address, counts in want_labels.items():
+        assert list(got.labels[address].items()) == list(counts.items())
+
+
+class TestOwnership:
+    @settings(max_examples=400, deadline=None)
+    @given(ownership_corpora())
+    def test_interned_inference_matches_the_address_keyed_one(self, corpus):
+        paths, relationships, passes = corpus
+        got = infer_ownership(paths, relationships, passes=passes)
+        assert_same_inference(got, *reference_infer_ownership(paths, relationships, passes))
+        hop_views = [[HopView(address, asn) for address, asn in path] for path in paths]
+        assert infer_ownership(hop_views, relationships, passes=passes).owners == got.owners
+
+    def test_a_label_count_tie_goes_to_the_first_label(self):
+        relationships = RelationshipTable()
+        a, b, c = _ADDRESSES[:3]
+        # a: (10, first) once, then (20, first) once -- a tie; 10 came first.
+        paths = [[(a, 10), (b, 10)], [(a, 20), (c, 20)]]
+        got = infer_ownership(paths, relationships)
+        assert got.labels[a] == {(10, "first"): 1, (20, "first"): 1}
+        assert got.owner(a) == 10
+        flipped = infer_ownership(paths[::-1], relationships)
+        assert flipped.owner(a) == 20
+        for corpus in (paths, paths[::-1]):
+            assert_same_inference(infer_ownership(corpus, relationships),
+                                  *reference_infer_ownership(corpus, relationships))
+
+
+class TestSeedStates:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 7, 2**32 + 5, 2**63 + 11]),
+        st.lists(st.one_of(st.integers(2**32, 2**64 - 1), st.integers(0, 2**32 - 1)),
+                 max_size=40),
+    )
+    def test_numpy_states_match_numpy_seeding(self, base_seed, digests):
+        assert pcg64_states(base_seed, digests) == [
+            reference_seed_state([base_seed, digest]) for digest in digests
+        ]
+
+    def test_a_build_sized_batch(self):
+        rng = np.random.default_rng(3)
+        digests = [int(value) for value in rng.integers(2**32, 2**64, 5000, dtype=np.uint64)]
+        assert pcg64_states(11, digests) == [
+            reference_seed_state([11, digest]) for digest in digests
+        ]
+
+
+def reference_seed_state(entropy):
+    raw = np.random.PCG64(np.random.SeedSequence(entropy)).state["state"]
+    return int(raw["state"]), int(raw["inc"])
+
+
+class TestSortedQuantileFractions:
+    @EXAMPLES
+    @given(st.lists(st.tuples(st.integers(0, 9), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])),
+                    min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_one_fraction_per_segment(self, segments, seed):
+        rng = np.random.default_rng(seed)
+        values = np.sort(rng.integers(0, 50, 9 * len(segments)).astype(np.float32))
+        starts = np.arange(len(segments)) * 9
+        counts = np.asarray([count for count, _ in segments])
+        fractions = np.asarray([fraction for _, fraction in segments])
+        got = sorted_quantiles(values, starts, counts, fractions)
+        want = [sorted_quantiles(values, starts[k:k + 1], counts[k:k + 1], fractions[k])[0]
+                for k in range(len(segments))]
+        assert np.array_equal(got, np.asarray(want, dtype=np.float32), equal_nan=True)

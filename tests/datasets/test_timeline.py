@@ -103,6 +103,17 @@ class TestTraceTimeline:
                 path_id=np.zeros(3, dtype=np.int32),
             )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+    def test_rtts_other_than_float32_rejected(self, dtype):
+        with pytest.raises(ValueError, match="rtt_ms must be float32"):
+            TraceTimeline(
+                src_server_id=0, dst_server_id=1, version=IPVersion.V4,
+                times_hours=np.arange(3.0),
+                rtt_ms=np.zeros(3, dtype=dtype),
+                outcome=np.zeros(3, dtype=np.uint8),
+                path_id=np.zeros(3, dtype=np.int32),
+            )
+
     def test_pair(self):
         assert _timeline([COMPLETE]).pair == (0, 1)
 

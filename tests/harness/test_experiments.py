@@ -183,7 +183,8 @@ class TestPickleLayout:
 
 
 class TestOwnershipCache:
-    """Ownership is inferred once per (trace corpus, platform) pair."""
+    """Ownership is inferred, and each static-path entry localized, once
+    per (trace corpus, platform) pair."""
 
     @pytest.fixture
     def traces(self, trace_dataset):
@@ -212,12 +213,30 @@ class TestOwnershipCache:
         assert experiment_link_classification(traces, platform).render() == link
         assert len(calls) == 1
 
+    def test_each_static_entry_is_localized_once(self, platform, traces, monkeypatch):
+        localized = []
+        localize = experiments.localize_congestion
+
+        def counted(entry, *args, **kwargs):
+            localized.append(entry.pair)
+            return localize(entry, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "localize_congestion", counted)
+        reports = [
+            run(traces, platform).render()
+            for run in (experiment_localization, experiment_link_classification, experiment_fig9)
+        ]
+        static = [entry.pair for entry in traces.entries.values() if entry.static_path]
+        assert static and localized == static
+        assert experiment_localization(traces, platform).render() == reports[0]
+        assert localized == static
+
     def test_another_platform_object_gets_its_own_inference(self, traces):
         first, second = object(), object()
-        assert traces.corpus_product(first, lambda: "a") == "a"
-        assert traces.corpus_product(first, lambda: "b") == "a"
-        assert traces.corpus_product(second, lambda: "c") == "c"
-        assert traces.corpus_product(first, lambda: "d") == "d"
+        assert traces.corpus_product("ownership", first, lambda: "a") == "a"
+        assert traces.corpus_product("ownership", first, lambda: "b") == "a"
+        assert traces.corpus_product("ownership", second, lambda: "c") == "c"
+        assert traces.corpus_product("ownership", first, lambda: "d") == "d"
 
     def test_the_corpus_streams_into_the_inference(self, platform, traces, monkeypatch):
         # What building the ownership input holds at its peak, with the
