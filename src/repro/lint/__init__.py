@@ -3,9 +3,10 @@
 Off-the-shelf linters check style; this package checks the invariants
 the reproduction's correctness rests on -- determinism (DET001/DET002),
 fork-safe parallelism (FRK001), telemetry hygiene (OBS001), public API
-annotations (API001), and cache-fingerprint coverage (CCH001) -- plus
-a whole-program rule (DET010) over every file's summary.
-Each run is one serial pass: per-file rules first, then project rules.
+annotations (API001), and cache-fingerprint coverage (CCH001).  Each
+run is one serial pass that checks one file at a time; that each world
+seed selects its own streams is checked by running two seeds
+(``tests/integration/test_seed_provenance.py``), not by a lint rule.
 See ``RULES.md`` next to this file for one paragraph per rule, and run::
 
     python -m repro.lint src                 # human output

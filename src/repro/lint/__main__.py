@@ -1,12 +1,12 @@
-"""CLI: ``python -m repro.lint [paths] [--format sarif] [--strict] ...``.
+"""CLI: ``python -m repro.lint [paths] [--format json] [--strict] ...``.
 
 Exit codes (also under ``--help``): **0** when there are no error-level
 findings -- warnings alone do *not* fail the run unless ``--strict`` is
 given; **1** when there are errors, or warnings under ``--strict``;
 **2** on usage errors (unknown rule code, missing path, unknown flag).
-Findings go to stdout (human lines, one JSON document, or one SARIF
-2.1.0 document); logs go to stderr via ``repro.obs`` so output stays
-pipeable.  Every run lints every file: one serial pass, no cache.
+Findings go to stdout (human lines or one JSON document); logs go to
+stderr via ``repro.obs`` so output stays pipeable.  Every run lints
+every file: one serial per-file pass, no cache.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import List, Optional
 from repro.lint.findings import render_human, render_json
 from repro.lint.registry import all_rules
 from repro.lint.runner import Linter
-from repro.lint.sarif import render_sarif
 from repro.obs import log
 
 
@@ -34,7 +33,6 @@ def _list_rules() -> str:
     lines = []
     for rule in all_rules():
         kind = " (synthetic)" if rule.synthetic else ""
-        kind = " (project)" if rule.project_scope else kind
         lines.append(f"{rule.code} [{rule.severity.value}] {rule.name}{kind}")
         lines.append(f"    {rule.rationale}")
     return "\n".join(lines)
@@ -57,7 +55,7 @@ def _explain(code: str) -> Optional[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Whole-program invariant linter: determinism taint, "
+        description="Per-file invariant linter: seeded randomness, "
         "fork-safe workers, telemetry hygiene, cache-fingerprint coverage.",
         epilog="exit codes: 0 no errors (warnings pass without --strict); "
         "1 errors, or warnings with --strict; 2 usage error",
@@ -67,7 +65,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="files or directories to lint (default: ./src if present, else .)",
     )
     parser.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
+        "--format", choices=("human", "json"), default="human",
         help="output format (default: human)",
     )
     parser.add_argument(
@@ -111,14 +109,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "sarif":
-        sys.stdout.write(
-            render_sarif(report, all_rules(_codes(args.select), _codes(args.ignore)))
-        )
-    else:
-        sys.stdout.write(render_human(report))
+    render = render_json if args.format == "json" else render_human
+    sys.stdout.write(render(report))
     return report.exit_code(strict=args.strict)
 
 

@@ -39,16 +39,6 @@ SUPPRESSION_ALLOWLIST: Tuple[Allowance, ...] = (
             "result cannot depend on hashing or insertion history."
         ),
     ),
-    Allowance(
-        path="repro/measurement/fastseed.py",
-        rule="DET010",
-        reason=(
-            "RecycledGenerator.__init__ seeds its PCG64 with SeedSequence(0) "
-            "only to construct the object; set(state, inc) overwrites the "
-            "complete bit-generator state before any draw, so the literal "
-            "never influences an output stream."
-        ),
-    ),
 )
 
 

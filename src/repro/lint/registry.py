@@ -17,7 +17,6 @@ from repro.lint.findings import Finding, Severity
 
 __all__ = [
     "Rule",
-    "ProjectRule",
     "register",
     "get_rule",
     "all_rules",
@@ -43,7 +42,6 @@ class Rule:
     severity: Severity = Severity.ERROR
     rationale: str = ""
     synthetic: bool = False
-    project_scope: bool = False
 
     def applies(self, ctx: FileContext) -> bool:
         return True
@@ -68,40 +66,6 @@ class Rule:
             line=line,
             col=col,
             message=message,
-        )
-
-
-class ProjectRule(Rule):
-    """One invariant check over the assembled whole-program view.
-
-    Project rules run after every file's summary is built: the runner
-    hands them the :class:`repro.lint.analysis.project.Project` instead
-    of one file at a time.  They implement :meth:`check_project`; the per-file
-    :meth:`check` is a no-op so a project rule can sit in the same
-    registry, ``--select``/``--ignore`` set, and docs as the rest.
-    """
-
-    project_scope = True
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        """Yield findings over the whole program.
-
-        ``project`` is a :class:`repro.lint.analysis.project.Project`.
-        """
-        raise NotImplementedError
-
-    def finding_dict(self, payload: Dict[str, object]) -> Finding:
-        """A :class:`Finding` from an analysis-engine dict."""
-        return Finding(
-            rule=self.code,
-            severity=self.severity,
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[call-overload]
-            col=int(payload["col"]),  # type: ignore[call-overload]
-            message=str(payload["message"]),
         )
 
 

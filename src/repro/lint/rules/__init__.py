@@ -5,7 +5,6 @@ from repro.lint.rules import (
     cache,
     determinism,
     forksafety,
-    interdet,
     meta,
     telemetry,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "cache",
     "determinism",
     "forksafety",
-    "interdet",
     "meta",
     "telemetry",
 ]

@@ -1,16 +1,10 @@
 """The lint driver: discover files, run rules, apply suppression policy.
 
-One serial pass in two phases:
-
-1. **Per-file**: parse, run every file-scoped rule, apply noqa
-   suppressions, audit them against the allowlist, and build the
-   module's whole-program summary.  A file that cannot be read,
-   decoded, or parsed produces one structured LNT001 finding and the
-   run continues; a rule that crashes on a file produces LNT002.
-2. **Project**: the summaries are assembled into a
-   :class:`repro.lint.analysis.project.Project` and the project-scoped
-   rule (DET010) runs over it.  Its findings honor the same noqa
-   suppressions, kept from the per-file phase.
+One serial pass, one file at a time: parse, run every rule that applies,
+apply noqa suppressions, and audit them against the allowlist.  A file
+that cannot be read, decoded, or parsed produces one structured LNT001
+finding and the run continues; a rule that crashes on a file produces
+LNT002.
 
 Orchestration only -- rules live in :mod:`repro.lint.rules`, policy data
 in :mod:`repro.lint.allowlist`.  The public entry points are
@@ -20,14 +14,11 @@ in :mod:`repro.lint.allowlist`.  The public entry points are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.lint import allowlist as allowlist_mod
-from repro.lint.analysis.project import Project
-from repro.lint.analysis.summary import build_summary
-from repro.lint.context import FileContext, Suppressions
+from repro.lint.context import FileContext
 from repro.lint.findings import Finding, LintReport, summarize_codes
 from repro.lint.registry import Rule, all_rules, get_rule
 from repro.obs.log import get_logger
@@ -64,16 +55,6 @@ def iter_python_files(paths: Iterable[_PathLike]) -> Iterator[Path]:
                 yield path
 
 
-@dataclass
-class _FileResult:
-    """One parsed file's per-file verdict and its input to the project phase."""
-
-    noqa: Suppressions  # project-phase findings are filtered through it too
-    summary: Dict[str, object]
-    findings: List[Finding]
-    suppressed: int
-
-
 class Linter:
     """A configured lint pass: rule selection plus suppression policy.
 
@@ -93,10 +74,7 @@ class Linter:
         enforce_allowlist: bool = True,
     ) -> None:
         enabled = all_rules(select, ignore)
-        self.rules: List[Rule] = [
-            r for r in enabled if not r.synthetic and not r.project_scope
-        ]
-        self.project_rules: List[Rule] = [r for r in enabled if r.project_scope]
+        self.rules: List[Rule] = [r for r in enabled if not r.synthetic]
         self.enforce_allowlist = enforce_allowlist
         enabled_codes = {r.code for r in enabled}
         self._emit_lnt000 = "LNT000" in enabled_codes
@@ -108,14 +86,21 @@ class Linter:
     def lint_source(self, source: str, path: _PathLike) -> LintReport:
         """Lint one in-memory source blob as if it lived at ``path``."""
         report = LintReport(files=1)
-        result = self._check_file(Path(path), source, report)
-        self._check_project(report, [] if result is None else [result])
+        self._check_file(Path(path), source, report)
         report.findings.sort(key=Finding.sort_key)
         return report
 
     def lint_paths(self, paths: Iterable[_PathLike]) -> LintReport:
         report = LintReport()
-        self._check_project(report, self._check_paths(paths, report))
+        for path in iter_python_files(paths):
+            report.files += 1
+            try:
+                source = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as error:
+                # One structured finding per unreadable file; never abort.
+                self._lnt001(report, path, 1, f"file cannot be read: {error}")
+                continue
+            self._check_file(path, source, report)
         report.findings.sort(key=Finding.sort_key)
         _LOG.info(
             "lint.done",
@@ -126,24 +111,7 @@ class Linter:
         )
         return report
 
-    # -- per-file phase --------------------------------------------------
-
-    def _check_paths(
-        self, paths: Iterable[_PathLike], report: LintReport
-    ) -> List[_FileResult]:
-        results: List[_FileResult] = []
-        for path in iter_python_files(paths):
-            report.files += 1
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as error:
-                # One structured finding per unreadable file; never abort.
-                self._lnt001(report, path, 1, f"file cannot be read: {error}")
-                continue
-            result = self._check_file(path, source, report)
-            if result is not None:
-                results.append(result)
-        return results
+    # -- one file ------------------------------------------------------
 
     def _lnt001(self, report: LintReport, path: Path, line: int, message: str) -> None:
         if self._emit_lnt001:
@@ -151,18 +119,14 @@ class Linter:
                 get_rule("LNT001").finding_at(FileContextStub(path), line, 0, message)
             )
 
-    def _check_file(
-        self, path: Path, source: str, report: LintReport
-    ) -> Optional[_FileResult]:
-        """Per-file findings + summary; ``None`` (and LNT001) if it won't parse."""
+    def _check_file(self, path: Path, source: str, report: LintReport) -> None:
+        """Add one file's findings to ``report`` (LNT001 if it won't parse)."""
         try:
             ctx = FileContext(path, source)
         except (SyntaxError, ValueError) as error:
             line = getattr(error, "lineno", None) or 1
             self._lnt001(report, path, line, f"file does not parse: {error}")
-            return None
-        findings: List[Finding] = []
-        suppressed = 0
+            return
         for rule in self.rules:
             if not rule.applies(ctx):
                 continue
@@ -170,7 +134,7 @@ class Linter:
                 rule_findings = list(rule.check(ctx))
             except Exception as error:  # noqa: BLE001 -- any crash becomes LNT002
                 if self._emit_lnt002:
-                    findings.append(
+                    report.findings.append(
                         get_rule("LNT002").finding_at(
                             ctx, 1, 0,
                             f"rule {rule.code} crashed on this file "
@@ -180,12 +144,11 @@ class Linter:
                 continue
             for finding in rule_findings:
                 if ctx.noqa.is_suppressed(finding.rule, finding.line):
-                    suppressed += 1
+                    report.suppressed += 1
                 else:
-                    findings.append(finding)
+                    report.findings.append(finding)
         if self.enforce_allowlist and self._emit_lnt000:
-            findings.extend(self._audit_suppressions(ctx))
-        return _FileResult(ctx.noqa, build_summary(ctx), findings, suppressed)
+            report.findings.extend(self._audit_suppressions(ctx))
 
     def _audit_suppressions(self, ctx: FileContext) -> Iterator[Finding]:
         rule = get_rule("LNT000")
@@ -200,45 +163,6 @@ class Linter:
                         "allowlist (repro/lint/allowlist.py); add an entry "
                         "with a reason or fix the finding",
                     )
-
-    # -- project phase ---------------------------------------------------
-
-    def _check_project(
-        self, report: LintReport, results: Sequence[_FileResult]
-    ) -> None:
-        for result in results:
-            report.findings.extend(result.findings)
-            report.suppressed += result.suppressed
-        if not self.project_rules or not results:
-            return
-        noqa = {str(result.summary["path"]): result.noqa for result in results}
-        project = Project([result.summary for result in results])
-        for rule in self.project_rules:
-            try:
-                rule_findings = list(rule.check_project(project))
-            except Exception as error:  # noqa: BLE001 -- any crash becomes LNT002
-                if self._emit_lnt002:
-                    crash = get_rule("LNT002")
-                    report.findings.append(
-                        Finding(
-                            rule=crash.code,
-                            severity=crash.severity,
-                            path="<project>",
-                            line=1,
-                            col=0,
-                            message=(
-                                f"project rule {rule.code} crashed "
-                                f"({error!r}); its invariant went unchecked"
-                            ),
-                        )
-                    )
-                continue
-            for finding in rule_findings:
-                table = noqa.get(finding.path)
-                if table is not None and table.is_suppressed(finding.rule, finding.line):
-                    report.suppressed += 1
-                else:
-                    report.findings.append(finding)
 
 
 class FileContextStub:

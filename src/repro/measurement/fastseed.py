@@ -321,7 +321,7 @@ class RecycledGenerator:
     def __init__(self) -> None:
         # The constructor seed is irrelevant: every use overwrites the
         # complete bit-generator state before any draw.
-        self._bit_generator = np.random.PCG64(np.random.SeedSequence(0))  # repro: noqa[DET010] -- placeholder state, fully overwritten by set()
+        self._bit_generator = np.random.PCG64(np.random.SeedSequence(0))
         self._generator = np.random.Generator(self._bit_generator)
         self._template = {
             "bit_generator": "PCG64",

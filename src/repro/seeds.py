@@ -36,8 +36,9 @@ __all__ = [
 PLATFORM_SEED = 0
 """Default for :class:`repro.measurement.platform.PlatformConfig`'s base
 seed, from which every platform stream is derived via ``_stream_seed``
-hashing.  DET010 tracks the field interprocedurally into those streams,
-so the default must be a named constant, not a literal at the field."""
+hashing.  A run at any other seed must draw from none of the same
+streams; ``tests/integration/test_seed_provenance.py`` checks that by
+running two seeds and comparing the seed material of every stream."""
 
 TOPOLOGY_SEED = 0
 """Default for :func:`repro.topology.generator.generate_topology`."""

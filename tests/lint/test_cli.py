@@ -104,10 +104,10 @@ def test_missing_path_is_usage_error():
 
 
 def test_explain_prints_rules_md_entry():
-    result = run_cli("--explain", "DET010")
+    result = run_cli("--explain", "CCH001")
     assert result.returncode == 0
-    assert "interprocedural-seed-taint" in result.stdout
-    assert "build_platform(42)" in result.stdout  # the failing example
+    assert "config-outside-fingerprint" in result.stdout
+    assert "object.__setattr__" in result.stdout  # the knob the rule resolves
 
 
 def test_explain_unknown_rule_is_usage_error():
@@ -115,26 +115,23 @@ def test_explain_unknown_rule_is_usage_error():
     assert result.returncode == 2
 
 
-@pytest.mark.parametrize("code", ["FRK010", "SCH010"])
+@pytest.mark.parametrize("code", ["FRK010", "SCH010", "DET010"])
 @pytest.mark.parametrize("mode", ["explain", "select"])
 def test_retired_rule_is_unknown(code, mode):
-    # FRK010 left with the last thread and SCH010 with the schema
-    # snapshot; naming either is a usage error, not a silently empty
-    # selection.
+    # FRK010 left with the last thread, SCH010 with the schema snapshot
+    # and DET010 with the whole-program engine; naming any of them is a
+    # usage error, not a silently empty selection.
     args = ["--explain", code] if mode == "explain" else [str(SRC), "--select", code]
     result = run_cli(*args)
     assert result.returncode == 2
     assert code in result.stderr
 
 
-def test_sarif_format_emits_valid_document(dirty_tree):
-    result = run_cli(str(dirty_tree), "--format", "sarif")
-    assert result.returncode == 1  # exit code still reflects findings
-    doc = json.loads(result.stdout)
-    assert doc["version"] == "2.1.0"
-    results = doc["runs"][0]["results"]
-    assert [r["ruleId"] for r in results] == ["DET001"]
-    assert results[0]["locations"][0]["physicalLocation"]["region"]["startLine"] == 2
+def test_sarif_format_is_a_usage_error(dirty_tree, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        lint_main([str(dirty_tree), "--format", "sarif"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'sarif'" in capsys.readouterr().err
 
 
 def test_warm_cache_run_matches_cold_byte_for_byte(dirty_tree):

@@ -25,11 +25,11 @@ def test_src_has_no_findings():
 
 
 def test_src_suppressions_match_allowlist_inventory():
-    # Exactly the documented suppressions fire -- no drift in either
+    # Exactly the documented suppression fires -- no drift in either
     # direction between noqa comments and the allowlist (DET002 in
-    # core/ownership.py, DET010 in measurement/fastseed.py).
+    # core/ownership.py).
     report = lint_paths([SRC], enforce_allowlist=True)
-    assert report.suppressed == 2
+    assert report.suppressed == 1
 
 
 THREAD_STARTERS = frozenset(
